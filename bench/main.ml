@@ -9,8 +9,6 @@
      fig12      Figure 12: XMark Q1-Q20 speedups across document sizes
      micro      Section 3/4 premise: % (rownum) vs # (rowid) operator cost,
                 and staircase-join step throughput
-     physical   boxed logical executor vs the typed physical layer;
-                writes BENCH_physical.json
      parallel   morsel-driven scaling at jobs = 1/2/4/8;
                 writes BENCH_parallel.json
      rewrite    the logical rewriter on vs off over join-bearing queries;
@@ -20,7 +18,7 @@
      serve      the query server under concurrent clients: capacity and
                 2x-overload phases, throughput + p50/p99 + shed counts;
                 writes BENCH_serve.json
-     storage    packed columns vs boxed arrays (bytes/node), monolithic vs
+     storage    packed bytes/node vs 48 boxed, monolithic vs
                 chunked ingest (MB/s), snapshot save/load vs re-parse;
                 writes BENCH_storage.json
      scan       compressed execution on vs off: bulk packed-column scans
@@ -32,8 +30,6 @@
      XRQ_CUTOFF        per-query cutoff in seconds (default 30, as in the paper)
      XRQ_SCALES        comma-separated XMark scale factors for fig12
      XRQ_TABLE2_SCALE  XMark scale for the Q11 profile (default 0.02)
-     XRQ_PHYS_SCALE    XMark scale for the physical experiment (default 0.05)
-     XRQ_BENCH_OUT     output path for BENCH_physical.json
      XRQ_PAR_SCALE     XMark scale for the parallel experiment (default 0.05)
      XRQ_PAR_OUT       output path for BENCH_parallel.json
      XRQ_RW_SCALE      XMark scale for the rewrite experiment (default 0.05)
@@ -581,72 +577,6 @@ Reading guide: rules without CDA barely help (the dead %% chains
          queries with loop-invariant paths (Q8/Q11); tag-indexed steps
          trade scan time for stream lookups on selective tags.
 ")
-
-(* -------------------------------------------------------------- physical *)
-
-(* The physical-plan dividend: the same optimized logical DAG executed by
-   the boxed logical executor vs lowered to typed columns, selection
-   vectors and fused kernels. Covers the paper queries (fig10, Q6, Q11)
-   via the full XMark corpus and writes a machine-readable baseline to
-   BENCH_physical.json (override with XRQ_BENCH_OUT; document scale with
-   XRQ_PHYS_SCALE, default 0.05). *)
-let physical () =
-  section "Physical — boxed logical executor vs typed physical layer";
-  let scale =
-    try float_of_string (Sys.getenv "XRQ_PHYS_SCALE")
-    with Not_found | Failure _ -> 0.05
-  in
-  let out_path =
-    Option.value (Sys.getenv_opt "XRQ_BENCH_OUT") ~default:"BENCH_physical.json"
-  in
-  let boxed_opts = { Engine.default_opts with Engine.physical = `Off } in
-  let fig10_q = {|let $t := doc("auction.xml") return unordered { $t//(c|d) }|} in
-  let queries = ("fig10", fig10_q) :: Xmark.Xmark_queries.all in
-  with_store scale (fun st bytes ->
-      Printf.printf "auction.xml: %.2f MB serialized, %d nodes\n\n"
-        (float_of_int bytes /. 1e6) (Xmldb.Doc_store.total_nodes st);
-      Printf.printf "%-6s %12s %12s %9s %8s\n" "query" "boxed" "physical"
-        "speedup" "items";
-      let rows =
-        List.map
-          (fun (name, q) ->
-             let _, run_boxed = Engine.prepare ~opts:boxed_opts st q in
-             let _, run_phys = Engine.prepare ~opts:Engine.default_opts st q in
-             let n_b, t_b = measure_exec run_boxed in
-             let n_p, t_p = measure_exec run_phys in
-             Printf.printf "%-6s %10.2fms %10.2fms %8.2fx %8d%s\n%!" name
-               (t_b *. 1000.) (t_p *. 1000.) (t_b /. t_p) n_p
-               (if n_b <> n_p then "  !! result count mismatch" else "");
-             (name, t_b, t_p, n_p, n_b = n_p))
-          queries
-      in
-      let best_name, best =
-        List.fold_left
-          (fun (bn, bs) (name, t_b, t_p, _, _) ->
-             let s = t_b /. t_p in
-             if s > bs then (name, s) else (bn, bs))
-          ("-", 0.0) rows
-      in
-      Printf.printf
-        "\nbest speedup: %.2fx on %s (typed theta-join coercion, typed\n\
-         sort keys and kernel fusion; columns that stay heterogeneous\n\
-         fall back to the boxed kernels at zero copy).\n"
-        best best_name;
-      let oc = open_out out_path in
-      Printf.fprintf oc
-        "{\n  \"experiment\": \"physical\",\n  \"scale\": %g,\n\
-        \  \"document_bytes\": %d,\n  \"queries\": [\n" scale bytes;
-      List.iteri
-        (fun i (name, t_b, t_p, n_p, parity) ->
-           Printf.fprintf oc
-             "    { \"query\": %S, \"boxed_ms\": %.3f, \"physical_ms\": %.3f, \
-              \"speedup\": %.3f, \"items\": %d, \"count_parity\": %b }%s\n"
-             name (t_b *. 1000.) (t_p *. 1000.) (t_b /. t_p) n_p parity
-             (if i < List.length rows - 1 then "," else ""))
-        rows;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" out_path)
 
 (* -------------------------------------------------------------- parallel *)
 
@@ -1301,10 +1231,12 @@ let serve_bench () =
 
 (* --------------------------------------------------------------- storage *)
 
-(* The encoded-store experiment: bytes/node of the packed columns vs the
-   boxed reference build, ingest throughput monolithic vs chunked (64 KB
-   reader windows), and snapshot save/load vs re-parsing the document —
-   plus a whole-corpus packed-vs-boxed parity check at a small scale.
+(* A boxed row: kind, name, value, size, level, parent, one word each. *)
+let boxed_bytes_per_node = 48.
+
+(* The encoded-store experiment: bytes/node of the packed columns vs a
+   boxed row, ingest throughput monolithic vs chunked (64 KB reader
+   windows), and snapshot save/load vs re-parsing the document.
    Writes BENCH_storage.json (override XRQ_STORAGE_OUT; scales
    XRQ_STORAGE_SCALES, default "0.01,0.05"). *)
 let storage_bench () =
@@ -1349,21 +1281,20 @@ let storage_bench () =
          let xml = Xmark.Xmark_gen.generate ~scale () in
          let doc_bytes = String.length xml in
          let mb = float_of_int doc_bytes /. 1e6 in
-         let packed () = Xmldb.Doc_store.create ~packed:true () in
-         let boxed () = Xmldb.Doc_store.create ~packed:false () in
-         let t_mono = best_time packed (fun st -> parse_into st xml) in
-         let t_chunk = best_time packed (fun st -> parse_chunked st xml) in
-         (* one retained packed store for sizes, snapshots and parity *)
-         let st = packed () in
+         let t_mono =
+           best_time Xmldb.Doc_store.create (fun st -> parse_into st xml)
+         in
+         let t_chunk =
+           best_time Xmldb.Doc_store.create (fun st -> parse_chunked st xml)
+         in
+         (* one retained store for sizes and snapshots *)
+         let st = Xmldb.Doc_store.create () in
          parse_into st xml;
          let nodes = Xmldb.Doc_store.total_nodes st in
          let p_bytes = Xmldb.Doc_store.encoded_bytes st in
-         let stb = boxed () in
-         parse_into stb xml;
-         let b_bytes = Xmldb.Doc_store.encoded_bytes stb in
          let per n bytes = float_of_int bytes /. float_of_int n in
          (* chunked ingest must produce the byte-identical store *)
-         let stc = packed () in
+         let stc = Xmldb.Doc_store.create () in
          parse_chunked stc xml;
          let chunk_identical =
            Xmldb.Doc_store.Snapshot.to_string st
@@ -1391,61 +1322,18 @@ let storage_bench () =
             %7.1f ms (%.1f MB/s)%s\n\
            \  snapshot          %d bytes   save %6.1f ms   load %6.1f ms   \
             load vs re-parse %.1fx%s\n%!"
-           scale mb nodes (per nodes p_bytes) (per nodes b_bytes)
-           (per nodes b_bytes /. per nodes p_bytes)
+           scale mb nodes (per nodes p_bytes) boxed_bytes_per_node
+           (boxed_bytes_per_node /. per nodes p_bytes)
            (t_mono *. 1000.) (mb /. t_mono)
            (t_chunk *. 1000.) (mb /. t_chunk)
            (if chunk_identical then "" else "  !! chunked snapshot differs")
            snap_bytes (t_save *. 1000.) (t_load *. 1000.) (t_mono /. t_load)
            (if load_nodes = nodes then "" else "  !! node count mismatch after load");
-         (scale, doc_bytes, nodes, per nodes p_bytes, per nodes b_bytes,
+         (scale, doc_bytes, nodes, per nodes p_bytes, boxed_bytes_per_node,
           t_mono, t_chunk, chunk_identical, snap_bytes, t_save, t_load,
           load_nodes = nodes))
       scales
   in
-  (* whole-corpus parity packed vs boxed at a small fixed scale *)
-  let parity_scale = 0.002 in
-  let queries_dir =
-    if Sys.file_exists "queries" then "queries" else "../queries"
-  in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let corpus =
-    Sys.readdir queries_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".xq")
-    |> List.sort compare
-    |> List.map (fun f ->
-        (Filename.chop_suffix f ".xq",
-         read_file (Filename.concat queries_dir f)))
-  in
-  let mk_parity_store packed =
-    let st = Xmldb.Doc_store.create ~packed () in
-    ignore (Xmark.Xmark_gen.load ~scale:parity_scale st);
-    ignore
-      (Xmldb.Xml_parser.load_document st ~uri:"t.xml"
-         "<a><b><c/><d/></b><c/><e k=\"1\">x<f/>y</e></a>");
-    st
-  in
-  let stp = mk_parity_store true and stb = mk_parity_store false in
-  let mismatches =
-    List.filter
-      (fun (_, q) ->
-         (Engine.run stp q).Engine.serialized
-         <> (Engine.run stb q).Engine.serialized)
-      corpus
-  in
-  let all_match = mismatches = [] in
-  Printf.printf
-    "\ncorpus parity packed vs boxed (scale %g, %d queries): %s\n"
-    parity_scale (List.length corpus)
-    (if all_match then "ok"
-     else
-       "MISMATCH on "
-       ^ String.concat ", " (List.map fst mismatches));
   let oc = open_out out_path in
   Printf.fprintf oc
     "{\n  \"experiment\": \"storage\",\n  \"format_version\": %d,\n\
@@ -1468,10 +1356,7 @@ let storage_bench () =
          (t_save *. 1000.) (t_load *. 1000.) (t_mono /. t_load) load_ok
          (if i < List.length rows - 1 then "," else ""))
     rows;
-  Printf.fprintf oc
-    "  ],\n  \"corpus_parity\": { \"scale\": %g, \"queries\": %d, \
-     \"all_match\": %b }\n}\n"
-    parity_scale (List.length corpus) all_match;
+  Printf.fprintf oc "  ]\n}\n";
   close_out oc;
   Printf.printf "wrote %s\n" out_path
 
@@ -1619,7 +1504,7 @@ return count(for $b in $auction//profile/business
 let experiments =
   [ ("fig6", fig6); ("fig9", fig9); ("fig10", fig10); ("table2", table2);
     ("plansizes", plansizes); ("fig12", fig12); ("micro", micro);
-    ("sharing", sharing); ("ablation", ablation); ("physical", physical);
+    ("sharing", sharing); ("ablation", ablation);
     ("parallel", parallel_bench); ("rewrite", rewrite_bench);
     ("joingraph", joingraph_bench); ("order", order_bench);
     ("serve", serve_bench); ("storage", storage_bench);

@@ -125,13 +125,6 @@ let no_join_isolation_arg =
                existential count-then-filter scaffolds. Results are \
                identical either way.")
 
-let no_physical_arg =
-  Arg.(value & flag & info [ "no-physical" ]
-         ~doc:"Execute plans with the boxed logical executor instead of \
-               the physical layer (typed columns, selection vectors, \
-               fused kernels). Results are identical; this is the \
-               differential/debugging path.")
-
 let tag_index_arg =
   Arg.(value & flag & info [ "tag-index" ]
          ~doc:"Evaluate steps with TwigStack-style tag-indexed element                streams instead of the staircase scan.")
@@ -210,7 +203,7 @@ let budget_spec timeout_s max_rows max_bytes max_ops =
         Basis.Budget.timeout_s; max_rows; max_bytes; max_ops }
 
 let mk_opts ?(no_joinrec = false) ?(no_join_isolation = false) ?budget
-    ?(no_fallback = false) ?(tree_eval = false) ?(no_physical = false) ?jobs
+    ?(no_fallback = false) ?(tree_eval = false) ?jobs
     ?(no_parallel = false) ?(no_rewrite = false) ?(no_order_props = false)
     ?(no_code_eval = false) mode no_rules no_cda no_hoist interpret tag_index =
   { Engine.mode;
@@ -221,7 +214,6 @@ let mk_opts ?(no_joinrec = false) ?(no_join_isolation = false) ?budget
     step_impl =
       (if tag_index then Algebra.Eval.Tag_index else Algebra.Eval.Scan);
     eval_mode = (if tree_eval then Algebra.Eval.Tree else Algebra.Eval.Dag);
-    physical = (if no_physical then `Off else `On);
     join_rec = not no_joinrec;
     join_isolation = not no_join_isolation;
     budget;
@@ -286,7 +278,7 @@ let report_degraded r =
 let run_cmd =
   let action docs qf expr mode no_rules no_cda no_hoist interpret profile
       tag_index no_joinrec no_join_isolation timeout max_rows max_bytes
-      max_ops no_fallback tree_eval no_physical jobs no_parallel plan_cache
+      max_ops no_fallback tree_eval jobs no_parallel plan_cache
       no_plan_cache no_rewrite no_order_props no_code_eval =
     handle (fun () ->
         let store = Xmldb.Doc_store.create () in
@@ -294,7 +286,7 @@ let run_cmd =
         let budget = budget_spec timeout max_rows max_bytes max_ops in
         let opts =
           mk_opts ~no_joinrec ~no_join_isolation ?budget ~no_fallback
-            ~tree_eval ~no_physical ?jobs ~no_parallel ~no_rewrite
+            ~tree_eval ?jobs ~no_parallel ~no_rewrite
             ~no_order_props ~no_code_eval mode no_rules no_cda no_hoist
             interpret tag_index
         in
@@ -320,7 +312,7 @@ let run_cmd =
           $ profile_arg $ tag_index_arg $ no_joinrec_arg
           $ no_join_isolation_arg $ timeout_arg $ max_rows_arg
           $ max_bytes_arg $ max_ops_arg $ no_fallback_arg $ tree_eval_arg
-          $ no_physical_arg $ jobs_arg $ no_parallel_arg $ plan_cache_arg
+          $ jobs_arg $ no_parallel_arg $ plan_cache_arg
           $ no_plan_cache_arg $ no_rewrite_arg $ no_order_props_arg
           $ no_code_eval_arg)
 
@@ -355,8 +347,8 @@ let props_annot ?ord hints n =
   else Some ("(" ^ String.concat " " parts ^ ")")
 
 let plan_cmd =
-  let action docs qf expr mode no_rules no_cda no_hoist dot no_physical
-      no_rewrite no_order_props no_join_isolation =
+  let action docs qf expr mode no_rules no_cda no_hoist dot no_rewrite
+      no_order_props no_join_isolation =
     handle (fun () ->
         (* documents are loaded only for their statistics: the rewriter's
            and the lowerer's cost decisions (join sides) *)
@@ -369,7 +361,7 @@ let plan_cmd =
           end
         in
         let opts =
-          mk_opts ~no_join_isolation ~no_physical ~no_rewrite
+          mk_opts ~no_join_isolation ~no_rewrite
             ~no_order_props mode no_rules no_cda no_hoist false false
         in
         let a = Engine.analyze ~opts ?stats (query_text qf expr) in
@@ -409,7 +401,7 @@ let plan_cmd =
           (Algebra.Joingraph.summary_to_string
              (Algebra.Joingraph.summary optimized));
         if opts.Engine.cda then print_string (render optimized);
-        if (not no_physical) && not dot then begin
+        if not dot then begin
           let pp =
             Engine.lower_physical ?stats ~order_props:(not no_order_props)
               optimized
@@ -426,8 +418,7 @@ let plan_cmd =
   Cmd.v (Cmd.info "plan" ~doc:"Compile a query and print its algebra plan")
     Term.(const action $ docs_arg $ query_file_arg $ expr_arg $ mode_arg
           $ no_rules_arg $ no_cda_arg $ no_hoist_arg $ dot_arg
-          $ no_physical_arg $ no_rewrite_arg $ no_order_props_arg
-          $ no_join_isolation_arg)
+          $ no_rewrite_arg $ no_order_props_arg $ no_join_isolation_arg)
 
 (* --------------------------------------------------------------- xmark *)
 
@@ -447,7 +438,7 @@ let repeat_arg =
 let xmark_cmd =
   let action scale qname mode no_rules no_cda no_hoist interpret profile
       tag_index timeout max_rows max_bytes max_ops no_fallback tree_eval
-      no_physical jobs no_parallel plan_cache no_plan_cache repeat
+      jobs no_parallel plan_cache no_plan_cache repeat
       no_rewrite no_order_props no_join_isolation no_code_eval =
     handle (fun () ->
         let store = Xmldb.Doc_store.create () in
@@ -457,7 +448,7 @@ let xmark_cmd =
         let budget = budget_spec timeout max_rows max_bytes max_ops in
         let opts =
           mk_opts ~no_join_isolation ?budget ~no_fallback ~tree_eval
-            ~no_physical ?jobs ~no_parallel ~no_rewrite ~no_order_props
+            ?jobs ~no_parallel ~no_rewrite ~no_order_props
             ~no_code_eval mode no_rules no_cda no_hoist interpret tag_index
         in
         let cache = mk_cache ~plan_cache ~no_plan_cache in
@@ -484,8 +475,7 @@ let xmark_cmd =
     Term.(const action $ scale_arg $ xmark_query_arg $ mode_arg $ no_rules_arg
           $ no_cda_arg $ no_hoist_arg $ interpret_arg $ profile_arg
           $ tag_index_arg $ timeout_arg $ max_rows_arg $ max_bytes_arg
-          $ max_ops_arg $ no_fallback_arg $ tree_eval_arg $ no_physical_arg
-          $ jobs_arg $ no_parallel_arg $ plan_cache_arg $ no_plan_cache_arg
+          $ max_ops_arg $ no_fallback_arg $ tree_eval_arg $ jobs_arg $ no_parallel_arg $ plan_cache_arg $ no_plan_cache_arg
           $ repeat_arg $ no_rewrite_arg $ no_order_props_arg
           $ no_join_isolation_arg $ no_code_eval_arg)
 
@@ -564,8 +554,7 @@ let store_load_cmd =
     Arg.(value & opt (some string) None
          & info [ "e"; "expr" ] ~docv:"QUERY" ~doc:"The query text itself.")
   in
-  let action file qf expr mode interpret profile no_physical jobs
-      no_code_eval =
+  let action file qf expr mode interpret profile jobs no_code_eval =
     handle (fun () ->
         let store = Xmldb.Doc_store.Snapshot.load file in
         Printf.eprintf "loaded %s: %s\n" file (store_stats_line store);
@@ -576,7 +565,7 @@ let store_load_cmd =
             (Xmldb.Doc_store.documents store)
         | _ ->
           let opts =
-            mk_opts ~no_physical ?jobs ~no_code_eval mode false false false
+            mk_opts ?jobs ~no_code_eval mode false false false
               interpret false
           in
           let r =
@@ -596,8 +585,7 @@ let store_load_cmd =
     (Cmd.info "load"
        ~doc:"Load a snapshot; list its documents or evaluate a query on it")
     Term.(const action $ file_arg $ query_file_arg $ expr_opt_arg $ mode_arg
-          $ interpret_arg $ profile_arg $ no_physical_arg $ jobs_arg
-          $ no_code_eval_arg)
+          $ interpret_arg $ profile_arg $ jobs_arg $ no_code_eval_arg)
 
 let store_cmd =
   Cmd.group

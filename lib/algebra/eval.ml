@@ -1,6 +1,9 @@
-(* The columnar executor: evaluates an algebra DAG bottom-up, memoizing
-   every node's result table by node id, so the sharing in Pathfinder's
-   emitted DAGs (paper Section 3) translates into single evaluation.
+(* The boxed logical executor: evaluates an algebra DAG bottom-up,
+   memoizing every node's result table by node id, so the sharing in
+   Pathfinder's emitted DAGs (paper Section 3) translates into single
+   evaluation. The engine executes on [Physical]; this module is the
+   reference the tests compare the physical kernels against, row for
+   row.
 
    The engine is "inherently unordered": no operator promises any row
    order; all order semantics live in explicit pos/iter columns. The one

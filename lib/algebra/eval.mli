@@ -1,6 +1,11 @@
-(** The columnar executor: evaluates an algebra DAG bottom-up, memoizing
-    every node's result by node id, so Pathfinder-style DAG sharing
-    translates into single evaluation.
+(** The boxed logical executor: evaluates an algebra DAG bottom-up,
+    memoizing every node's result by node id, so Pathfinder-style DAG
+    sharing translates into single evaluation.
+
+    The engine never runs it: queries execute on {!Physical}. It is the
+    test reference executor — the physical kernels must reproduce its
+    tables row for row, in order, and its exact error messages, which the
+    interpreter oracle cannot check.
 
     The engine is "inherently unordered": no operator promises any row
     order; all order semantics live in explicit [pos]/[iter] columns. The

@@ -23,10 +23,13 @@ type env = {
       (* compressed execution: batched staircase scans over bulk-decoded
          packed columns, and dictionary-code predicate evaluation in the
          physical layer. Results are bit-identical on or off. *)
+  bulk_decodes : int Atomic.t;
+      (* column rows this run's batched staircase scans decoded *)
 }
 
 let env ?tag_index ?(code_eval = true) store =
-  { store; tag_index; id_index = None; code_eval }
+  { store; tag_index; id_index = None; code_eval;
+    bulk_decodes = Atomic.make 0 }
 
 let id_index env =
   match env.id_index with
@@ -841,7 +844,7 @@ let resolve_test store = function
   | N_any -> Xmldb.Node_test.Any_node
   | N_pi t -> Xmldb.Node_test.Pi_target t
 
-let eval_step ?tag_index ?(batch = true) store t axis test =
+let eval_step ?tag_index ?(batch = true) ?decoded store t axis test =
   let test = resolve_test store test in
   let itemc = Table.col t "item" in
   let groups = group_rows t (Some "iter") in
@@ -850,7 +853,7 @@ let eval_step ?tag_index ?(batch = true) store t axis test =
     match tag_index with
     | Some ti when Xmldb.Tag_index.applicable axis test ->
       Xmldb.Tag_index.step ti axis test
-    | _ -> Xmldb.Staircase.step ~batch store axis test
+    | _ -> Xmldb.Staircase.step ~batch ?decoded store axis test
   in
   List.iter
     (fun (key, rows) ->
@@ -1126,8 +1129,8 @@ let eval_op env op (inputs : Table.t list) : Table.t =
   | Aggr { res; agg; arg; part; order; _ } ->
     eval_aggr env.store (one ()) res agg arg part order
   | Step { axis; test; _ } ->
-    eval_step ?tag_index:env.tag_index ~batch:env.code_eval env.store (one ())
-      axis test
+    eval_step ?tag_index:env.tag_index ~batch:env.code_eval
+      ~decoded:env.bulk_decodes env.store (one ()) axis test
   | Doc _ -> eval_doc env.store (one ())
   | Elem _ ->
     let q, c = two () in

@@ -9,7 +9,7 @@
     staircase join emits document order, [#] stamps a sorted key, joins
     probe left-major, Union appends — never from the query's ordering
     mode. Physical row order is deterministic and identical across the
-    boxed executor, the typed physical executor, and every morsel/job
+    boxed reference executor, the typed physical executor, and every morsel/job
     setting, so one analysis covers every backend.
 
     Consumers: the rewriter elides [%] (Rownum) nodes whose required

@@ -1765,4 +1765,6 @@ let run ?profile ?guard ?step_impl ?mode ?jobs ?morsel ?code_eval store
     create ?profile ?guard ?step_impl ?mode ?jobs ?morsel ?code_eval store
   in
   let out = eval ctx root in
+  bump ctx (fun p ->
+      Profile.add_bulk_decodes p (Atomic.get ctx.env.Kernels.bulk_decodes));
   to_table ctx out

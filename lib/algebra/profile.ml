@@ -16,7 +16,7 @@ type node_stat = {
    machinery did and, more importantly, how much it avoided. *)
 type phys = {
   mutable kernels : int;      (* physical kernel invocations *)
-  mutable fused_ops : int;    (* logical operators folded into fused kernels *)
+  mutable fused_ops : int;    (* logical operators covered by kernels *)
   mutable rows_in : int;      (* input rows across all kernel invocations *)
   mutable rows_out : int;     (* output rows across all kernel invocations *)
   mutable mat_avoided : int;  (* results delivered as a selection vector /
@@ -34,8 +34,8 @@ type phys = {
                                      proved pos-order *)
   mutable code_preds : int;   (* predicates translated to dictionary codes
                                  and evaluated as integer compares *)
-  mutable bulk_decodes : int; (* rows decoded through the store's bulk
-                                 range accessors *)
+  mutable bulk_decodes : int; (* column rows the run's batched staircase
+                                 scans decoded *)
   mutable late_materializations : int; (* code-carrying columns expanded
                                           to strings at pipeline breakers
                                           or for a consumer that needs
@@ -170,9 +170,9 @@ let pp fmt t =
     Format.fprintf fmt "%d unique plan nodes, %d evaluations@." nnodes nevals;
   if p.kernels > 0 then begin
     Format.fprintf fmt
-      "physical: %d kernels (%d logical ops fused away), %d rows in, \
-       %d rows out@."
-      p.kernels p.fused_ops p.rows_in p.rows_out;
+      "physical: %d kernels covering %d logical ops (%d fused away), \
+       %d rows in, %d rows out@."
+      p.kernels p.fused_ops (p.fused_ops - p.kernels) p.rows_in p.rows_out;
     Format.fprintf fmt
       "physical: %d materializations avoided, %d forced, %d columns retyped@."
       p.mat_avoided p.mat_forced p.retypes;

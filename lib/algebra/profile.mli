@@ -17,7 +17,9 @@ type t
     backend ran with this profile. *)
 type phys = {
   mutable kernels : int;      (** physical kernel invocations *)
-  mutable fused_ops : int;    (** logical operators folded into fused kernels *)
+  mutable fused_ops : int;
+      (** logical operators covered by kernels, summed over invocations
+          (a lone kernel covers 1); [fused_ops - kernels] were fused away *)
   mutable rows_in : int;      (** input rows summed over kernel invocations *)
   mutable rows_out : int;     (** output rows summed over kernel invocations *)
   mutable mat_avoided : int;  (** results delivered as selection vector /
@@ -40,8 +42,8 @@ type phys = {
       (** predicates translated to per-fragment dictionary codes and
           evaluated as integer compares (no string materialization) *)
   mutable bulk_decodes : int;
-      (** rows decoded through {!Xmldb.Doc_store}'s bulk range accessors
-          (batched staircase scans and packed-column windows) *)
+      (** column rows this run's batched staircase scans decoded through
+          {!Xmldb.Doc_store}'s bulk range accessors *)
   mutable late_materializations : int;
       (** code-carrying columns expanded to strings at pipeline breakers
           or for consumers that need the text *)
@@ -69,8 +71,8 @@ val count_root_sort_elided : t -> unit
 
 val count_code_pred : t -> unit
 
-(** [add_bulk_decodes t k] folds [k] bulk-decoded rows (a
-    {!Xmldb.Doc_store.Stats} delta) into the profile. *)
+(** [add_bulk_decodes t k] folds a run's [k] bulk-decoded rows into the
+    profile. *)
 val add_bulk_decodes : t -> int -> unit
 
 val count_late_mat : t -> unit

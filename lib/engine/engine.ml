@@ -29,9 +29,6 @@ type opts = {
   backend : backend;
   step_impl : Algebra.Eval.step_impl;
   eval_mode : Algebra.Eval.mode;
-  physical : [ `On | `Off ];
-      (* execute through the lowered physical plan (typed columns,
-         selection vectors, fused kernels) or the boxed logical executor *)
   join_rec : bool;
   join_isolation : bool;
       (* join-graph isolation: the compile-level where-past-lets slide
@@ -43,8 +40,7 @@ type opts = {
   jobs : int;
       (* domains for morsel-parallel physical execution; 1 = serial.
          Results, errors and profile counters are identical either way.
-         Only the physical backend fans out; the boxed executor and the
-         interpreter ignore it. *)
+         The interpreter ignores it. *)
   rewrite : bool;
       (* the logical rewriter (Algebra.Rewrite): selection/fun pushdown,
          join synthesis over cross products, order-insensitive join
@@ -78,7 +74,6 @@ let default_opts = {
   backend = Compiled;
   step_impl = Algebra.Eval.Scan;
   eval_mode = Algebra.Eval.Dag;
-  physical = `On;
   join_rec = true;
   join_isolation = true;
   budget = None;
@@ -101,7 +96,8 @@ type result = {
   serialized : string;
   plan : Algebra.Plan.node option;          (* after optimization *)
   raw_plan : Algebra.Plan.node option;      (* before optimization *)
-  physical_plan : Algebra.Physical.pnode option;  (* what actually ran *)
+  physical_plan : Algebra.Physical.pnode option;
+      (* what actually ran; None when the interpreter answered *)
   profile : Algebra.Profile.t option;
   wall_seconds : float;
   degraded : string option;    (* Some reason: served by the fallback path *)
@@ -191,9 +187,9 @@ type prepared =
   | Prepared_plans of {
       raw : Algebra.Plan.node;
       optimized : Algebra.Plan.node;
-      physical : Algebra.Physical.pnode option;
-          (* when the physical backend is on — the lowered physical plan
-             (lowering is cached with the plans) *)
+      physical : Algebra.Physical.pnode;
+          (* the lowered physical plan (lowering is cached with the
+             plans) *)
       pos_sorted : bool;
           (* the ordering analysis proved the optimized plan delivers its
              rows already sorted by pos: the root sort is a no-op and the
@@ -219,14 +215,13 @@ let cache_stats (c : cache) = Plan_cache.stats c
    would make cache hits silently change a query's parallelism when a
    caller mixes widths in one cache. *)
 let opts_fingerprint opts =
-  Printf.sprintf "m%sr%bc%bh%bj%bb%sp%sx%dw%bO%bg%be%b"
+  Printf.sprintf "m%sr%bc%bh%bj%bb%sx%dw%bO%bg%be%b"
     (match opts.mode with
      | None -> "-"
      | Some Xquery.Ast.Ordered -> "o"
      | Some Xquery.Ast.Unordered -> "u")
     opts.unordered_rules opts.cda opts.hoist opts.join_rec
     (match opts.backend with Compiled -> "c" | Interpreted -> "i")
-    (match opts.physical with `On -> "1" | `Off -> "0")
     opts.jobs opts.rewrite opts.order_props opts.join_isolation
     opts.code_eval
 
@@ -304,14 +299,11 @@ let prepared_of ?cache ?stats opts text =
          buckets of their logical head operators *)
       label_plan optimized;
       let physical =
-        match opts.physical with
-        | `Off -> None
-        | `On ->
-          Some (lower_physical ?stats ~order_props:opts.order_props optimized)
+        lower_physical ?stats ~order_props:opts.order_props optimized
       in
       (* The root sort exists to order items by pos; when the optimized
          plan already proves pos-order (non-strict suffices: the root
-         sort is stable), both executors may serialize in row order.
+         sort is stable), the executor may serialize in row order.
          This is a structural fact about the plan — it never consults
          the query's ordering mode. *)
       let pos_sorted =
@@ -416,32 +408,16 @@ let run ?cache ?(opts = default_opts) ?(with_profile = false) store text : resul
            if pos_sorted then Algebra.Profile.count_root_sort_elided p)
         profile;
       let guard = Option.map Budget.start opts.budget in
-      (* bulk-decode counting is a process-wide atomic (scans run inside
-         worker domains); the profile gets this run's delta *)
-      let bulk0 =
-        match profile with
-        | Some _ -> Xmldb.Doc_store.Stats.bulk_decodes ()
-        | None -> 0
-      in
       let table =
-        match physical with
-        | Some pp ->
-          Algebra.Physical.run ?profile ?guard ~step_impl:opts.step_impl
-            ~mode:opts.eval_mode ~jobs:opts.jobs ~code_eval:opts.code_eval
-            store pp
-        | None ->
-          Algebra.Eval.run ?profile ?guard ~step_impl:opts.step_impl
-            ~mode:opts.eval_mode store optimized
+        Algebra.Physical.run ?profile ?guard ~step_impl:opts.step_impl
+          ~mode:opts.eval_mode ~jobs:opts.jobs ~code_eval:opts.code_eval
+          store physical
       in
-      Option.iter
-        (fun p ->
-           Algebra.Profile.add_bulk_decodes p
-             (Xmldb.Doc_store.Stats.bulk_decodes () - bulk0))
-        profile;
       let items = items_of_table ~pos_sorted table in
       { items;
         serialized = Interp.Xdm.serialize store items;
-        plan = Some optimized; raw_plan = Some raw; physical_plan = physical;
+        plan = Some optimized; raw_plan = Some raw;
+        physical_plan = Some physical;
         profile;
         wall_seconds = Basis.Clock.now () -. t0;
         degraded = None;
@@ -509,14 +485,7 @@ let prepare ?cache ?(opts = default_opts) store text =
     ( Some optimized,
       fun () ->
         let guard = Option.map Budget.start opts.budget in
-        let table =
-          match physical with
-          | Some pp ->
-            Algebra.Physical.run ?guard ~step_impl:opts.step_impl
-              ~mode:opts.eval_mode ~jobs:opts.jobs
-              ~code_eval:opts.code_eval store pp
-          | None ->
-            Algebra.Eval.run ?guard ~step_impl:opts.step_impl
-              ~mode:opts.eval_mode store optimized
-        in
-        Algebra.Table.nrows table )
+        Algebra.Table.nrows
+          (Algebra.Physical.run ?guard ~step_impl:opts.step_impl
+             ~mode:opts.eval_mode ~jobs:opts.jobs ~code_eval:opts.code_eval
+             store physical) )

@@ -6,7 +6,13 @@
     canonical settings are {!default_opts} (everything on) and
     {!ordered_baseline} (order indifference ignored — plans emitted as if
     ordering mode ordered, no cleanup — the comparison system of the
-    paper's Section 5). *)
+    paper's Section 5).
+
+    The compiled backend always lowers the optimized plan to the physical
+    layer ({!Algebra.Physical}: typed columns, selection vectors, fused
+    kernels) and executes that. {!Algebra.Eval} is the boxed logical
+    executor the tests keep as a row-for-row reference; the engine never
+    runs it. *)
 
 (** The LRU machinery behind the prepared-plan cache (re-exported: the
     library is wrapped, so this is its public path). *)
@@ -28,12 +34,6 @@ type opts = {
       (** [Dag] (default): shared subplans are evaluated once per run;
           [Tree]: sharing-oblivious re-evaluation, the differential
           oracle — results identical, costs not *)
-  physical : [ `On | `Off ];
-      (** [`On] (default): lower the optimized plan to the physical layer
-          (typed columns, selection vectors, fused kernels) and execute
-          that; [`Off]: the boxed logical executor. Results are
-          identical; the physical path is the fast one. Participates in
-          the plan-cache fingerprint (the lowered plan is cached). *)
   join_rec : bool;  (** FLWOR where-clause value-join recognition *)
   join_isolation : bool;
       (** join-graph isolation: the compile-level slide of a joinable
@@ -58,7 +58,7 @@ type opts = {
           The default comes from the XRQ_JOBS environment variable
           (absent/malformed = 1). Results, error choice and profile
           counters are bit-identical to serial — only wall-clock time
-          changes. The boxed executor and the interpreter ignore it.
+          changes. The interpreter ignores it.
           Participates in the plan-cache fingerprint. *)
   rewrite : bool;
       (** run the logical rewriter ({!Algebra.Rewrite}) between CDA and
@@ -100,7 +100,8 @@ type result = {
   plan : Algebra.Plan.node option;      (** after optimization *)
   raw_plan : Algebra.Plan.node option;  (** before optimization *)
   physical_plan : Algebra.Physical.pnode option;
-      (** the lowered physical plan, when the physical backend ran *)
+      (** the lowered physical plan that ran; [None] when the
+          interpreter answered (interpreted backend or fallback) *)
   profile : Algebra.Profile.t option;
   wall_seconds : float;
   degraded : string option;
@@ -162,7 +163,7 @@ val plans_of :
 
 (** Lower an optimized logical plan to its physical-operator DAG, with
     statically inferred column types attached as plan-dump annotations
-    (what the compiled backend executes when [physical = `On]). [stats]
+    (what the compiled backend executes). [stats]
     steers the hash-join build-side choice; omitted = defaults.
     [order_props] (default [true]) lets the ordering analysis attach
     merge hints to surviving [%] kernels. *)

@@ -27,29 +27,18 @@
    and the name/value columns are dictionary-encoded per fragment on top
    of the global pools whenever the local dictionary shrinks the column
    (a scale-10 XMark document has ~80 distinct tag names, so tag columns
-   drop from 32 to 8 bits per row). The boxed representation is kept both
-   as the builder's working form and as a runtime-selectable reference
-   build ([create ~packed:false], env XRQ_STORE_PACK=0) that the property
-   tests and the differential fuzzer compare against row for row. *)
+   drop from 32 to 8 bits per row). Word-per-cell arrays exist only as the
+   builder's working form; every finished fragment is packed. *)
 
 open Basis
 
-(* -- fragment representations -------------------------------------------- *)
-
-type boxed = {
-  kinds : Node_kind.t array;
-  names : int array;
-  values : int array;
-  sizes : int array;
-  levels : int array;
-  parents : int array;
-}
+(* -- fragments ------------------------------------------------------------ *)
 
 (* A packed integer column: u8 / u16 / u32 little-endian, chosen at freeze
    time from the column's actual maximum. *)
 type col = C8 of Bytes.t | C16 of Bytes.t | C32 of Bytes.t
 
-type packed = {
+type frag = {
   p_len : int;
   p_kinds : Bytes.t;       (* Node_kind code, one byte per row *)
   p_names : col;           (* 0 = no name; see [decode_dict] *)
@@ -61,13 +50,7 @@ type packed = {
   p_parents : col;         (* parent pre + 1, 0 for roots *)
 }
 
-type frag = Boxed of boxed | Packed of packed
-
-let frag_length = function
-  | Boxed b -> Array.length b.kinds
-  | Packed p -> p.p_len
-
-let frag_packed = function Boxed _ -> false | Packed _ -> true
+let frag_length f = f.p_len
 
 let[@inline] col_get c i =
   match c with
@@ -75,7 +58,7 @@ let[@inline] col_get c i =
   | C16 b -> Bytes.get_uint16_le b (i * 2)
   | C32 b -> Int32.to_int (Bytes.get_int32_le b (i * 4)) land 0xFFFFFFFF
 
-(* Name/value column codes: 0 means "none" (-1 in the boxed form). With a
+(* Name/value column codes: 0 means "none" (pool id -1). With a
    dictionary, code k > 0 stands for dict.(k - 1); without one the code is
    the global pool id + 1. *)
 let[@inline] decode_dict dict code =
@@ -83,49 +66,14 @@ let[@inline] decode_dict dict code =
   else if Array.length dict = 0 then code - 1
   else Array.unsafe_get dict (code - 1)
 
-let[@inline] kind_at f pre =
-  match f with
-  | Boxed b -> b.kinds.(pre)
-  | Packed p -> Node_kind.of_int (Char.code (Bytes.get p.p_kinds pre))
-
-let[@inline] name_at f pre =
-  match f with
-  | Boxed b -> b.names.(pre)
-  | Packed p -> decode_dict p.p_name_dict (col_get p.p_names pre)
-
-let[@inline] value_at f pre =
-  match f with
-  | Boxed b -> b.values.(pre)
-  | Packed p -> decode_dict p.p_value_dict (col_get p.p_values pre)
-
-let[@inline] size_at f pre =
-  match f with
-  | Boxed b -> b.sizes.(pre)
-  | Packed p -> col_get p.p_sizes pre
-
-let[@inline] level_at f pre =
-  match f with
-  | Boxed b -> b.levels.(pre)
-  | Packed p -> col_get p.p_levels pre
-
-let[@inline] parent_at f pre =
-  match f with
-  | Boxed b -> b.parents.(pre)
-  | Packed p -> col_get p.p_parents pre - 1
+let[@inline] kind_at f pre = Node_kind.of_int (Char.code (Bytes.get f.p_kinds pre))
+let[@inline] name_at f pre = decode_dict f.p_name_dict (col_get f.p_names pre)
+let[@inline] value_at f pre = decode_dict f.p_value_dict (col_get f.p_values pre)
+let[@inline] size_at f pre = col_get f.p_sizes pre
+let[@inline] level_at f pre = col_get f.p_levels pre
+let[@inline] parent_at f pre = col_get f.p_parents pre - 1
 
 (* -- bulk range decoding --------------------------------------------------- *)
-
-(* Executor-visible counters for the compressed-execution paths. Plain
-   atomics at module level: bulk scans run inside worker domains where no
-   profile handle is in scope, so the engine snapshots deltas around a
-   run instead. Counting is per row decoded, which makes the numbers
-   independent of how rows were partitioned into windows — serial and
-   parallel runs agree bit for bit. *)
-module Stats = struct
-  let bulk = Atomic.make 0
-  let bulk_decodes () = Atomic.get bulk
-  let add_bulk n = ignore (Atomic.fetch_and_add bulk n)
-end
 
 (* Decode one packed column slice [lo, hi) into [buf.(0 .. hi-lo-1)]: the
    bit-width dispatch happens once per call instead of once per row, and
@@ -157,76 +105,45 @@ let check_range what f lo hi buf_len =
 
 let kinds_range f lo hi (buf : Node_kind.t array) =
   check_range "kinds_range" f lo hi (Array.length buf);
-  (match f with
-   | Boxed b -> Array.blit b.kinds lo buf 0 (hi - lo)
-   | Packed p ->
-     for i = lo to hi - 1 do
-       Array.unsafe_set buf (i - lo)
-         (Node_kind.of_int (Char.code (Bytes.unsafe_get p.p_kinds i)))
-     done);
-  Stats.add_bulk (hi - lo)
+  for i = lo to hi - 1 do
+    Array.unsafe_set buf (i - lo)
+      (Node_kind.of_int (Char.code (Bytes.unsafe_get f.p_kinds i)))
+  done
+
+let decode_range col dict lo hi buf =
+  col_range col lo hi buf;
+  if Array.length dict = 0 then
+    for i = 0 to hi - lo - 1 do buf.(i) <- buf.(i) - 1 done
+  else
+    for i = 0 to hi - lo - 1 do buf.(i) <- decode_dict dict buf.(i) done
 
 let names_range f lo hi buf =
   check_range "names_range" f lo hi (Array.length buf);
-  (match f with
-   | Boxed b -> Array.blit b.names lo buf 0 (hi - lo)
-   | Packed p ->
-     col_range p.p_names lo hi buf;
-     let dict = p.p_name_dict in
-     if Array.length dict = 0 then
-       for i = 0 to hi - lo - 1 do buf.(i) <- buf.(i) - 1 done
-     else
-       for i = 0 to hi - lo - 1 do buf.(i) <- decode_dict dict buf.(i) done);
-  Stats.add_bulk (hi - lo)
+  decode_range f.p_names f.p_name_dict lo hi buf
 
 let values_range f lo hi buf =
   check_range "values_range" f lo hi (Array.length buf);
-  (match f with
-   | Boxed b -> Array.blit b.values lo buf 0 (hi - lo)
-   | Packed p ->
-     col_range p.p_values lo hi buf;
-     let dict = p.p_value_dict in
-     if Array.length dict = 0 then
-       for i = 0 to hi - lo - 1 do buf.(i) <- buf.(i) - 1 done
-     else
-       for i = 0 to hi - lo - 1 do buf.(i) <- decode_dict dict buf.(i) done);
-  Stats.add_bulk (hi - lo)
+  decode_range f.p_values f.p_value_dict lo hi buf
 
 let sizes_range f lo hi buf =
   check_range "sizes_range" f lo hi (Array.length buf);
-  (match f with
-   | Boxed b -> Array.blit b.sizes lo buf 0 (hi - lo)
-   | Packed p -> col_range p.p_sizes lo hi buf);
-  Stats.add_bulk (hi - lo)
+  col_range f.p_sizes lo hi buf
 
 (* Local name-code column slice: the raw per-fragment codes, no dictionary
-   expansion. Boxed fragments present the identity coding (global id + 1,
-   0 = none) so predicate translation is uniform across representations. *)
+   expansion. *)
 let name_codes_range f lo hi buf =
   check_range "name_codes_range" f lo hi (Array.length buf);
-  (match f with
-   | Boxed b ->
-     for i = lo to hi - 1 do buf.(i - lo) <- b.names.(i) + 1 done
-   | Packed p -> col_range p.p_names lo hi buf);
-  Stats.add_bulk (hi - lo)
+  col_range f.p_names lo hi buf
 
 (* -- dictionary-code access ------------------------------------------------ *)
 
-(* The per-row local codes (0 = none). Boxed fragments use the identity
-   coding, so code equality coincides with name/text equality in every
-   representation: the pools intern, dictionaries are injective into the
-   pools, hence local codes are injective into strings per fragment. *)
-let[@inline] name_code_at f pre =
-  match f with
-  | Boxed b -> b.names.(pre) + 1
-  | Packed p -> col_get p.p_names pre
+(* The per-row local codes (0 = none). Code equality coincides with
+   name/text equality: the pools intern, dictionaries are injective into
+   the pools, hence local codes are injective into strings per fragment. *)
+let[@inline] name_code_at f pre = col_get f.p_names pre
+let[@inline] text_code_at f pre = col_get f.p_values pre
 
-let[@inline] text_code_at f pre =
-  match f with
-  | Boxed b -> b.values.(pre) + 1
-  | Packed p -> col_get p.p_values pre
-
-(* -- freezing a boxed fragment into packed columns ------------------------ *)
+(* -- freezing builder columns into a packed fragment ----------------------- *)
 
 let width_for maxv = if maxv < 0x100 then 1 else if maxv < 0x10000 then 2 else 4
 
@@ -283,37 +200,37 @@ let dict_encode (ids : int array) : int array * int array =
   if k > 0 && with_dict < without then (codes, Vec.to_array dict)
   else (Array.map (fun id -> id + 1) ids, [||])
 
-let pack_frag (b : boxed) : packed =
-  let n = Array.length b.kinds in
-  let kinds = Bytes.create n in
+(* Freeze word-per-cell columns (pool ids, -1 = none; parent -1 = root)
+   into a packed fragment. *)
+let pack_frag ~kinds ~names ~values ~sizes ~levels ~parents : frag =
+  let n = Array.length kinds in
+  let kind_bytes = Bytes.create n in
   for i = 0 to n - 1 do
-    Bytes.unsafe_set kinds i (Char.unsafe_chr (Node_kind.to_int b.kinds.(i)))
+    Bytes.unsafe_set kind_bytes i (Char.unsafe_chr (Node_kind.to_int kinds.(i)))
   done;
-  let name_codes, name_dict = dict_encode b.names in
-  let value_codes, value_dict = dict_encode b.values in
+  let name_codes, name_dict = dict_encode names in
+  let value_codes, value_dict = dict_encode values in
   {
     p_len = n;
-    p_kinds = kinds;
+    p_kinds = kind_bytes;
     p_names = pack_col name_codes;
     p_name_dict = name_dict;
     p_values = pack_col value_codes;
     p_value_dict = value_dict;
-    p_sizes = pack_col b.sizes;
-    p_levels = pack_col b.levels;
-    p_parents = pack_col (Array.map (fun p -> p + 1) b.parents);
+    p_sizes = pack_col sizes;
+    p_levels = pack_col levels;
+    p_parents = pack_col (Array.map (fun p -> p + 1) parents);
   }
 
 let col_bytes = function C8 b | C16 b | C32 b -> Bytes.length b
 
 (* Table bytes of one fragment as held in memory (dictionaries count at
-   one word per entry; boxed fragments at one word per cell). *)
-let frag_bytes = function
-  | Boxed b -> 8 * 6 * Array.length b.kinds
-  | Packed p ->
-    Bytes.length p.p_kinds
-    + col_bytes p.p_names + (8 * Array.length p.p_name_dict)
-    + col_bytes p.p_values + (8 * Array.length p.p_value_dict)
-    + col_bytes p.p_sizes + col_bytes p.p_levels + col_bytes p.p_parents
+   one word per entry). *)
+let frag_bytes p =
+  Bytes.length p.p_kinds
+  + col_bytes p.p_names + (8 * Array.length p.p_name_dict)
+  + col_bytes p.p_values + (8 * Array.length p.p_value_dict)
+  + col_bytes p.p_sizes + col_bytes p.p_levels + col_bytes p.p_parents
 
 (* -- the store ------------------------------------------------------------ *)
 
@@ -328,28 +245,20 @@ type t = {
   name_pool : Qname_pool.t;
   text_pool : String_pool.t;
   frags : frag Vec.t;
-  pack : bool; (* freeze finished fragments into packed columns? *)
   mutable documents : (string * Node_id.t) list; (* uri -> document node *)
   name_counts : (int, int) Hashtbl.t;  (* name id -> total occurrences *)
   mutable counted_frags : int;         (* frags folded into name_counts *)
 }
 
-let empty_frag = Boxed {
-  kinds = [||]; names = [||]; values = [||];
-  sizes = [||]; levels = [||]; parents = [||];
-}
+let empty_frag =
+  pack_frag ~kinds:[||] ~names:[||] ~values:[||] ~sizes:[||] ~levels:[||]
+    ~parents:[||]
 
-let default_pack () =
-  match Sys.getenv_opt "XRQ_STORE_PACK" with
-  | Some ("0" | "off" | "false") -> false
-  | _ -> true
-
-let create ?packed () = {
+let create () = {
   mu = Mutex.create ();
   name_pool = Qname_pool.create ();
   text_pool = String_pool.create ();
   frags = Vec.create empty_frag;
-  pack = (match packed with Some b -> b | None -> default_pack ());
   documents = [];
   name_counts = Hashtbl.create 64;
   counted_frags = 0;
@@ -363,7 +272,6 @@ let[@inline] locked t f =
 
 let n_frags t = Vec.length t.frags
 let frag t i = Vec.get t.frags i
-let packing t = t.pack
 
 let encoded_bytes t = Vec.fold_left (fun acc f -> acc + frag_bytes f) 0 t.frags
 
@@ -404,12 +312,7 @@ let code_of_id dict id =
     in
     find 0
 
-let name_code_of_id f id =
-  if id < 0 then None
-  else
-    match f with
-    | Boxed _ -> Some (id + 1)
-    | Packed p -> code_of_id p.p_name_dict id
+let name_code_of_id f id = if id < 0 then None else code_of_id f.p_name_dict id
 
 let code_of_name t f q =
   match Qname_pool.find_opt t.name_pool q with
@@ -419,17 +322,11 @@ let code_of_name t f q =
 let code_of_text t f s =
   match String_pool.find_opt t.text_pool s with
   | None -> None
-  | Some id ->
-    (match f with
-     | Boxed _ -> Some (id + 1)
-     | Packed p -> code_of_id p.p_value_dict id)
+  | Some id -> code_of_id f.p_value_dict id
 
 (* Decode a local text code back to its global pool id (-1 for 0 = none):
    the late-materialization step of code-carrying columns. *)
-let[@inline] text_id_of_code f code =
-  match f with
-  | Boxed _ -> code - 1
-  | Packed p -> decode_dict p.p_value_dict code
+let[@inline] text_id_of_code f code = decode_dict f.p_value_dict code
 
 let text_of_code t f code =
   let id = text_id_of_code f code in
@@ -636,21 +533,17 @@ module Builder = struct
 
   (* Freeze the builder into a new fragment; returns the fragment id and
      the preorder ranks of the fragment's roots. The freeze step is where
-     the packed columns are built: the boxed working arrays are scanned
-     once for their maxima and re-emitted at minimal width. *)
+     the packed columns are built: the working arrays are scanned once
+     for their maxima and re-emitted at minimal width. *)
   let finish b =
     if b.finished then Err.internal "Builder.finish called twice";
     if b.stack <> [] then Err.internal "Builder.finish with open nodes";
     b.finished <- true;
-    let boxed = {
-      kinds = Vec.to_array b.kinds;
-      names = Vec.to_array b.names;
-      values = Vec.to_array b.values;
-      sizes = Vec.to_array b.sizes;
-      levels = Vec.to_array b.levels;
-      parents = Vec.to_array b.parents;
-    } in
-    let f = if b.store.pack then Packed (pack_frag boxed) else Boxed boxed in
+    let f =
+      pack_frag ~kinds:(Vec.to_array b.kinds) ~names:(Vec.to_array b.names)
+        ~values:(Vec.to_array b.values) ~sizes:(Vec.to_array b.sizes)
+        ~levels:(Vec.to_array b.levels) ~parents:(Vec.to_array b.parents)
+    in
     let fid =
       locked b.store (fun () ->
         let fid = Vec.length b.store.frags in
@@ -675,8 +568,8 @@ let total_nodes t =
 (* How many nodes (elements and attributes) carry the given name, across
    all fragments. Counts are folded incrementally: fragments are immutable
    once finished, so only the frags appended since the last query need a
-   scan. Packed fragments with a name dictionary fold by counting local
-   codes and expanding once through the dictionary. Used to seed the
+   scan. Fragments with a name dictionary fold by counting local codes
+   and expanding once through the dictionary. Used to seed the
    optimizer's cardinality estimates. *)
 let name_occurrences t q =
   let qid = Qname_pool.find_opt t.name_pool q in
@@ -687,23 +580,20 @@ let name_occurrences t q =
           (k + Option.value ~default:0 (Hashtbl.find_opt t.name_counts id))
     in
     for fid = t.counted_frags to n_frags t - 1 do
-      match frag t fid with
-      | Boxed b ->
-        Array.iter (fun id -> if id >= 0 then bump id 1) b.names
-      | Packed p ->
-        let k = Array.length p.p_name_dict in
-        if k > 0 then begin
-          let counts = Array.make (k + 1) 0 in
-          for pre = 0 to p.p_len - 1 do
-            let c = col_get p.p_names pre in
-            counts.(c) <- counts.(c) + 1
-          done;
-          for c = 1 to k do bump p.p_name_dict.(c - 1) counts.(c) done
-        end else
-          for pre = 0 to p.p_len - 1 do
-            let c = col_get p.p_names pre in
-            if c > 0 then bump (c - 1) 1
-          done
+      let p = frag t fid in
+      let k = Array.length p.p_name_dict in
+      if k > 0 then begin
+        let counts = Array.make (k + 1) 0 in
+        for pre = 0 to p.p_len - 1 do
+          let c = col_get p.p_names pre in
+          counts.(c) <- counts.(c) + 1
+        done;
+        for c = 1 to k do bump p.p_name_dict.(c - 1) counts.(c) done
+      end else
+        for pre = 0 to p.p_len - 1 do
+          let c = col_get p.p_names pre in
+          if c > 0 then bump (c - 1) 1
+        done
     done;
     t.counted_frags <- n_frags t;
     match qid with
@@ -730,9 +620,8 @@ let name_occurrences t q =
 
    where blob = u64 byte length | payload | u32 crc32(payload). Column
    payloads are the packed column bytes verbatim, so a fragment loads
-   with one read per column and no re-encoding; boxed fragments pack on
-   the fly at save, which also makes save -> load -> save byte-identical
-   regardless of the source store's representation. Pools are written in
+   with one read per column and no re-encoding, and save -> load -> save
+   is byte-identical. Pools are written in
    dense id order and re-interned in that order at load, reproducing ids
    exactly. All corruption — bad magic, version skew, truncation, a
    checksum mismatch, out-of-range structure — raises [Err.Dynamic_error]
@@ -817,9 +706,6 @@ module Snapshot = struct
       locked t (fun () ->
         (Array.init (Vec.length t.frags) (Vec.get t.frags),
          List.rev t.documents))
-    in
-    let frags =
-      Array.map (function Boxed b -> pack_frag b | Packed p -> p) frags
     in
     put_string out magic;
     put_u32 out format_version;
@@ -991,7 +877,7 @@ module Snapshot = struct
       Err.dynamic
         "corrupt snapshot: unsupported format version %d (this build reads %d)"
         v format_version;
-    let st = create ~packed:true () in
+    let st = create () in
     (* qname pool *)
     let n_names = get_u32 src in
     let payload = get_blob src in
@@ -1059,7 +945,7 @@ module Snapshot = struct
       corrupt "bad trailer";
     if src.remaining () <> 0 then corrupt "trailing garbage after snapshot";
     (* everything validated: publish *)
-    List.iter (fun p -> Vec.push st.frags (Packed p)) frags;
+    List.iter (Vec.push st.frags) frags;
     List.iter
       (fun (uri, fid, pre) ->
          if fid >= nf then corrupt "document fragment id out of range";

@@ -16,36 +16,24 @@
     packed columns (u8/u16/u32 per column, chosen from the actual
     maximum; per-fragment dictionaries over the global name/text pools) —
     the MonetDB/X100-style encoded relational back-end of the paper's
-    experiments. The boxed word-per-cell representation remains available
-    as a reference build ([create ~packed:false], env [XRQ_STORE_PACK=0])
-    whose accessors must agree row for row with the packed one. *)
+    experiments. This is the store's only representation. *)
 
 (** One fragment's pre/size/level table, indexed by preorder rank through
-    the [*_at] accessors below. The concrete layout (packed columns or
-    boxed arrays) is private to the store; per-row access cost is O(1)
-    either way. *)
+    the [*_at] accessors below. The packed layout is private to the
+    store; per-row access cost is O(1). *)
 type frag
 
 type t
 
-(** [create ()] makes an empty store. [packed] selects the physical
-    fragment representation frozen at builder [finish] (default: packed,
-    unless the environment sets [XRQ_STORE_PACK=0]). *)
-val create : ?packed:bool -> unit -> t
+(** [create ()] makes an empty store. *)
+val create : unit -> t
 
 val n_frags : t -> int
 val frag : t -> int -> frag
 val frag_length : frag -> int
 
-(** Whether this fragment was frozen into packed columns. *)
-val frag_packed : frag -> bool
-
-(** Whether this store packs fragments at freeze time. *)
-val packing : t -> bool
-
 (** Bytes held by all fragment tables (packed column bytes plus one word
-    per dictionary entry; boxed fragments count one word per cell).
-    Excludes the shared name/text pools. *)
+    per dictionary entry). Excludes the shared name/text pools. *)
 val encoded_bytes : t -> int
 
 (** {2 Per-fragment row accessors}
@@ -81,8 +69,8 @@ val parent_at : frag -> int -> int
     and each width gets a tight copy loop. The caller owns the scratch
     buffer (reuse it across windows); it must hold at least [hi - lo]
     entries. Decoded values agree exactly with the per-row accessors
-    above, for packed and boxed fragments alike. Every call adds
-    [hi - lo] to {!Stats.bulk_decodes}. *)
+    above. The store keeps no counters: callers that account decoded
+    rows (see {!Staircase.step}) count them per run. *)
 
 val kinds_range : frag -> int -> int -> Node_kind.t array -> unit
 val names_range : frag -> int -> int -> int array -> unit
@@ -96,10 +84,9 @@ val name_codes_range : frag -> int -> int -> int array -> unit
 
     A fragment's name/value columns store small local codes: 0 = no
     name/value; with a dictionary, code [k > 0] denotes dictionary entry
-    [k - 1]; without one the code is the global pool id + 1. Boxed
-    fragments present the identity coding (global id + 1), so code
-    equality coincides with string equality under every representation —
-    the pools intern and dictionaries are injective, hence within one
+    [k - 1]; without one the code is the global pool id + 1. Code
+    equality coincides with string equality — the pools intern and
+    dictionaries are injective, hence within one
     fragment two rows carry equal names/values iff they carry equal
     codes. This is what lets an equality predicate be translated to a
     code {e once} and evaluated as an integer compare per row. *)
@@ -132,16 +119,6 @@ val text_of_code : t -> frag -> int -> string
 (** The store's global text pool (late materialization of code-carrying
     columns keys interned ids against it). *)
 val text_pool : t -> Basis.String_pool.t
-
-(** {2 Execution counters} *)
-
-(** Process-wide counters for the compressed-execution paths, maintained
-    as atomics (bulk scans run inside worker domains); the engine
-    snapshots deltas around a run. *)
-module Stats : sig
-  (** Total rows decoded through the bulk [*_range] accessors. *)
-  val bulk_decodes : unit -> int
-end
 
 (** {2 Name and text pools} *)
 
@@ -236,9 +213,8 @@ end
     A versioned, checksummed on-disk image of a whole store: magic,
     format version, the two pools in dense id order, the document
     registry, then each fragment's packed columns verbatim (one read per
-    column at load, no re-encoding). Saving a boxed store packs on the
-    fly, so save → load → save is byte-identical regardless of the
-    source representation. Any corruption — bad magic, version skew,
+    column at load, no re-encoding); save → load → save is
+    byte-identical. Any corruption — bad magic, version skew,
     truncation, checksum mismatch, out-of-range structure — raises
     {!Basis.Err.Dynamic_error}; a failed load never yields a partially
     populated store. *)

@@ -71,7 +71,13 @@ let principal_kind (axis : Axis.t) =
    test is translated to the fragment's dictionary code once per
    (step, fragment), so a name test is an integer compare per row — no
    per-row dictionary expansion, no string in sight. Results are
-   bit-identical to the scalar loops. *)
+   bit-identical to the scalar loops.
+
+   The caller may pass a [decoded] counter, owned by its run, that
+   receives one count per column row the scan decodes. Counting per row
+   (not per window) keeps the figure independent of how a run splits its
+   work, and a per-run counter keeps concurrent runs out of each other's
+   counts. *)
 
 let window = 4096
 let batch_threshold = 64 (* below this a windowed decode is pure overhead *)
@@ -80,12 +86,14 @@ type scratch = {
   kbuf : Node_kind.t array;  (* kinds of the current window *)
   cbuf : int array;          (* raw local name codes *)
   sbuf : int array;          (* subtree sizes (preceding only) *)
+  decoded : int Atomic.t option;  (* the run's bulk-decode counter *)
 }
 
-let mk_scratch () = {
+let mk_scratch decoded = {
   kbuf = Array.make window Node_kind.Text;
   cbuf = Array.make window 0;
   sbuf = Array.make window 0;
+  decoded;
 }
 
 (* A node test translated against one fragment's dictionary. *)
@@ -142,7 +150,16 @@ let scan_batched scr f tr lo hi ~before_ctx emit =
       then emit (base + i)
     done;
     w0 := w1
-  done
+  done;
+  Option.iter
+    (fun c ->
+       let cols =
+         1
+         + (match tr with T_name _ -> 1 | _ -> 0)
+         + (match before_ctx with Some _ -> 1 | None -> 0)
+       in
+       ignore (Atomic.fetch_and_add c (cols * (hi + 1 - lo))))
+    scr.decoded
 
 let eval_group ?scr store (axis : Axis.t) test frag_id (ctxs : int array) out =
   let f = Doc_store.frag store frag_id in
@@ -314,7 +331,7 @@ let sort_dedup (v : Node_id.t Vec.t) =
     a;
   Vec.to_array out
 
-let step ?(batch = true) store (axis : Axis.t) (test : Node_test.t)
+let step ?(batch = true) ?decoded store (axis : Axis.t) (test : Node_test.t)
     (contexts : Node_id.t array) =
   let test = resolve_test store test in
   let groups = group_contexts contexts in
@@ -322,7 +339,7 @@ let step ?(batch = true) store (axis : Axis.t) (test : Node_test.t)
   let scr =
     match (batch, axis) with
     | true, (Axis.Descendant | Axis.Descendant_or_self
-            | Axis.Following | Axis.Preceding) -> Some (mk_scratch ())
+            | Axis.Following | Axis.Preceding) -> Some (mk_scratch decoded)
     | _ -> None
   in
   let all_sorted =

@@ -19,9 +19,15 @@
     with name tests translated to per-fragment dictionary codes once and
     compared as integers per row. Results are bit-identical either way;
     [batch:false] is the scalar reference path (engine flag
-    [--no-code-eval]). *)
+    [--no-code-eval]).
+
+    [decoded], when given, is credited with every column row a batched
+    scan decodes (kinds, plus name codes for a name test and sizes for
+    [preceding]). It belongs to the caller's run, so concurrent runs
+    never see each other's counts. *)
 val step :
   ?batch:bool ->
+  ?decoded:int Atomic.t ->
   Doc_store.t -> Axis.t -> Node_test.t -> Node_id.t array -> Node_id.t array
 
 (** The principal node kind of an axis (attributes for the attribute axis,

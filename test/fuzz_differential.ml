@@ -5,14 +5,15 @@
        {compiled, interpreted} x {default_opts, ordered_baseline}
                                x {without, with (generous) budgets}
 
-   plus the executor dimensions {DAG, tree evaluation}, the physical
-   layer {typed kernels, boxed logical executor}, the logical rewriter
-   {on, off — both against each other and against the interpreter},
-   morsel-parallel execution {jobs 4 over tiny forced morsels, with the
-   serial runs as oracle}, the prepared-plan cache {cold, warm}, the
-   query server {direct Engine, loopback TCP through a lazily started
-   in-process server} and the storage layer {packed columnar store,
-   boxed reference arrays, chunked streaming ingest}, asserting
+   plus the executor dimensions {DAG, tree evaluation}, the executor
+   itself {physical kernels, the boxed reference executor [Algebra.Eval]
+   on the same optimized plan}, the logical rewriter {on, off — both
+   against each other and against the interpreter}, morsel-parallel
+   execution {jobs 4 over tiny forced morsels, with the serial runs as
+   oracle}, the prepared-plan cache {cold, warm}, the query server
+   {direct Engine, loopback TCP through a lazily started in-process
+   server} and the ingest path {monolithic parse, chunked streaming
+   ingest}, asserting
    identical results — or identically
    *classified* errors — across the whole matrix. (For the interpreter
    the plan options are vacuous, so its plan variants collapse into one
@@ -53,13 +54,12 @@ let () = Unix.putenv "XRQ_MORSEL" "4"
 
 let doc_xml = "<a><b><c/><d/></b><c/><e k=\"1\">x<f/>y</e></a>"
 
-(* [packed] selects the fragment representation (packed columns vs the
-   boxed reference arrays); [chunk > 0] ingests t.xml through the
-   streaming reader in [chunk]-byte pieces over a tiny sliding window
-   instead of the monolithic string parse. Both are pure representation
-   or ingest-path choices and must be invisible to every query. *)
-let mk_store ?(packed = true) ?(chunk = 0) () =
-  let st = Xmldb.Doc_store.create ~packed () in
+(* [chunk > 0] ingests t.xml through the streaming reader in
+   [chunk]-byte pieces over a tiny sliding window instead of the
+   monolithic string parse: a pure ingest-path choice that must be
+   invisible to every query. *)
+let mk_store ?(chunk = 0) () =
+  let st = Xmldb.Doc_store.create () in
   (if chunk > 0 then begin
      let pos = ref 0 in
      let reader b ofs len =
@@ -230,6 +230,55 @@ let evaluate_server q =
      | Ok _ -> Blew_up ("unexpected response: " ^ line)
      | Error m -> Blew_up ("response did not parse: " ^ m))
 
+(* The executor-level pair: the seed's optimized plan run through the
+   boxed reference executor [Algebra.Eval] and through the physical
+   kernels, each on a fresh store under the generous budget. The two must
+   agree on the schema and on every row in order, or fail with the same
+   error kind and message; only then is the (pos-sorted) result compared
+   against the interpreter like every other config. *)
+let evaluate_reference_executor ~budget_spec q =
+  let run exec =
+    let st = mk_store () in
+    let stats = Engine.stats_of_store st in
+    match
+      let a = Engine.analyze ~stats q in
+      exec ~stats st a.Engine.aoptimized
+    with
+    | t -> Ok (st, t)
+    | exception e ->
+      (match Engine.classify_error e with
+       | Some { Engine.kind; message } -> Error (Failed (kind, message))
+       | None -> Error (Blew_up (Printexc.to_string e)))
+  in
+  let guard () = Budget.start budget_spec in
+  let rows t =
+    Array.to_list (Algebra.Table.schema t)
+    :: List.init (Algebra.Table.nrows t) (fun r ->
+        Array.to_list
+          (Array.map (Format.asprintf "%a" Value.pp) (Algebra.Table.row t r)))
+  in
+  (* the result sequence: items in (stable) pos order *)
+  let items t =
+    let pos = Algebra.Table.col t "pos" and item = Algebra.Table.col t "item" in
+    List.init (Algebra.Table.nrows t) (fun r -> (Value.int_value pos.(r), item.(r)))
+    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+  in
+  let reference =
+    run (fun ~stats:_ st p -> Algebra.Eval.run ~guard:(guard ()) st p)
+  in
+  let physical =
+    run (fun ~stats st p ->
+        Algebra.Physical.run ~guard:(guard ()) st
+          (Engine.lower_physical ~stats p))
+  in
+  match (reference, physical) with
+  | Ok (_, te), Ok (st, t) when rows te = rows t -> Items (ser st (items t))
+  | Error (Failed (k1, m1) as f), Error (Failed (k2, m2))
+    when k1 = k2 && m1 = m2 -> f
+  | Error (Blew_up m), _ | _, Error (Blew_up m) -> Blew_up m
+  | _ -> Blew_up "reference executor and physical kernels disagree"
+
 (* Each config is (name, q -> outcome). Beyond the backend/options/budget
    matrix, two executor dimensions ride along:
      - tree evaluation: the sharing-oblivious Tree mode re-derives every
@@ -243,7 +292,6 @@ let configs ~budget_spec =
   let with_budget o = { o with Engine.budget = Some budget_spec } in
   let interp = { Engine.default_opts with Engine.backend = Engine.Interpreted } in
   let tree = { Engine.default_opts with Engine.eval_mode = Algebra.Eval.Tree } in
-  let boxed = { Engine.default_opts with Engine.physical = `Off } in
   let parallel = { Engine.default_opts with Engine.jobs = 4 } in
   let norewrite = { Engine.default_opts with Engine.rewrite = false } in
   let noorder = { Engine.default_opts with Engine.order_props = false } in
@@ -257,15 +305,14 @@ let configs ~budget_spec =
   [ ("interp", plain interp);
     ("compiled/default", plain Engine.default_opts);
     ("compiled/default+budget", plain (with_budget Engine.default_opts));
-    (* the boxed logical executor vs the typed physical kernels: the
-       central differential pair of the physical layer *)
-    ("compiled/boxed", plain boxed);
-    (* the logical rewriter off, on both executors: default (rewrite on)
-       vs these and vs the interpreter reference triangulates every
-       rewrite rule against an unrewritten plan *)
+    (* the boxed reference executor vs the physical kernels on one
+       optimized plan: the central differential pair of the physical
+       layer, row for row *)
+    ("compiled/reference-executor", evaluate_reference_executor ~budget_spec);
+    (* the logical rewriter off: default (rewrite on) vs this and vs the
+       interpreter reference triangulates every rewrite rule against an
+       unrewritten plan *)
     ("compiled/no-rewrite", plain norewrite);
-    ("compiled/no-rewrite/boxed",
-     plain { norewrite with Engine.physical = `Off });
     (* morsel-parallel execution at width 4 over forced-tiny morsels:
        the serial runs above are the oracle — the parity contract says
        identical rows, identical error choice, identical accounting *)
@@ -279,21 +326,17 @@ let configs ~budget_spec =
        the DAG run sails under, so Resource errors from this config are
        tolerated (see the main loop), not divergences. *)
     ("compiled/tree", plain (with_budget tree));
-    (* ordering-property reasoning off, on both executors: every elided
+    (* ordering-property reasoning off: every elided
        sort, skipped root sort and merge-degraded % in the default runs
        is differentially checked against these sort-preserving plans.
        (These replaced cold-cache: the warm-cache config's first run IS
        a cold-cache run, so that pair already covers both states.) *)
     ("compiled/no-order-props", plain noorder);
-    ("compiled/no-order-props/boxed",
-     plain { noorder with Engine.physical = `Off });
-    (* join-graph isolation off, on both executors: every scaffold the
+    (* join-graph isolation off: every scaffold the
        jg-* rules collapse (and every where that slid past a let at
        compile time) is differentially checked against the
        count-then-filter plan it replaced *)
     ("compiled/no-join-isolation", plain nojg);
-    ("compiled/no-join-isolation/boxed",
-     plain { nojg with Engine.physical = `Off });
     ("compiled/warm-cache", warm_cache Engine.default_opts);
     (* compressed execution off, on the serial and morsel-parallel
        executors: the default runs carry code-carrying columns, batched
@@ -303,13 +346,9 @@ let configs ~budget_spec =
      plain { Engine.default_opts with Engine.code_eval = false });
     ("compiled/no-code-eval/parallel",
      plain { parallel with Engine.code_eval = false });
-    (* the storage dimensions: the boxed reference representation (the
-       default store packs fragments into bit-width minimal columns) and
-       a store ingested through the streaming reader in 3-byte chunks
-       over a 16-byte window — both must be invisible to every query *)
-    ("store/boxed",
-     fun q -> evaluate ~mk:(fun () -> mk_store ~packed:false ())
-         ~opts:Engine.default_opts q);
+    (* the ingest dimension: a store ingested through the streaming reader
+       in 3-byte chunks over a 16-byte window must be invisible to every
+       query *)
     ("store/chunked",
      fun q -> evaluate ~mk:(fun () -> mk_store ~chunk:3 ())
          ~opts:Engine.default_opts q);

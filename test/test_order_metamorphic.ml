@@ -9,15 +9,15 @@
         latitude granted) may at most permute the result sequence —
         plain and wrapped runs agree as multisets;
 
-     2. the configuration itself is invisible: the boxed logical
-        executor, the typed physical executor, and morsel-parallel
-        execution at any width all produce the *identical* sequence
-        for the same query text — including under a forced
-        [ordering mode ordered] prolog (the paper's baseline).
+     2. the configuration itself is invisible: serial and
+        morsel-parallel execution at any width, with or without the
+        order-property and join-isolation optimizations, all produce the
+        *identical* sequence for the same query text — including under
+        a forced [ordering mode ordered] prolog (the paper's baseline).
 
    Relation 2 is deliberately exact (not multiset): the engine promises
-   serial/parallel and boxed/physical bit-parity, and the ordered-mode
-   baseline anchors the comparison the paper's Section 5 makes. *)
+   serial/parallel bit-parity, and the ordered-mode baseline anchors the
+   comparison the paper's Section 5 makes. *)
 
 (* Read lazily by the engine at its first physical execution: force tiny
    morsels so these small corpora really split across tasks. *)
@@ -37,33 +37,26 @@ let mk_store () =
   let _ = Xmldb.Xml_parser.load_document st ~uri:"t.xml" doc_xml in
   st
 
-(* The executor configurations of relation 2: {boxed, physical} ×
-   {serial, jobs=4}, each with ordering-property reasoning on, plus both
-   executors with it off, plus both with join-graph isolation off. The
-   boxed executor ignores [jobs]; running it at jobs=4 anyway pins down
-   exactly that. Keeping the no-order-props and no-join-isolation runs
-   in the same exact-agreement matrix is the elision oracle: a sort
-   wrongly proved away — or a scaffold wrongly collapsed to a
-   semi/anti-join — would desynchronize them from the reference. *)
+(* The executor configurations of relation 2: {serial, jobs=4} with
+   ordering-property reasoning on, plus serial runs with it off and with
+   join-graph isolation off. Keeping the no-order-props and
+   no-join-isolation runs in the same exact-agreement matrix is the
+   elision oracle: a sort wrongly proved away — or a scaffold wrongly
+   collapsed to a semi/anti-join — would desynchronize them from the
+   reference. *)
 let configs =
-  [ ("physical/serial", `On, 1, true, true);
-    ("physical/jobs4", `On, 4, true, true);
-    ("boxed/serial", `Off, 1, true, true);
-    ("boxed/jobs4", `Off, 4, true, true);
-    ("physical/serial/no-order-props", `On, 1, false, true);
-    ("boxed/serial/no-order-props", `Off, 1, false, true);
-    ("physical/serial/no-join-isolation", `On, 1, true, false);
-    ("boxed/serial/no-join-isolation", `Off, 1, true, false) ]
+  [ ("serial", 1, true, true);
+    ("jobs4", 4, true, true);
+    ("serial/no-order-props", 1, false, true);
+    ("serial/no-join-isolation", 1, true, false) ]
 
 type outcome = Items of string list | Failed of string
 
-let run ?mode (name, physical, jobs, order_props, join_isolation) q =
+let run ?mode (_name, jobs, order_props, join_isolation) q =
   let opts =
-    { Engine.default_opts with
-      Engine.physical; jobs; mode; order_props; join_isolation }
+    { Engine.default_opts with Engine.jobs; mode; order_props; join_isolation }
   in
   let st = mk_store () in
-  ignore name;
   match Engine.run_result ~opts st q with
   | Ok r ->
     Items
@@ -131,7 +124,7 @@ let test_unordered_wrap_is_permutation () =
     (fun (file, text) ->
        let wrapped = wrap_unordered text in
        List.iter
-         (fun ((name, _, _, _, _) as cfg) ->
+         (fun ((name, _, _, _) as cfg) ->
             Alcotest.(check string)
               (Printf.sprintf "%s [%s]: unordered{} at most permutes" file name)
               (multiset (run cfg text))
@@ -140,7 +133,7 @@ let test_unordered_wrap_is_permutation () =
     (corpus ())
 
 (* Relation 2: the configuration is invisible — exact agreement across
-   all four, for the plain text, the wrapped text, and the text under a
+   every configuration, for the plain text, the wrapped text, and the text under a
    forced ordered mode. *)
 let check_configs_exact ?mode label text =
   match configs with
@@ -148,7 +141,7 @@ let check_configs_exact ?mode label text =
   | reference_cfg :: rest ->
     let reference = exact (run ?mode reference_cfg text) in
     List.iter
-      (fun ((name, _, _, _, _) as cfg) ->
+      (fun ((name, _, _, _) as cfg) ->
          Alcotest.(check string)
            (Printf.sprintf "%s [%s]" label name)
            reference
@@ -186,7 +179,7 @@ let test_ordered_context_exact () =
       return $p/name/text()|}
   in
   List.iter
-    (fun ((name, _, _, _, _) as cfg) ->
+    (fun ((name, _, _, _) as cfg) ->
        Alcotest.(check string)
          (Printf.sprintf "order-by survives unordered{} [%s]" name)
          (exact (run cfg q))
@@ -218,7 +211,7 @@ let test_unordered_wrap_never_licenses_elision () =
        (Algebra.Profile.phys p).Algebra.Profile.root_sort_elided);
   (* behavioural check: exact descending result, every config, on = off *)
   List.iter
-    (fun ((name, _, _, _, _) as cfg) ->
+    (fun ((name, _, _, _) as cfg) ->
        Alcotest.(check string)
          (Printf.sprintf "desc result exact under forced ordered [%s]" name)
          "ok: 3 | 2 | 1"

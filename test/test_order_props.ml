@@ -13,8 +13,8 @@
    Part 2 — the elision oracle. For every corpus query, under a FORCED
    [ordering mode ordered] prolog, the engine with ordering-property
    reasoning on (sorts elided, root sort skipped, merges) must produce
-   byte-identical output to the engine with it off, across
-   {boxed, physical} × {serial, jobs = 4}. Order props prove facts about
+   byte-identical output to the serial engine with it off, at
+   {serial, jobs = 4}. Order props prove facts about
    physical row order, never about the query's mode — so elision must be
    invisible even where order is fully observable. *)
 
@@ -246,11 +246,10 @@ let corpus () =
   |> List.sort compare
   |> List.map (fun f -> (f, read_file (Filename.concat queries_dir f)))
 
-let run_exact ~order_props ~physical ~jobs text =
+let run_exact ~order_props ~jobs text =
   let opts =
     { Engine.default_opts with
       Engine.mode = Some Xquery.Ast.Ordered;
-      physical;
       jobs;
       order_props }
   in
@@ -268,25 +267,19 @@ let run_exact ~order_props ~physical ~jobs text =
   | Error { Engine.kind; message } ->
     Basis.Err.kind_label kind ^ ": " ^ message
 
-(* THE oracle: forced ordered mode, elision on vs off, every executor —
-   byte-for-byte. *)
+(* THE oracle: forced ordered mode, elision on vs off, serial and
+   parallel — byte-for-byte. *)
 let test_forced_ordered_oracle () =
   List.iter
     (fun (file, text) ->
-       let reference =
-         run_exact ~order_props:false ~physical:`Off ~jobs:1 text
-       in
+       let reference = run_exact ~order_props:false ~jobs:1 text in
        List.iter
-         (fun (cname, physical, jobs, order_props) ->
+         (fun (cname, jobs) ->
             Alcotest.(check string)
               (Printf.sprintf "%s ordered-mode [%s]" file cname)
               reference
-              (run_exact ~order_props ~physical ~jobs text))
-         [ ("physical/serial/on", `On, 1, true);
-           ("physical/jobs4/on", `On, 4, true);
-           ("boxed/serial/on", `Off, 1, true);
-           ("boxed/jobs4/on", `Off, 4, true);
-           ("physical/serial/off", `On, 1, false) ])
+              (run_exact ~order_props:true ~jobs text))
+         [ ("serial/on", 1); ("jobs4/on", 4) ])
     (corpus ())
 
 (* Fire/no-fire guards at the engine level: where the rule must act on

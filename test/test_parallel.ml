@@ -529,6 +529,32 @@ let test_engine_budget_parity () =
          (engine_outcome ~opts:(opts jobs) q))
     [ 2; 4 ]
 
+(* Bulk-decode counts belong to the run that decoded the rows: two
+   domains running the same profiled descendant scan at the same time
+   must each report exactly the count of a solo run. *)
+let test_bulk_decodes_per_run () =
+  let st = corpus_store () in
+  let q = {|count(doc("auction.xml")//item)|} in
+  let opts = { Engine.default_opts with Engine.jobs = 1 } in
+  let decodes () =
+    match (Engine.run ~opts ~with_profile:true st q).Engine.profile with
+    | Some p -> (Profile.phys p).Profile.bulk_decodes
+    | None -> Alcotest.fail "profile requested but absent"
+  in
+  let solo = decodes () in
+  Alcotest.(check bool) "the scan bulk-decodes" true (solo > 0);
+  let go = Atomic.make false in
+  let worker () =
+    while not (Atomic.get go) do Domain.cpu_relax () done;
+    List.init 50 (fun _ -> decodes ())
+  in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  Atomic.set go true;
+  let counts = Domain.join d1 @ Domain.join d2 in
+  List.iter
+    (fun n -> Alcotest.(check int) "each profile counts its own run" solo n)
+    counts
+
 let test_engine_cancel_parity () =
   let outcome jobs =
     let c = Basis.Budget.cancel_switch () in
@@ -568,7 +594,9 @@ let () =
          Alcotest.test_case "cancel crosses domains" `Quick
            test_budget_cancel_from_other_domain;
          Alcotest.test_case "profile survives a 4-domain hammer" `Quick
-           test_profile_hammer ]);
+           test_profile_hammer;
+         Alcotest.test_case "bulk decodes count per run" `Quick
+           test_bulk_decodes_per_run ]);
       ("physical parity",
        [ Alcotest.test_case "pipes" `Quick test_pipe_parity;
          Alcotest.test_case "joins" `Quick test_join_parity;

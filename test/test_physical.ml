@@ -1,10 +1,12 @@
 (* Tests for the physical-plan layer: lowering (kernel fusion, sharing
    preservation) and the typed kernels, checked differentially against
-   the boxed logical executor.
+   [Eval], the boxed logical executor the tests keep as the reference.
 
-   The physical executor promises *exact* parity with the boxed one —
+   The physical executor promises *exact* parity with the reference —
    including row order (rownum's stability tie-break makes row order
-   observable) — so tables are compared row-for-row, not as multisets. *)
+   observable) — so tables are compared row-for-row, not as multisets,
+   on hand-built plans and on the optimized plans of the whole query
+   corpus. *)
 
 open Algebra
 
@@ -70,7 +72,17 @@ let test_fusion_chain () =
    | _ -> Alcotest.fail "expected a K_pipe at the root");
   Alcotest.(check int) "covered = logical ops minus source" 4
     (Lower.count_covered pp);
-  check_parity "fused chain" p
+  check_parity "fused chain" p;
+  (* the profile counts kernels, the ops they cover, and the difference:
+     the ops fusion saved *)
+  let prof = Profile.create () in
+  ignore (Physical.run ~profile:prof (store ()) pp);
+  let ph = Profile.phys prof in
+  Alcotest.(check (pair int int)) "profiled kernels, covered ops" (2, 4)
+    (ph.Profile.kernels, ph.Profile.fused_ops);
+  let line = "physical: 2 kernels covering 4 logical ops (2 fused away)" in
+  Alcotest.(check bool) ("profile prints: " ^ line) true
+    (Astring.String.is_infix ~affix:line (Profile.to_string prof))
 
 let test_fusion_stops_at_sharing () =
   let b = Plan.builder () in
@@ -276,6 +288,60 @@ let test_error_parity () =
   in
   check_parity "selection removes all rows" guarded
 
+(* ------------------------------------------------------ corpus parity *)
+
+(* The optimized plan of every corpus query — queries/*.xq and XMark
+   Q1-Q20 at scale 0.002 — run through the reference executor and the
+   physical kernels, serially and at jobs 4 over forced-tiny morsels:
+   same schema, same rows, same order (or the same error). *)
+let queries_dir =
+  if Sys.file_exists "../queries" then "../queries" else "queries"
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let auction_xml = lazy (Xmark.Xmark_gen.generate ~scale:0.002 ())
+
+let corpus_store () =
+  let st = store () in
+  ignore
+    (Xmldb.Xml_parser.load_document st ~uri:"auction.xml"
+       (Lazy.force auction_xml));
+  ignore
+    (Xmldb.Xml_parser.load_document st ~uri:"t.xml"
+       "<a><b><c/><d/></b><c/><e k=\"1\">x<f/>y</e></a>");
+  st
+
+let test_corpus_parity () =
+  let files =
+    Sys.readdir queries_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".xq")
+    |> List.sort compare
+    |> List.map (fun f -> (f, read_file (Filename.concat queries_dir f)))
+  in
+  List.iter
+    (fun (name, q) ->
+       let stats = Engine.stats_of_store (corpus_store ()) in
+       let plan = (Engine.analyze ~stats q).Engine.aoptimized in
+       let pp = Engine.lower_physical ~stats plan in
+       let outcome run =
+         match run (corpus_store ()) with
+         | t -> Array.to_list (Table.schema t) @ table_strings t
+         | exception e -> [ Printexc.to_string e ]
+       in
+       let reference = outcome (fun st -> Eval.run st plan) in
+       List.iter
+         (fun jobs ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s (jobs=%d)" name jobs)
+              reference
+              (outcome (fun st -> Physical.run ~jobs ~morsel:4 st pp)))
+         [ 1; 4 ])
+    (files @ Xmark.Xmark_queries.all)
+
 (* -------------------------------------------------- budget integration *)
 
 let test_budget_through_physical () =
@@ -315,4 +381,7 @@ let () =
          Alcotest.test_case "errors" `Quick test_error_parity ]);
       ("budgets",
        [ Alcotest.test_case "budget trips" `Quick
-           test_budget_through_physical ]) ]
+           test_budget_through_physical ]);
+      ("corpus",
+       [ Alcotest.test_case "reference = physical, row for row" `Slow
+           test_corpus_parity ]) ]

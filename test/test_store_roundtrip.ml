@@ -1,71 +1,145 @@
-(* The storage parity layer: the packed columnar store, the streaming
-   chunked parser and the snapshot format are all *representation*
-   changes — none may be observable through the accessor API, the query
-   engine, or a save/load cycle. Six property families pin that down:
+(* The storage layer's contract: the packed columnar store, the
+   streaming chunked parser and the snapshot format are all
+   *representation* choices — none may be observable through the
+   accessor API, the query engine, or a save/load cycle. Six property
+   families pin that down:
 
-     1. accessor parity — packed and boxed builds of the same document
-        agree row for row on all six accessors, over PRNG-generated
-        documents (dictionary-friendly and dictionary-hostile name
-        distributions), an XMark instance, and runtime-constructed
-        fragments;
-     2. snapshot identity — save -> load -> save is byte-identical,
-        boxed and packed sources produce the same image, and a loaded
-        store is accessor-identical to its source;
+     1. accessors vs generator rows — the random-document generator
+        emits, next to its XML, the rows the store must hold (adjacent
+        text merged, attributes inlined), computed without the store's
+        Builder; every fragment must match them row for row. XMark and
+        runtime-constructed fragments are checked against the encoding's
+        structural invariants, and XMark against the density floor;
+     2. snapshot identity — save -> load -> save is byte-identical and a
+        loaded store is accessor-identical to its source;
      3. chunk invariance — parsing through a reader at chunk sizes
         {1, 7, 64K, whole-document} yields a store byte-identical (as a
         snapshot) to the monolithic parse;
      4. engine parity — every corpus query returns identical serialized
-        results on packed, boxed, and snapshot-loaded stores, across
-        {boxed, physical} executors x {serial, jobs=4};
+        results on parsed and snapshot-loaded stores, serial and at
+        jobs=4;
      5. corruption — truncations, bit flips, version/magic skew and
         trailing garbage all fail as clean dynamic errors and never
         surface a partially loaded store;
      6. compressed execution — the bulk [*_range] accessors agree row
-        for row with the per-row accessors (packed, boxed, and across
-        chunk seams), and query results under code-eval are
-        byte-identical to the materialized reference path, dictionary
-        or no dictionary. *)
+        for row with the per-row accessors (across chunk seams too),
+        batched staircase scans account exactly the rows they decode,
+        and query results under code-eval are byte-identical to the
+        materialized reference path, dictionary or no dictionary. *)
 
 module DS = Xmldb.Doc_store
+module K = Xmldb.Node_kind
 
 (* ------------------------------------------------- random documents *)
 
-(* A PRNG-driven XML generator. [names] controls dictionary pressure:
-   a tiny vocabulary makes per-fragment dictionaries pay off, a large
-   one makes the encoder reject them — both paths must stay invisible. *)
+(* One row the store must hold for a document, names and values as
+   strings ([""] for none). *)
+type row = {
+  kind : K.t;
+  name : string;
+  value : string;
+  size : int;
+  level : int;
+  parent : int;
+}
+
+(* Expected rows, accumulated in document order independently of the
+   store: [open_node] returns the row to [close] once its content is
+   emitted; [text] merges with a directly preceding text row. *)
+module Rows = struct
+  type t = { rows : row Basis.Vec.t; mutable last_text : int }
+
+  let create () =
+    { rows =
+        Basis.Vec.create
+          { kind = K.Text; name = ""; value = ""; size = 0; level = 0;
+            parent = -1 };
+      last_text = -1 }
+
+  let add t kind ?(name = "") ?(value = "") ~level ~parent () =
+    let pre = Basis.Vec.length t.rows in
+    Basis.Vec.push t.rows { kind; name; value; size = 0; level; parent };
+    t.last_text <- -1;
+    pre
+
+  let text t ~level ~parent s =
+    if t.last_text >= 0 then begin
+      let r = Basis.Vec.get t.rows t.last_text in
+      Basis.Vec.set t.rows t.last_text { r with value = r.value ^ s }
+    end else t.last_text <- add t K.Text ~value:s ~level ~parent ()
+
+  let close t pre =
+    let r = Basis.Vec.get t.rows pre in
+    Basis.Vec.set t.rows pre
+      { r with size = Basis.Vec.length t.rows - pre - 1 };
+    t.last_text <- -1
+
+  let to_list t = Array.to_list (Basis.Vec.to_array t.rows)
+end
+
+(* A PRNG-driven XML generator that also returns the document's expected
+   rows. [names] controls dictionary pressure: a tiny vocabulary makes
+   per-fragment dictionaries pay off, a large one makes the encoder
+   reject them — both paths must stay invisible. *)
 let gen_xml ~seed ~names ~max_children ~depth () =
   let rng = Basis.Prng.create seed in
   let name i = Printf.sprintf "n%d" i in
   let buf = Buffer.create 1024 in
-  let rec element d =
+  let rows = Rows.create () in
+  let doc = Rows.add rows K.Document ~level:0 ~parent:(-1) () in
+  let rec element d ~level ~parent =
     let tag = name (Basis.Prng.int rng names) in
+    let pre = Rows.add rows K.Element ~name:tag ~level ~parent () in
     Buffer.add_char buf '<';
     Buffer.add_string buf tag;
     for _ = 1 to Basis.Prng.int rng 3 do
-      Buffer.add_string buf
-        (Printf.sprintf " a%d=\"v%d\"" (Basis.Prng.int rng names)
-           (Basis.Prng.int rng 1000))
+      let v = Printf.sprintf "v%d" (Basis.Prng.int rng 1000) in
+      let a = Printf.sprintf "a%d" (Basis.Prng.int rng names) in
+      Buffer.add_string buf (Printf.sprintf " %s=\"%s\"" a v);
+      ignore
+        (Rows.add rows K.Attribute ~name:a ~value:v ~level:(level + 1)
+           ~parent:pre ())
     done;
+    let child kind ?name ?value () =
+      ignore (Rows.add rows kind ?name ?value ~level:(level + 1) ~parent:pre ())
+    in
     if d = 0 || Basis.Prng.int rng 10 = 0 then Buffer.add_string buf "/>"
     else begin
       Buffer.add_char buf '>';
       for _ = 1 to 1 + Basis.Prng.int rng max_children do
         match Basis.Prng.int rng 10 with
-        | 0 -> Buffer.add_string buf "<!--c-->"
-        | 1 -> Buffer.add_string buf "<?pi data?>"
-        | 2 | 3 | 4 ->
-          Buffer.add_string buf
-            (Printf.sprintf "t%d&amp;x" (Basis.Prng.int rng 500))
-        | _ -> element (d - 1)
+        | 0 ->
+          Buffer.add_string buf "<!--c-->";
+          child K.Comment ~value:"c" ()
+        | 1 ->
+          Buffer.add_string buf "<?pi data?>";
+          child K.Processing_instruction ~name:"pi" ~value:"data" ()
+        | (2 | 3 | 4) as c ->
+          (* character data, as text or CDATA: adjacent pieces merge *)
+          let k = Basis.Prng.int rng 500 in
+          let raw, text =
+            if c = 4 then
+              (Printf.sprintf "<![CDATA[c%d<]]>" k, Printf.sprintf "c%d<" k)
+            else (Printf.sprintf "t%d&amp;x" k, Printf.sprintf "t%d&x" k)
+          in
+          Buffer.add_string buf raw;
+          Rows.text rows ~level:(level + 1) ~parent:pre text
+        | _ -> element (d - 1) ~level:(level + 1) ~parent:pre
       done;
       Buffer.add_string buf "</";
       Buffer.add_string buf tag;
       Buffer.add_char buf '>'
-    end
+    end;
+    Rows.close rows pre
   in
-  element depth;
-  Buffer.contents buf
+  element depth ~level:1 ~parent:doc;
+  Rows.close rows doc;
+  (Buffer.contents buf, Rows.to_list rows)
 
+let row kind ?(name = "") ?(value = "") size level parent =
+  { kind; name; value; size; level; parent }
+
+(* (xml, expected rows) *)
 let sample_docs =
   lazy
     (let small = List.init 8 (fun i ->
@@ -73,86 +147,116 @@ let sample_docs =
      let wide = List.init 4 (fun i ->
          gen_xml ~seed:(200 + i) ~names:400 ~max_children:8 ~depth:3 ()) in
      let fixed =
-       [ "<a/>"; "<a b=\"c\"/>"; "<a><!--x--><?t d?><![CDATA[<raw>]]></a>" ]
+       [ ("<a/>", [ row K.Document 1 0 (-1); row K.Element ~name:"a" 0 1 0 ]);
+         ("<a b=\"c\"/>",
+          [ row K.Document 2 0 (-1); row K.Element ~name:"a" 1 1 0;
+            row K.Attribute ~name:"b" ~value:"c" 0 2 1 ]);
+         ("<a><!--x--><?t d?><![CDATA[<raw>]]></a>",
+          [ row K.Document 4 0 (-1); row K.Element ~name:"a" 3 1 0;
+            row K.Comment ~value:"x" 0 2 1;
+            row K.Processing_instruction ~name:"t" ~value:"d" 0 2 1;
+            row K.Text ~value:"<raw>" 0 2 1 ]) ]
      in
      small @ wide @ fixed)
 
+let sample_xml () = List.map fst (Lazy.force sample_docs)
+
 let auction_xml = lazy (Xmark.Xmark_gen.generate ~scale:0.002 ())
 
-let build packed xml =
-  let st = DS.create ~packed () in
+let build xml =
+  let st = DS.create () in
   ignore (Xmldb.Xml_parser.load_document st ~uri:"d.xml" xml);
   st
 
-(* --------------------------------------------- 1. accessor parity *)
+(* ------------------------------------ 1. accessors vs generator rows *)
 
-let check_frag_parity label fp fb =
-  let n = DS.frag_length fp in
-  Alcotest.(check int) (label ^ ": frag length") (DS.frag_length fb) n;
-  for pre = 0 to n - 1 do
-    let ctx what got want =
-      if got <> want then
-        Alcotest.failf "%s: %s at pre %d: packed %d, boxed %d" label what
-          pre got want
-    in
-    ctx "kind"
-      (Xmldb.Node_kind.to_int (DS.kind_at fp pre))
-      (Xmldb.Node_kind.to_int (DS.kind_at fb pre));
-    ctx "name" (DS.name_at fp pre) (DS.name_at fb pre);
-    ctx "value" (DS.value_at fp pre) (DS.value_at fb pre);
-    ctx "size" (DS.size_at fp pre) (DS.size_at fb pre);
-    ctx "level" (DS.level_at fp pre) (DS.level_at fb pre);
-    ctx "parent" (DS.parent_at fp pre) (DS.parent_at fb pre)
-  done
+let store_rows st f =
+  List.init (DS.frag_length f) (fun pre ->
+      let name_id = DS.name_at f pre and value_id = DS.value_at f pre in
+      { kind = DS.kind_at f pre;
+        name =
+          (if name_id < 0 then ""
+           else Xmldb.Qname.to_string (DS.name_of_id st name_id));
+        value = (if value_id < 0 then "" else DS.text_of_id st value_id);
+        size = DS.size_at f pre;
+        level = DS.level_at f pre;
+        parent = DS.parent_at f pre })
 
-let check_store_parity label sp sb =
-  Alcotest.(check int) (label ^ ": n_frags") (DS.n_frags sb) (DS.n_frags sp);
-  for fi = 0 to DS.n_frags sp - 1 do
-    let lf = Printf.sprintf "%s frag %d" label fi in
-    Alcotest.(check bool) (lf ^ " packed flag") true
-      (DS.frag_packed (DS.frag sp fi));
-    Alcotest.(check bool) (lf ^ " boxed flag") false
-      (DS.frag_packed (DS.frag sb fi));
-    check_frag_parity lf (DS.frag sp fi) (DS.frag sb fi)
-  done
+let show_row r =
+  Printf.sprintf "%s name=%S value=%S size=%d level=%d parent=%d"
+    (K.to_string r.kind) r.name r.value r.size r.level r.parent
 
-let test_accessor_parity_random () =
+let test_generator_rows () =
   List.iteri
-    (fun i xml ->
-       let label = Printf.sprintf "doc %d" i in
-       let sp = build true xml and sb = build false xml in
-       check_store_parity label sp sb;
-       Alcotest.(check bool)
-         (label ^ ": packed no larger than boxed")
-         true
-         (DS.encoded_bytes sp <= DS.encoded_bytes sb))
+    (fun i (xml, want) ->
+       let st = build xml in
+       Alcotest.(check int) (Printf.sprintf "doc %d: one fragment" i) 1
+         (DS.n_frags st);
+       Alcotest.(check (list string))
+         (Printf.sprintf "doc %d: rows" i)
+         (List.map show_row want)
+         (List.map show_row (store_rows st (DS.frag st 0))))
     (Lazy.force sample_docs)
 
-let test_accessor_parity_xmark () =
-  let xml = Lazy.force auction_xml in
-  let sp = build true xml and sb = build false xml in
-  check_store_parity "xmark" sp sb;
-  (* the headline claim of the issue: at least 2x denser than boxed *)
-  let ratio =
-    float_of_int (DS.encoded_bytes sb) /. float_of_int (DS.encoded_bytes sp)
-  in
-  if ratio < 2.0 then
-    Alcotest.failf "xmark compression ratio %.2f below 2x" ratio
+(* The encoding's structural invariants over every fragment: each row's
+   subtree ends inside the fragment and inside its parent's subtree, the
+   parent precedes it, levels count parents, and the roots (level 0)
+   tile the fragment. *)
+let check_structure label st =
+  for fi = 0 to DS.n_frags st - 1 do
+    let f = DS.frag st fi in
+    let n = DS.frag_length f in
+    let fail pre what =
+      Alcotest.failf "%s frag %d row %d: %s" label fi pre what
+    in
+    for pre = 0 to n - 1 do
+      let size = DS.size_at f pre and parent = DS.parent_at f pre in
+      if size < 0 || pre + size >= n then fail pre "subtree leaves the fragment";
+      if DS.kind_at f pre = K.Attribute && size <> 0 then
+        fail pre "attribute with a subtree";
+      if parent < 0 then begin
+        if DS.level_at f pre <> 0 then fail pre "root not at level 0"
+      end else begin
+        let pend = parent + DS.size_at f parent in
+        if not (parent < pre && pre <= pend) then
+          fail pre "outside its parent's subtree";
+        if pre + size > pend then fail pre "subtree not nested in its parent's";
+        if DS.level_at f pre <> DS.level_at f parent + 1 then
+          fail pre "level is not the parent's plus one"
+      end
+    done;
+    let p = ref 0 in
+    while !p < n do
+      if DS.parent_at f !p <> -1 then fail !p "root walk hit a non-root";
+      p := !p + DS.size_at f !p + 1
+    done;
+    if !p <> n then fail !p "roots do not tile the fragment"
+  done
+
+let test_xmark_structure () =
+  let st = build (Lazy.force auction_xml) in
+  check_structure "xmark" st;
+  (* the density floor: at least 2x denser than a boxed table of six
+     words per row *)
+  let bytes = DS.encoded_bytes st and nodes = DS.total_nodes st in
+  if 2 * bytes > 48 * nodes then
+    Alcotest.failf "xmark: %d bytes for %d nodes, below 2x of 48 B/node"
+      bytes nodes
 
 (* Runtime node construction freezes fresh fragments through the same
-   packing path; a constructor-heavy query must grow both stores
-   identically. *)
-let test_accessor_parity_constructed () =
-  let xml = "<a><b x=\"1\">t</b><b x=\"2\">u</b></a>" in
+   packing path. *)
+let test_constructed_structure () =
+  let st = build "<a><b x=\"1\">t</b><b x=\"2\">u</b></a>" in
   let q =
     {|for $b in doc("d.xml")/a/b
       return <r k="{$b/@x}"><copy>{$b}</copy><!--made--></r>|}
   in
-  let sp = build true xml and sb = build false xml in
-  let rp = (Engine.run sp q).Engine.serialized in
-  let rb = (Engine.run sb q).Engine.serialized in
-  Alcotest.(check string) "constructed results agree" rb rp;
-  check_store_parity "constructed" sp sb
+  Alcotest.(check string) "constructed result"
+    {|<r k="1"><copy><b x="1">t</b></copy><!--made--></r><r k="2"><copy><b x="2">u</b></copy><!--made--></r>|}
+    (Engine.run st q).Engine.serialized;
+  Alcotest.(check bool) "construction appended fragments" true
+    (DS.n_frags st > 1);
+  check_structure "constructed" st
 
 (* ------------------------------------------- 2. snapshot identity *)
 
@@ -160,36 +264,27 @@ let test_snapshot_roundtrip () =
   List.iteri
     (fun i xml ->
        let label = Printf.sprintf "doc %d" i in
-       let st = build true xml in
+       let st = build xml in
        let s1 = DS.Snapshot.to_string st in
        let st2 = DS.Snapshot.of_string s1 in
        let s2 = DS.Snapshot.to_string st2 in
        Alcotest.(check bool) (label ^ ": save->load->save identical") true
          (String.equal s1 s2);
        for fi = 0 to DS.n_frags st2 - 1 do
-         check_frag_parity (label ^ " loaded vs source") (DS.frag st2 fi)
-           (DS.frag st fi)
+         Alcotest.(check (list string))
+           (Printf.sprintf "%s frag %d: loaded rows = source rows" label fi)
+           (List.map show_row (store_rows st (DS.frag st fi)))
+           (List.map show_row (store_rows st2 (DS.frag st2 fi)))
        done;
        Alcotest.(check (list string))
          (label ^ ": document registry survives")
          (List.map fst (DS.documents st))
          (List.map fst (DS.documents st2)))
-    (Lazy.force sample_docs)
-
-let test_snapshot_boxed_source_identical () =
-  List.iteri
-    (fun i xml ->
-       let sp = build true xml and sb = build false xml in
-       Alcotest.(check bool)
-         (Printf.sprintf "doc %d: boxed and packed sources save identically"
-            i)
-         true
-         (String.equal (DS.Snapshot.to_string sp) (DS.Snapshot.to_string sb)))
-    (Lazy.force sample_docs)
+    (sample_xml ())
 
 let test_snapshot_file_roundtrip () =
   let xml = Lazy.force auction_xml in
-  let st = build true xml in
+  let st = build xml in
   let path = Filename.temp_file "xrq-roundtrip" ".xrqs" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -226,10 +321,10 @@ let parse_chunked ?window st xml chunk =
   ignore (Xmldb.Xml_parser.load_reader ?window st ~uri:"d.xml" reader)
 
 let test_chunk_invariance () =
-  let docs = Lazy.force sample_docs @ [ Lazy.force auction_xml ] in
+  let docs = sample_xml () @ [ Lazy.force auction_xml ] in
   List.iteri
     (fun i xml ->
-       let reference = DS.Snapshot.to_string (build true xml) in
+       let reference = DS.Snapshot.to_string (build xml) in
        List.iter
          (fun chunk ->
             let chunk =
@@ -238,7 +333,7 @@ let test_chunk_invariance () =
             (* a window smaller than the default exercises compaction and
                growth; keep it tiny for the tiny chunks *)
             let window = if chunk <= 7 then 16 else 65536 in
-            let st = DS.create ~packed:true () in
+            let st = DS.create () in
             parse_chunked ~window st xml chunk;
             Alcotest.(check bool)
               (Printf.sprintf "doc %d chunk %d byte-identical" i chunk)
@@ -249,7 +344,7 @@ let test_chunk_invariance () =
 
 let test_chunk_invariance_load_file () =
   let xml = Lazy.force auction_xml in
-  let reference = DS.Snapshot.to_string (build true xml) in
+  let reference = DS.Snapshot.to_string (build xml) in
   let path = Filename.temp_file "xrq-chunk" ".xml" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -259,7 +354,7 @@ let test_chunk_invariance_load_file () =
        close_out oc;
        List.iter
          (fun chunk_size ->
-            let st = DS.create ~packed:true () in
+            let st = DS.create () in
             ignore
               (Xmldb.Xml_parser.load_file ~chunk_size st ~uri:"d.xml" path);
             Alcotest.(check bool)
@@ -287,8 +382,8 @@ let corpus () =
 
 let doc_xml = "<a><b><c/><d/></b><c/><e k=\"1\">x<f/>y</e></a>"
 
-let mk_corpus_store packed =
-  let st = DS.create ~packed () in
+let mk_corpus_store () =
+  let st = DS.create () in
   let _ =
     Xmldb.Xml_parser.load_document st ~uri:"auction.xml"
       (Lazy.force auction_xml)
@@ -296,46 +391,34 @@ let mk_corpus_store packed =
   let _ = Xmldb.Xml_parser.load_document st ~uri:"t.xml" doc_xml in
   st
 
-let configs =
-  [ ("physical/serial", `On, 1);
-    ("physical/jobs4", `On, 4);
-    ("boxed/serial", `Off, 1);
-    ("boxed/jobs4", `Off, 4) ]
-
-let run_on st (physical, jobs) q =
-  let opts = { Engine.default_opts with Engine.physical; jobs } in
+let run_on st jobs q =
+  let opts = { Engine.default_opts with Engine.jobs } in
   match Engine.run_result ~opts st q with
   | Ok r -> "ok: " ^ r.Engine.serialized
   | Error { Engine.kind; message } ->
     Basis.Err.kind_label kind ^ ": " ^ message
 
 let test_corpus_parity () =
-  (* three stores, one document: packed, boxed, and snapshot-loaded *)
-  let sp = mk_corpus_store true in
-  let sb = mk_corpus_store false in
+  (* two stores, one document: parsed and snapshot-loaded; the parsed
+     store at jobs 1 is the reference *)
+  let sp = mk_corpus_store () in
   let sl = DS.Snapshot.of_string (DS.Snapshot.to_string sp) in
   List.iter
     (fun (file, text) ->
+       let reference = run_on sp 1 text in
        List.iter
-         (fun (cname, physical, jobs) ->
-            let reference = run_on sb (physical, jobs) text in
+         (fun (sname, st, jobs) ->
             Alcotest.(check string)
-              (Printf.sprintf "%s [%s] packed = boxed" file cname)
-              reference
-              (run_on sp (physical, jobs) text);
-            Alcotest.(check string)
-              (Printf.sprintf "%s [%s] loaded = boxed" file cname)
-              reference
-              (run_on sl (physical, jobs) text))
-         configs)
+              (Printf.sprintf "%s [%s/jobs%d]" file sname jobs)
+              reference (run_on st jobs text))
+         [ ("parsed", sp, 4); ("loaded", sl, 1); ("loaded", sl, 4) ])
     (corpus ())
 
 (* ------------------------- 6. bulk accessors and the code-eval oracle *)
 
 (* Every [*_range] decode must agree row for row with the per-row
-   accessors — packed and boxed fragments alike — over empty, 1-row,
-   interior, suffix and whole-column ranges, and each call must add
-   exactly its row count to [Stats.bulk_decodes]. *)
+   accessors over empty, 1-row, interior, suffix and whole-column
+   ranges. *)
 let check_bulk_parity label f =
   let n = DS.frag_length f in
   if n > 0 then begin
@@ -348,7 +431,6 @@ let check_bulk_parity label f =
     List.iter
       (fun (lo, hi) ->
          let len = hi - lo in
-         let before = DS.Stats.bulk_decodes () in
          DS.kinds_range f lo hi kinds;
          DS.names_range f lo hi names;
          DS.values_range f lo hi values;
@@ -368,53 +450,81 @@ let check_bulk_parity label f =
            ck "value" values.(i) (DS.value_at f pre);
            ck "size" sizes.(i) (DS.size_at f pre);
            ck "name code" ncodes.(i) (DS.name_code_at f pre)
-         done;
-         let counted = DS.Stats.bulk_decodes () - before in
-         if counted <> 5 * len then
-           Alcotest.failf "%s [%d,%d): bulk_decodes counted %d, want %d"
-             label lo hi counted (5 * len))
+         done)
       ranges
   end
 
+(* Range accounting: a batched staircase scan credits its run's counter
+   with exactly the column rows it decodes — kinds for every row, plus
+   name codes under a name test and subtree sizes for [preceding] — and
+   returns what the scalar scan returns. Only scans long enough to batch
+   are checked; the XMark document guarantees some are. *)
+let check_scan_accounting label st =
+  let checked = ref 0 in
+  for fi = 0 to DS.n_frags st - 1 do
+    let f = DS.frag st fi in
+    let n = DS.frag_length f in
+    if n >= 256 && DS.size_at f 0 = n - 1
+       && DS.kind_at f 1 = K.Element
+    then begin
+      incr checked;
+      let node pre = Xmldb.Node_id.make ~frag:fi ~pre in
+      let scan axis test ctx want =
+        let decoded = Atomic.make 0 in
+        let got = Xmldb.Staircase.step ~decoded st axis test [| node ctx |] in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s frag %d: batched = scalar" label fi) true
+          (got = Xmldb.Staircase.step ~batch:false st axis test [| node ctx |]);
+        Alcotest.(check int)
+          (Printf.sprintf "%s frag %d: rows decoded" label fi)
+          want (Atomic.get decoded)
+      in
+      let open Xmldb in
+      scan Axis.Descendant Node_test.Any_node 0 (n - 1);
+      scan Axis.Descendant (Node_test.Name (DS.name_at f 1)) 0 (2 * (n - 1));
+      scan Axis.Preceding Node_test.Any_node (n - 1) (2 * (n - 1))
+    end
+  done;
+  !checked
+
 let test_bulk_accessor_parity () =
-  let docs = Lazy.force sample_docs @ [ Lazy.force auction_xml ] in
-  List.iteri
-    (fun i xml ->
-       List.iter
-         (fun packed ->
-            let st = build packed xml in
-            for fi = 0 to DS.n_frags st - 1 do
-              check_bulk_parity
-                (Printf.sprintf "doc %d %s frag %d" i
-                   (if packed then "packed" else "boxed")
-                   fi)
-                (DS.frag st fi)
-            done)
-         [ true; false ])
-    docs
+  let docs = sample_xml () @ [ Lazy.force auction_xml ] in
+  let checked =
+    List.mapi
+      (fun i xml ->
+         let st = build xml in
+         for fi = 0 to DS.n_frags st - 1 do
+           check_bulk_parity
+             (Printf.sprintf "doc %d frag %d" i fi)
+             (DS.frag st fi)
+         done;
+         check_scan_accounting (Printf.sprintf "doc %d" i) st)
+      docs
+  in
+  Alcotest.(check bool) "some scans were long enough to batch" true
+    (List.fold_left ( + ) 0 checked > 0)
 
 (* A tiny parse window forces multi-chunk packed columns, so the
    whole-column range crosses chunk seams. *)
 let test_bulk_accessor_parity_chunked () =
   List.iteri
     (fun i xml ->
-       let st = DS.create ~packed:true () in
+       let st = DS.create () in
        parse_chunked ~window:16 st xml 7;
        for fi = 0 to DS.n_frags st - 1 do
          check_bulk_parity
            (Printf.sprintf "chunked doc %d frag %d" i fi)
            (DS.frag st fi)
        done)
-    [ List.nth (Lazy.force sample_docs) 0; Lazy.force auction_xml ]
+    [ List.hd (sample_xml ()); Lazy.force auction_xml ]
 
 (* The code-eval oracle: compressed execution (code-carrying columns,
    code-translated predicates, batched steps) must be byte-identical to
    the materialized reference path — over the whole query corpus and
    over equality shapes chosen to hit every translation case (match,
    no-match, a string the dictionary has never seen, the empty string,
-   ne). Boxed stores present the identity coding and dictionary-hostile
-   documents make the encoder reject per-fragment dictionaries; both
-   fallbacks must stay invisible too. *)
+   ne). Dictionary-hostile documents make the encoder reject
+   per-fragment dictionaries; that fallback must stay invisible too. *)
 let run_with opts st q =
   match Engine.run_result ~opts st q with
   | Ok r -> "ok: " ^ r.Engine.serialized
@@ -441,32 +551,25 @@ let eq_queries =
             where $e/text() ne "College" return $e)|}) ]
 
 let test_code_eval_oracle_corpus () =
-  let sp = mk_corpus_store true and sb = mk_corpus_store false in
+  let sp = mk_corpus_store () in
   List.iter
     (fun (file, text) ->
-       let want = run_with code_eval_off sp text in
        Alcotest.(check string)
-         (Printf.sprintf "%s: code-eval on = off (packed)" file)
-         want
-         (run_with Engine.default_opts sp text);
-       Alcotest.(check string)
-         (Printf.sprintf "%s: code-eval on, boxed = off, packed" file)
-         want
-         (run_with Engine.default_opts sb text))
+         (Printf.sprintf "%s: code-eval on = off" file)
+         (run_with code_eval_off sp text)
+         (run_with Engine.default_opts sp text))
     (corpus ())
 
 let test_code_eval_oracle_eq_shapes () =
-  let sp = mk_corpus_store true and sb = mk_corpus_store false in
+  let sp = mk_corpus_store () in
   List.iter
     (fun (name, q) ->
-       let want = run_with code_eval_off sp q in
-       Alcotest.(check string) (name ^ ": on = off, packed") want
-         (run_with Engine.default_opts sp q);
-       Alcotest.(check string) (name ^ ": on = off, boxed") want
-         (run_with Engine.default_opts sb q))
+       Alcotest.(check string) (name ^ ": on = off")
+         (run_with code_eval_off sp q)
+         (run_with Engine.default_opts sp q))
     eq_queries;
-  (* and the translated predicate really runs as a code compare on the
-     packed store: the profile must say so for the hit queries *)
+  (* and the translated predicate really runs as a code compare: the
+     profile must say so for the hit queries *)
   let r =
     Engine.run ~opts:Engine.default_opts ~with_profile:true sp
       (List.assoc "attr eq hit" eq_queries)
@@ -476,30 +579,25 @@ let test_code_eval_oracle_eq_shapes () =
   | Some p ->
     let ph = Algebra.Profile.phys p in
     if ph.Algebra.Profile.code_preds <= 0 then
-      Alcotest.fail "packed store: equality never ran on dictionary codes"
+      Alcotest.fail "equality never ran on dictionary codes"
 
 (* Dictionary-hostile vocabulary: the encoder rejects per-fragment
    dictionaries, [code_of_text] returns [None], and the predicate falls
    back — results must not move. *)
 let test_code_eval_oracle_hostile () =
-  let xml = gen_xml ~seed:42 ~names:400 ~max_children:8 ~depth:3 () in
+  let xml, _ = gen_xml ~seed:42 ~names:400 ~max_children:8 ~depth:3 () in
   let queries =
     [ {|count(for $e in doc("d.xml")//* where $e/@a1 eq "v5" return $e)|};
       {|count(for $e in doc("d.xml")//* where $e/@a1 ne "v5" return $e)|};
       {|count(for $e in doc("d.xml")//* where $e/@a1 eq "" return $e)|} ]
   in
+  let st = build xml in
   List.iter
-    (fun packed ->
-       let st = build packed xml in
-       List.iter
-         (fun q ->
-            Alcotest.(check string)
-              (Printf.sprintf "hostile %s: on = off"
-                 (if packed then "packed" else "boxed"))
-              (run_with code_eval_off st q)
-              (run_with Engine.default_opts st q))
-         queries)
-    [ true; false ]
+    (fun q ->
+       Alcotest.(check string) "hostile: on = off"
+         (run_with code_eval_off st q)
+         (run_with Engine.default_opts st q))
+    queries
 
 (* --------------------------------------------------- 5. corruption *)
 
@@ -514,7 +612,7 @@ let expect_dynamic label thunk =
       (Basis.Err.kind_label k) msg
 
 let test_corrupt_truncations () =
-  let st = build true (List.nth (Lazy.force sample_docs) 0) in
+  let st = build (List.hd (sample_xml ())) in
   let s = DS.Snapshot.to_string st in
   let n = String.length s in
   List.iter
@@ -526,7 +624,7 @@ let test_corrupt_truncations () =
     [ 0; 3; 8; 11; n / 4; n / 2; n - 1 ]
 
 let test_corrupt_bitflips () =
-  let st = build true (List.nth (Lazy.force sample_docs) 0) in
+  let st = build (List.hd (sample_xml ())) in
   let s = DS.Snapshot.to_string st in
   let n = String.length s in
   let step = max 1 (n / 97) in
@@ -549,7 +647,7 @@ let test_corrupt_bitflips () =
   done
 
 let test_corrupt_version_and_magic () =
-  let st = build true "<a/>" in
+  let st = build "<a/>" in
   let s = DS.Snapshot.to_string st in
   let with_byte i c =
     let b = Bytes.of_string s in
@@ -578,18 +676,15 @@ let test_corrupt_missing_file () =
 
 let () =
   Alcotest.run "store-roundtrip"
-    [ ("1. accessor parity packed vs boxed",
-       [ Alcotest.test_case "random documents" `Quick
-           test_accessor_parity_random;
-         Alcotest.test_case "xmark instance (and the 2x bar)" `Quick
-           test_accessor_parity_xmark;
-         Alcotest.test_case "runtime-constructed fragments" `Quick
-           test_accessor_parity_constructed ]);
+    [ ("1. accessors vs generator rows",
+       [ Alcotest.test_case "random documents" `Quick test_generator_rows;
+         Alcotest.test_case "xmark invariants (and the 2x bar)" `Quick
+           test_xmark_structure;
+         Alcotest.test_case "runtime-constructed invariants" `Quick
+           test_constructed_structure ]);
       ("2. snapshot identity",
        [ Alcotest.test_case "save -> load -> save byte-identical" `Quick
            test_snapshot_roundtrip;
-         Alcotest.test_case "boxed source saves identically" `Quick
-           test_snapshot_boxed_source_identical;
          Alcotest.test_case "file round-trip + deterministic save" `Quick
            test_snapshot_file_roundtrip ]);
       ("3. chunk invariance",
@@ -598,10 +693,10 @@ let () =
          Alcotest.test_case "load_file chunk sizes" `Quick
            test_chunk_invariance_load_file ]);
       ("4. engine parity across stores",
-       [ Alcotest.test_case "corpus x configs, packed/boxed/loaded" `Slow
+       [ Alcotest.test_case "corpus x {serial, jobs4}, parsed/loaded" `Slow
            test_corpus_parity ]);
       ("6. bulk accessors and the code-eval oracle",
-       [ Alcotest.test_case "bulk range = per-row, packed and boxed" `Quick
+       [ Alcotest.test_case "bulk range = per-row, scan accounting" `Quick
            test_bulk_accessor_parity;
          Alcotest.test_case "bulk ranges across chunk seams" `Quick
            test_bulk_accessor_parity_chunked;
