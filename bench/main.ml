@@ -10,7 +10,7 @@
      micro      Section 3/4 premise: % (rownum) vs # (rowid) operator cost,
                 and staircase-join step throughput
      parallel   morsel-driven scaling at jobs = 1/2/4/8;
-                writes BENCH_parallel.json
+                writes BENCH_parallel.json, exits 1 on a count mismatch
      rewrite    the logical rewriter on vs off over join-bearing queries;
                 writes BENCH_rewrite.json
      joingraph  join-graph isolation on vs off (Q9 vs Q8 headline ratio);
@@ -113,9 +113,9 @@ let with_store scale f =
   f st bytes
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Basis.Clock.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Basis.Clock.now () -. t0)
 
 (* Execution time of a precompiled query: repeat short runs (up to 7 or a
    0.5 s budget) and report the minimum — compilation is excluded. *)
@@ -127,9 +127,9 @@ let measure_exec ?(budget = 0.5) run =
   (* always at least two runs: single-run variance dominates at sizes
      where one execution exceeds the budget *)
   while (!n < 7 && !total < budget) || !n < 2 do
-    let t0 = Unix.gettimeofday () in
+    let t0 = Basis.Clock.now () in
     items := run ();
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Basis.Clock.now () -. t0 in
     best := Float.min !best dt;
     total := !total +. dt;
     incr n
@@ -402,9 +402,9 @@ let micro () =
        let measure node =
          let c = Algebra.Eval.create st in
          ignore (Algebra.Eval.eval c t);
-         let t0 = Unix.gettimeofday () in
+         let t0 = Basis.Clock.now () in
          ignore (Algebra.Eval.eval c node);
-         Unix.gettimeofday () -. t0
+         Basis.Clock.now () -. t0
        in
        let t_rownum = measure rn and t_rowid = measure ri in
        Printf.printf
@@ -478,9 +478,9 @@ let sharing () =
            let _, _, opt = Engine.plans_of ~opts:mode_unordered q in
            let measure mode =
              let ctx = Algebra.Eval.create ~mode st in
-             let t0 = Unix.gettimeofday () in
+             let t0 = Basis.Clock.now () in
              ignore (Algebra.Eval.eval ctx opt);
-             (Algebra.Eval.evals ctx, Unix.gettimeofday () -. t0)
+             (Algebra.Eval.evals ctx, Basis.Clock.now () -. t0)
            in
            let ed, td = measure Algebra.Eval.Dag in
            let et, tt = measure Algebra.Eval.Tree in
@@ -583,7 +583,8 @@ Reading guide: rules without CDA barely help (the dead %% chains
 (* Morsel-driven scaling: the same prepared physical plan executed at
    jobs = 1, 2, 4, 8 over the XMark corpus. Results are parity-checked
    per width (identical item counts — the full row-level parity lives in
-   test_parallel.ml); the JSON baseline records per-width times, the
+   test_parallel.ml), and a count mismatch on any query exits 1 after
+   the JSON is written; the JSON baseline records per-width times, the
    speedup at 4 domains, and the host's core count. The baseline's
    "mode" field says what was measured: "scaling" on a multi-core host,
    "overhead" on a single core (where a best case of ~1.0x means the
@@ -693,7 +694,11 @@ let parallel_bench () =
         rows;
       Printf.fprintf oc "  ]\n}\n";
       close_out oc;
-      Printf.printf "wrote %s\n" out_path)
+      Printf.printf "wrote %s\n" out_path;
+      if not all_parity then begin
+        Printf.eprintf "parallel: result count parity failed\n";
+        exit 1
+      end)
 
 (* The join-graph isolation headline queries (queries/README.md): an
    anti-join and a semi-join existential whose count-then-filter
@@ -1092,9 +1097,9 @@ let serve_bench () =
         let lats = ref [] and shed = ref 0 and errs = ref 0 in
         (try
            for _ = 1 to n do
-             let t0 = Unix.gettimeofday () in
+             let t0 = Basis.Clock.now () in
              let resp = rpc ic oc line in
-             let dt = (Unix.gettimeofday () -. t0) *. 1000. in
+             let dt = (Basis.Clock.now () -. t0) *. 1000. in
              if String.length resp >= 2 && String.sub resp 0 2 = "OK" then
                lats := dt :: !lats
              else if String.starts_with ~prefix:"ERR resource" resp then
@@ -1119,7 +1124,7 @@ let serve_bench () =
       in
       (* A phase: run the thunks concurrently, merge client-side tallies. *)
       let run_phase name thunks =
-        let t0 = Unix.gettimeofday () in
+        let t0 = Basis.Clock.now () in
         let results = ref [] and mu = Mutex.create () in
         let ths =
           List.map
@@ -1134,7 +1139,7 @@ let serve_bench () =
             thunks
         in
         List.iter Thread.join ths;
-        let wall = Unix.gettimeofday () -. t0 in
+        let wall = Basis.Clock.now () -. t0 in
         let lats =
           List.concat_map (fun (l, _, _) -> l) !results
           |> Array.of_list

@@ -407,10 +407,8 @@ let plan_cmd =
               optimized
           in
           Printf.printf
-            "-- physical plan: %d kernels covering %d logical ops, \
-             %d parallelizable (\xE2\x88\xA5)\n"
+            "-- physical plan: %d kernels, %d parallelizable (\xE2\x88\xA5)\n"
             (Algebra.Lower.count_kernels pp)
-            (Algebra.Lower.count_covered pp)
             (Algebra.Lower.count_parallel pp);
           print_string (Algebra.Lower.to_string pp)
         end)

@@ -1,20 +1,16 @@
 (* Lowering: compile the hash-consed logical Plan DAG into the physical
    operator DAG that [Physical] executes.
 
-   The one non-trivial decision made here is kernel fusion: a maximal
-   chain of adjacent Attach / Fun1 / Fun2 / Fun3 / Select operators is
-   folded into a single [K_pipe] kernel that runs the whole chain in one
-   pass. A chain may only swallow a node whose result no one else needs,
-   i.e. whose parent count in the DAG is exactly 1 — shared subplans keep
-   their own kernel (and their own memo slot), so the sharing the
-   hash-consing found is preserved intact. The chain's head node CAN be
-   shared: the fused kernel is memoized under the head's id.
-
-   Everything else maps 1:1 onto a physical kernel — typed where
-   [Physical] has a typed implementation, [K_boxed] (the boxed kernel
-   called through table conversions) where it does not. Lowering is
-   strictly post-logical: it never changes plan shapes, so the logical
-   optimizer's output (and its golden tests) are untouched.
+   Lowering is a 1:1 map: every logical node becomes exactly one kernel,
+   memoized under the node's hash-cons id, so the sharing the
+   hash-consing found is preserved intact and every node's output is a
+   batch of its own. A physical run therefore passes the same budget
+   boundaries, and charges the same rows, as the boxed executor over the
+   same plan. Each kernel is typed where [Physical] has a typed
+   implementation, [K_boxed] (the boxed kernel called through table
+   conversions) where it does not. Lowering is strictly post-logical: it
+   never changes plan shapes, so the logical optimizer's output (and its
+   golden tests) are untouched.
 
    Static column-type hints come in through [types] — a function rather
    than a direct [Properties] call because the property inference lives
@@ -25,40 +21,11 @@
    morsels ([ppar]) — the plan-shape story of the paper, mapped onto the
    executor: Rowid is the [#] shape (order immaterial — dense renumbering
    at the end), Rownum is the [%] shape (an order the query can observe),
-   so pipes, join and semijoin probes and the order-indifferent
-   aggregates (count/sum/min/max) parallelize, while Rownum — and
-   everything whose matching logic is inherently sequential (Distinct's
-   first-wins dedup, any hash build that is itself the output, Union's
-   append) or boxed — stays serial. *)
-
-type chain = Physical.chain_op list
-
-(* Parent (reference) counts over the DAG: how many operators consume
-   each node's result. Each node visited once thanks to hash-consing. *)
-let parent_counts root =
-  let counts = Hashtbl.create 256 in
-  List.iter
-    (fun (n : Plan.node) ->
-       List.iter
-         (fun (c : Plan.node) ->
-            Hashtbl.replace counts c.id
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts c.id)))
-         (Plan.children n.op))
-    (Plan.topo_order root);
-  counts
-
-let chain_op_of (op : Plan.op) : (Physical.chain_op * Plan.node) option =
-  match op with
-  | Plan.Select { input; col } -> Some (Physical.F_select col, input)
-  | Plan.Attach { input; res; value } ->
-    Some (Physical.F_attach (res, value), input)
-  | Plan.Fun1 { input; res; f; arg } ->
-    Some (Physical.F_fun1 (res, f, arg), input)
-  | Plan.Fun2 { input; res; f; arg1; arg2 } ->
-    Some (Physical.F_fun2 (res, f, arg1, arg2), input)
-  | Plan.Fun3 { input; res; f; arg1; arg2; arg3 } ->
-    Some (Physical.F_fun3 (res, f, arg1, arg2, arg3), input)
-  | _ -> None
+   so the per-row select/attach/fun kernels, join and semijoin probes and
+   the order-indifferent aggregates (count/sum/min/max) parallelize,
+   while Rownum — and everything whose matching logic is inherently
+   sequential (Distinct's first-wins dedup, any hash build that is itself
+   the output, Union's append) or boxed — stays serial. *)
 
 let label_of (n : Plan.node) =
   if n.Plan.label = "" then Plan.op_symbol n.Plan.op else n.Plan.label
@@ -74,8 +41,10 @@ let parallelizable (pop : Physical.pop) =
   match pop with
   | Physical.K_join { build_left = true; _ }
   | Physical.K_semijoin { build_left = true; _ } -> false
-  | Physical.K_pipe _ | Physical.K_join _ | Physical.K_thetajoin _
-  | Physical.K_semijoin _ | Physical.K_rowid _ -> true
+  | Physical.K_select _ | Physical.K_attach _ | Physical.K_fun1 _
+  | Physical.K_fun2 _ | Physical.K_fun3 _ | Physical.K_join _
+  | Physical.K_thetajoin _ | Physical.K_semijoin _ | Physical.K_rowid _ ->
+    true
   | Physical.K_aggr { agg; _ } -> (
     match agg with
     | Plan.A_count | Plan.A_sum | Plan.A_min | Plan.A_max -> true
@@ -95,76 +64,50 @@ let lower ?(types = fun (_ : Plan.node) -> ([] : (string * Column.ty) list))
     | None -> false
     | Some est -> 2 * est left < est right
   in
-  let parents = parent_counts root in
-  let parent_count (n : Plan.node) =
-    Option.value ~default:0 (Hashtbl.find_opt parents n.Plan.id)
-  in
   let memo : (int, Physical.pnode) Hashtbl.t = Hashtbl.create 256 in
   let rec go (n : Plan.node) : Physical.pnode =
     match Hashtbl.find_opt memo n.Plan.id with
     | Some p -> p
     | None ->
-      let mk pop pinputs pfused =
+      let pop =
+        match n.Plan.op with
+        | Plan.Select { col; _ } -> Physical.K_select col
+        | Plan.Attach { res; value; _ } -> Physical.K_attach (res, value)
+        | Plan.Fun1 { res; f; arg; _ } -> Physical.K_fun1 (res, f, arg)
+        | Plan.Fun2 { res; f; arg1; arg2; _ } ->
+          Physical.K_fun2 (res, f, arg1, arg2)
+        | Plan.Fun3 { res; f; arg1; arg2; arg3; _ } ->
+          Physical.K_fun3 (res, f, arg1, arg2, arg3)
+        | Plan.Project { cols; _ } -> Physical.K_project cols
+        | Plan.Distinct _ -> Physical.K_distinct
+        | Plan.Union _ -> Physical.K_union
+        | Plan.Rowid { res; _ } -> Physical.K_rowid res
+        | Plan.Rownum { res; order; part; _ } ->
+          Physical.K_rownum { res; order; part; merge_hint = merge_hint n }
+        | Plan.Join { left; right; lcol; rcol } ->
+          Physical.K_join { lcol; rcol; build_left = build_left_of left right }
+        | Plan.Thetajoin { lcol; cmp; rcol; _ } ->
+          Physical.K_thetajoin { lcol; cmp; rcol }
+        | Plan.Semijoin { left; right; on } ->
+          Physical.K_semijoin
+            { anti = false; on; build_left = build_left_of left right }
+        | Plan.Antijoin { left; right; on } ->
+          Physical.K_semijoin
+            { anti = true; on; build_left = build_left_of left right }
+        | Plan.Aggr { res; agg; arg; part; order; _ } ->
+          Physical.K_aggr { res; agg; arg; part; order }
+        | op ->
+          (* Lit, Cross, Step, node construction, Range, Textify,
+             Id_lookup, Doc: boxed kernels over converted inputs *)
+          Physical.K_boxed op
+      in
+      let p =
         { Physical.pid = n.Plan.id;
           pop;
-          pinputs;
-          pfused;
+          pinputs = List.map go (Plan.children n.Plan.op);
           plabel = label_of n;
           ptypes = types n;
           ppar = parallelizable pop }
-      in
-      let p =
-        match chain_op_of n.Plan.op with
-        | Some (op, input) ->
-          (* grow the chain downward while the next node is chainable and
-             consumed by this chain alone *)
-          let rec grow acc fused (cur : Plan.node) =
-            match chain_op_of cur.Plan.op with
-            | Some (op', input') when parent_count cur = 1 ->
-              grow (op' :: acc) (fused + 1) input'
-            | _ -> (acc, fused, cur)
-          in
-          let ops, fused, src = grow [ op ] 1 input in
-          mk (Physical.K_pipe ops) [ go src ] fused
-        | None -> (
-          match n.Plan.op with
-          | Plan.Project { input; cols } ->
-            mk (Physical.K_project cols) [ go input ] 1
-          | Plan.Distinct { input } -> mk Physical.K_distinct [ go input ] 1
-          | Plan.Union { left; right } ->
-            mk Physical.K_union [ go left; go right ] 1
-          | Plan.Rowid { input; res } ->
-            mk (Physical.K_rowid res) [ go input ] 1
-          | Plan.Rownum { input; res; order; part } ->
-            mk
-              (Physical.K_rownum
-                 { res; order; part; merge_hint = merge_hint n })
-              [ go input ] 1
-          | Plan.Join { left; right; lcol; rcol } ->
-            mk
-              (Physical.K_join
-                 { lcol; rcol; build_left = build_left_of left right })
-              [ go left; go right ] 1
-          | Plan.Thetajoin { left; right; lcol; cmp; rcol } ->
-            mk
-              (Physical.K_thetajoin { lcol; cmp; rcol })
-              [ go left; go right ] 1
-          | Plan.Semijoin { left; right; on } ->
-            mk
-              (Physical.K_semijoin
-                 { anti = false; on; build_left = build_left_of left right })
-              [ go left; go right ] 1
-          | Plan.Antijoin { left; right; on } ->
-            mk
-              (Physical.K_semijoin
-                 { anti = true; on; build_left = build_left_of left right })
-              [ go left; go right ] 1
-          | Plan.Aggr { input; res; agg; arg; part; order } ->
-            mk (Physical.K_aggr { res; agg; arg; part; order }) [ go input ] 1
-          | op ->
-            (* Lit, Cross, Step, node construction, Range, Textify,
-               Id_lookup, Doc: boxed kernels over converted inputs *)
-            mk (Physical.K_boxed op) (List.map go (Plan.children op)) 1)
       in
       Hashtbl.add memo n.Plan.id p;
       p
@@ -183,20 +126,6 @@ let count_kernels (root : Physical.pnode) =
   go root;
   Hashtbl.length seen
 
-(* Logical operators covered (the sum of fusion widths). *)
-let count_covered (root : Physical.pnode) =
-  let seen = Hashtbl.create 64 in
-  let total = ref 0 in
-  let rec go (p : Physical.pnode) =
-    if not (Hashtbl.mem seen p.Physical.pid) then begin
-      Hashtbl.add seen p.Physical.pid ();
-      total := !total + p.Physical.pfused;
-      List.iter go p.Physical.pinputs
-    end
-  in
-  go root;
-  !total
-
 (* Kernels licensed for morsel parallelism (each counted once). *)
 let count_parallel (root : Physical.pnode) =
   let seen = Hashtbl.create 64 in
@@ -210,16 +139,6 @@ let count_parallel (root : Physical.pnode) =
   in
   go root;
   !total
-
-let chain_op_name = function
-  | Physical.F_select c -> Printf.sprintf "σ(%s)" c
-  | Physical.F_attach (res, v) ->
-    Format.asprintf "@%s:=%a" res Value.pp v
-  | Physical.F_fun1 (res, _, a) -> Printf.sprintf "%s:=f1(%s)" res a
-  | Physical.F_fun2 (res, _, a1, a2) ->
-    Printf.sprintf "%s:=f2(%s,%s)" res a1 a2
-  | Physical.F_fun3 (res, _, a1, a2, a3) ->
-    Printf.sprintf "%s:=f3(%s,%s,%s)" res a1 a2 a3
 
 (* Physical-plan dump: one node per line, indentation for structure,
    [^id] back-references for shared kernels, column-type annotations from
@@ -236,21 +155,23 @@ let pp fmt (root : Physical.pnode) =
          into the fragment's dictionary code once and compare machine
          ints per row (unless --no-code-eval, or the operand column
          turns out not to carry codes). The stamp covers every shape
-         the optimizer can leave the equality in: a fused predicate, a
+         the optimizer can leave the equality in: a [fun2] predicate, a
          hash-join or semijoin key, or an eq thetajoin. *)
       let tyof c = List.assoc_opt c p.Physical.ptypes in
       let str c = tyof c = Some Column.T_str in
       let detail =
         match p.Physical.pop with
-        | Physical.K_pipe ops ->
-          let name op =
-            let base = chain_op_name op in
-            match op with
-            | Physical.F_fun2 (_, (Plan.P_eq | Plan.P_ne), a1, a2)
-              when str a1 || str a2 -> base ^ "[code]"
-            | _ -> base
-          in
-          " [" ^ String.concat "; " (List.map name ops) ^ "]"
+        | Physical.K_select c -> Printf.sprintf " [σ(%s)]" c
+        | Physical.K_attach (res, v) ->
+          Format.asprintf " [@%s:=%a]" res Value.pp v
+        | Physical.K_fun1 (res, _, a) -> Printf.sprintf " [%s:=f1(%s)]" res a
+        | Physical.K_fun2 (res, f, a1, a2) ->
+          Printf.sprintf " [%s:=f2(%s,%s)]%s" res a1 a2
+            (match f with
+             | (Plan.P_eq | Plan.P_ne) when str a1 || str a2 -> " [code]"
+             | _ -> "")
+        | Physical.K_fun3 (res, _, a1, a2, a3) ->
+          Printf.sprintf " [%s:=f3(%s,%s,%s)]" res a1 a2 a3
         | Physical.K_thetajoin { lcol; cmp = Plan.P_eq; rcol }
           when str lcol || str rcol -> " [code]"
         | Physical.K_join { lcol; rcol; _ } when str lcol || str rcol ->
@@ -271,12 +192,9 @@ let pp fmt (root : Physical.pnode) =
           ^ "}"
       in
       let tys = if tys = " {}" then "" else tys in
-      Format.fprintf fmt "%s[%d] %s%s%s%s%s@\n" indent p.Physical.pid
+      Format.fprintf fmt "%s[%d] %s%s%s%s@\n" indent p.Physical.pid
         (Physical.pop_name p.Physical.pop)
         (if p.Physical.ppar then " \xE2\x88\xA5" else "")
-        (if p.Physical.pfused > 1 then
-           Printf.sprintf " (fuses %d ops)" p.Physical.pfused
-         else "")
         detail tys;
       List.iter (go (indent ^ "  ")) p.Physical.pinputs
     end

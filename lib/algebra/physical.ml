@@ -1,7 +1,7 @@
 (* The physical executor: evaluates a lowered physical-operator DAG over
    typed column batches instead of boxed value tables.
 
-   Three mechanisms carry the speedup:
+   Two mechanisms carry the speedup:
 
      - typed columns ([Column]): batches hold unboxed int/float/bool/
        string-id/node-id arrays, converted from the boxed representation
@@ -10,13 +10,13 @@
 
      - selection vectors: Select, Distinct, Semijoin and Antijoin deliver
        a selection over their input's rows instead of materializing a new
-       table; materialization is forced only at pipeline breakers (joins,
+       table, and Attach/Fun kernels append a column over the same base
+       rows; materialization is forced only at pipeline breakers (joins,
        Rownum's sort, aggregation, Union, boxed-fallback kernels, and the
-       final serialization);
+       final serialization).
 
-     - kernel fusion: the lowering pass ([Lower]) folds single-parent
-       Attach/Fun/Select chains into one [K_pipe] kernel that runs the
-       whole chain in a single pass over the batch.
+   The lowering pass ([Lower]) maps every logical node to exactly one
+   kernel, so every node's output is a batch of its own.
 
    Everything without a typed implementation falls back to the boxed
    kernels ([Kernels.eval_op]) through cached table conversions, so the
@@ -29,12 +29,12 @@
    (float comparisons replicate the boxed [Value] semantics: unordered on
    NaN, total [Float.compare] otherwise).
 
-   Resource governance: one [Budget.check] per kernel invocation (a fused
-   chain is one kernel, so physical runs make at most as many checks as
-   the logical executor for the same plan). Byte accounting deliberately
-   charges the *boxed-equivalent* footprint, so a byte budget governs the
-   same logical materialization on either executor rather than rewarding
-   the cheaper representation.
+   Resource governance: one [Budget.check] per kernel invocation, and one
+   kernel per logical node, so a physical run passes exactly the boxed
+   executor's check boundaries and charges the same rows. Byte accounting
+   deliberately charges the *boxed-equivalent* footprint, so a byte
+   budget governs the same logical materialization on either executor
+   rather than rewarding the cheaper representation.
 
    Morsel-driven parallelism ([jobs > 1]): kernels whose output order the
    optimizer proved immaterial — exactly the rowid/[#] shapes and
@@ -71,16 +71,12 @@ open Basis
 
 (* ------------------------------------------------------ the physical plan *)
 
-(* One member of a fused Attach/Fun/Select chain, applied input-first. *)
-type chain_op =
-  | F_select of string
-  | F_attach of string * Value.t
-  | F_fun1 of string * Plan.prim1 * string
-  | F_fun2 of string * Plan.prim2 * string * string
-  | F_fun3 of string * Plan.prim3 * string * string * string
-
 type pop =
-  | K_pipe of chain_op list      (* >= 1 chain ops over one input *)
+  | K_select of string
+  | K_attach of string * Value.t
+  | K_fun1 of string * Plan.prim1 * string
+  | K_fun2 of string * Plan.prim2 * string * string
+  | K_fun3 of string * Plan.prim3 * string * string * string
   | K_project of (string * string) list
   | K_distinct
   | K_union
@@ -116,22 +112,26 @@ type pop =
   | K_boxed of Plan.op           (* no typed implementation: boxed kernel *)
 
 type pnode = {
-  pid : int;           (* hash-cons id of the logical head node *)
+  pid : int;           (* hash-cons id of the logical node *)
   pop : pop;
   pinputs : pnode list;
-  pfused : int;        (* logical operators this kernel covers *)
-  plabel : string;     (* profile bucket (the logical head's label) *)
+  plabel : string;     (* profile bucket (the logical node's label) *)
   ptypes : (string * Column.ty) list;
       (* statically inferred column types of the output (plan-dump aid) *)
   ppar : bool;
       (* order-indifferent kernel, licensed to fan out over morsels:
-         rowid/[#] pipeline shapes, hash/theta join and semijoin probes,
-         and count/sum/min/max aggregates — never [%]-bearing (Rownum)
-         or boxed kernels. Set by the lowering ([Lower]). *)
+         per-row select/attach/fun kernels, rowid/[#] stamps, hash/theta
+         join and semijoin probes, and count/sum/min/max aggregates —
+         never [%]-bearing (Rownum) or boxed kernels. Set by the
+         lowering ([Lower]). *)
 }
 
 let pop_name = function
-  | K_pipe ops -> Printf.sprintf "pipe[%d]" (List.length ops)
+  | K_select _ -> "select"
+  | K_attach _ -> "attach"
+  | K_fun1 _ -> "fun1"
+  | K_fun2 _ -> "fun2"
+  | K_fun3 _ -> "fun3"
   | K_project _ -> "project"
   | K_distinct -> "distinct"
   | K_union -> "union"
@@ -318,10 +318,13 @@ let of_table t =
     base = n;
     table = Some t }
 
-let iter_sel b f =
+(* Visible rows [lo, hi) of the selection, in order. *)
+let iter_span b lo hi f =
   match b.sel with
-  | None -> for r = 0 to b.nrows - 1 do f r done
-  | Some s -> Array.iter f s
+  | None -> for r = lo to hi - 1 do f r done
+  | Some s -> for k = lo to hi - 1 do f s.(k) done
+
+let iter_sel b f = iter_span b 0 b.nrows f
 
 let col_pos b name =
   let n = Array.length b.schema in
@@ -352,6 +355,14 @@ let retyped ctx b i =
   | c -> c
 
 let rcol ctx b name = retyped ctx b (col_pos b name)
+
+(* Append one column over the same base rows and selection. *)
+let with_col b name c =
+  { b with
+    schema = Array.append b.schema [| name |];
+    cols = Array.append b.cols [| c |];
+    typed = Array.append b.typed [| None |];
+    table = None }
 
 (* Force the selection into the base: one gather per column, in whatever
    representation the column has (typed views are gathered alongside, so
@@ -494,81 +505,41 @@ let materialize_codes ctx c =
     Column.Strs { pool = ctx.pool; ids }
   | c -> c
 
-(* -------------------------------------------------------- fused pipeline *)
+(* --------------------------------------------------------- per-row kernels *)
 
-(* State threaded through a fused chain: growing named base columns plus
-   the current selection. Compute ops fill only the selected rows of
-   their output; dead entries hold dummies and are never read, because a
-   chain's selection only ever shrinks. *)
-type pipe = {
-  mutable pcols : (string * Column.t) array;
-  mutable ptyped : Column.t option array;  (* typed views of Mixed entries *)
-  mutable psel : int array option;
-  mutable pn : int;  (* visible rows *)
-  pbase : int;
-}
+(* Select, Attach and Fun1/2/3 run over their input batch's base rows and
+   selection: compute kernels fill only the visible rows of their output
+   column; dead entries hold dummies and are never read, because
+   downstream selections only ever shrink.
 
-(* First occurrence wins, matching [Table.col] after duplicate appends. *)
-let pipe_col p name =
-  let n = Array.length p.pcols in
-  let rec go i =
-    if i >= n then
-      Err.internal "Physical: no column %S in fused pipeline" name
-    else
-      let cn, c = p.pcols.(i) in
-      if String.equal cn name then (i, c) else go (i + 1)
-  in
-  go 0
-
-let pipe_retyped ctx p name =
-  let i, c = pipe_col p name in
-  match c with
-  | Column.Mixed vs when Array.length vs > 0 -> (
-    match p.ptyped.(i) with
-    | Some c' -> c'
-    | None ->
-      let c' = Column.of_values ~pool:ctx.pool vs in
-      (match c' with
-       | Column.Mixed _ -> ()
-       | _ -> bump ctx Profile.count_retype);
-      p.ptyped.(i) <- Some c';
-      c')
-  | c -> c
-
-(* Visible rows [lo, hi) of the current selection, in order. *)
-let pipe_iter_span p lo hi f =
-  match p.psel with
-  | None -> for r = lo to hi - 1 do f r done
-  | Some s -> for k = lo to hi - 1 do f s.(k) done
-
-(* The row loop of one compute op: [run f] applies [f] to every visible
-   row — inline, or sliced into morsels on the pool when the enclosing
+   The row loop of one compute kernel: [run f] applies [f] to every
+   visible row — inline, or sliced into morsels on the pool when the
    kernel is order-indifferent. Distinct morsels see disjoint visible
    rows (the selection is strictly increasing), so per-row writes to
-   distinct base slots of a shared output never overlap. Reads the
-   pipe's *current* selection at call time, after any earlier selects in
-   the chain. *)
-let row_runner ctx ~par p =
-  fun f -> run_spans ctx ~par p.pn (fun lo hi -> pipe_iter_span p lo hi f)
+   distinct base slots of a shared output never overlap. The coordinator
+   does all retyping and typed-path dispatch (String_pool is not
+   thread-safe) before the loop fans out. *)
+let row_runner ctx ~par b =
+  fun f -> run_spans ctx ~par b.nrows (fun lo hi -> iter_span b lo hi f)
 
 (* Generic per-row fallback: boxed application over the visible rows.
    [Kernels.apply*] only read the store (node string-values, names):
    pure, so safe on worker domains. *)
-let generic1 env run p f c =
-  let out = Array.make p.pbase (Value.Int 0) in
+let generic1 env run b f c =
+  let out = Array.make b.base (Value.Int 0) in
   run (fun r ->
       out.(r) <- Kernels.apply1 env.Kernels.store f (Column.get c r));
   Column.Mixed out
 
-let generic2 env run p f c1 c2 =
-  let out = Array.make p.pbase (Value.Int 0) in
+let generic2 env run b f c1 c2 =
+  let out = Array.make b.base (Value.Int 0) in
   run (fun r ->
       out.(r) <-
         Kernels.apply2 env.Kernels.store f (Column.get c1 r) (Column.get c2 r));
   Column.Mixed out
 
-let generic3 env run p f c1 c2 c3 =
-  let out = Array.make p.pbase (Value.Int 0) in
+let generic3 env run b f c1 c2 c3 =
+  let out = Array.make b.base (Value.Int 0) in
   run (fun r ->
       out.(r) <-
         Kernels.apply3 env.Kernels.store f (Column.get c1 r) (Column.get c2 r)
@@ -586,24 +557,24 @@ let generic3 env run p f c1 c2 c3 =
    packed columns (pure), so it may fan out over morsels. *)
 exception Not_codeable
 
-let codes_of_nodes ctx run p (frag : int array) (pre : int array) =
-  if p.pn = 0 then None
+let codes_of_nodes ctx run b (frag : int array) (pre : int array) =
+  if b.nrows = 0 then None
   else
     try
       let fid = ref (-1) in
-      pipe_iter_span p 0 p.pn (fun r ->
+      iter_sel b (fun r ->
           if !fid = -1 then fid := frag.(r)
           else if frag.(r) <> !fid then raise Not_codeable);
       let store = ctx.env.Kernels.store in
       let f = Xmldb.Doc_store.frag store !fid in
-      pipe_iter_span p 0 p.pn (fun r ->
+      iter_sel b (fun r ->
           match Xmldb.Doc_store.kind_at f pre.(r) with
           | Xmldb.Node_kind.Attribute | Xmldb.Node_kind.Text
           | Xmldb.Node_kind.Comment
           | Xmldb.Node_kind.Processing_instruction -> ()
           | Xmldb.Node_kind.Element | Xmldb.Node_kind.Document ->
             raise Not_codeable);
-      let codes = Array.make p.pbase 0 in
+      let codes = Array.make b.base 0 in
       run (fun r -> codes.(r) <- Xmldb.Doc_store.text_code_at f pre.(r));
       Some
         (Column.Codes
@@ -611,12 +582,12 @@ let codes_of_nodes ctx run p (frag : int array) (pre : int array) =
     with Not_codeable -> None
 
 (* Unary kernels with a typed path; everything else runs generic. *)
-let fun1_col ctx run p f c =
+let fun1_col ctx run b f c =
   let typed =
     match f with
     | Plan.P_atomize when ctx.env.Kernels.code_eval -> (
       match c with
-      | Column.Nodes { frag; pre } -> codes_of_nodes ctx run p frag pre
+      | Column.Nodes { frag; pre } -> codes_of_nodes ctx run b frag pre
       (* atomization only transforms nodes: every typed non-node column
          (a string literal kept Const, in particular) passes through
          unchanged — which is what lets a comparand survive to the
@@ -628,7 +599,7 @@ let fun1_col ctx run p f c =
       | Column.Mixed _ -> None)
     | Plan.P_string when ctx.env.Kernels.code_eval -> (
       match c with
-      | Column.Nodes { frag; pre } -> codes_of_nodes ctx run p frag pre
+      | Column.Nodes { frag; pre } -> codes_of_nodes ctx run b frag pre
       | Column.Strs _ | Column.Codes _
       | Column.Const { v = Value.Str _; _ } ->
         (* string() of a string: identity *)
@@ -638,45 +609,45 @@ let fun1_col ctx run p f c =
       (* the ebv of a Bool is the Bool itself, so negation is direct *)
       Option.map
         (fun g ->
-           let out = Bytes.make p.pbase '\000' in
+           let out = Bytes.make b.base '\000' in
            run (fun r -> if not (g r) then Bytes.set out r '\001');
            Column.Bools out)
         (bool_reader c)
     | Plan.P_neg | Plan.P_abs -> (
       match c with
       | Column.Ints a ->
-        let out = Array.make p.pbase 0 in
+        let out = Array.make b.base 0 in
         let op = if f = Plan.P_neg then ( ~- ) else abs in
         run (fun r -> out.(r) <- op a.(r));
         Some (Column.Ints out)
       | Column.Dbls a ->
-        let out = Array.make p.pbase 0.0 in
+        let out = Array.make b.base 0.0 in
         let op = if f = Plan.P_neg then ( ~-. ) else Float.abs in
         run (fun r -> out.(r) <- op a.(r));
         Some (Column.Dbls out)
       | _ -> None)
     | _ -> None
   in
-  match typed with Some c -> c | None -> generic1 ctx.env run p f c
+  match typed with Some c -> c | None -> generic1 ctx.env run b f c
 
 (* Binary kernels. Int×Int stays int (except P_div, whose result type is
    data-dependent, so it runs generic); numeric×numeric runs as floats.
    Both replicate the boxed promotion rules exactly — float comparisons
    are unordered on NaN and [Float.compare] otherwise (so -0.0 < 0.0,
    like the boxed path), NOT the native IEEE operators. *)
-let fun2_col ctx run p f c1 c2 =
+let fun2_col ctx run b f c1 c2 =
   let bools g =
-    let out = Bytes.make p.pbase '\000' in
+    let out = Bytes.make b.base '\000' in
     run (fun r -> if g r then Bytes.set out r '\001');
     Column.Bools out
   in
   let ints g =
-    let out = Array.make p.pbase 0 in
+    let out = Array.make b.base 0 in
     run (fun r -> out.(r) <- g r);
     Column.Ints out
   in
   let dbls g =
-    let out = Array.make p.pbase 0.0 in
+    let out = Array.make b.base 0.0 in
     run (fun r -> out.(r) <- g r);
     Column.Dbls out
   in
@@ -770,9 +741,9 @@ let fun2_col ctx run p f c1 c2 =
                    Some (bools (fun _ -> neg)))
               | Column.Codes k1, Column.Codes k2 when k1.frag == k2.frag ->
                 let nz = norm k1.frag in
-                let a = k1.codes and b = k2.codes in
+                let ca = k1.codes and cb = k2.codes in
                 bump ctx Profile.count_code_pred;
-                Some (bools (fun r -> (nz a.(r) = nz b.(r)) <> neg))
+                Some (bools (fun r -> (nz ca.(r) = nz cb.(r)) <> neg))
               | ( Column.Codes { frag; codes; _ },
                   Column.Strs { pool; ids } )
               | ( Column.Strs { pool; ids },
@@ -786,8 +757,8 @@ let fun2_col ctx run p f c1 c2 =
                    fragment, matching no row. *)
                 let nz = norm frag in
                 let memo : (int, int) Hashtbl.t = Hashtbl.create 8 in
-                let tcodes = Array.make p.pbase (-1) in
-                pipe_iter_span p 0 p.pn (fun r ->
+                let tcodes = Array.make b.base (-1) in
+                iter_sel b (fun r ->
                     let id = ids.(r) in
                     tcodes.(r) <-
                       (match Hashtbl.find_opt memo id with
@@ -832,7 +803,7 @@ let fun2_col ctx run p f c1 c2 =
       | _ -> None)
     | _ -> None
   in
-  match typed with Some c -> c | None -> generic2 ctx.env run p f c1 c2
+  match typed with Some c -> c | None -> generic2 ctx.env run b f c1 c2
 
 (* The filter: refine the selection without touching any column. Error
    behavior matches the boxed select row-for-row over the visible rows
@@ -841,7 +812,7 @@ let fun2_col ctx run p f c1 c2 =
    morsel's error is the one re-raised, so the surfaced error is the
    serial one). Parallel morsels collect survivors into private vectors
    concatenated in morsel order — the serial selection exactly. *)
-let select_sel ctx ~par p c =
+let select_sel ctx ~par b c =
   let test_of =
     match c with
     | Column.Bools bb -> Some (fun r -> Bytes.unsafe_get bb r <> '\000')
@@ -850,7 +821,7 @@ let select_sel ctx ~par p c =
       Some
         (fun r ->
            match Column.get c r with
-           | Value.Bool b -> b
+           | Value.Bool x -> x
            | v ->
              Err.dynamic "selection on non-boolean value %s"
                (Value.type_name v))
@@ -860,71 +831,24 @@ let select_sel ctx ~par p c =
     match c with
     | Column.Const { v = Value.Bool true; _ } ->
       let live = Vec.create 0 in
-      pipe_iter_span p 0 p.pn (fun r -> Vec.push live r);
+      iter_sel b (fun r -> Vec.push live r);
       Vec.to_array live
     | Column.Const { v = Value.Bool false; _ } -> [||]
     | Column.Const { v; _ } ->
-      if p.pn > 0 then
+      if b.nrows > 0 then
         Err.dynamic "selection on non-boolean value %s" (Value.type_name v)
       else [||]
     | _ -> assert false)
   | Some test ->
     let produce lo hi =
       let live = Vec.create 0 in
-      pipe_iter_span p lo hi (fun r -> if test r then Vec.push live r);
+      iter_span b lo hi (fun r -> if test r then Vec.push live r);
       Vec.to_array live
     in
-    let parts = map_spans ctx ~par p.pn produce in
+    let parts = map_spans ctx ~par b.nrows produce in
     (match parts with
      | [| s |] -> s
      | _ -> Array.concat (Array.to_list parts))
-
-(* Chain ops run strictly in order (an op-level barrier): the coordinator
-   does all retyping and typed-path dispatch (String_pool is not
-   thread-safe), then only the per-row fill loop of each op fans out. *)
-let run_pipe ctx ~par (b : batch) (ops : chain_op list) : batch =
-  let p =
-    { pcols = Array.mapi (fun i c -> (b.schema.(i), c)) b.cols;
-      ptyped = Array.copy b.typed;
-      psel = b.sel;
-      pn = b.nrows;
-      pbase = b.base }
-  in
-  let run = row_runner ctx ~par p in
-  let push name c =
-    p.pcols <- Array.append p.pcols [| (name, c) |];
-    p.ptyped <- Array.append p.ptyped [| None |]
-  in
-  List.iter
-    (fun op ->
-       match op with
-       | F_select name ->
-         let c = pipe_retyped ctx p name in
-         let s = select_sel ctx ~par p c in
-         p.psel <- Some s;
-         p.pn <- Array.length s;
-         bump ctx Profile.count_mat_avoided
-       | F_attach (res, v) -> push res (Column.const v p.pbase)
-       | F_fun1 (res, f, a) ->
-         let c = pipe_retyped ctx p a in
-         push res (fun1_col ctx run p f c)
-       | F_fun2 (res, f, a1, a2) ->
-         let c1 = pipe_retyped ctx p a1 in
-         let c2 = pipe_retyped ctx p a2 in
-         push res (fun2_col ctx run p f c1 c2)
-       | F_fun3 (res, f, a1, a2, a3) ->
-         let c1 = pipe_retyped ctx p a1 in
-         let c2 = pipe_retyped ctx p a2 in
-         let c3 = pipe_retyped ctx p a3 in
-         push res (generic3 ctx.env run p f c1 c2 c3))
-    ops;
-  { schema = Array.map fst p.pcols;
-    cols = Array.map snd p.pcols;
-    typed = p.ptyped;
-    sel = p.psel;
-    nrows = p.pn;
-    base = p.pbase;
-    table = None }
 
 (* ------------------------------------------------------- breaker kernels *)
 
@@ -1401,11 +1325,7 @@ let k_rowid ctx ~par b res =
   | None ->
     (* dense numbering is MonetDB's void column: O(1), nothing stored *)
     bump ctx Profile.count_mat_avoided;
-    { b with
-      schema = Array.append b.schema [| res |];
-      cols = Array.append b.cols [| Column.seq ~start:1 b.nrows |];
-      typed = Array.append b.typed [| None |];
-      table = None }
+    with_col b res (Column.seq ~start:1 b.nrows)
   | Some s ->
     (* scattered: number the selected rows 1..n in selection order; each
        write targets [s.(i)] and the selection is injective, so morsels
@@ -1415,11 +1335,7 @@ let k_rowid ctx ~par b res =
         for i = lo to hi - 1 do
           out.(s.(i)) <- i + 1
         done);
-    { b with
-      schema = Array.append b.schema [| res |];
-      cols = Array.append b.cols [| Column.Ints out |];
-      typed = Array.append b.typed [| None |];
-      table = None }
+    with_col b res (Column.Ints out)
 
 (* Rownum: the pipeline breaker the paper's cost model revolves around.
    Compact, sort a permutation — typed comparators where columns are
@@ -1561,11 +1477,7 @@ let k_rownum ctx b res order part merge_hint =
           last := r;
           out.(r) <- !counter)
        perm);
-  { b with
-    schema = Array.append b.schema [| res |];
-    cols = Array.append b.cols [| Column.Ints out |];
-    typed = Array.append b.typed [| None |];
-    table = None }
+  with_col b res (Column.Ints out)
 
 (* Int-keyed grouped fold with partial aggregation over morsels: every
    morsel folds its contiguous range of visible rows into a private
@@ -1690,7 +1602,29 @@ let exec_kernel ctx (p : pnode) (inputs : batch list) : batch =
   in
   let par = p.ppar in
   match p.pop with
-  | K_pipe ops -> run_pipe ctx ~par (one ()) ops
+  | K_select col ->
+    let b = one () in
+    let s = select_sel ctx ~par b (rcol ctx b col) in
+    bump ctx Profile.count_mat_avoided;
+    { b with sel = Some s; nrows = Array.length s; table = None }
+  | K_attach (res, v) ->
+    let b = one () in
+    with_col b res (Column.const v b.base)
+  | K_fun1 (res, f, a) ->
+    let b = one () in
+    let c = rcol ctx b a in
+    with_col b res (fun1_col ctx (row_runner ctx ~par b) b f c)
+  | K_fun2 (res, f, a1, a2) ->
+    let b = one () in
+    let c1 = rcol ctx b a1 in
+    let c2 = rcol ctx b a2 in
+    with_col b res (fun2_col ctx (row_runner ctx ~par b) b f c1 c2)
+  | K_fun3 (res, f, a1, a2, a3) ->
+    let b = one () in
+    let c1 = rcol ctx b a1 in
+    let c2 = rcol ctx b a2 in
+    let c3 = rcol ctx b a3 in
+    with_col b res (generic3 ctx.env (row_runner ctx ~par b) b f c1 c2 c3)
   | K_project cols -> k_project (one ()) cols
   | K_distinct -> k_distinct ctx (one ())
   | K_union ->
@@ -1723,9 +1657,9 @@ let rec eval ctx (p : pnode) : batch =
   | Some b -> b
   | None ->
     (* the kernel boundary: deadline / op budget / cancellation / fault
-       injection fire here, once per kernel invocation. A fused chain is
-       one kernel, so a physical run makes at most as many checks as the
-       logical executor made for the same plan. *)
+       injection fire here, once per kernel invocation. Kernels map 1:1
+       onto logical nodes, so a physical run makes exactly the checks the
+       boxed executor makes for the same plan. *)
     (match ctx.guard with Some g -> Budget.check g | None -> ());
     (match ctx.mode with
      | Eval.Dag -> List.iter (fun c -> ignore (eval ctx c)) p.pinputs
@@ -1744,7 +1678,7 @@ let rec eval ctx (p : pnode) : batch =
        let dt = Clock.now () -. t0 in
        Profile.add prof p.plabel dt;
        Profile.add_node prof p.pid p.plabel dt;
-       Profile.add_kernel prof ~fused:p.pfused
+       Profile.add_kernel prof
          ~rows_in:(List.fold_left (fun acc b -> acc + b.nrows) 0 inputs)
          ~rows_out:out.nrows
      | None -> ());

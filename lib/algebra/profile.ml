@@ -16,7 +16,8 @@ type node_stat = {
    machinery did and, more importantly, how much it avoided. *)
 type phys = {
   mutable kernels : int;      (* physical kernel invocations *)
-  mutable fused_ops : int;    (* logical operators covered by kernels *)
+  mutable fused_ops : int;    (* logical operators covered by kernels:
+                                 lowering is 1:1, so always [kernels] *)
   mutable rows_in : int;      (* input rows across all kernel invocations *)
   mutable rows_out : int;     (* output rows across all kernel invocations *)
   mutable mat_avoided : int;  (* results delivered as a selection vector /
@@ -75,11 +76,11 @@ let locked t f =
 
 let phys t = t.phys
 
-let add_kernel t ~fused ~rows_in ~rows_out =
+let add_kernel t ~rows_in ~rows_out =
   locked t (fun () ->
       let p = t.phys in
       p.kernels <- p.kernels + 1;
-      p.fused_ops <- p.fused_ops + fused;
+      p.fused_ops <- p.fused_ops + 1;
       p.rows_in <- p.rows_in + rows_in;
       p.rows_out <- p.rows_out + rows_out)
 
@@ -169,10 +170,8 @@ let pp fmt t =
   if nnodes > 0 then
     Format.fprintf fmt "%d unique plan nodes, %d evaluations@." nnodes nevals;
   if p.kernels > 0 then begin
-    Format.fprintf fmt
-      "physical: %d kernels covering %d logical ops (%d fused away), \
-       %d rows in, %d rows out@."
-      p.kernels p.fused_ops (p.fused_ops - p.kernels) p.rows_in p.rows_out;
+    Format.fprintf fmt "physical: %d kernels, %d rows in, %d rows out@."
+      p.kernels p.rows_in p.rows_out;
     Format.fprintf fmt
       "physical: %d materializations avoided, %d forced, %d columns retyped@."
       p.mat_avoided p.mat_forced p.retypes;

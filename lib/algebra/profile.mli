@@ -18,8 +18,10 @@ type t
 type phys = {
   mutable kernels : int;      (** physical kernel invocations *)
   mutable fused_ops : int;
-      (** logical operators covered by kernels, summed over invocations
-          (a lone kernel covers 1); [fused_ops - kernels] were fused away *)
+      (** logical operators covered by kernels, summed over invocations.
+          Lowering maps every logical node to one kernel, so this always
+          equals [kernels]; it stays as the exact count [perfbench]
+          reports as [exec.fused_ops]. *)
   mutable rows_in : int;      (** input rows summed over kernel invocations *)
   mutable rows_out : int;     (** output rows summed over kernel invocations *)
   mutable mat_avoided : int;  (** results delivered as selection vector /
@@ -53,9 +55,9 @@ val create : unit -> t
 
 val phys : t -> phys
 
-(** One physical kernel invocation: [fused] logical ops it covered,
-    input and output row counts. *)
-val add_kernel : t -> fused:int -> rows_in:int -> rows_out:int -> unit
+(** One physical kernel invocation with its input and output row
+    counts. *)
+val add_kernel : t -> rows_in:int -> rows_out:int -> unit
 
 val count_mat_avoided : t -> unit
 val count_mat_forced : t -> unit

@@ -124,36 +124,24 @@ let stats_to_string s = Format.asprintf "%a" pp_stats s
    Comments [(: ... :)] nest and act as token separators; string literals
    are copied verbatim (their whitespace is data).
 
-   Queries containing '<' outside string literals are left untrimmed
-   (beyond the surrounding whitespace): '<' may open a direct constructor
-   whose literal text content is whitespace-significant, and the lexical
-   scan here cannot tell a constructor from a comparison. Conservatism
-   only costs key precision, never correctness. *)
+   A query with a '<' outside string literals and comments is left
+   untrimmed (beyond the surrounding whitespace): '<' may open a direct
+   constructor whose literal text content is whitespace-significant, and
+   the lexical scan here cannot tell a constructor from a comparison.
+   Conservatism only costs key precision, never correctness. The scan
+   must skip comments before deciding: a quote inside a comment opens no
+   string literal. *)
 let normalize_query src =
   let n = String.length src in
-  let has_bare_lt =
-    (* scan outside string literals for '<' *)
-    let rec go i in_str quote =
-      if i >= n then false
-      else
-        let c = src.[i] in
-        if in_str then go (i + 1) (c <> quote) quote
-        else if c = '"' || c = '\'' then go (i + 1) true c
-        else if c = '<' then true
-        else go (i + 1) false ' '
-    in
-    go 0 false ' '
+  let b = Buffer.create n in
+  let i = ref 0 in
+  let depth = ref 0 in
+  let pending_ws = ref false in
+  let sep () =
+    if !pending_ws && Buffer.length b > 0 then Buffer.add_char b ' ';
+    pending_ws := false
   in
-  if has_bare_lt then String.trim src
-  else begin
-    let b = Buffer.create n in
-    let i = ref 0 in
-    let depth = ref 0 in
-    let pending_ws = ref false in
-    let sep () =
-      if !pending_ws && Buffer.length b > 0 then Buffer.add_char b ' ';
-      pending_ws := false
-    in
+  match
     while !i < n do
       let c = src.[!i] in
       if !depth > 0 then begin
@@ -173,6 +161,7 @@ let normalize_query src =
         i := !i + 2;
         pending_ws := true
       end
+      else if c = '<' then raise_notrace Exit
       else if c = ' ' || c = '\t' || c = '\n' || c = '\r' then begin
         pending_ws := true;
         incr i
@@ -200,6 +189,7 @@ let normalize_query src =
         Buffer.add_char b c;
         incr i
       end
-    done;
-    Buffer.contents b
-  end
+    done
+  with
+  | () -> Buffer.contents b
+  | exception Exit -> String.trim src

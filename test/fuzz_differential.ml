@@ -234,23 +234,28 @@ let evaluate_server q =
    boxed reference executor [Algebra.Eval] and through the physical
    kernels, each on a fresh store under the generous budget. The two must
    agree on the schema and on every row in order, or fail with the same
-   error kind and message; only then is the (pos-sorted) result compared
-   against the interpreter like every other config. *)
+   error kind and message; their guards must have counted the same
+   operator boundaries and rows (physical kernels map 1:1 onto logical
+   nodes). Only then is the (pos-sorted) result compared against the
+   interpreter like every other config. *)
 let evaluate_reference_executor ~budget_spec q =
   let run exec =
     let st = mk_store () in
     let stats = Engine.stats_of_store st in
-    match
-      let a = Engine.analyze ~stats q in
-      exec ~stats st a.Engine.aoptimized
-    with
-    | t -> Ok (st, t)
-    | exception e ->
-      (match Engine.classify_error e with
-       | Some { Engine.kind; message } -> Error (Failed (kind, message))
-       | None -> Error (Blew_up (Printexc.to_string e)))
+    let guard = Budget.start budget_spec in
+    let result =
+      match
+        let a = Engine.analyze ~stats q in
+        exec ~stats ~guard st a.Engine.aoptimized
+      with
+      | t -> Ok (st, t)
+      | exception e ->
+        (match Engine.classify_error e with
+         | Some { Engine.kind; message } -> Error (Failed (kind, message))
+         | None -> Error (Blew_up (Printexc.to_string e)))
+    in
+    (result, (Budget.ops guard, Budget.rows guard))
   in
-  let guard () = Budget.start budget_spec in
   let rows t =
     Array.to_list (Algebra.Table.schema t)
     :: List.init (Algebra.Table.nrows t) (fun r ->
@@ -265,18 +270,27 @@ let evaluate_reference_executor ~budget_spec q =
     |> List.map snd
   in
   let reference =
-    run (fun ~stats:_ st p -> Algebra.Eval.run ~guard:(guard ()) st p)
+    run (fun ~stats:_ ~guard st p -> Algebra.Eval.run ~guard st p)
   in
   let physical =
-    run (fun ~stats st p ->
-        Algebra.Physical.run ~guard:(guard ()) st
-          (Engine.lower_physical ~stats p))
+    run (fun ~stats ~guard st p ->
+        Algebra.Physical.run ~guard st (Engine.lower_physical ~stats p))
+  in
+  let budgets_differ (o1, r1) (o2, r2) =
+    Blew_up
+      (Printf.sprintf
+         "budget accounting differs: reference %d ops, %d rows; physical \
+          %d ops, %d rows"
+         o1 r1 o2 r2)
   in
   match (reference, physical) with
-  | Ok (_, te), Ok (st, t) when rows te = rows t -> Items (ser st (items t))
-  | Error (Failed (k1, m1) as f), Error (Failed (k2, m2))
-    when k1 = k2 && m1 = m2 -> f
-  | Error (Blew_up m), _ | _, Error (Blew_up m) -> Blew_up m
+  | (Ok (_, te), c1), (Ok (st, t), c2) when rows te = rows t ->
+    if c1 = c2 then Items (ser st (items t)) else budgets_differ c1 c2
+  | (Error (Failed (k1, m1) as f), c1), (Error (Failed (k2, m2)), c2)
+    when k1 = k2 && m1 = m2 ->
+    (* a deadline may trip at a different boundary on either side *)
+    if c1 = c2 || k1 = Err.Resource then f else budgets_differ c1 c2
+  | (Error (Blew_up m), _), _ | _, (Error (Blew_up m), _) -> Blew_up m
   | _ -> Blew_up "reference executor and physical kernels disagree"
 
 (* Each config is (name, q -> outcome). Beyond the backend/options/budget

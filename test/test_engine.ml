@@ -546,7 +546,21 @@ let test_normalize_query () =
   (* direct constructors: conservative trim-only fallback, so literal
      element content is never merged *)
   Alcotest.(check bool) "constructor text significant" false
-    (n "<e>a  b</e>" = n "<e>a b</e>")
+    (n "<e>a  b</e>" = n "<e>a b</e>");
+  (* a quote inside a comment opens no string literal, so it cannot hide
+     the constructor behind it *)
+  Alcotest.(check bool) "constructor after a quote in a comment" false
+    (n "(: don't :) <a>x  y</a>" = n "(: don't :) <a>x y</a>")
+
+(* The same pair through one shared cache: the second query must not be
+   served the first one's plan. *)
+let test_commented_constructor_cache () =
+  let cache = Engine.create_cache ~capacity:8 () in
+  let run q = (Engine.run ~cache (mk_store ()) q).Engine.serialized in
+  let wide = "(: don't :) <a>x  y</a>" and narrow = "(: don't :) <a>x y</a>" in
+  Alcotest.(check string) "first query" "<a>x  y</a>" (run wide);
+  Alcotest.(check string) "second query, shared cache" "<a>x y</a>"
+    (run narrow)
 
 let test_run_cache_identity () =
   (* a warm cache hit returns byte-identical answers, and the counters
@@ -595,6 +609,8 @@ let () =
         [ Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
           Alcotest.test_case "capacity zero" `Quick test_cache_capacity_zero;
           Alcotest.test_case "query normalization" `Quick test_normalize_query;
+          Alcotest.test_case "commented constructor keys" `Quick
+            test_commented_constructor_cache;
           Alcotest.test_case "run identity + counters" `Quick
             test_run_cache_identity ] );
       ( "random", [ QCheck_alcotest.to_alcotest random_query_prop ] );

@@ -156,7 +156,7 @@ let test_profile_hammer () =
       for k = 1 to per_task do
         Profile.add p "bucket" 0.001;
         Profile.add_node p ((d * per_task) + k) "lbl" 0.0005;
-        Profile.add_kernel p ~fused:2 ~rows_in:3 ~rows_out:1;
+        Profile.add_kernel p ~rows_in:3 ~rows_out:1;
         if k mod 2 = 0 then Profile.count_retype p
       done);
   let n = 4 * per_task in
@@ -164,7 +164,7 @@ let test_profile_hammer () =
   Alcotest.(check int) "unique nodes exact" n (Profile.unique_nodes p);
   let ph = Profile.phys p in
   Alcotest.(check int) "kernels exact" n ph.Profile.kernels;
-  Alcotest.(check int) "fused ops exact" (2 * n) ph.Profile.fused_ops;
+  Alcotest.(check int) "fused ops = kernels" n ph.Profile.fused_ops;
   Alcotest.(check int) "rows in exact" (3 * n) ph.Profile.rows_in;
   Alcotest.(check int) "rows out exact" n ph.Profile.rows_out;
   Alcotest.(check int) "retypes exact" (n / 2) ph.Profile.retypes;

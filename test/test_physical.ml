@@ -1,5 +1,6 @@
-(* Tests for the physical-plan layer: lowering (kernel fusion, sharing
-   preservation) and the typed kernels, checked differentially against
+(* Tests for the physical-plan layer: lowering (one kernel per logical
+   node, sharing preservation) and the typed kernels, checked
+   differentially against
    [Eval], the boxed logical executor the tests keep as the reference.
 
    The physical executor promises *exact* parity with the reference —
@@ -51,12 +52,12 @@ let check_error_parity msg plan =
 
 (* ------------------------------------------------------------ lowering *)
 
-let test_fusion_chain () =
+let test_one_kernel_per_node () =
   let b = Plan.builder () in
   let base = Plan.lit b [| "iter"; "item" |]
       [ [| v_int 1; v_int 4 |]; [| v_int 2; v_int 7 |]; [| v_int 3; v_int 1 |] ]
   in
-  (* attach · fun2 · select: a maximal chain, one kernel *)
+  (* attach · fun2 · select: every logical node gets its own kernel *)
   let p =
     Plan.select b
       (Plan.fun2 b
@@ -65,29 +66,24 @@ let test_fusion_chain () =
       "keep"
   in
   let pp = Lower.lower p in
-  Alcotest.(check int) "two kernels (pipe + source)" 2 (Lower.count_kernels pp);
-  (match pp.Physical.pop with
-   | Physical.K_pipe ops ->
-     Alcotest.(check int) "three fused ops" 3 (List.length ops)
-   | _ -> Alcotest.fail "expected a K_pipe at the root");
-  Alcotest.(check int) "covered = logical ops minus source" 4
-    (Lower.count_covered pp);
-  check_parity "fused chain" p;
-  (* the profile counts kernels, the ops they cover, and the difference:
-     the ops fusion saved *)
+  Alcotest.(check int) "kernels = logical ops" (Plan.count_ops p)
+    (Lower.count_kernels pp);
+  check_parity "attach · fun2 · select" p;
+  (* the profile counts one kernel (and one covered op) per node, with
+     the rows every kernel read and produced *)
   let prof = Profile.create () in
   ignore (Physical.run ~profile:prof (store ()) pp);
   let ph = Profile.phys prof in
-  Alcotest.(check (pair int int)) "profiled kernels, covered ops" (2, 4)
+  Alcotest.(check (pair int int)) "profiled kernels, covered ops" (4, 4)
     (ph.Profile.kernels, ph.Profile.fused_ops);
-  let line = "physical: 2 kernels covering 4 logical ops (2 fused away)" in
+  let line = "physical: 4 kernels, 9 rows in, 11 rows out" in
   Alcotest.(check bool) ("profile prints: " ^ line) true
     (Astring.String.is_infix ~affix:line (Profile.to_string prof))
 
-let test_fusion_stops_at_sharing () =
+let test_sharing_preserved () =
   let b = Plan.builder () in
   let base = Plan.lit b [| "item" |] [ [| v_int 1 |]; [| v_int 2 |] ] in
-  (* [shared] feeds two parents: the chain above it must not swallow it *)
+  (* [shared] feeds two parents: both must reach the same kernel *)
   let shared = Plan.attach b base "k" (v_int 1) in
   let left = Plan.fun2 b shared "s" Plan.P_add "item" "k" in
   let p = Plan.union b (Plan.project b left [ ("item", "s") ])
@@ -171,7 +167,7 @@ let test_select_of_select () =
       "bnd"
   in
   let pp = Lower.lower sel2 in
-  Alcotest.(check int) "both selections fuse into one pipe" 2
+  Alcotest.(check int) "one kernel per logical node" (Plan.count_ops sel2)
     (Lower.count_kernels pp);
   check_parity "select of select" sel2;
   (* a selection stacked directly on a selection (no recompute between) *)
@@ -293,7 +289,9 @@ let test_error_parity () =
 (* The optimized plan of every corpus query — queries/*.xq and XMark
    Q1-Q20 at scale 0.002 — run through the reference executor and the
    physical kernels, serially and at jobs 4 over forced-tiny morsels:
-   same schema, same rows, same order (or the same error). *)
+   same schema, same rows, same order (or the same error). Each run arms
+   an unlimited budget, and both executors must also cross the same
+   number of operator boundaries and charge the same rows. *)
 let queries_dir =
   if Sys.file_exists "../queries" then "../queries" else "queries"
 
@@ -328,17 +326,24 @@ let test_corpus_parity () =
        let plan = (Engine.analyze ~stats q).Engine.aoptimized in
        let pp = Engine.lower_physical ~stats plan in
        let outcome run =
-         match run (corpus_store ()) with
-         | t -> Array.to_list (Table.schema t) @ table_strings t
-         | exception e -> [ Printexc.to_string e ]
+         let guard = Basis.Budget.start Basis.Budget.unlimited in
+         let rows =
+           match run ~guard (corpus_store ()) with
+           | t -> Array.to_list (Table.schema t) @ table_strings t
+           | exception e -> [ Printexc.to_string e ]
+         in
+         Printf.sprintf "budget: %d ops, %d rows" (Basis.Budget.ops guard)
+           (Basis.Budget.rows guard)
+         :: rows
        in
-       let reference = outcome (fun st -> Eval.run st plan) in
+       let reference = outcome (fun ~guard st -> Eval.run ~guard st plan) in
        List.iter
          (fun jobs ->
             Alcotest.(check (list string))
               (Printf.sprintf "%s (jobs=%d)" name jobs)
               reference
-              (outcome (fun st -> Physical.run ~jobs ~morsel:4 st pp)))
+              (outcome (fun ~guard st ->
+                   Physical.run ~guard ~jobs ~morsel:4 st pp)))
          [ 1; 4 ])
     (files @ Xmark.Xmark_queries.all)
 
@@ -362,9 +367,9 @@ let test_budget_through_physical () =
 let () =
   Alcotest.run "physical"
     [ ("lowering",
-       [ Alcotest.test_case "fusion chain" `Quick test_fusion_chain;
-         Alcotest.test_case "fusion stops at sharing" `Quick
-           test_fusion_stops_at_sharing ]);
+       [ Alcotest.test_case "one kernel per node" `Quick
+           test_one_kernel_per_node;
+         Alcotest.test_case "sharing preserved" `Quick test_sharing_preserved ]);
       ("kernels",
        [ Alcotest.test_case "empty tables" `Quick test_empty_tables;
          Alcotest.test_case "all-Mixed columns" `Quick test_all_mixed_columns;
