@@ -1,9 +1,10 @@
 (* The operator kernels: the actual table-in/table-out implementations of
    every algebra operator, factored out of the evaluators. [Eval]
    (boxed, per-DAG-node memoization) and [Physical] (typed columns,
-   selection vectors, fused pipelines) both dispatch into this module —
-   [Physical] for its boxed-fallback path and for the scalar primitive
-   semantics ([apply1]/[apply2]/[apply3]) its fused kernels reuse.
+   selection vectors) both dispatch into this module — [Physical] for its
+   boxed-fallback path, for the loop-lifted step behind its typed step
+   kernel, and for the scalar primitive semantics
+   ([apply1]/[apply2]/[apply3]) its per-row kernels reuse.
 
    Kernels see only an [env] (store + optional indexes) and their input
    tables; memoization, budgets, profiling, and Dag/Tree policy live in
@@ -844,6 +845,8 @@ let resolve_test store = function
   | N_any -> Xmldb.Node_test.Any_node
   | N_pi t -> Xmldb.Node_test.Pi_target t
 
+(* The reference executor's step: one staircase call per iteration,
+   iterations in first-seen order, one boxed row per result. *)
 let eval_step ?tag_index ?(batch = true) ?decoded store t axis test =
   let test = resolve_test store test in
   let itemc = Table.col t "item" in
@@ -866,6 +869,23 @@ let eval_step ?tag_index ?(batch = true) ?decoded store t axis test =
     groups;
   Table.of_rows [| "iter"; "item" |]
     (Vec.fold_left (fun acc r -> r :: acc) [] out |> List.rev)
+
+(* [eval_step] with the run's step configuration. *)
+let step_boxed env t axis test =
+  eval_step ?tag_index:env.tag_index ~batch:env.code_eval
+    ~decoded:env.bulk_decodes env.store t axis test
+
+(* The same step over machine-int rows whose iters are non-decreasing
+   (see [Xmldb.Staircase.step_lifted]): one loop-lifted call for the
+   whole table, rows in [eval_step]'s order. *)
+let step_lifted env axis test rows =
+  let test = resolve_test env.store test in
+  match env.tag_index with
+  | Some ti when Xmldb.Tag_index.applicable axis test ->
+    Xmldb.Tag_index.step_lifted ti axis test rows
+  | _ ->
+    Xmldb.Staircase.step_lifted ~batch:env.code_eval ~decoded:env.bulk_decodes
+      env.store axis test rows
 
 let eval_doc store t =
   let itemc = Table.col t "item" in
@@ -1128,9 +1148,7 @@ let eval_op env op (inputs : Table.t list) : Table.t =
     eval_fun3 env.store (one ()) res f arg1 arg2 arg3
   | Aggr { res; agg; arg; part; order; _ } ->
     eval_aggr env.store (one ()) res agg arg part order
-  | Step { axis; test; _ } ->
-    eval_step ?tag_index:env.tag_index ~batch:env.code_eval
-      ~decoded:env.bulk_decodes env.store (one ()) axis test
+  | Step { axis; test; _ } -> step_boxed env (one ()) axis test
   | Doc _ -> eval_doc env.store (one ())
   | Elem _ ->
     let q, c = two () in

@@ -7,10 +7,10 @@
    batch of its own. A physical run therefore passes the same budget
    boundaries, and charges the same rows, as the boxed executor over the
    same plan. Each kernel is typed where [Physical] has a typed
-   implementation, [K_boxed] (the boxed kernel called through table
-   conversions) where it does not. Lowering is strictly post-logical: it
-   never changes plan shapes, so the logical optimizer's output (and its
-   golden tests) are untouched.
+   implementation (the step operator included), [K_boxed] (the boxed
+   kernel called through table conversions) where it does not. Lowering
+   is strictly post-logical: it never changes plan shapes, so the
+   logical optimizer's output (and its golden tests) are untouched.
 
    Static column-type hints come in through [types] — a function rather
    than a direct [Properties] call because the property inference lives
@@ -25,7 +25,8 @@
    the order-indifferent aggregates (count/sum/min/max) parallelize,
    while Rownum — and everything whose matching logic is inherently
    sequential (Distinct's first-wins dedup, any hash build that is itself
-   the output, Union's append) or boxed — stays serial. *)
+   the output, Union's append, the loop-lifted step's run-by-run walk) or
+   boxed — stays serial. *)
 
 let label_of (n : Plan.node) =
   if n.Plan.label = "" then Plan.op_symbol n.Plan.op else n.Plan.label
@@ -50,7 +51,7 @@ let parallelizable (pop : Physical.pop) =
     | Plan.A_count | Plan.A_sum | Plan.A_min | Plan.A_max -> true
     | _ -> false)
   | Physical.K_project _ | Physical.K_distinct | Physical.K_union
-  | Physical.K_rownum _ | Physical.K_boxed _ -> false
+  | Physical.K_rownum _ | Physical.K_step _ | Physical.K_boxed _ -> false
 
 let lower ?(types = fun (_ : Plan.node) -> ([] : (string * Column.ty) list))
     ?card ?(merge_hint = fun (_ : Plan.node) -> (None : int option))
@@ -96,9 +97,10 @@ let lower ?(types = fun (_ : Plan.node) -> ([] : (string * Column.ty) list))
             { anti = true; on; build_left = build_left_of left right }
         | Plan.Aggr { res; agg; arg; part; order; _ } ->
           Physical.K_aggr { res; agg; arg; part; order }
+        | Plan.Step { axis; test; _ } -> Physical.K_step { axis; test }
         | op ->
-          (* Lit, Cross, Step, node construction, Range, Textify,
-             Id_lookup, Doc: boxed kernels over converted inputs *)
+          (* Lit, Cross, node construction, Range, Textify, Id_lookup,
+             Doc: boxed kernels over converted inputs *)
           Physical.K_boxed op
       in
       let p =
@@ -178,6 +180,9 @@ let pp fmt (root : Physical.pnode) =
           " [code]"
         | Physical.K_semijoin { on = [ (lc, _) ]; _ } when str lc ->
           " [code]"
+        | Physical.K_step { axis; test } ->
+          Printf.sprintf " [%s::%s]" (Xmldb.Axis.to_string axis)
+            (Plan_pp.ntest_str test)
         | _ -> ""
       in
       let tys =

@@ -65,7 +65,8 @@
    and typed-path dispatch happen on the coordinator before a row loop
    fans out; workers only read frozen columns and the document store
    (whose reads are pure). [%]-bearing kernels (Rownum), Distinct,
-   build-flipped joins/semijoins and boxed fallbacks stay serial. *)
+   build-flipped joins/semijoins, steps and boxed fallbacks stay
+   serial. *)
 
 open Basis
 
@@ -109,6 +110,9 @@ type pop =
       part : string option;
       order : string option;
     }
+  | K_step of { axis : Xmldb.Axis.t; test : Plan.ntest }
+      (* ⊘: one loop-lifted staircase (or tag-index) call over the
+         whole batch *)
   | K_boxed of Plan.op           (* no typed implementation: boxed kernel *)
 
 type pnode = {
@@ -122,7 +126,7 @@ type pnode = {
       (* order-indifferent kernel, licensed to fan out over morsels:
          per-row select/attach/fun kernels, rowid/[#] stamps, hash/theta
          join and semijoin probes, and count/sum/min/max aggregates —
-         never [%]-bearing (Rownum) or boxed kernels. Set by the
+         never [%]-bearing (Rownum), step or boxed kernels. Set by the
          lowering ([Lower]). *)
 }
 
@@ -145,6 +149,7 @@ let pop_name = function
   | K_semijoin { anti = true; build_left = true; _ } -> "antijoin(build:left)"
   | K_semijoin { anti = true; _ } -> "antijoin"
   | K_aggr _ -> "aggr"
+  | K_step _ -> "step"
   | K_boxed op -> "boxed:" ^ Plan.op_symbol op
 
 (* ---------------------------------------------------------------- batches *)
@@ -154,13 +159,15 @@ let pop_name = function
    present, all of [0 .. base-1] otherwise.
 
    A column entering from the boxed world stays [Mixed] in [cols] — the
-   boxed view must remain zero-copy, because boxed kernels (steps,
-   construction) sit between most typed ones and a retype that *replaced*
-   the boxed array would force a full re-boxing pass at the next boxed
-   boundary. Typed kernels instead consult [typed], a lazily filled
-   per-column cache of the retyped view ([Some Mixed] records a scan that
-   found the column genuinely heterogeneous, so it is never rescanned).
-   [table] caches the whole-batch boxed view. *)
+   boxed view must remain zero-copy, because boxed kernels (node
+   construction, [doc], [textify]) sit between many typed ones and a
+   retype that *replaced* the boxed array would force a full re-boxing
+   pass at the next boxed boundary. (The step kernel is the exception:
+   it builds its output typed, and a boxed consumer boxes it once,
+   through [table].) Typed kernels instead consult [typed], a lazily
+   filled per-column cache of the retyped view ([Some Mixed] records a
+   scan that found the column genuinely heterogeneous, so it is never
+   rescanned). [table] caches the whole-batch boxed view. *)
 type batch = {
   schema : string array;
   cols : Column.t array;
@@ -1587,6 +1594,55 @@ let k_aggr ctx ~par b res agg arg part order =
     | _ -> boxed ())
   | _ -> boxed ()
 
+(* ------------------------------------------------------------------ steps *)
+
+(* The step operator ⊘ over the whole batch: [iter] read as machine ints,
+   [item] as a node column, one loop-lifted call ([Kernels.step_lifted]),
+   an Ints/Nodes batch out — no boxed row per result and no boxed table.
+   Rows come out in the boxed kernel's order (iterations in input order;
+   within one, document order without duplicates), so results, errors
+   and budget charges are unchanged. The loop-lifted call needs each
+   iteration to be one run of rows; when the iters are not
+   non-decreasing, or [item] is not a node column, the boxed
+   per-iteration kernel runs instead — which is also what raises the
+   "expected a node" error. *)
+let k_step ctx b axis test =
+  let typed (r : Xmldb.Staircase.rows) =
+    let n = Array.length r.pre in
+    { schema = [| "iter"; "item" |];
+      cols =
+        [| Column.Ints r.iter; Column.Nodes { frag = r.frag; pre = r.pre } |];
+      typed = [| None; None |];
+      sel = None;
+      nrows = n;
+      base = n;
+      table = None }
+  in
+  let boxed () =
+    of_table (Kernels.step_boxed ctx.env (to_table ctx b) axis test)
+  in
+  if b.nrows = 0 then typed { iter = [||]; frag = [||]; pre = [||] }
+  else
+    match (int_reader (rcol ctx b "iter"), rcol ctx b "item") with
+    | Some gi, Column.Nodes { frag; pre } ->
+      let n = b.nrows in
+      let iter = Array.make n 0 in
+      let fr = Array.make n 0 and pr = Array.make n 0 in
+      let k = ref 0 and monotone = ref true in
+      iter_sel b (fun r ->
+          let it = gi r in
+          if !k > 0 && it < iter.(!k - 1) then monotone := false;
+          iter.(!k) <- it;
+          fr.(!k) <- frag.(r);
+          pr.(!k) <- pre.(r);
+          incr k);
+      if !monotone then
+        typed
+          (Kernels.step_lifted ctx.env axis test
+             { iter; frag = fr; pre = pr })
+      else boxed ()
+    | _ -> boxed ()
+
 (* ------------------------------------------------------------- dispatcher *)
 
 let exec_kernel ctx (p : pnode) (inputs : batch list) : batch =
@@ -1644,6 +1700,7 @@ let exec_kernel ctx (p : pnode) (inputs : batch list) : batch =
     k_semijoin ctx ~par ~anti ~build_left l r on
   | K_aggr { res; agg; arg; part; order } ->
     k_aggr ctx ~par (one ()) res agg arg part order
+  | K_step { axis; test } -> k_step ctx (one ()) axis test
   | K_boxed op ->
     let tables = List.map (to_table ctx) inputs in
     of_table (Kernels.eval_op ctx.env op tables)

@@ -16,5 +16,8 @@ val to_dot : Plan.node -> string
     Figures 6/9 and the 235→141 comparison. *)
 val summary : Plan.node -> string
 
+(** A node test in XPath syntax: ["seller"], ["*"], ["text()"], ... *)
+val ntest_str : Plan.ntest -> string
+
 val prim1_name : Plan.prim1 -> string
 val prim2_name : Plan.prim2 -> string

@@ -9,10 +9,10 @@
     paper's Section 5).
 
     The compiled backend always lowers the optimized plan to the physical
-    layer ({!Algebra.Physical}: typed columns, selection vectors, fused
-    kernels) and executes that. {!Algebra.Eval} is the boxed logical
-    executor the tests keep as a row-for-row reference; the engine never
-    runs it. *)
+    layer ({!Algebra.Physical}: typed columns, selection vectors, one
+    kernel per logical operator) and executes that. {!Algebra.Eval} is
+    the boxed logical executor the tests keep as a row-for-row
+    reference; the engine never runs it. *)
 
 (** The LRU machinery behind the prepared-plan cache (re-exported: the
     library is wrapped, so this is its public path). *)

@@ -1,8 +1,10 @@
 (* Staircase-join style XPath axis evaluation over the pre/size/level
    encoding (Grust/van Keulen/Teubner, VLDB 2003 — reference [12] of the
    paper). This is the implementation behind the algebraic step operator
-   "⊘ ax::nt": it consumes an arbitrary set of context nodes and returns a
-   duplicate-free set of result nodes in document order.
+   "⊘ ax::nt": per iteration, it consumes an arbitrary set of context
+   nodes and returns a duplicate-free set of result nodes in document
+   order, and one call evaluates every iteration of an iter|item table
+   (the loop-lifted walk at the end of this file).
 
    The staircase tricks used:
      - contexts are sorted by (frag, pre) and deduplicated up front;
@@ -17,10 +19,9 @@
 
 open Basis
 
-type ctx_groups = (int * int array) list
-(* per fragment: (frag id, sorted deduped context pres) *)
-
-let group_contexts (nodes : Node_id.t array) : ctx_groups =
+(* Sort the context set and group it per fragment: (fragment id, sorted
+   deduplicated context pres) in ascending fragment order. *)
+let group_contexts (nodes : Node_id.t array) : (int * int array) list =
   let sorted = Array.copy nodes in
   Array.sort Node_id.compare sorted;
   let groups = ref [] and cur = ref [] and cur_frag = ref (-1) in
@@ -39,27 +40,38 @@ let group_contexts (nodes : Node_id.t array) : ctx_groups =
   flush ();
   List.rev !groups
 
-(* Resolve the PI-target of a node test once per step call. *)
-let resolve_test store (test : Node_test.t) =
-  match test with
-  | Node_test.Pi_target t ->
-    Node_test.Name (Doc_store.name_test_id store (Qname.make t))
-  | t -> t
-
-let matches (f : Doc_store.frag) principal test pre =
-  let k = Doc_store.kind_at f pre in
-  match (test : Node_test.t) with
-  | Node_test.Any_node -> true
-  | Node_test.Kind k' -> Node_kind.equal k k'
-  | Node_test.Name_wild -> Node_kind.equal k principal
-  | Node_test.Name id ->
-    Node_kind.equal k principal && Doc_store.name_at f pre = id
-  | Node_test.Pi_target _ -> Err.internal "unresolved PI target test"
-
 let principal_kind (axis : Axis.t) =
   match axis with
   | Axis.Attribute -> Node_kind.Attribute
   | _ -> Node_kind.Element
+
+(* A node test resolved against the store once per step call: every name
+   test becomes the node kind it selects plus the name id the row must
+   carry. A name test selects the axis' principal kind; a PI target test
+   selects processing instructions, whose target is stored as their
+   name. *)
+type rtest =
+  | R_any                          (* node() *)
+  | R_kind of Node_kind.t          (* kind test, or "*" on the principal kind *)
+  | R_name of Node_kind.t * int    (* rows of this kind carrying this name *)
+
+let resolve_test store (axis : Axis.t) (test : Node_test.t) =
+  match test with
+  | Node_test.Any_node -> R_any
+  | Node_test.Kind k -> R_kind k
+  | Node_test.Name_wild -> R_kind (principal_kind axis)
+  | Node_test.Name id -> R_name (principal_kind axis, id)
+  | Node_test.Pi_target t ->
+    R_name
+      ( Node_kind.Processing_instruction,
+        Doc_store.name_test_id store (Qname.make t) )
+
+let matches (f : Doc_store.frag) test pre =
+  match test with
+  | R_any -> true
+  | R_kind k -> Node_kind.equal (Doc_store.kind_at f pre) k
+  | R_name (k, id) ->
+    Node_kind.equal (Doc_store.kind_at f pre) k && Doc_store.name_at f pre = id
 
 (* -- batched contiguous scans --------------------------------------------- *)
 
@@ -98,24 +110,21 @@ let mk_scratch decoded = {
 
 (* A node test translated against one fragment's dictionary. *)
 type tr_test =
-  | T_none                   (* cannot match any row of this fragment *)
-  | T_any                    (* any non-attribute row *)
+  | T_none                        (* cannot match any row of this fragment *)
+  | T_any                         (* any non-attribute row *)
   | T_kind of Node_kind.t
-  | T_wild                   (* principal (element) rows *)
-  | T_name of int            (* element rows carrying this local code *)
+  | T_name of Node_kind.t * int   (* rows of this kind carrying this code *)
 
-let translate f (test : Node_test.t) : tr_test =
+let translate f test : tr_test =
   match test with
-  | Node_test.Any_node -> T_any
-  | Node_test.Kind k ->
-    (* the batched axes never yield attribute rows *)
-    if Node_kind.equal k Node_kind.Attribute then T_none else T_kind k
-  | Node_test.Name_wild -> T_wild
-  | Node_test.Name id ->
+  | R_any -> T_any
+  | R_kind k | R_name (k, _) when Node_kind.equal k Node_kind.Attribute ->
+    T_none (* the batched axes never yield attribute rows *)
+  | R_kind k -> T_kind k
+  | R_name (k, id) ->
     (match Doc_store.name_code_of_id f id with
-     | Some c -> T_name c
+     | Some c -> T_name (k, c)
      | None -> T_none)
-  | Node_test.Pi_target _ -> Err.internal "unresolved PI target test"
 
 (* Emit every p in [lo, hi] (inclusive) that is not an attribute row and
    satisfies [tr]; with [~before_ctx:(Some mc)], additionally require
@@ -142,10 +151,8 @@ let scan_batched scr f tr lo hi ~before_ctx emit =
          && (match tr with
              | T_any -> true
              | T_kind k' -> Node_kind.equal k k'
-             | T_wild -> Node_kind.equal k Node_kind.Element
-             | T_name c ->
-               Node_kind.equal k Node_kind.Element
-               && Array.unsafe_get scr.cbuf i = c
+             | T_name (k', c) ->
+               Node_kind.equal k k' && Array.unsafe_get scr.cbuf i = c
              | T_none -> false)
       then emit (base + i)
     done;
@@ -161,12 +168,16 @@ let scan_batched scr f tr lo hi ~before_ctx emit =
        ignore (Atomic.fetch_and_add c (cols * (hi + 1 - lo))))
     scr.decoded
 
-let eval_group ?scr store (axis : Axis.t) test frag_id (ctxs : int array) out =
+(* One fragment's share of one iteration: [ctxs] are its context pres,
+   ascending and duplicate-free. Result pres are pushed onto [out]; the
+   return value says whether they came out ascending and duplicate-free.
+   [scr] is the call's lazily allocated scan scratch ([None]: batching
+   off, or not a contiguous-range axis). *)
+let eval_group scr store (axis : Axis.t) test frag_id (ctxs : int array) out =
   let f = Doc_store.frag store frag_id in
   let n = Doc_store.frag_length f in
-  let principal = principal_kind axis in
-  let m pre = matches f principal test pre in
-  let emit pre = Vec.push out (Node_id.make ~frag:frag_id ~pre) in
+  let m pre = matches f test pre in
+  let emit pre = Vec.push out pre in
   let size_ pre = Doc_store.size_at f pre in
   let parent_ pre = Doc_store.parent_at f pre in
   let is_attr pre =
@@ -180,7 +191,7 @@ let eval_group ?scr store (axis : Axis.t) test frag_id (ctxs : int array) out =
     | Some s when hi - lo >= batch_threshold ->
       (match Lazy.force tr with
        | T_none -> ()
-       | t -> scan_batched s f t lo hi ~before_ctx emit);
+       | t -> scan_batched (Lazy.force s) f t lo hi ~before_ctx emit);
       true
     | _ -> false
   in
@@ -331,22 +342,115 @@ let sort_dedup (v : Node_id.t Vec.t) =
     a;
   Vec.to_array out
 
-let step ?(batch = true) ?decoded store (axis : Axis.t) (test : Node_test.t)
-    (contexts : Node_id.t array) =
-  let test = resolve_test store test in
-  let groups = group_contexts contexts in
-  let out = Vec.create (Node_id.make ~frag:0 ~pre:0) in
+(* -- loop-lifted evaluation ------------------------------------------------ *)
+
+(* The step operator consumes a whole iter|item table (the paper's ⊘):
+   [drive] evaluates every iteration in one pass over (iter, frag, pre)
+   rows whose iters are non-decreasing, so each iteration is one run of
+   consecutive rows. Rows come out run by run, in input order; within a
+   run, in document order without duplicates — exactly what evaluating
+   the runs one by one and tagging each result with its iter gives.
+
+   A run already strictly ascending in document order (always so for a
+   one-row run) is cut into per-fragment slices as it stands; any other
+   run is sorted and deduplicated first. Every fragment's slice goes
+   through [group], which pushes result pres onto one output vector for
+   the whole call; a slice whose results come back unsorted is
+   sort-deduplicated in its own segment of that vector. *)
+
+type rows = { iter : int array; frag : int array; pre : int array }
+
+type group_eval = int -> int array -> int Vec.t -> bool
+
+(* Sort and adjacent-dedup [out]'s elements from [start] on. *)
+let sort_dedup_tail (out : int Vec.t) start =
+  let seg =
+    Array.init (Vec.length out - start) (fun k -> Vec.get out (start + k))
+  in
+  Array.sort Int.compare seg;
+  Vec.truncate out start;
+  Array.iteri
+    (fun k p -> if k = 0 || seg.(k - 1) <> p then Vec.push out p)
+    seg
+
+let drive (group : group_eval) (r : rows) : rows =
+  let n = Array.length r.iter in
+  let out = Vec.create 0 in
+  (* one segment per (run, fragment) slice with results: its iter, its
+     fragment, and the end of its pres in [out] *)
+  let seg_iter = Vec.create 0 and seg_frag = Vec.create 0 in
+  let seg_end = Vec.create 0 in
+  let slice it f ctxs =
+    let start = Vec.length out in
+    if not (group f ctxs out) then sort_dedup_tail out start;
+    if Vec.length out > start then begin
+      Vec.push seg_iter it;
+      Vec.push seg_frag f;
+      Vec.push seg_end (Vec.length out)
+    end
+  in
+  let i = ref 0 in
+  while !i < n do
+    let it = r.iter.(!i) in
+    let j = ref (!i + 1) and ascending = ref true in
+    while !j < n && r.iter.(!j) = it do
+      let f0 = r.frag.(!j - 1) and f1 = r.frag.(!j) in
+      if f1 < f0 || (f1 = f0 && r.pre.(!j) <= r.pre.(!j - 1)) then
+        ascending := false;
+      incr j
+    done;
+    if !j < n && r.iter.(!j) < it then
+      Err.internal "Staircase.drive: iters are not non-decreasing";
+    if !ascending then begin
+      let k = ref !i in
+      while !k < !j do
+        let f = r.frag.(!k) in
+        let e = ref (!k + 1) in
+        while !e < !j && r.frag.(!e) = f do incr e done;
+        slice it f (Array.sub r.pre !k (!e - !k));
+        k := !e
+      done
+    end
+    else begin
+      let i0 = !i in
+      let nodes =
+        Array.init (!j - i0) (fun d ->
+            Node_id.make ~frag:r.frag.(i0 + d) ~pre:r.pre.(i0 + d))
+      in
+      List.iter (fun (f, ctxs) -> slice it f ctxs) (group_contexts nodes)
+    end;
+    i := !j
+  done;
+  let m = Vec.length out in
+  let iter = Array.make m 0 and frag = Array.make m 0 in
+  let s = ref 0 in
+  for g = 0 to Vec.length seg_end - 1 do
+    let e = Vec.get seg_end g in
+    Array.fill iter !s (e - !s) (Vec.get seg_iter g);
+    Array.fill frag !s (e - !s) (Vec.get seg_frag g);
+    s := e
+  done;
+  { iter; frag; pre = Vec.to_array out }
+
+let of_nodes (contexts : Node_id.t array) =
+  { iter = Array.make (Array.length contexts) 0;
+    frag = Array.map Node_id.frag contexts;
+    pre = Array.map Node_id.pre contexts }
+
+let to_nodes r =
+  Array.init (Array.length r.pre) (fun k ->
+      Node_id.make ~frag:r.frag.(k) ~pre:r.pre.(k))
+
+let step_lifted ?(batch = true) ?decoded store (axis : Axis.t)
+    (test : Node_test.t) rows =
   let scr =
     match (batch, axis) with
     | true, (Axis.Descendant | Axis.Descendant_or_self
-            | Axis.Following | Axis.Preceding) -> Some (mk_scratch decoded)
+            | Axis.Following | Axis.Preceding) ->
+      Some (lazy (mk_scratch decoded))
     | _ -> None
   in
-  let all_sorted =
-    List.fold_left
-      (fun acc (frag_id, ctxs) ->
-         let sorted = eval_group ?scr store axis test frag_id ctxs out in
-         acc && sorted)
-      true groups
-  in
-  if all_sorted then Vec.to_array out else sort_dedup out
+  drive (eval_group scr store axis (resolve_test store axis test)) rows
+
+let step ?batch ?decoded store axis test contexts =
+  to_nodes (step_lifted ?batch ?decoded store axis test (of_nodes contexts))

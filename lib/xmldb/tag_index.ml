@@ -57,79 +57,81 @@ let applicable (axis : Axis.t) (test : Node_test.t) =
     Node_test.Name _ -> true
   | _ -> false
 
-(* Indexed evaluation; same contract as Staircase.step: duplicate-free,
-   document order. The caller guarantees [applicable]. *)
-let step t (axis : Axis.t) (test : Node_test.t) (contexts : Node_id.t array) =
+(* One fragment's share of one iteration (a [Staircase.group_eval]):
+   results are ascending and duplicate-free except for child steps over
+   nested contexts, which say so. *)
+let eval_group t (axis : Axis.t) name_id frag_id (ctxs : int array) out =
+  let f = Doc_store.frag t.store frag_id in
+  let s = stream t frag_id name_id ~attr:(axis = Axis.Attribute) in
+  let emit pre = Vec.push out pre in
+  match axis with
+  | Axis.Descendant | Axis.Descendant_or_self ->
+    (* staircase pruning over the streams: never rescan a region *)
+    let covered_end = ref (-1) in
+    Array.iter
+      (fun pre ->
+         let hi = pre + Doc_store.size_at f pre in
+         let lo =
+           if axis = Axis.Descendant_or_self then pre else pre + 1
+         in
+         let lo = max lo (!covered_end + 1) in
+         let i = ref (lower_bound s lo) in
+         while !i < Array.length s && s.(!i) <= hi do
+           emit s.(!i);
+           incr i
+         done;
+         covered_end := max !covered_end hi)
+      ctxs;
+    true
+  | Axis.Child ->
+    (* stream positions inside the subtree whose parent is the context
+       node *)
+    let last = ref (-1) in
+    let sorted = ref true in
+    Array.iter
+      (fun pre ->
+         let hi = pre + Doc_store.size_at f pre in
+         let i = ref (lower_bound s (pre + 1)) in
+         while !i < Array.length s && s.(!i) <= hi do
+           if Doc_store.parent_at f s.(!i) = pre then begin
+             if s.(!i) < !last then sorted := false;
+             last := s.(!i);
+             emit s.(!i)
+           end;
+           incr i
+         done)
+      ctxs;
+    !sorted
+  | Axis.Attribute ->
+    Array.iter
+      (fun pre ->
+         (* attributes sit immediately after their owner *)
+         let i = ref (lower_bound s (pre + 1)) in
+         let continue_ = ref true in
+         while !continue_ && !i < Array.length s do
+           let p = s.(!i) in
+           if Doc_store.parent_at f p = pre then begin
+             emit p;
+             incr i
+           end
+           else if p <= pre + Doc_store.size_at f pre then incr i
+           else continue_ := false
+         done)
+      ctxs;
+    true
+  | _ -> Err.internal "Tag_index.step: unsupported axis"
+
+(* Indexed evaluation through the staircase's loop-lifted walk; same
+   contract as Staircase.step_lifted. The caller guarantees
+   [applicable]. *)
+let step_lifted t (axis : Axis.t) (test : Node_test.t) rows =
   let name_id =
     match test with
     | Node_test.Name id -> id
     | _ -> Err.internal "Tag_index.step: name test expected"
   in
-  if name_id < 0 then [||]
-  else begin
-    let groups = Staircase.group_contexts contexts in
-    let out = Vec.create (Node_id.make ~frag:0 ~pre:0) in
-    List.iter
-      (fun (frag_id, ctxs) ->
-         let f = Doc_store.frag t.store frag_id in
-         let attr = axis = Axis.Attribute in
-         let s = stream t frag_id name_id ~attr in
-         let emit pre = Vec.push out (Node_id.make ~frag:frag_id ~pre) in
-         match axis with
-         | Axis.Descendant | Axis.Descendant_or_self ->
-           (* staircase pruning over the streams: never rescan a region *)
-           let covered_end = ref (-1) in
-           Array.iter
-             (fun pre ->
-                let hi = pre + Doc_store.size_at f pre in
-                let lo =
-                  if axis = Axis.Descendant_or_self then pre else pre + 1
-                in
-                let lo = max lo (!covered_end + 1) in
-                let i = ref (lower_bound s lo) in
-                while !i < Array.length s && s.(!i) <= hi do
-                  emit s.(!i);
-                  incr i
-                done;
-                covered_end := max !covered_end hi)
-             ctxs
-         | Axis.Child ->
-           (* stream positions inside the subtree whose parent is the
-              context node *)
-           let last = ref (-1) in
-           let sorted = ref true in
-           Array.iter
-             (fun pre ->
-                let hi = pre + Doc_store.size_at f pre in
-                let i = ref (lower_bound s (pre + 1)) in
-                while !i < Array.length s && s.(!i) <= hi do
-                  if Doc_store.parent_at f s.(!i) = pre then begin
-                    if s.(!i) < !last then sorted := false;
-                    last := s.(!i);
-                    emit s.(!i)
-                  end;
-                  incr i
-                done)
-             ctxs;
-           ignore !sorted
-         | Axis.Attribute ->
-           Array.iter
-             (fun pre ->
-                (* attributes sit immediately after their owner *)
-                let i = ref (lower_bound s (pre + 1)) in
-                let continue_ = ref true in
-                while !continue_ && !i < Array.length s do
-                  let p = s.(!i) in
-                  if Doc_store.parent_at f p = pre then begin
-                    emit p;
-                    incr i
-                  end
-                  else if p <= pre + Doc_store.size_at f pre then incr i
-                  else continue_ := false
-                done)
-             ctxs
-         | _ -> Err.internal "Tag_index.step: unsupported axis")
-      groups;
-    (* child steps over nested contexts may interleave; normalize *)
-    Staircase.sort_dedup out
-  end
+  if name_id < 0 then { Staircase.iter = [||]; frag = [||]; pre = [||] }
+  else Staircase.drive (eval_group t axis name_id) rows
+
+let step t axis test contexts =
+  Staircase.to_nodes (step_lifted t axis test (Staircase.of_nodes contexts))

@@ -19,6 +19,12 @@ val create : Doc_store.t -> t
     (child/descendant/descendant-or-self/attribute with a name test.) *)
 val applicable : Axis.t -> Node_test.t -> bool
 
+(** Same contract as {!Staircase.step_lifted}, through the same
+    loop-lifted walk — per iteration, duplicate-free results in document
+    order. Only call when {!applicable} holds. *)
+val step_lifted :
+  t -> Axis.t -> Node_test.t -> Staircase.rows -> Staircase.rows
+
 (** Same contract as {!Staircase.step} — duplicate-free results in
     document order. Only call when {!applicable} holds. *)
 val step : t -> Axis.t -> Node_test.t -> Node_id.t array -> Node_id.t array

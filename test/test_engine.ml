@@ -327,6 +327,32 @@ let test_unordered_permutation () =
   let got = ser st (Engine.run st q2).Engine.items in
   Alcotest.(check (list string)) "c's first" [ "<c/>"; "<d/>" ] got
 
+(* A processing-instruction(target) step selects PIs with that target —
+   not elements named like it. Expected answers are written by hand: every
+   executor (and the interpreter) shares the staircase step. *)
+let test_pi_target_steps () =
+  let st = Xmldb.Doc_store.create () in
+  let _ =
+    Xmldb.Xml_parser.load_document st ~uri:"t.xml"
+      "<a><?foo bar?><foo/><b><?foo baz?></b></a>"
+  in
+  List.iter
+    (fun (q, want) ->
+       Alcotest.(check (list string)) (q ^ " [interpreter]") want
+         (ser st (Interp.Interpreter.run st q));
+       List.iter
+         (fun (oname, opts) ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s [%s]" q oname)
+              want
+              (ser st (Engine.run ~opts st q).Engine.items))
+         opts_matrix)
+    [ ({|doc("t.xml")//processing-instruction(foo)|},
+       [ "<?foo bar?>"; "<?foo baz?>" ]);
+      ({|doc("t.xml")/a/processing-instruction(foo)|}, [ "<?foo bar?>" ]);
+      ({|doc("t.xml")/a/self::processing-instruction(a)|}, []);
+      ({|doc("t.xml")//foo|}, [ "<foo/>" ]) ]
+
 (* ------------------------------------------------------------- XMark *)
 
 let test_xmark_differential () =
@@ -600,7 +626,9 @@ let () =
           t "paper examples (section 2)" paper_examples ] );
       ( "semantics",
         [ Alcotest.test_case "dynamic errors" `Quick test_errors;
-          Alcotest.test_case "unordered permutations" `Quick test_unordered_permutation ] );
+          Alcotest.test_case "unordered permutations" `Quick test_unordered_permutation;
+          Alcotest.test_case "processing-instruction(target) steps" `Quick
+            test_pi_target_steps ] );
       ( "xmark",
         [ Alcotest.test_case "Q1-Q20 differential x opts" `Slow test_xmark_differential;
           Alcotest.test_case "join recognition equivalence" `Slow test_xmark_join_recognition;

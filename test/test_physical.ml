@@ -24,11 +24,11 @@ let table_strings t =
         (Array.to_list
            (Array.map (Format.asprintf "%a" Value.pp) (Table.row t r))))
 
-(* Run a plan through both executors against fresh stores and demand
-   identical schemas and identical rows in identical order. *)
-let check_parity msg plan =
-  let boxed = Eval.run (store ()) plan in
-  let physical = Physical.run (store ()) (Lower.lower plan) in
+(* Run a plan through both executors against fresh stores (from [mk])
+   and demand identical schemas and identical rows in identical order. *)
+let check_parity ?(mk = store) ?step_impl msg plan =
+  let boxed = Eval.run ?step_impl (mk ()) plan in
+  let physical = Physical.run ?step_impl (mk ()) (Lower.lower plan) in
   Alcotest.(check (list string))
     (msg ^ ": schema")
     (Array.to_list (Table.schema boxed))
@@ -39,16 +39,16 @@ let check_parity msg plan =
 
 (* Both executors must fail identically: same exception constructor and
    same message. *)
-let check_error_parity msg plan =
-  let outcome run =
-    match run () with
-    | (_ : Table.t) -> "ok"
-    | exception Basis.Err.Dynamic_error m -> "dynamic: " ^ m
-    | exception Basis.Err.Internal_error m -> "internal: " ^ m
-  in
+let run_outcome run =
+  match run () with
+  | (_ : Table.t) -> "ok"
+  | exception Basis.Err.Dynamic_error m -> "dynamic: " ^ m
+  | exception Basis.Err.Internal_error m -> "internal: " ^ m
+
+let check_error_parity ?(mk = store) msg plan =
   Alcotest.(check string) msg
-    (outcome (fun () -> Eval.run (store ()) plan))
-    (outcome (fun () -> Physical.run (store ()) (Lower.lower plan)))
+    (run_outcome (fun () -> Eval.run (mk ()) plan))
+    (run_outcome (fun () -> Physical.run (mk ()) (Lower.lower plan)))
 
 (* ------------------------------------------------------------ lowering *)
 
@@ -284,6 +284,93 @@ let test_error_parity () =
   in
   check_parity "selection removes all rows" guarded
 
+(* ---------------------------------------------------------------- steps *)
+
+(* The step kernel evaluates every iteration in one loop-lifted call
+   and builds a typed batch; its rows must be the reference executor's
+   per-iteration results, in the same order. Two documents, so that
+   contexts span fragments; every fresh store assigns the same node ids. *)
+let two_docs () =
+  let st = store () in
+  ignore
+    (Xmldb.Xml_parser.load_document st ~uri:"a.xml"
+       "<a><b><c/><d/></b><c k=\"1\"/></a>");
+  ignore
+    (Xmldb.Xml_parser.load_document st ~uri:"z.xml" "<z><c/><y><c/></y></z>");
+  st
+
+let doc_node =
+  let st = two_docs () in
+  fun uri pre ->
+    let root = Option.get (Xmldb.Doc_store.find_document st uri) in
+    Value.Node (Xmldb.Node_id.make ~frag:(Xmldb.Node_id.frag root) ~pre)
+
+let step_cases =
+  let c = Plan.N_name (Xmldb.Qname.make "c") in
+  Xmldb.Axis.
+    [ (Child, Plan.N_any); (Child, c); (Descendant, c);
+      (Descendant_or_self, Plan.N_any); (Attribute, Plan.N_any);
+      (Attribute, Plan.N_name (Xmldb.Qname.make "k"));
+      (Parent, Plan.N_any); (Ancestor_or_self, Plan.N_wild);
+      (Following, c); (Preceding, Plan.N_any);
+      (Following_sibling, Plan.N_any); (Preceding_sibling, c) ]
+
+let check_step_parity msg rows =
+  let b = Plan.builder () in
+  let input = Plan.lit b [| "iter"; "item" |] rows in
+  List.iter
+    (fun (axis, test) ->
+       let p = Plan.step b input axis test in
+       List.iter
+         (fun (iname, step_impl) ->
+            check_parity ~mk:two_docs ~step_impl
+              (Printf.sprintf "%s, %s::%s, %s" msg (Xmldb.Axis.to_string axis)
+                 (Plan_pp.ntest_str test) iname)
+              p)
+         [ ("scan", Eval.Scan); ("tag index", Eval.Tag_index) ])
+    step_cases
+
+let test_step_parity () =
+  let a = doc_node "a.xml" and z = doc_node "z.xml" in
+  (* ascending runs, several iterations: the typed loop-lifted path *)
+  check_step_parity "ascending runs"
+    [ [| v_int 1; a 1 |]; [| v_int 1; z 1 |]; [| v_int 3; a 2 |];
+      [| v_int 3; a 5 |]; [| v_int 4; z 3 |] ];
+  (* one iteration over both documents, unsorted, with a duplicate and an
+     attribute context *)
+  check_step_parity "one iteration, two documents"
+    [ [| v_int 1; z 3 |]; [| v_int 1; a 1 |]; [| v_int 1; a 6 |];
+      [| v_int 1; z 1 |]; [| v_int 1; a 1 |]; [| v_int 1; a 2 |] ];
+  (* iters 2, 1, 2: not one run per iteration, so the boxed kernel's
+     first-seen grouping decides the row order *)
+  check_step_parity "non-monotone iters"
+    [ [| v_int 2; a 1 |]; [| v_int 1; z 1 |]; [| v_int 2; a 2 |] ]
+
+let test_step_errors () =
+  let b = Plan.builder () in
+  let mixed =
+    Plan.lit b [| "iter"; "item" |]
+      [ [| v_int 1; doc_node "a.xml" 1 |]; [| v_int 1; v_int 7 |] ]
+  in
+  let p = Plan.step b mixed Xmldb.Axis.Child Plan.N_any in
+  check_error_parity ~mk:two_docs "node and integer items" p;
+  Alcotest.(check string) "the reference executor's message"
+    "dynamic: expected a node, got xs:integer"
+    (run_outcome (fun () -> Physical.run (two_docs ()) (Lower.lower p)))
+
+(* The physical plan dump names the step's axis and node test. *)
+let test_step_plan_dump () =
+  let b = Plan.builder () in
+  let input = Plan.lit b [| "iter"; "item" |] [] in
+  let dump =
+    Lower.to_string
+      (Lower.lower
+         (Plan.step b input Xmldb.Axis.Child
+            (Plan.N_name (Xmldb.Qname.make "seller"))))
+  in
+  Alcotest.(check bool) ("dump has the step kernel: " ^ dump) true
+    (Astring.String.is_infix ~affix:"] step [child::seller]" dump)
+
 (* ------------------------------------------------------ corpus parity *)
 
 (* The optimized plan of every corpus query — queries/*.xq and XMark
@@ -384,6 +471,10 @@ let () =
          Alcotest.test_case "theta-join coercion" `Quick
            test_theta_coercion_parity;
          Alcotest.test_case "errors" `Quick test_error_parity ]);
+      ("steps",
+       [ Alcotest.test_case "step parity" `Quick test_step_parity;
+         Alcotest.test_case "step errors" `Quick test_step_errors;
+         Alcotest.test_case "plan dump" `Quick test_step_plan_dump ]);
       ("budgets",
        [ Alcotest.test_case "budget trips" `Quick
            test_budget_through_physical ]);

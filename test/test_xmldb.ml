@@ -327,7 +327,8 @@ let test_axis_unknown_name () =
 (* ------------------------------------------- qcheck: random-tree oracle *)
 
 (* Generate a random XML document string with elements from a small tag
-   alphabet, attributes, text, comments. *)
+   alphabet, attributes, text, comments, and processing instructions whose
+   targets come from the same alphabet. *)
 let gen_doc : string QCheck2.Gen.t =
   let open QCheck2.Gen in
   let tag = oneofl [ "a"; "b"; "c"; "d"; "e" ] in
@@ -346,7 +347,8 @@ let gen_doc : string QCheck2.Gen.t =
         (frequency
            [ (4, elem (depth + 1));
              (2, map (Printf.sprintf "t%d") (int_bound 9));
-             (1, return "<!--c-->") ])
+             (1, return "<!--c-->");
+             (1, map (Printf.sprintf "<?%s d?>") tag) ])
     in
     return
       (Printf.sprintf "<%s %s>%s</%s>" t (String.concat " " attrs)
@@ -389,7 +391,9 @@ module Oracle = struct
     | Node_test.Name_wild -> Doc_store.kind st n = principal
     | Node_test.Name id ->
       Doc_store.kind st n = principal && Doc_store.name_id st n = id
-    | Node_test.Pi_target _ -> false
+    | Node_test.Pi_target t ->
+      Doc_store.kind st n = Node_kind.Processing_instruction
+      && Doc_store.name st n = Some (Qname.make t)
 
   let axis st frag_id (ax : Axis.t) x =
     match ax with
@@ -474,7 +478,8 @@ let axis_oracle_prop =
          [ Node_test.Any_node;
            Node_test.Name_wild;
            Node_test.Kind Node_kind.Text;
-           Node_test.Name (Doc_store.name_test_id st (Qname.make "b")) ]
+           Node_test.Name (Doc_store.name_test_id st (Qname.make "b"));
+           Node_test.Pi_target "b" ]
        in
        List.for_all
          (fun ax ->
@@ -546,6 +551,149 @@ let tag_index_prop =
                  end)
               tests)
          axes)
+
+(* The loop-lifted step against the one-iteration step it generalizes:
+   two documents in one store, non-decreasing iters (with gaps), and per
+   iteration a random bag of contexts from both fragments — duplicates,
+   attribute rows, ascending or arbitrary order — or every node of both,
+   so that contexts nest. Its rows must be exactly the per-iteration
+   results tagged with their iter, and a batched run must decode exactly
+   as many column rows. *)
+let lifted_input (src1, src2, seed) =
+  let st = store () in
+  let nodes =
+    Array.concat
+      (List.map
+         (fun src ->
+            let frag_id = Node_id.frag (parse st src) in
+            Array.init
+              (Doc_store.frag_length (Doc_store.frag st frag_id))
+              (fun pre -> Node_id.make ~frag:frag_id ~pre))
+         [ src1; src2 ])
+  in
+  let rng = Basis.Prng.create seed in
+  let iter = ref (Basis.Prng.int rng 3) in
+  let runs =
+    List.init (1 + Basis.Prng.int rng 6) (fun _ ->
+        let ctxs =
+          if Basis.Prng.int rng 4 = 0 then Array.copy nodes (* all nested *)
+          else
+            Array.init (Basis.Prng.int rng 6) (fun _ ->
+                Basis.Prng.pick rng nodes)
+        in
+        if Basis.Prng.bool rng then
+          Array.sort Node_id.compare ctxs;
+        let run = (!iter, ctxs) in
+        iter := !iter + 1 + Basis.Prng.int rng 2;
+        run)
+  in
+  let rows =
+    { Staircase.iter =
+        Array.concat
+          (List.map (fun (it, c) -> Array.make (Array.length c) it) runs);
+      frag =
+        Array.concat (List.map (fun (_, c) -> Array.map Node_id.frag c) runs);
+      pre =
+        Array.concat (List.map (fun (_, c) -> Array.map Node_id.pre c) runs) }
+  in
+  (st, runs, rows)
+
+let lifted_rows (r : Staircase.rows) =
+  List.init (Array.length r.pre) (fun k ->
+      Printf.sprintf "%d:%d.%d" r.iter.(k) r.frag.(k) r.pre.(k))
+
+let per_run_rows step runs =
+  List.concat_map
+    (fun (it, ctxs) ->
+       List.map
+         (fun n -> Printf.sprintf "%d:%s" it (Node_id.to_string n))
+         (Array.to_list (step ctxs)))
+    runs
+
+let gen_lifted =
+  QCheck2.Gen.(tup3 gen_doc gen_doc (int_bound 10000))
+
+let lifted_prop =
+  QCheck2.Test.make ~count:100
+    ~name:"loop-lifted step equals per-iteration steps"
+    gen_lifted
+    (fun input ->
+       let st, runs, rows = lifted_input input in
+       let tests =
+         [ Node_test.Any_node;
+           Node_test.Name_wild;
+           Node_test.Kind Node_kind.Text;
+           Node_test.Kind Node_kind.Attribute;
+           Node_test.Name (Doc_store.name_test_id st (Qname.make "b"));
+           Node_test.Name (Doc_store.name_test_id st (Qname.make "id"));
+           Node_test.Pi_target "c" ]
+       in
+       List.for_all
+         (fun ax ->
+            List.for_all
+              (fun test ->
+                 List.for_all
+                   (fun batch ->
+                      let d_runs = Atomic.make 0 and d_lifted = Atomic.make 0 in
+                      let want =
+                        per_run_rows
+                          (Staircase.step ~batch ~decoded:d_runs st ax test)
+                          runs
+                      in
+                      let got =
+                        lifted_rows
+                          (Staircase.step_lifted ~batch ~decoded:d_lifted st ax
+                             test rows)
+                      in
+                      if got <> want then
+                        QCheck2.Test.fail_reportf
+                          "axis %s, batch %b: got [%s] want [%s]"
+                          (Axis.to_string ax) batch
+                          (String.concat ";" got) (String.concat ";" want)
+                      else if Atomic.get d_runs <> Atomic.get d_lifted then
+                        QCheck2.Test.fail_reportf
+                          "axis %s, batch %b: decoded %d rows, per-run %d"
+                          (Axis.to_string ax) batch (Atomic.get d_lifted)
+                          (Atomic.get d_runs)
+                      else true)
+                   [ true; false ])
+              tests)
+         all_axes)
+
+(* The tag index runs through the same loop-lifted walk: over its
+   applicable profile it must give the per-iteration staircase
+   results. *)
+let lifted_tag_index_prop =
+  QCheck2.Test.make ~count:100
+    ~name:"loop-lifted tag-index step equals per-iteration steps"
+    gen_lifted
+    (fun input ->
+       let st, runs, rows = lifted_input input in
+       let ti = Tag_index.create st in
+       let tests =
+         List.map
+           (fun t' -> Node_test.Name (Doc_store.name_test_id st (Qname.make t')))
+           [ "a"; "b"; "id"; "nosuch" ]
+       in
+       List.for_all
+         (fun ax ->
+            List.for_all
+              (fun test ->
+                 if not (Tag_index.applicable ax test) then true
+                 else begin
+                   let want = per_run_rows (Staircase.step st ax test) runs in
+                   let got =
+                     lifted_rows (Tag_index.step_lifted ti ax test rows)
+                   in
+                   if got <> want then
+                     QCheck2.Test.fail_reportf "axis %s: got [%s] want [%s]"
+                       (Axis.to_string ax)
+                       (String.concat ";" got) (String.concat ";" want)
+                   else true
+                 end)
+              tests)
+         [ Axis.Child; Axis.Descendant; Axis.Descendant_or_self;
+           Axis.Attribute ])
 
 let roundtrip_prop =
   QCheck2.Test.make ~count:200 ~name:"parse-serialize-parse is stable"
@@ -697,6 +845,6 @@ let () =
           Alcotest.test_case "generous guard is invisible" `Quick
             test_ingest_generous_guard_is_invisible ] );
       qsuite "properties"
-        [ axis_oracle_prop; tag_index_prop; roundtrip_prop;
-          encoding_invariants_prop ];
+        [ axis_oracle_prop; tag_index_prop; lifted_prop; lifted_tag_index_prop;
+          roundtrip_prop; encoding_invariants_prop ];
     ]
