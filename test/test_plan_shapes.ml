@@ -1,6 +1,7 @@
 (* Plan-shape golden tests.
 
-   Every query under queries/ is compiled under the two canonical option
+   Every query of the benchmark corpus — queries/*.xq plus XMark
+   Q1–Q20 — is compiled under the two canonical option
    sets — default_opts (order indifference on) and ordered_baseline
    (Figure-7 rules and CDA off) — and the shape of the optimized plan is
    pinned exactly: total operator count, rownum (%) count, rowid (#)
@@ -31,6 +32,14 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let xmark_names = List.map fst Xmark.Xmark_queries.all
+
+(* a corpus entry is a file under queries/ or an XMark query name *)
+let query_text name =
+  if Filename.check_suffix name ".xq" then
+    read_file (Filename.concat queries_dir name)
+  else Xmark.Xmark_queries.get name
 
 type shape = {
   ops : int;        (* unique operators (DAG nodes) *)
@@ -137,6 +146,106 @@ let golden : (string * shape * shape) list =
        ord_nodes = 61; root_ord = "pos-sorted" },
      { ops = 126; rownums = 15; rowids = 0; joins = 10; tree_nodes = 2346;
        ord_nodes = 104; root_ord = "pos-sorted" });
+    ("Q1",
+     { ops = 62; rownums = 4; rowids = 2; joins = 9; tree_nodes = 480;
+       ord_nodes = 48; root_ord = "unordered" },
+     { ops = 116; rownums = 14; rowids = 0; joins = 10; tree_nodes = 1761;
+       ord_nodes = 96; root_ord = "ord:iter\226\134\145; iter\226\134\147" });
+    ("Q2",
+     { ops = 69; rownums = 3; rowids = 4; joins = 10; tree_nodes = 250;
+       ord_nodes = 68; root_ord = "pos-sorted" },
+     { ops = 122; rownums = 14; rowids = 0; joins = 10; tree_nodes = 487;
+       ord_nodes = 122; root_ord = "pos-sorted" });
+    ("Q3",
+     { ops = 230; rownums = 7; rowids = 6; joins = 41; tree_nodes = 49067;
+       ord_nodes = 214; root_ord = "pos-sorted" },
+     { ops = 388; rownums = 34; rowids = 0; joins = 42; tree_nodes = 190329;
+       ord_nodes = 328; root_ord = "pos-sorted" });
+    ("Q4",
+     { ops = 123; rownums = 1; rowids = 6; joins = 22; tree_nodes = 4821;
+       ord_nodes = 122; root_ord = "pos-sorted" },
+     { ops = 246; rownums = 21; rowids = 0; joins = 26; tree_nodes = 73890;
+       ord_nodes = 179; root_ord = "pos-sorted" });
+    ("Q5",
+     { ops = 47; rownums = 0; rowids = 2; joins = 6; tree_nodes = 298;
+       ord_nodes = 37; root_ord = "pos-sorted" },
+     { ops = 78; rownums = 9; rowids = 0; joins = 6; tree_nodes = 562;
+       ord_nodes = 50; root_ord = "pos-sorted" });
+    ("Q6",
+     { ops = 27; rownums = 0; rowids = 2; joins = 3; tree_nodes = 76;
+       ord_nodes = 24; root_ord = "pos-sorted" },
+     { ops = 54; rownums = 7; rowids = 0; joins = 3; tree_nodes = 168;
+       ord_nodes = 49; root_ord = "pos-sorted" });
+    ("Q7",
+     { ops = 56; rownums = 0; rowids = 2; joins = 7; tree_nodes = 173;
+       ord_nodes = 35; root_ord = "pos-sorted" },
+     { ops = 90; rownums = 7; rowids = 0; joins = 7; tree_nodes = 318;
+       ord_nodes = 57; root_ord = "pos-sorted" });
+    ("Q8",
+     { ops = 87; rownums = 2; rowids = 4; joins = 11; tree_nodes = 508;
+       ord_nodes = 77; root_ord = "pos-sorted" },
+     { ops = 146; rownums = 16; rowids = 0; joins = 11; tree_nodes = 1006;
+       ord_nodes = 126; root_ord = "pos-sorted" });
+    ("Q9",
+     { ops = 121; rownums = 4; rowids = 6; joins = 16; tree_nodes = 654;
+       ord_nodes = 113; root_ord = "pos-sorted" },
+     { ops = 214; rownums = 27; rowids = 0; joins = 16; tree_nodes = 1315;
+       ord_nodes = 153; root_ord = "pos-sorted" });
+    ("Q10",
+     { ops = 180; rownums = 11; rowids = 4; joins = 18; tree_nodes = 1355;
+       ord_nodes = 164; root_ord = "pos-sorted" },
+     { ops = 324; rownums = 30; rowids = 1; joins = 18; tree_nodes = 2788;
+       ord_nodes = 168; root_ord = "pos-sorted" });
+    ("Q11",
+     { ops = 98; rownums = 2; rowids = 4; joins = 13; tree_nodes = 666;
+       ord_nodes = 88; root_ord = "pos-sorted" },
+     { ops = 163; rownums = 16; rowids = 0; joins = 13; tree_nodes = 1326;
+       ord_nodes = 143; root_ord = "pos-sorted" });
+    ("Q12",
+     { ops = 115; rownums = 2; rowids = 5; joins = 16; tree_nodes = 1190;
+       ord_nodes = 101; root_ord = "pos-sorted" },
+     { ops = 184; rownums = 17; rowids = 0; joins = 16; tree_nodes = 2278;
+       ord_nodes = 95; root_ord = "unordered" });
+    ("Q13",
+     { ops = 56; rownums = 3; rowids = 2; joins = 5; tree_nodes = 161;
+       ord_nodes = 50; root_ord = "pos-sorted" },
+     { ops = 95; rownums = 10; rowids = 0; joins = 5; tree_nodes = 324;
+       ord_nodes = 87; root_ord = "pos-sorted" });
+    ("Q14",
+     { ops = 70; rownums = 2; rowids = 1; joins = 10; tree_nodes = 819;
+       ord_nodes = 51; root_ord = "unordered" },
+     { ops = 109; rownums = 8; rowids = 0; joins = 10; tree_nodes = 1664;
+       ord_nodes = 85; root_ord = "ord:iter\226\134\145; iter\226\134\147" });
+    ("Q15",
+     { ops = 39; rownums = 0; rowids = 2; joins = 3; tree_nodes = 107;
+       ord_nodes = 38; root_ord = "pos-sorted" },
+     { ops = 91; rownums = 15; rowids = 0; joins = 3; tree_nodes = 289;
+       ord_nodes = 91; root_ord = "pos-sorted" });
+    ("Q16",
+     { ops = 72; rownums = 1; rowids = 2; joins = 8; tree_nodes = 1040;
+       ord_nodes = 52; root_ord = "pos-sorted" },
+     { ops = 142; rownums = 17; rowids = 0; joins = 8; tree_nodes = 2506;
+       ord_nodes = 107; root_ord = "pos-sorted" });
+    ("Q17",
+     { ops = 50; rownums = 1; rowids = 2; joins = 7; tree_nodes = 266;
+       ord_nodes = 47; root_ord = "pos-sorted" },
+     { ops = 100; rownums = 9; rowids = 0; joins = 7; tree_nodes = 838;
+       ord_nodes = 72; root_ord = "pos-sorted" });
+    ("Q18",
+     { ops = 42; rownums = 0; rowids = 2; joins = 6; tree_nodes = 123;
+       ord_nodes = 37; root_ord = "pos-sorted" },
+     { ops = 71; rownums = 6; rowids = 0; joins = 6; tree_nodes = 243;
+       ord_nodes = 67; root_ord = "pos-sorted" });
+    ("Q19",
+     { ops = 75; rownums = 4; rowids = 1; joins = 9; tree_nodes = 296;
+       ord_nodes = 64; root_ord = "unordered" },
+     { ops = 121; rownums = 11; rowids = 0; joins = 9; tree_nodes = 678;
+       ord_nodes = 108; root_ord = "ord:iter\226\134\145; iter\226\134\147" });
+    ("Q20",
+     { ops = 193; rownums = 1; rowids = 2; joins = 28; tree_nodes = 1959;
+       ord_nodes = 168; root_ord = "pos-sorted" },
+     { ops = 327; rownums = 20; rowids = 0; joins = 30; tree_nodes = 5505;
+       ord_nodes = 269; root_ord = "pos-sorted" });
   ]
 
 let golden_fires : (string * (string * int) list) list =
@@ -211,11 +320,10 @@ let golden_fires : (string * (string * int) list) list =
   ]
 
 let measure file =
-  let text = read_file (Filename.concat queries_dir file) in
+  let text = query_text file in
   (compile Engine.default_opts text, compile Engine.ordered_baseline text)
 
-let measure_fires file =
-  rule_fires (read_file (Filename.concat queries_dir file))
+let measure_fires file = rule_fires (query_text file)
 
 let dump () =
   print_string "let golden : (string * shape * shape) list =\n  [ ";
@@ -232,7 +340,7 @@ let dump () =
        Printf.printf "%s(%S,\n     %s,\n     %s);\n"
          (if i = 0 then "" else "    ")
          file (pp d) (pp b))
-    query_files;
+    (query_files @ xmark_names);
   print_string "  ]\n";
   print_string "\nlet golden_fires : (string * (string * int) list) list =\n  [ ";
   List.iteri
@@ -286,7 +394,8 @@ let () =
   else begin
     (* every file on disk must be pinned, and vice versa *)
     let pinned = List.map (fun (f, _, _) -> f) golden in
-    assert (List.sort compare pinned = List.sort compare query_files);
+    assert (List.sort compare pinned
+            = List.sort compare (query_files @ xmark_names));
     Alcotest.run "plan_shapes"
       [ ("golden",
          List.map
