@@ -5,7 +5,7 @@
      xrquy xmark [--scale f] [--query Qn] [options] run XMark queries
      xrquy gen   [--scale f] [-o out.xml]           generate an XMark doc
 
-   Options shared by run/plan/xmark:
+   Plan-shaping options, shared by run/plan/xmark:
      --mode ordered|unordered    force the ordering mode
      --no-rules                  disable the Figure-7 rules (baseline)
      --no-cda                    disable column dependency analysis
@@ -15,9 +15,16 @@
      --no-join-isolation         disable join-graph isolation (the
                                  where-past-lets slide and the semijoin/
                                  antijoin synthesis rules)
+     --no-joinrec                disable where-clause join recognition
      --no-hoist                  disable loop-invariant hoisting
+
+   Execution (run/xmark):
      --interpret                 use the reference interpreter
+     --tag-index                 tag-indexed steps instead of the scan
+     --no-code-eval              disable compressed execution
      --profile                   print the per-bucket execution profile
+
+   Plan output (plan):
      --dot                       print plans as Graphviz dot
 
    Parallelism (run/xmark):
@@ -202,31 +209,53 @@ let budget_spec timeout_s max_rows max_bytes max_ops =
       { Basis.Budget.unlimited with
         Basis.Budget.timeout_s; max_rows; max_bytes; max_ops }
 
-let mk_opts ?(no_joinrec = false) ?(no_join_isolation = false) ?budget
-    ?(no_fallback = false) ?(tree_eval = false) ?jobs
-    ?(no_parallel = false) ?(no_rewrite = false) ?(no_order_props = false)
-    ?(no_code_eval = false) mode no_rules no_cda no_hoist interpret tag_index =
-  { Engine.mode;
-    unordered_rules = not no_rules;
-    cda = not no_cda;
-    hoist = not no_hoist;
-    backend = (if interpret then Engine.Interpreted else Engine.Compiled);
-    step_impl =
-      (if tag_index then Algebra.Eval.Tag_index else Algebra.Eval.Scan);
-    eval_mode = (if tree_eval then Algebra.Eval.Tree else Algebra.Eval.Dag);
-    join_rec = not no_joinrec;
-    join_isolation = not no_join_isolation;
-    budget;
-    fallback = not no_fallback;
-    jobs =
-      (if no_parallel then 1
-       else
-         match jobs with
-         | Some j -> max 1 j
-         | None -> Engine.default_opts.Engine.jobs);
-    rewrite = not no_rewrite;
-    order_props = not no_order_props;
-    code_eval = not no_code_eval }
+(* The plan-shaping part of [Engine.opts] — every flag that changes the
+   compiled plan — as one term that run, plan and xmark share. *)
+let plan_opts_term =
+  let make mode no_rules no_cda no_hoist no_joinrec no_join_isolation
+      no_rewrite no_order_props =
+    { Engine.default_opts with
+      Engine.mode;
+      unordered_rules = not no_rules;
+      cda = not no_cda;
+      hoist = not no_hoist;
+      join_rec = not no_joinrec;
+      join_isolation = not no_join_isolation;
+      rewrite = not no_rewrite;
+      order_props = not no_order_props }
+  in
+  Term.(const make $ mode_arg $ no_rules_arg $ no_cda_arg $ no_hoist_arg
+        $ no_joinrec_arg $ no_join_isolation_arg $ no_rewrite_arg
+        $ no_order_props_arg)
+
+let jobs_of ~no_parallel jobs =
+  if no_parallel then 1
+  else
+    match jobs with
+    | Some j -> max 1 j
+    | None -> Engine.default_opts.Engine.jobs
+
+(* ...and the execution part, which run and xmark add on top of it:
+   backend, step implementation, evaluation mode, budgets, fallback,
+   parallelism and compressed execution. *)
+let opts_term =
+  let make opts interpret tag_index tree_eval timeout max_rows max_bytes
+      max_ops no_fallback jobs no_parallel no_code_eval =
+    { opts with
+      Engine.backend =
+        (if interpret then Engine.Interpreted else Engine.Compiled);
+      step_impl =
+        (if tag_index then Algebra.Eval.Tag_index else Algebra.Eval.Scan);
+      eval_mode = (if tree_eval then Algebra.Eval.Tree else Algebra.Eval.Dag);
+      budget = budget_spec timeout max_rows max_bytes max_ops;
+      fallback = not no_fallback;
+      jobs = jobs_of ~no_parallel jobs;
+      code_eval = not no_code_eval }
+  in
+  Term.(const make $ plan_opts_term $ interpret_arg $ tag_index_arg
+        $ tree_eval_arg $ timeout_arg $ max_rows_arg $ max_bytes_arg
+        $ max_ops_arg $ no_fallback_arg $ jobs_arg $ no_parallel_arg
+        $ no_code_eval_arg)
 
 let load_documents store specs =
   List.iter
@@ -276,20 +305,10 @@ let report_degraded r =
 (* ----------------------------------------------------------------- run *)
 
 let run_cmd =
-  let action docs qf expr mode no_rules no_cda no_hoist interpret profile
-      tag_index no_joinrec no_join_isolation timeout max_rows max_bytes
-      max_ops no_fallback tree_eval jobs no_parallel plan_cache
-      no_plan_cache no_rewrite no_order_props no_code_eval =
+  let action docs qf expr opts profile plan_cache no_plan_cache =
     handle (fun () ->
         let store = Xmldb.Doc_store.create () in
         load_documents store docs;
-        let budget = budget_spec timeout max_rows max_bytes max_ops in
-        let opts =
-          mk_opts ~no_joinrec ~no_join_isolation ?budget ~no_fallback
-            ~tree_eval ?jobs ~no_parallel ~no_rewrite
-            ~no_order_props ~no_code_eval mode no_rules no_cda no_hoist
-            interpret tag_index
-        in
         let cache = mk_cache ~plan_cache ~no_plan_cache in
         let r =
           Engine.run ?cache ~opts ~with_profile:profile store
@@ -307,48 +326,32 @@ let run_cmd =
           (r.Engine.wall_seconds *. 1000.0))
   in
   Cmd.v (Cmd.info "run" ~doc:"Evaluate an XQuery expression")
-    Term.(const action $ docs_arg $ query_file_arg $ expr_arg $ mode_arg
-          $ no_rules_arg $ no_cda_arg $ no_hoist_arg $ interpret_arg
-          $ profile_arg $ tag_index_arg $ no_joinrec_arg
-          $ no_join_isolation_arg $ timeout_arg $ max_rows_arg
-          $ max_bytes_arg $ max_ops_arg $ no_fallback_arg $ tree_eval_arg
-          $ jobs_arg $ no_parallel_arg $ plan_cache_arg
-          $ no_plan_cache_arg $ no_rewrite_arg $ no_order_props_arg
-          $ no_code_eval_arg)
+    Term.(const action $ docs_arg $ query_file_arg $ expr_arg $ opts_term
+          $ profile_arg $ plan_cache_arg $ no_plan_cache_arg)
 
 (* ---------------------------------------------------------------- plan *)
 
-(* Per-node property note for the plan dump: constant, dense and key
-   columns as inferred by Exrquy.Properties, plus the guaranteed sort
-   orders from the ordering analysis (Algebra.Order). Dense implies key,
-   so a dense column is reported once, under "dense". *)
-let props_annot ?ord hints n =
-  let module P = Exrquy.Properties in
-  let p = P.props hints n in
-  let set name s skip =
-    let s = P.SSet.diff s skip in
+(* Per-node property note for the plan dump: constant and key columns,
+   plus the guaranteed sort orders unless ordering-property reasoning is
+   off — all read from one Algebra.Props analyzer. *)
+let props_annot ~order_props a n =
+  let module P = Algebra.Props in
+  let p = P.props a n in
+  let set name s =
     if P.SSet.is_empty s then []
     else [ Printf.sprintf "%s:%s" name (String.concat "," (P.SSet.elements s)) ]
   in
   let consts = P.SSet.of_list (List.map fst (P.SMap.bindings p.P.consts)) in
   let ordering =
-    match ord with
-    | None -> []
-    | Some a -> (
-      match Algebra.Order.annotate a n with "" -> [] | s -> [ s ])
+    if not order_props then []
+    else match P.annotate a n with "" -> [] | s -> [ s ]
   in
-  let parts =
-    set "const" consts P.SSet.empty
-    @ set "dense" p.P.dense P.SSet.empty
-    @ set "key" p.P.keys p.P.dense
-    @ ordering
-  in
+  let parts = set "const" consts @ set "key" p.P.keys @ ordering in
   if parts = [] then None
   else Some ("(" ^ String.concat " " parts ^ ")")
 
 let plan_cmd =
-  let action docs qf expr mode no_rules no_cda no_hoist dot no_rewrite
-      no_order_props no_join_isolation =
+  let action docs qf expr opts dot =
     handle (fun () ->
         (* documents are loaded only for their statistics: the rewriter's
            and the lowerer's cost decisions (join sides) *)
@@ -360,20 +363,14 @@ let plan_cmd =
             Some (Engine.stats_of_store store)
           end
         in
-        let opts =
-          mk_opts ~no_join_isolation ~no_rewrite
-            ~no_order_props mode no_rules no_cda no_hoist false false
-        in
         let a = Engine.analyze ~opts ?stats (query_text qf expr) in
         let raw = a.Engine.araw and optimized = a.Engine.aoptimized in
+        let order_props = opts.Engine.order_props in
+        let props = Algebra.Props.make () in
         let render p =
           if dot then Algebra.Plan_pp.to_dot p
           else
-            let hints = Exrquy.Properties.infer p in
-            let ord =
-              if no_order_props then None else Some (Algebra.Order.make ())
-            in
-            Algebra.Plan_pp.to_tree ~annot:(props_annot ?ord hints) p
+            Algebra.Plan_pp.to_tree ~annot:(props_annot ~order_props props) p
         in
         let sharing p =
           Printf.sprintf "%d DAG nodes, %d as a tree (sharing factor %.2f)"
@@ -403,8 +400,7 @@ let plan_cmd =
         if opts.Engine.cda then print_string (render optimized);
         if not dot then begin
           let pp =
-            Engine.lower_physical ?stats ~order_props:(not no_order_props)
-              optimized
+            Engine.lower_physical ?stats ~order_props optimized
           in
           Printf.printf
             "-- physical plan: %d kernels, %d parallelizable (\xE2\x88\xA5)\n"
@@ -414,9 +410,8 @@ let plan_cmd =
         end)
   in
   Cmd.v (Cmd.info "plan" ~doc:"Compile a query and print its algebra plan")
-    Term.(const action $ docs_arg $ query_file_arg $ expr_arg $ mode_arg
-          $ no_rules_arg $ no_cda_arg $ no_hoist_arg $ dot_arg
-          $ no_rewrite_arg $ no_order_props_arg $ no_join_isolation_arg)
+    Term.(const action $ docs_arg $ query_file_arg $ expr_arg
+          $ plan_opts_term $ dot_arg)
 
 (* --------------------------------------------------------------- xmark *)
 
@@ -434,21 +429,12 @@ let repeat_arg =
            ~doc:"Run each query $(docv) times (exercises the plan cache).")
 
 let xmark_cmd =
-  let action scale qname mode no_rules no_cda no_hoist interpret profile
-      tag_index timeout max_rows max_bytes max_ops no_fallback tree_eval
-      jobs no_parallel plan_cache no_plan_cache repeat
-      no_rewrite no_order_props no_join_isolation no_code_eval =
+  let action scale qname opts profile plan_cache no_plan_cache repeat =
     handle (fun () ->
         let store = Xmldb.Doc_store.create () in
         let _, bytes = Xmark.Xmark_gen.load ~scale store in
         Printf.eprintf "auction.xml: %.2f MB, %d nodes\n"
           (float_of_int bytes /. 1e6) (Xmldb.Doc_store.total_nodes store);
-        let budget = budget_spec timeout max_rows max_bytes max_ops in
-        let opts =
-          mk_opts ~no_join_isolation ?budget ~no_fallback ~tree_eval
-            ?jobs ~no_parallel ~no_rewrite ~no_order_props
-            ~no_code_eval mode no_rules no_cda no_hoist interpret tag_index
-        in
         let cache = mk_cache ~plan_cache ~no_plan_cache in
         let queries =
           match qname with
@@ -470,12 +456,8 @@ let xmark_cmd =
         report_cache_stats cache)
   in
   Cmd.v (Cmd.info "xmark" ~doc:"Run XMark benchmark queries on a generated instance")
-    Term.(const action $ scale_arg $ xmark_query_arg $ mode_arg $ no_rules_arg
-          $ no_cda_arg $ no_hoist_arg $ interpret_arg $ profile_arg
-          $ tag_index_arg $ timeout_arg $ max_rows_arg $ max_bytes_arg
-          $ max_ops_arg $ no_fallback_arg $ tree_eval_arg $ jobs_arg $ no_parallel_arg $ plan_cache_arg $ no_plan_cache_arg
-          $ repeat_arg $ no_rewrite_arg $ no_order_props_arg
-          $ no_join_isolation_arg $ no_code_eval_arg)
+    Term.(const action $ scale_arg $ xmark_query_arg $ opts_term
+          $ profile_arg $ plan_cache_arg $ no_plan_cache_arg $ repeat_arg)
 
 (* ----------------------------------------------------------------- gen *)
 
@@ -563,8 +545,12 @@ let store_load_cmd =
             (Xmldb.Doc_store.documents store)
         | _ ->
           let opts =
-            mk_opts ?jobs ~no_code_eval mode false false false
-              interpret false
+            { Engine.default_opts with
+              Engine.mode;
+              backend =
+                (if interpret then Engine.Interpreted else Engine.Compiled);
+              jobs = jobs_of ~no_parallel:false jobs;
+              code_eval = not no_code_eval }
           in
           let r =
             Engine.run ~opts ~with_profile:profile store (query_text qf expr)

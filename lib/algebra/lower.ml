@@ -12,10 +12,10 @@
    is strictly post-logical: it never changes plan shapes, so the
    logical optimizer's output (and its golden tests) are untouched.
 
-   Static column-type hints come in through [types] — a function rather
-   than a direct [Properties] call because the property inference lives
-   in a layer above this one. Hints only annotate the physical plan for
-   dumps; execution re-detects types dynamically.
+   One property analyzer ([Props]) supplies the static column types,
+   which only annotate the physical plan for dumps (execution re-detects
+   types dynamically), and, under [order_props], the merge hints of
+   surviving sorts.
 
    Lowering also decides which kernels are licensed to fan out over
    morsels ([ppar]) — the plan-shape story of the paper, mapped onto the
@@ -53,8 +53,7 @@ let parallelizable (pop : Physical.pop) =
   | Physical.K_project _ | Physical.K_distinct | Physical.K_union
   | Physical.K_rownum _ | Physical.K_step _ | Physical.K_boxed _ -> false
 
-let lower ?(types = fun (_ : Plan.node) -> ([] : (string * Column.ty) list))
-    ?card ?(merge_hint = fun (_ : Plan.node) -> (None : int option))
+let lower ?card ?(order_props = true) ?(props = Props.make ())
     (root : Plan.node) : Physical.pnode =
   (* Cardinality estimates pick the hash-join build side: build on the
      left when it is estimated (with margin) smaller than the right. A
@@ -64,6 +63,20 @@ let lower ?(types = fun (_ : Plan.node) -> ([] : (string * Column.ty) list))
     match card with
     | None -> false
     | Some est -> 2 * est left < est right
+  in
+  let types n =
+    List.map (fun c -> (c, Props.col_ty props n c))
+      (Props.SSet.elements (Props.schema props n))
+  in
+  (* A surviving % whose input the analysis proves piecewise sorted (k
+     runs) gets a merge hint: the kernel verifies the runs and merges
+     instead of sorting. The hint is advisory — a wrong count falls back
+     to the full sort. *)
+  let merge_hint input order part =
+    if not order_props then None
+    else
+      Props.sorted_runs props input
+        ((match part with Some p -> [ (p, Plan.Asc) ] | None -> []) @ order)
   in
   let memo : (int, Physical.pnode) Hashtbl.t = Hashtbl.create 256 in
   let rec go (n : Plan.node) : Physical.pnode =
@@ -83,8 +96,9 @@ let lower ?(types = fun (_ : Plan.node) -> ([] : (string * Column.ty) list))
         | Plan.Distinct _ -> Physical.K_distinct
         | Plan.Union _ -> Physical.K_union
         | Plan.Rowid { res; _ } -> Physical.K_rowid res
-        | Plan.Rownum { res; order; part; _ } ->
-          Physical.K_rownum { res; order; part; merge_hint = merge_hint n }
+        | Plan.Rownum { input; res; order; part } ->
+          Physical.K_rownum
+            { res; order; part; merge_hint = merge_hint input order part }
         | Plan.Join { left; right; lcol; rcol } ->
           Physical.K_join { lcol; rcol; build_left = build_left_of left right }
         | Plan.Thetajoin { lcol; cmp; rcol; _ } ->

@@ -48,44 +48,6 @@ module SSet = Set.Make (String)
 
 (* ------------------------------------------------------------- analysis *)
 
-(* Static schema of a (possibly freshly built) node, memoized by id. *)
-let make_schema_of () =
-  let memo : (int, SSet.t) Hashtbl.t = Hashtbl.create 64 in
-  let rec schema_of (n : Plan.node) =
-    match Hashtbl.find_opt memo n.Plan.id with
-    | Some s -> s
-    | None ->
-      let s =
-        match n.Plan.op with
-        | Plan.Lit { schema; _ } -> SSet.of_list (Array.to_list schema)
-        | Plan.Project { cols; _ } -> SSet.of_list (List.map fst cols)
-        | Plan.Select { input; _ } | Plan.Distinct { input } -> schema_of input
-        | Plan.Semijoin { left; _ } | Plan.Antijoin { left; _ } ->
-          schema_of left
-        | Plan.Join { left; right; _ } | Plan.Thetajoin { left; right; _ }
-        | Plan.Cross { left; right } ->
-          SSet.union (schema_of left) (schema_of right)
-        | Plan.Union { left; _ } -> schema_of left
-        | Plan.Rownum { input; res; _ } | Plan.Rowid { input; res }
-        | Plan.Attach { input; res; _ } | Plan.Fun1 { input; res; _ }
-        | Plan.Fun2 { input; res; _ } | Plan.Fun3 { input; res; _ } ->
-          SSet.add res (schema_of input)
-        | Plan.Aggr { res; part; _ } ->
-          (match part with
-           | Some p -> SSet.of_list [ p; res ]
-           | None -> SSet.singleton res)
-        | Plan.Step _ | Plan.Doc _ | Plan.Elem _ | Plan.Attr _
-        | Plan.Textnode _ | Plan.Commentnode _ | Plan.Pinode _
-        | Plan.Id_lookup _ ->
-          SSet.of_list [ "iter"; "item" ]
-        | Plan.Range _ | Plan.Textify _ ->
-          SSet.of_list [ "iter"; "pos"; "item" ]
-      in
-      Hashtbl.replace memo n.Plan.id s;
-      s
-  in
-  schema_of
-
 (* Top-down order-insensitivity: true for a node iff every consumer path
    to the root erases its row order. Meet over parent edges (a single
    order-sensitive consumer pins the node).
@@ -173,15 +135,16 @@ let empty_stats =
 let total_fires s = List.fold_left (fun acc (_, k) -> acc + k) 0 s.fires
 
 (* One bottom-up rebuild pass. [fire] counts rule applications.
-   [ord] is the ordering-property analyzer for "sort-elision" (None when
-   order-property reasoning is disabled); it is created fresh per pass so
-   its facts describe the pass's own rebuilt nodes. [jg] enables the
+   [props] is the property analyzer shared by every pass (it memoizes by
+   node id, so it answers for the pass's freshly built nodes too);
+   [order_props] enables "sort-elision". [jg] enables the
    join-graph isolation rules ([Joingraph]), consulted first: their
    patterns (sigma over its own attached constant, Distinct over a
    left-only projection of a join, ...) are disjoint from the arms below,
    so the order only decides who answers, never what. *)
-let rewrite_once b ~est ~fire ~ord ~jg (root : Plan.node) : Plan.node =
-  let schema_of = make_schema_of () in
+let rewrite_once b ~est ~fire ~props ~order_props ~jg (root : Plan.node) :
+    Plan.node =
+  let schema_of = Props.schema props in
   let insensitive = order_insensitive root in
   let mapped : (int, Plan.node) Hashtbl.t = Hashtbl.create 64 in
   let owns side col = SSet.mem col (schema_of side) in
@@ -468,9 +431,7 @@ let rewrite_once b ~est ~fire ~ord ~jg (root : Plan.node) : Plan.node =
            | _ -> keep op')
          (* -- sort elision: % whose order already holds becomes # ------- *)
          | Plan.Rownum { input; res; order; part = None }
-           when (match ord with
-                 | Some a -> Order.satisfies a input order
-                 | None -> false) ->
+           when order_props && Props.satisfies props input order ->
            (* the input provably arrives sorted by [order] under
               compare_total; the sort comparator ends in a row-position
               tie-break, so the stable sort of an already-sorted input is
@@ -498,11 +459,13 @@ let optimize ?(max_rounds = 50) ?(order_props = true)
       (1 + Option.value ~default:0 (Hashtbl.find_opt counts rule))
   in
   let ops_before = Plan.count_ops root in
+  let props = Props.make () in
   let rec go i root =
     if i >= max_rounds then (root, i)
     else
-      let ord = if order_props then Some (Order.make ()) else None in
-      let root' = rewrite_once b ~est ~fire ~ord ~jg:join_isolation root in
+      let root' =
+        rewrite_once b ~est ~fire ~props ~order_props ~jg:join_isolation root
+      in
       if root'.Plan.id = root.Plan.id then (root, i) else go (i + 1) root'
   in
   let root', rounds = go 0 root in

@@ -30,7 +30,7 @@
        order-changing, same gate; a strict 2x ratio prevents
        oscillation);}
     {- ["sort-elision"] — an unpartitioned [%] (Rownum) whose input
-       provably arrives sorted by the requested keys ({!Order}) becomes
+       provably arrives sorted by the requested keys ({!Props}) becomes
        a [#] (Rowid) stamp: the stable sort of a sorted input is the
        identity, so ranks equal row positions bit-for-bit. Unlike the
        order-changing rules this needs no insensitivity gate — it
@@ -69,7 +69,7 @@ val total_fires : stats -> int
     default 50) and returns the new root with run statistics.
     [stats] seeds cardinality estimates for ["join-swap"]; estimates are
     advisory — they steer performance choices, never correctness.
-    [order_props] (default [true]) enables the {!Order}-backed
+    [order_props] (default [true]) enables the {!Props}-backed
     ["sort-elision"] rule; switching it off restores sort-preserving
     plans for differential testing. [join_isolation] (default [true])
     enables the {!Joingraph} rules; switching it off restores the

@@ -12,29 +12,33 @@
      - projections are narrowed to the required columns and fused;
      - rownum order criteria drop constant columns; a rownum left with
        only arbitrary (#-born) criteria and constant partitioning
-       degrades into a free # (the paper's Section 7 wrap-up);
+       degrades into a free # (the paper's Section 7 wrap-up; a % over a
+       dense criterion — a key the rows ascend in — is the rewriter's
+       sort elision);
      - adjacent steps merge: descendant-or-self::node()/child::nt
        becomes descendant::nt once no order-establishing operator remains
        between them (the Q6/Q7 "exceptional speedup" of Section 5);
      - sigma over a comparison over a cross product fuses into a theta
        join (a lightweight form of Pathfinder's join recognition [9]).
 
-   The optimize loop alternates analysis and rewriting to a fixpoint. *)
+   The optimize loop alternates analysis and rewriting to a fixpoint;
+   the properties come from one [Algebra.Props] analyzer shared by every
+   round (it memoizes by node id, so it also answers for rebuilt nodes). *)
 
 module A = Algebra.Plan
 module SSet = Set.Make (String)
-module P = Properties
+module P = Algebra.Props
 
 (* ------------------------------------------------------------- analysis *)
 
-let required (props : P.t) (root : A.node) : (int, SSet.t) Hashtbl.t =
+let required (props : P.analyzer) (root : A.node) : (int, SSet.t) Hashtbl.t =
   let req : (int, SSet.t) Hashtbl.t = Hashtbl.create 64 in
   let get n = Option.value ~default:SSet.empty (Hashtbl.find_opt req n.A.id) in
   let add n cols =
     Hashtbl.replace req n.A.id (SSet.union (get n) cols)
   in
   Hashtbl.replace req root.A.id (SSet.of_list [ "pos"; "item" ]);
-  let schema n = (P.props props n).P.schema in
+  let schema = P.schema props in
   (* root first: topo_order lists children before parents *)
   List.iter
     (fun (n : A.node) ->
@@ -118,43 +122,8 @@ let required (props : P.t) (root : A.node) : (int, SSet.t) Hashtbl.t =
 
 let is_identity_pair (nw, src) = String.equal nw src
 
-(* Schema of a (possibly freshly rewritten) node, memoized by node id. *)
-let make_schema_of () =
-  let memo : (int, SSet.t) Hashtbl.t = Hashtbl.create 64 in
-  let rec schema_of (n : A.node) =
-    match Hashtbl.find_opt memo n.A.id with
-    | Some s -> s
-    | None ->
-      let s =
-        match n.A.op with
-        | A.Lit { schema; _ } -> SSet.of_list (Array.to_list schema)
-        | A.Project { cols; _ } -> SSet.of_list (List.map fst cols)
-        | A.Select { input; _ } | A.Distinct { input } -> schema_of input
-        | A.Semijoin { left; _ } | A.Antijoin { left; _ } -> schema_of left
-        | A.Join { left; right; _ } | A.Thetajoin { left; right; _ }
-        | A.Cross { left; right } ->
-          SSet.union (schema_of left) (schema_of right)
-        | A.Union { left; _ } -> schema_of left
-        | A.Rownum { input; res; _ } | A.Rowid { input; res }
-        | A.Attach { input; res; _ } | A.Fun1 { input; res; _ }
-        | A.Fun2 { input; res; _ } | A.Fun3 { input; res; _ } ->
-          SSet.add res (schema_of input)
-        | A.Aggr { res; part; _ } ->
-          (match part with
-           | Some p -> SSet.of_list [ p; res ]
-           | None -> SSet.singleton res)
-        | A.Step _ | A.Doc _ | A.Elem _ | A.Attr _ | A.Textnode _
-        | A.Commentnode _ | A.Pinode _ | A.Id_lookup _ ->
-          SSet.of_list [ "iter"; "item" ]
-        | A.Range _ | A.Textify _ -> SSet.of_list [ "iter"; "pos"; "item" ]
-      in
-      Hashtbl.replace memo n.A.id s;
-      s
-  in
-  schema_of
-
-let rewrite b (props : P.t) req (root : A.node) : A.node =
-  let schema_of = make_schema_of () in
+let rewrite b (props : P.analyzer) req (root : A.node) : A.node =
+  let schema_of = P.schema props in
   let mapped : (int, A.node) Hashtbl.t = Hashtbl.create 64 in
   let rs_of (orig : A.node) =
     Option.value ~default:SSet.empty (Hashtbl.find_opt req orig.A.id)
@@ -194,17 +163,7 @@ let rewrite b (props : P.t) req (root : A.node) : A.node =
            let all_arbitrary =
              List.for_all (fun (c, _) -> SSet.mem c iprops.P.arbitrary) order'
            in
-           (* a leading strictly-increasing (dense) ascending criterion has
-              no ties, so the remaining criteria are never consulted and
-              the sort permutation is the identity: % degrades to # *)
-           let dense_prefix =
-             match order' with
-             | (c, A.Asc) :: _ -> SSet.mem c iprops.P.dense
-             | _ -> false
-           in
-           if order' = []
-              || (all_arbitrary && part' = None)
-              || (dense_prefix && part' = None)
+           if order' = [] || (all_arbitrary && part' = None)
            then keep (A.Rowid { input; res })
            else keep (A.Rownum { input; res; order = order'; part = part' })
          (* projection: narrow, fuse, and drop identities *)
@@ -332,8 +291,7 @@ let rewrite b (props : P.t) req (root : A.node) : A.node =
                       | A.Fun2 { input = oj; _ } ->
                         (match oj.A.op with
                          | A.Cross { left = ol; right = or_ } ->
-                           ((P.props props ol).P.schema,
-                            (P.props props or_).P.schema)
+                           (P.schema props ol, P.schema props or_)
                          | _ -> (SSet.empty, SSet.empty))
                       | _ -> (SSet.empty, SSet.empty))
                    | _ -> (SSet.empty, SSet.empty)
@@ -368,16 +326,12 @@ let rewrite b (props : P.t) req (root : A.node) : A.node =
 
 (* --------------------------------------------------------------- driver *)
 
-let optimize_once b root =
-  let props = P.infer root in
-  let req = required props root in
-  rewrite b props req root
-
 let optimize ?(max_rounds = 50) b root =
+  let props = P.make () in
   let rec go i root =
     if i >= max_rounds then root
     else
-      let root' = optimize_once b root in
+      let root' = rewrite b props (required props root) root in
       if root'.A.id = root.A.id then root else go (i + 1) root'
   in
   go 0 root

@@ -20,20 +20,8 @@
     {- [σ] over a comparison over a cross product fuses into a theta join
        (a lightweight form of Pathfinder's join recognition [9]).}} *)
 
-module SSet : Set.S with type elt = string and type t = Set.Make(String).t
-
-(** Phase 1: required-column sets per node id. *)
-val required :
-  Properties.t -> Algebra.Plan.node -> (int, SSet.t) Hashtbl.t
-
-(** Phase 2: one bottom-up rewrite pass. *)
-val rewrite :
-  Algebra.Plan.builder -> Properties.t -> (int, SSet.t) Hashtbl.t ->
-  Algebra.Plan.node -> Algebra.Plan.node
-
-(** One analyze+rewrite round. *)
-val optimize_once : Algebra.Plan.builder -> Algebra.Plan.node -> Algebra.Plan.node
-
-(** Iterate {!optimize_once} to a fixpoint (at most [max_rounds]). *)
+(** Analyze and rewrite to a fixpoint (at most [max_rounds] rounds). The
+    properties come from one {!Algebra.Props} analyzer shared by every
+    round. *)
 val optimize :
   ?max_rounds:int -> Algebra.Plan.builder -> Algebra.Plan.node -> Algebra.Plan.node

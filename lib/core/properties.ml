@@ -1,444 +1,6 @@
-(* Bottom-up plan property inference:
+include Algebra.Props
 
-     - static schema (column set) of every operator,
-     - constant columns (every row carries the same, known value),
-     - "arbitrary" columns: columns whose values were produced by the
-       rowid operator # and therefore carry no semantic order information.
-
-   This is the property framework the paper's wrap-up (Section 7) uses to
-   degrade the residual %pos1:<bind,pos>||iter1 of Figure 9 to a free
-   numbering: iter1 and pos are found constant, bind is found arbitrary,
-   which empties %'s order criteria. *)
-
-open Basis
-module A = Algebra.Plan
-module Value = Algebra.Value
-module Column = Algebra.Column
-module SMap = Map.Make (String)
-module SSet = Set.Make (String)
-
-type props = {
-  schema : SSet.t;
-  consts : Value.t SMap.t;   (* column -> the value it always carries *)
-  arbitrary : SSet.t;        (* columns born from # (rowid) *)
-  ctypes : Column.ty SMap.t; (* column -> statically known value type;
-                                absent means T_mixed (unknown). Hints for
-                                the physical layer: they gate whether a
-                                runtime retype is attempted, never replace
-                                the dynamic check. *)
-  keys : SSet.t;             (* columns provably duplicate-free *)
-  dense : SSet.t;            (* columns strictly increasing in physical
-                                row order (implies keys) *)
-}
-
-type t = (int, props) Hashtbl.t
-
-let props tbl (n : A.node) : props =
-  match Hashtbl.find_opt tbl n.A.id with
-  | Some p -> p
-  | None -> Err.internal "properties: node %d not inferred" n.A.id
-
-let schema_list tbl n = SSet.elements (props tbl n).schema
-
-let col_ty tbl n c =
-  match SMap.find_opt c (props tbl n).ctypes with
-  | Some ty -> ty
-  | None -> Column.T_mixed
-
-(* restrict a map/set to a column set *)
-let restrict_map m cols = SMap.filter (fun c _ -> SSet.mem c cols) m
-let restrict_set s cols = SSet.inter s cols
-
-(* ------------------------------------------- static column-type inference *)
-
-(* [None] means "statically unknown" (= T_mixed): the safe answer
-   everywhere. These mirror the promotion rules of [Value]'s arithmetic:
-   Int op Int stays Int except for [div], which yields Int or Dbl
-   depending on exactness. *)
-
-let atomize_ty = function
-  | Some Column.T_node -> Some Column.T_str
-  | Some (Column.T_int | Column.T_dbl | Column.T_bool | Column.T_str) as t -> t
-  | _ -> None
-
-let prim1_ty (f : A.prim1) (arg : Column.ty option) : Column.ty option =
-  let open Column in
-  match f with
-  | A.P_not | A.P_is_node | A.P_cast_bool | A.P_check_zero_one
-  | A.P_check_exactly_one | A.P_check_one_or_more | A.P_castable _
-  | A.P_instance_item _ | A.P_check_treat -> Some T_bool
-  | A.P_string | A.P_cast_str | A.P_normalize_space | A.P_upper | A.P_lower
-  | A.P_serialize | A.P_name | A.P_local_name -> Some T_str
-  | A.P_string_length | A.P_cast_int -> Some T_int
-  | A.P_number | A.P_cast_dbl -> Some T_dbl
-  | A.P_neg | A.P_round | A.P_floor | A.P_ceiling | A.P_abs ->
-    (match arg with Some (T_int | T_dbl) -> arg | _ -> None)
-  | A.P_atomize -> atomize_ty arg
-  | A.P_node_check -> Some T_node
-  | A.P_cast_as ty ->
-    (match ty with
-     | A.Ty_integer -> Some T_int
-     | A.Ty_double -> Some T_dbl
-     | A.Ty_string | A.Ty_untyped -> Some T_str
-     | A.Ty_boolean -> Some T_bool
-     | A.Ty_any_atomic -> atomize_ty arg)
-  | A.P_error -> None
-
-let prim2_ty (f : A.prim2) a b : Column.ty option =
-  let open Column in
-  let numeric =
-    match (a, b) with
-    | Some T_int, Some T_int -> Some T_int
-    | Some (T_int | T_dbl), Some (T_int | T_dbl) -> Some T_dbl
-    | _ -> None
-  in
-  match f with
-  | A.P_eq | A.P_ne | A.P_lt | A.P_le | A.P_gt | A.P_ge | A.P_and | A.P_or
-  | A.P_is | A.P_before | A.P_after | A.P_contains | A.P_starts_with
-  | A.P_ends_with -> Some T_bool
-  | A.P_concat | A.P_substr_before | A.P_substr_after -> Some T_str
-  | A.P_add | A.P_sub | A.P_mul | A.P_mod -> numeric
-  | A.P_div ->
-    (* Int/Int yields Int when exact, Dbl otherwise: unknown statically *)
-    (match (a, b) with
-     | Some T_dbl, Some (T_int | T_dbl) | Some T_int, Some T_dbl ->
-       Some T_dbl
-     | _ -> None)
-  | A.P_idiv -> Some T_int
-
-let agg_ty (agg : A.agg) (arg : Column.ty option) : Column.ty option =
-  let open Column in
-  match agg with
-  | A.A_count -> Some T_int
-  | A.A_ebv -> Some T_bool
-  | A.A_str_join _ -> Some T_str
-  | A.A_the -> arg
-  (* an empty group sums to Int 0, so T_dbl input does not give T_dbl *)
-  | A.A_sum -> (match arg with Some T_int -> Some T_int | _ -> None)
-  | A.A_max | A.A_min -> (match arg with Some (T_int | T_dbl) -> arg | _ -> None)
-  | A.A_avg -> (match arg with Some T_dbl -> Some T_dbl | _ -> None)
-
-(* add a hint only when it is informative *)
-let add_ty res ty m =
-  match ty with
-  | Some t when t <> Column.T_mixed -> SMap.add res t m
-  | _ -> SMap.remove res m
-
-(* Exact key/denseness facts for literal tables, bounded so inference
-   stays linear on big literals (where the facts would not pay anyway). *)
-let lit_keys_dense schema rows =
-  let n = List.length rows in
-  if n = 0 || n > 32 then
-    if n = 0 then
-      (* no rows: every column is vacuously unique and increasing *)
-      let all = SSet.of_list (Array.to_list schema) in
-      (all, all)
-    else (SSet.empty, SSet.empty)
-  else
-    Array.to_list schema
-    |> List.mapi (fun i c ->
-        let vals = List.map (fun (row : Value.t array) -> row.(i)) rows in
-        let distinct =
-          let rec ok = function
-            | [] -> true
-            | v :: rest -> (not (List.exists (Value.equal v) rest)) && ok rest
-          in
-          ok vals
-        in
-        let increasing =
-          let rec ok = function
-            | Value.Int a :: (Value.Int b :: _ as rest) -> a < b && ok rest
-            | [ Value.Int _ ] -> true
-            | [] -> true
-            | _ -> false
-          in
-          ok vals
-        in
-        (c, distinct, increasing))
-    |> List.fold_left
-      (fun (ks, ds) (c, k, d) ->
-         ((if k then SSet.add c ks else ks),
-          (if d then SSet.add c ds else ds)))
-      (SSet.empty, SSet.empty)
-
-let single_row (n : A.node) =
-  match n.A.op with A.Lit { rows = [ _ ]; _ } -> true | _ -> false
-
-let infer (root : A.node) : t =
-  let tbl : t = Hashtbl.create 64 in
-  let get n = props tbl n in
-  (* the ctypes of a node-producing operator's output: iter survives,
-     item is a node *)
-  let node_output pi =
-    add_ty "item" (Some Column.T_node)
-      (restrict_map pi.ctypes (SSet.singleton "iter"))
-  in
-  List.iter
-    (fun (n : A.node) ->
-       let p =
-         match n.A.op with
-         | A.Lit { schema; rows } ->
-           let schema_set = SSet.of_list (Array.to_list schema) in
-           let consts =
-             match rows with
-             | [ row ] ->
-               Array.to_seq schema
-               |> Seq.mapi (fun i c -> (c, row.(i)))
-               |> SMap.of_seq
-             | _ -> SMap.empty
-           in
-           let ctypes =
-             match rows with
-             | [] -> SMap.empty
-             | first :: rest ->
-               let tys = Array.map Column.ty_of_value first in
-               List.iter
-                 (fun row ->
-                    Array.iteri
-                      (fun i v ->
-                         tys.(i) <-
-                           Column.ty_union tys.(i) (Column.ty_of_value v))
-                      row)
-                 rest;
-               Array.to_seq schema
-               |> Seq.mapi (fun i c -> (i, c))
-               |> Seq.filter_map (fun (i, c) ->
-                   if tys.(i) = Column.T_mixed then None
-                   else Some (c, tys.(i)))
-               |> SMap.of_seq
-           in
-           let keys, dense = lit_keys_dense schema rows in
-           { schema = schema_set; consts; arbitrary = SSet.empty; ctypes;
-             keys; dense }
-         | A.Project { input; cols } ->
-           let pi = get input in
-           let schema = SSet.of_list (List.map fst cols) in
-           let consts =
-             List.fold_left
-               (fun acc (nw, src) ->
-                  match SMap.find_opt src pi.consts with
-                  | Some v -> SMap.add nw v acc
-                  | None -> acc)
-               SMap.empty cols
-           in
-           let arbitrary =
-             List.fold_left
-               (fun acc (nw, src) ->
-                  if SSet.mem src pi.arbitrary then SSet.add nw acc else acc)
-               SSet.empty cols
-           in
-           let ctypes =
-             List.fold_left
-               (fun acc (nw, src) ->
-                  match SMap.find_opt src pi.ctypes with
-                  | Some ty -> SMap.add nw ty acc
-                  | None -> acc)
-               SMap.empty cols
-           in
-           (* row count unchanged, so per-column facts just rename *)
-           let rename_set s =
-             List.fold_left
-               (fun acc (nw, src) ->
-                  if SSet.mem src s then SSet.add nw acc else acc)
-               SSet.empty cols
-           in
-           { schema; consts; arbitrary; ctypes;
-             keys = rename_set pi.keys; dense = rename_set pi.dense }
-         | A.Select { input; _ } | A.Distinct { input } -> get input
-         | A.Semijoin { left; _ } | A.Antijoin { left; _ } -> get left
-         | A.Join { left; right; lcol; rcol } ->
-           let pl = get left and pr = get right in
-           (* a side's uniqueness survives iff the other side's join
-              column is a key (each row then matches at most once); the
-              output enumerates surviving left rows in order, so left
-              denseness survives under the same condition *)
-           let keys =
-             SSet.union
-               (if SSet.mem rcol pr.keys then pl.keys else SSet.empty)
-               (if SSet.mem lcol pl.keys then pr.keys else SSet.empty)
-           in
-           let dense =
-             if SSet.mem rcol pr.keys then pl.dense else SSet.empty
-           in
-           { schema = SSet.union pl.schema pr.schema;
-             consts =
-               SMap.union (fun _ v _ -> Some v) pl.consts pr.consts;
-             arbitrary = SSet.union pl.arbitrary pr.arbitrary;
-             ctypes = SMap.union (fun _ ty _ -> Some ty) pl.ctypes pr.ctypes;
-             keys; dense }
-         | A.Thetajoin { left; right; _ } ->
-           let pl = get left and pr = get right in
-           { schema = SSet.union pl.schema pr.schema;
-             consts =
-               SMap.union (fun _ v _ -> Some v) pl.consts pr.consts;
-             arbitrary = SSet.union pl.arbitrary pr.arbitrary;
-             ctypes = SMap.union (fun _ ty _ -> Some ty) pl.ctypes pr.ctypes;
-             keys = SSet.empty; dense = SSet.empty }
-         | A.Cross { left; right } ->
-           let pl = get left and pr = get right in
-           (* products repeat rows, except against a one-row side *)
-           let keys, dense =
-             if single_row right then (pl.keys, pl.dense)
-             else if single_row left then (pr.keys, pr.dense)
-             else (SSet.empty, SSet.empty)
-           in
-           { schema = SSet.union pl.schema pr.schema;
-             consts =
-               SMap.union (fun _ v _ -> Some v) pl.consts pr.consts;
-             arbitrary = SSet.union pl.arbitrary pr.arbitrary;
-             ctypes = SMap.union (fun _ ty _ -> Some ty) pl.ctypes pr.ctypes;
-             keys; dense }
-         | A.Union { left; right } ->
-           let pl = get left and pr = get right in
-           (* a column is constant after union iff constant with the same
-              value on both sides; same pointwise reasoning for types *)
-           let consts =
-             SMap.merge
-               (fun _ a b ->
-                  match (a, b) with
-                  | Some va, Some vb when Value.equal va vb -> Some va
-                  | _ -> None)
-               pl.consts pr.consts
-           in
-           let ctypes =
-             SMap.merge
-               (fun _ a b ->
-                  match (a, b) with
-                  | Some ta, Some tb when ta = tb -> Some ta
-                  | _ -> None)
-               pl.ctypes pr.ctypes
-           in
-           { schema = pl.schema;
-             consts;
-             arbitrary = SSet.inter pl.arbitrary pr.arbitrary;
-             ctypes;
-             (* rows from both sides interleave: uniqueness is lost *)
-             keys = SSet.empty; dense = SSet.empty }
-         | A.Rownum { input; res; part; _ } ->
-           let pi = get input in
-           (* unpartitioned row numbers are unique; they follow the sort
-              order, not the physical row order, so they are not dense *)
-           let keys =
-             match part with
-             | None -> SSet.add res pi.keys
-             | Some _ -> pi.keys
-           in
-           { pi with
-             schema = SSet.add res pi.schema;
-             ctypes = SMap.add res Column.T_int pi.ctypes;
-             keys }
-         | A.Rowid { input; res } ->
-           let pi = get input in
-           { schema = SSet.add res pi.schema;
-             consts = pi.consts;
-             arbitrary = SSet.add res pi.arbitrary;
-             ctypes = SMap.add res Column.T_int pi.ctypes;
-             (* # numbers rows consecutively in physical order *)
-             keys = SSet.add res pi.keys;
-             dense = SSet.add res pi.dense }
-         | A.Attach { input; res; value } ->
-           let pi = get input in
-           { schema = SSet.add res pi.schema;
-             consts = SMap.add res value pi.consts;
-             arbitrary = pi.arbitrary;
-             ctypes = add_ty res (Some (Column.ty_of_value value)) pi.ctypes;
-             keys = pi.keys; dense = pi.dense }
-         | A.Fun1 { input; res; f; arg } ->
-           let pi = get input in
-           { pi with
-             schema = SSet.add res pi.schema;
-             ctypes =
-               add_ty res (prim1_ty f (SMap.find_opt arg pi.ctypes)) pi.ctypes }
-         | A.Fun2 { input; res; f; arg1; arg2 } ->
-           let pi = get input in
-           { pi with
-             schema = SSet.add res pi.schema;
-             ctypes =
-               add_ty res
-                 (prim2_ty f
-                    (SMap.find_opt arg1 pi.ctypes)
-                    (SMap.find_opt arg2 pi.ctypes))
-                 pi.ctypes }
-         | A.Fun3 { input; res; _ } ->
-           let pi = get input in
-           (* both ternary primitives build strings *)
-           { pi with
-             schema = SSet.add res pi.schema;
-             ctypes = SMap.add res Column.T_str pi.ctypes }
-         | A.Aggr { input; res; agg; arg; part; _ } ->
-           let pi = get input in
-           let schema, keep =
-             match part with
-             | Some p -> (SSet.of_list [ p; res ], SSet.singleton p)
-             | None -> (SSet.singleton res, SSet.empty)
-           in
-           let arg_ty =
-             Option.bind arg (fun a -> SMap.find_opt a pi.ctypes)
-           in
-           (* group-key values are a subset of the input's *)
-           let keys, dense =
-             match part with
-             | Some p -> (SSet.singleton p, SSet.empty)  (* one row per group *)
-             | None ->
-               (* a single output row: trivially unique and increasing *)
-               (SSet.singleton res, SSet.singleton res)
-           in
-           { schema;
-             consts = restrict_map pi.consts keep;
-             arbitrary = restrict_set pi.arbitrary keep;
-             ctypes =
-               add_ty res (agg_ty agg arg_ty) (restrict_map pi.ctypes keep);
-             keys; dense }
-         | A.Step { input; _ } | A.Doc { input } | A.Textnode { input }
-         | A.Commentnode { input } | A.Pinode { input } ->
-           let pi = get input in
-           let keep = SSet.singleton "iter" in
-           { schema = SSet.of_list [ "iter"; "item" ];
-             consts = restrict_map pi.consts keep;
-             arbitrary = restrict_set pi.arbitrary keep;
-             ctypes = node_output pi;
-             keys = SSet.empty; dense = SSet.empty }
-         | A.Id_lookup { context; _ } ->
-           let pc = get context in
-           let keep = SSet.singleton "iter" in
-           { schema = SSet.of_list [ "iter"; "item" ];
-             consts = restrict_map pc.consts keep;
-             arbitrary = restrict_set pc.arbitrary keep;
-             ctypes = node_output pc;
-             keys = SSet.empty; dense = SSet.empty }
-         | A.Elem { qnames; _ } | A.Attr { qnames; _ } ->
-           let pq = get qnames in
-           let keep = SSet.singleton "iter" in
-           { schema = SSet.of_list [ "iter"; "item" ];
-             consts = restrict_map pq.consts keep;
-             arbitrary = restrict_set pq.arbitrary keep;
-             ctypes = node_output pq;
-             keys = SSet.empty; dense = SSet.empty }
-         | A.Range { input; lo = _; hi = _ } ->
-           let pi = get input in
-           let keep = SSet.singleton "iter" in
-           { schema = SSet.of_list [ "iter"; "pos"; "item" ];
-             consts = restrict_map pi.consts keep;
-             arbitrary = restrict_set pi.arbitrary keep;
-             ctypes =
-               SMap.add "pos" Column.T_int
-                 (SMap.add "item" Column.T_int
-                    (restrict_map pi.ctypes keep));
-             keys = SSet.empty; dense = SSet.empty }
-         | A.Textify { input } ->
-           let pi = get input in
-           let keep = SSet.singleton "iter" in
-           (* atomic runs become text nodes; node items pass through.
-              Emitted pos values are a subset of the input's, so its type
-              (but not its const-ness, kept conservative) survives. *)
-           { schema = SSet.of_list [ "iter"; "pos"; "item" ];
-             consts = restrict_map pi.consts keep;
-             arbitrary = restrict_set pi.arbitrary keep;
-             ctypes =
-               SMap.add "item" Column.T_node
-                 (restrict_map pi.ctypes (SSet.of_list [ "iter"; "pos" ]));
-             keys = SSet.empty; dense = SSet.empty }
-       in
-       Hashtbl.replace tbl n.A.id p)
-    (A.topo_order root);
-  tbl
+let infer root =
+  let a = make () in
+  List.iter (fun n -> ignore (props a n)) (Algebra.Plan.topo_order root);
+  a

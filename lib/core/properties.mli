@@ -1,50 +1,8 @@
-(** Bottom-up plan property inference:
-    {ul
-    {- the static schema (column set) of every operator;}
-    {- {e constant} columns — every row carries the same, known value;}
-    {- {e arbitrary} columns — born from the rowid operator [#], hence
-       carrying no semantic order information;}
-    {- static {e column types} — hints for the physical layer's typed
-       (unboxed) columns.}}
+(** A re-export of {!Algebra.Props}, the plan-property analysis, kept
+    only because the benchmark's traced run calls [infer]. *)
 
-    This is the property framework the paper's Section 7 uses to degrade
-    the residual [%pos1:⟨bind,pos⟩‖iter1] of Figure 9: [iter1] and [pos]
-    are found constant, [bind] arbitrary, which empties the rownum's
-    order criteria and turns it into a free numbering. *)
+include module type of struct include Algebra.Props end
 
-module SMap : Map.S with type key = string and type 'a t = 'a Map.Make(String).t
-module SSet : Set.S with type elt = string and type t = Set.Make(String).t
-
-type props = {
-  schema : SSet.t;
-  consts : Algebra.Value.t SMap.t;  (** column → its constant value *)
-  arbitrary : SSet.t;               (** columns born from # *)
-  ctypes : Algebra.Column.ty SMap.t;
-      (** column → statically known value type; absent = unknown
-          ([T_mixed]). The physical layer uses these as hints gating
-          whether a runtime retype is attempted — the dynamic check stays
-          authoritative, so a wrong hint can cost time but never
-          correctness. *)
-  keys : SSet.t;
-      (** columns provably duplicate-free across the node's rows. Unlike
-          [ctypes], these license {e rewrites} (keyed Distinct elision),
-          so the inference rules must be exact, never heuristic. *)
-  dense : SSet.t;
-      (** columns provably strictly increasing in physical row order
-          (implies membership in [keys]); sorting by such a column is the
-          identity, which degrades % over it to #. *)
-}
-
-(** Inference result: properties per plan-node id. *)
-type t
-
-(** Infer properties for every node reachable from the root. *)
-val infer : Algebra.Plan.node -> t
-
-(** Look up a node's properties; internal error if it was not inferred. *)
-val props : t -> Algebra.Plan.node -> props
-
-val schema_list : t -> Algebra.Plan.node -> string list
-
-(** The statically known type of a node's column ([T_mixed] = unknown). *)
-val col_ty : t -> Algebra.Plan.node -> string -> Algebra.Column.ty
+(** Derive the value half of every node's record — what lowering reads
+    for its column-type annotations — without the order facts. *)
+val infer : Algebra.Plan.node -> analyzer

@@ -47,7 +47,7 @@ type opts = {
          reassociation and cardinality-driven input ordering, run between
          CDA and lowering *)
   order_props : bool;
-      (* ordering-property reasoning (Algebra.Order): the rewriter's
+      (* ordering-property reasoning (Algebra.Props): the rewriter's
          sort-elision rule, the root sort-on-pos skip, and merge-degraded
          % kernels. Pure optimization — a proof of an order already held
          can change no result *)
@@ -254,39 +254,13 @@ let label_plan root =
             | Algebra.Plan.Union _ | Algebra.Plan.Range _ -> "plumbing"))
     (Algebra.Plan.topo_order root)
 
-(* Lower an optimized logical plan to the physical-operator DAG, wiring
-   the statically inferred column types in as dump annotations and the
-   cardinality estimates in as the hash-build-side chooser. *)
-let lower_physical ?stats ?(order_props = true) optimized =
-  let hints = Exrquy.Properties.infer optimized in
-  let types n =
-    List.map
-      (fun c -> (c, Exrquy.Properties.col_ty hints n c))
-      (Exrquy.Properties.schema_list hints n)
-  in
-  let card = Algebra.Plan.Card.estimator ?stats () in
-  (* Surviving % nodes whose input the ordering analysis proves piecewise
-     sorted (k runs) get a merge hint: the kernel verifies the runs and
-     merges instead of sorting. The hint is advisory — a wrong count
-     falls back to the full sort. *)
-  let merge_hint =
-    if not order_props then fun _ -> None
-    else begin
-      let a = Algebra.Order.make () in
-      fun (n : Algebra.Plan.node) ->
-        match n.Algebra.Plan.op with
-        | Algebra.Plan.Rownum { input; order; part; _ } ->
-          let req =
-            (match part with
-             | Some p -> [ (p, Algebra.Plan.Asc) ]
-             | None -> [])
-            @ order
-          in
-          Algebra.Order.sorted_runs a input req
-        | _ -> None
-    end
-  in
-  Algebra.Lower.lower ~types ~card ~merge_hint optimized
+(* Lower an optimized logical plan to the physical-operator DAG: the
+   cardinality estimates choose hash-build sides, and the property
+   analyzer supplies the column-type annotations and, under
+   [order_props], the merge hints. *)
+let lower_physical ?stats ?order_props ?props optimized =
+  Algebra.Lower.lower ~card:(Algebra.Plan.Card.estimator ?stats ())
+    ?order_props ?props optimized
 
 let prepared_of ?cache ?stats opts text =
   let build () =
@@ -298,8 +272,9 @@ let prepared_of ?cache ?stats opts text =
       (* label before lowering so physical kernels inherit the profile
          buckets of their logical head operators *)
       label_plan optimized;
+      let props = Algebra.Props.make () in
       let physical =
-        lower_physical ?stats ~order_props:opts.order_props optimized
+        lower_physical ?stats ~order_props:opts.order_props ~props optimized
       in
       (* The root sort exists to order items by pos; when the optimized
          plan already proves pos-order (non-strict suffices: the root
@@ -308,7 +283,7 @@ let prepared_of ?cache ?stats opts text =
          the query's ordering mode. *)
       let pos_sorted =
         opts.order_props
-        && Algebra.Order.satisfies (Algebra.Order.make ()) optimized
+        && Algebra.Props.satisfies props optimized
              [ ("pos", Algebra.Plan.Asc) ]
       in
       let sorts_elided =

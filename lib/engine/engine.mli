@@ -68,7 +68,7 @@ type opts = {
           results and error behaviour are unchanged (default [true]).
           Participates in the plan-cache fingerprint. *)
   order_props : bool;
-      (** ordering-property reasoning ({!Algebra.Order}): the rewriter's
+      (** ordering-property reasoning ({!Algebra.Props}): the rewriter's
           sort-elision rule ([%] → [#] when the required order already
           holds), the root sort-on-pos skip when the plan proves
           pos-order, and merge-degraded [%] kernels over piecewise-sorted
@@ -166,10 +166,12 @@ val plans_of :
     (what the compiled backend executes). [stats]
     steers the hash-join build-side choice; omitted = defaults.
     [order_props] (default [true]) lets the ordering analysis attach
-    merge hints to surviving [%] kernels. *)
+    merge hints to surviving [%] kernels. [props] is the property
+    analyzer to read (default: a fresh one). *)
 val lower_physical :
   ?stats:Algebra.Plan.Card.stats ->
   ?order_props:bool ->
+  ?props:Algebra.Props.analyzer ->
   Algebra.Plan.node ->
   Algebra.Physical.pnode
 

@@ -236,8 +236,11 @@ let evaluate_server q =
    agree on the schema and on every row in order, or fail with the same
    error kind and message; their guards must have counted the same
    operator boundaries and rows (physical kernels map 1:1 onto logical
-   nodes). Only then is the (pos-sorted) result compared against the
-   interpreter like every other config. *)
+   nodes). When the reference run succeeds, every claim the property
+   analysis makes about the plan's nodes is checked against their tables
+   ([Claims]; cached tables, so no budget is charged). Only then is the
+   (pos-sorted) result compared against the interpreter like every other
+   config. *)
 let evaluate_reference_executor ~budget_spec q =
   let run exec =
     let st = mk_store () in
@@ -269,8 +272,13 @@ let evaluate_reference_executor ~budget_spec q =
     |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
     |> List.map snd
   in
+  let violations = ref [] in
   let reference =
-    run (fun ~stats:_ ~guard st p -> Algebra.Eval.run ~guard st p)
+    run (fun ~stats:_ ~guard st p ->
+        let ctx = Algebra.Eval.create ~guard st in
+        let t = Algebra.Eval.eval ctx p in
+        violations := Claims.violations ctx p;
+        t)
   in
   let physical =
     run (fun ~stats ~guard st p ->
@@ -284,6 +292,8 @@ let evaluate_reference_executor ~budget_spec q =
          o1 r1 o2 r2)
   in
   match (reference, physical) with
+  | _ when !violations <> [] ->
+    Blew_up ("analysis claim violated: " ^ String.concat "; " !violations)
   | (Ok (_, te), c1), (Ok (st, t), c2) when rows te = rows t ->
     if c1 = c2 then Items (ser st (items t)) else budgets_differ c1 c2
   | (Error (Failed (k1, m1) as f), c1), (Error (Failed (k2, m2)), c2)

@@ -132,22 +132,20 @@ let test_properties_consts () =
   let b = A.builder () in
   let loop = A.lit_loop b in
   let q = A.attach b loop "pos" (Algebra.Value.Int 1) in
-  let props = Exrquy.Properties.infer q in
-  let p = Exrquy.Properties.props props q in
+  let p = Algebra.Props.(props (make ()) q) in
   Alcotest.(check bool) "pos const" true
-    (Exrquy.Properties.SMap.mem "pos" p.Exrquy.Properties.consts);
+    (Algebra.Props.SMap.mem "pos" p.Algebra.Props.consts);
   Alcotest.(check bool) "iter const (unit loop)" true
-    (Exrquy.Properties.SMap.mem "iter" p.Exrquy.Properties.consts)
+    (Algebra.Props.SMap.mem "iter" p.Algebra.Props.consts)
 
 let test_properties_arbitrary () =
   let b = A.builder () in
   let t = A.lit b [| "a" |] [ [| Algebra.Value.Int 1 |] ] in
   let r = A.rowid b t "id" in
   let pr = A.project b r [ ("x", "id") ] in
-  let props = Exrquy.Properties.infer pr in
-  let p = Exrquy.Properties.props props pr in
+  let p = Algebra.Props.(props (make ()) pr) in
   Alcotest.(check bool) "arbitrary propagates through rename" true
-    (Exrquy.Properties.SSet.mem "x" p.Exrquy.Properties.arbitrary)
+    (Algebra.Props.SSet.mem "x" p.Algebra.Props.arbitrary)
 
 let test_rownum_degradation () =
   (* %res:<id> over #id with const partition degrades to # (Section 7) *)

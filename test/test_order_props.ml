@@ -1,6 +1,6 @@
 (* The ordering-property framework, pinned from both ends.
 
-   Part 1 — unit guards. Every propagation rule in [Algebra.Order] gets
+   Part 1 — unit guards. Every order rule in [Algebra.Props] gets
    a fire case AND a no-fire case, built directly on the plan builder so
    the rule under test is isolated from the compiler: the staircase step
    emits document order only when its input is iter-sorted; [#] stamps a
@@ -16,12 +16,17 @@
    byte-identical output to the serial engine with it off, at
    {serial, jobs = 4}. Order props prove facts about
    physical row order, never about the query's mode — so elision must be
-   invisible even where order is fully observable. *)
+   invisible even where order is fully observable.
+
+   Part 3 — the claims check. Every claim the analysis makes about a
+   node of a corpus plan (raw and optimized, XMark Q1–Q20 included,
+   default and ordered-baseline options) holds on the table the
+   reference executor produced for that node ([Claims]). *)
 
 let () = Unix.putenv "XRQ_MORSEL" "4"
 
 module P = Algebra.Plan
-module O = Algebra.Order
+module O = Algebra.Props
 module V = Algebra.Value
 
 (* ------------------------------------------------------- unit helpers *)
@@ -63,6 +68,28 @@ let test_lit () =
   let one = P.lit b [| "a"; "z" |] [ [| V.Int 7; V.Str "x" |] ] in
   check_sat "one-row lit satisfies anything" true one
     [ ("a", P.Desc); ("z", P.Asc) ]
+
+(* At most one row (zero included) makes every column a key, which a join
+   against the one-row side then passes on. *)
+let keys n = (O.props (O.make ()) n).O.keys
+
+let test_one_row_keys () =
+  let b = P.builder () in
+  let left =
+    P.lit b [| "k"; "v" |]
+      [ [| V.Int 1; V.Int 7 |]; [| V.Int 2; V.Int 7 |] ]
+  in
+  let empty = P.lit b [| "r" |] [] in
+  Alcotest.(check (list string)) "empty lit: every column a key" [ "r" ]
+    (O.SSet.elements (keys empty));
+  Alcotest.(check (list string)) "join against an empty lit keeps the key"
+    [ "k" ] (O.SSet.elements (keys (P.join b left empty "v" "r")));
+  (* no-fire: two rows with a duplicate value are not a key *)
+  let dup = ints b "r" [ 7; 7 ] in
+  Alcotest.(check (list string)) "duplicate two-row lit: no key" []
+    (O.SSet.elements (keys dup));
+  Alcotest.(check (list string)) "join against it keeps no key" []
+    (O.SSet.elements (keys (P.join b left dup "v" "r")))
 
 let test_rowid () =
   let b = P.builder () in
@@ -219,6 +246,7 @@ let test_sort_elision_rewrite () =
 
 (* ------------------------------------------------------------- Part 2 *)
 
+
 let doc_xml = "<a><b><c/><d/></b><c/><e k=\"1\">x<f/>y</e></a>"
 let auction_xml = lazy (Xmark.Xmark_gen.generate ~scale:0.002 ())
 
@@ -322,13 +350,37 @@ let test_root_sort_counters () =
   Alcotest.(check int) "top_sellers: root sort kept" 0
     (root_elided "top_sellers.xq")
 
+(* ------------------------------------------------------------- Part 3 *)
+
+let test_corpus_claims () =
+  List.iter
+    (fun (name, text) ->
+       let st = mk_store () in
+       let stats = Engine.stats_of_store st in
+       List.iter
+         (fun (oname, opts) ->
+            let a = Engine.analyze ~opts ~stats text in
+            List.iter
+              (fun (pname, plan) ->
+                 let ctx = Algebra.Eval.create st in
+                 ignore (Algebra.Eval.eval ctx plan);
+                 Alcotest.(check (list string))
+                   (Printf.sprintf "%s %s %s" name oname pname)
+                   [] (Claims.violations ctx plan))
+              [ ("raw", a.Engine.araw); ("optimized", a.Engine.aoptimized) ])
+         [ ("default", Engine.default_opts);
+           ("baseline", Engine.ordered_baseline) ])
+    (corpus () @ Xmark.Xmark_queries.all)
+
 let () =
   Alcotest.run "order-props"
     [ ("rule guards: sources",
        [ Alcotest.test_case "literal tables" `Quick test_lit;
          Alcotest.test_case "rowid (#)" `Quick test_rowid;
          Alcotest.test_case "attach (@)" `Quick test_attach;
-         Alcotest.test_case "staircase step" `Quick test_step_staircase ]);
+         Alcotest.test_case "staircase step" `Quick test_step_staircase;
+         Alcotest.test_case "one row: every column a key" `Quick
+           test_one_row_keys ]);
       ("rule guards: combinators",
        [ Alcotest.test_case "join/cross/thetajoin outer order" `Quick
            test_join_outer_order;
@@ -345,4 +397,7 @@ let () =
          Alcotest.test_case "root-sort counters" `Quick
            test_root_sort_counters;
          Alcotest.test_case "forced ordered mode, on = off, all executors"
-           `Slow test_forced_ordered_oracle ]) ]
+           `Slow test_forced_ordered_oracle ]);
+      ("claims",
+       [ Alcotest.test_case "corpus: every claim holds on its node's table"
+           `Quick test_corpus_claims ]) ]

@@ -47,7 +47,7 @@ type shape = {
   rowids : int;     (* # *)
   joins : int;      (* ⋈, ⋈θ, semi/anti, × *)
   tree_nodes : int; (* the plan unfolded without sharing *)
-  ord_nodes : int;  (* nodes with a provable ordering fact (Algebra.Order) *)
+  ord_nodes : int;  (* nodes with a provable ordering fact (Algebra.Props) *)
   root_ord : string;
       (* the root's ordering annotation; "ord:pos↑" (or a const pos /
          one-row proof folded into it) is what licenses root-sort
@@ -56,7 +56,7 @@ type shape = {
 
 let shape_of root =
   let rownums = ref 0 and rowids = ref 0 and joins = ref 0 in
-  let a = Algebra.Order.make () in
+  let a = Algebra.Props.make () in
   let ord_nodes = ref 0 in
   List.iter
     (fun (n : P.node) ->
@@ -66,12 +66,12 @@ let shape_of root =
         | P.Join _ | P.Thetajoin _ | P.Semijoin _ | P.Antijoin _
         | P.Cross _ -> incr joins
         | _ -> ());
-       if Algebra.Order.annotate a n <> "" then incr ord_nodes)
+       if Algebra.Props.annotate a n <> "" then incr ord_nodes)
     (P.topo_order root);
   let root_ord =
-    if Algebra.Order.satisfies a root [ ("pos", P.Asc) ] then "pos-sorted"
+    if Algebra.Props.satisfies a root [ ("pos", P.Asc) ] then "pos-sorted"
     else
-      match Algebra.Order.annotate a root with "" -> "unordered" | s -> s
+      match Algebra.Props.annotate a root with "" -> "unordered" | s -> s
   in
   { ops = P.count_ops root;
     rownums = !rownums;

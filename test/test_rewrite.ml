@@ -153,7 +153,7 @@ let test_join_swap () =
   let _, s2 = R.optimize b2 join2 in
   Alcotest.(check int) "no fire when balanced" 0 (fire "join-swap" s2)
 
-(* ------------------------------------- property-driven rules in Icols *)
+(* --------------------- property-driven rules: CDA's and sort elision *)
 
 let pos_item b n =
   P.mk b (P.Project { input = n; cols = [ ("pos", "pos"); ("item", "item") ] })
@@ -190,8 +190,9 @@ let test_keyed_distinct_elision () =
 
 let test_dense_rownum_degrade () =
   (* the order criterion is a dense Lit column (strictly increasing, NOT
-     rowid-born), so this isolates the dense-prefix degradation from the
-     pre-existing all-arbitrary one *)
+     rowid-born, so CDA's all-arbitrary degradation does not apply): a
+     key with an ascending order fact, so the sort is the identity and
+     sort elision degrades the % to # *)
   let b = P.builder () in
   let base = lit b [ "k"; "item" ] (ints [ [ 10; 7 ]; [ 20; 8 ]; [ 30; 9 ] ]) in
   let rn =
@@ -199,7 +200,8 @@ let test_dense_rownum_degrade () =
       (P.Rownum
          { input = base; res = "pos"; order = [ ("k", P.Asc) ]; part = None })
   in
-  let root = Exrquy.Icols.optimize b (pos_item b rn) in
+  let root, s = R.optimize b (pos_item b rn) in
+  Alcotest.(check int) "sort-elision fires" 1 (fire "sort-elision" s);
   Alcotest.(check bool) "rownum degraded to rowid (dense criterion)" false
     (has_op is_rownum root);
   check_rows ~sort:false "numbering identical" (pos_item b rn) root;
@@ -212,7 +214,8 @@ let test_dense_rownum_degrade () =
       (P.Rownum
          { input = base2; res = "pos"; order = [ ("k", P.Asc) ]; part = None })
   in
-  let root2 = Exrquy.Icols.optimize b2 (pos_item b2 rn2) in
+  let root2, s2 = R.optimize b2 (pos_item b2 rn2) in
+  Alcotest.(check int) "sort-elision does not fire" 0 (fire "sort-elision" s2);
   Alcotest.(check bool) "rownum kept" true (has_op is_rownum root2)
 
 (* ------------------------------------------- physical build-side flip *)
