@@ -39,9 +39,9 @@
    Keys, consts and facts license rewrites (keyed δ elision, % criteria
    dropping, sort elision, the root-sort skip), so every rule must be
    exact: a missing fact costs a sort that was already paid for, a wrong
-   one changes answers. Facts are computed only when [satisfies],
-   [sorted_runs] or [annotate] asks for them: column dependency analysis
-   reads the value half on every round and never needs order. *)
+   one changes answers. Facts and column types are computed only when
+   asked for: column dependency analysis and the rewriter read the rest
+   of the value half on every round and need neither. *)
 
 module SMap = Map.Make (String)
 module SSet = Set.Make (String)
@@ -54,9 +54,11 @@ type t = {
   keys : SSet.t;
   one_row : bool;
   arbitrary : SSet.t;
-  ctypes : Column.ty SMap.t;
+  ctypes : Column.ty SMap.t Lazy.t;
   facts : req list Lazy.t;
 }
+
+let ctypes p = Lazy.force p.ctypes
 
 (* ----------------------------------------------------- order reasoning *)
 
@@ -210,18 +212,19 @@ let lit_props schema rows =
   let nrows = List.length rows in
   let schema_set = SSet.of_list (Array.to_list schema) in
   let ctypes =
-    match rows with
-    | [] -> SMap.empty
-    | first :: rest ->
-      let tys = Array.map Column.ty_of_value first in
-      List.iter
-        (Array.iteri (fun i v ->
-             tys.(i) <- Column.ty_union tys.(i) (Column.ty_of_value v)))
-        rest;
-      Array.to_seq schema
-      |> Seq.mapi (fun i c -> (c, tys.(i)))
-      |> Seq.filter (fun (_, ty) -> ty <> Column.T_mixed)
-      |> SMap.of_seq
+    lazy
+      (match rows with
+       | [] -> SMap.empty
+       | first :: rest ->
+         let tys = Array.map Column.ty_of_value first in
+         List.iter
+           (Array.iteri (fun i v ->
+                tys.(i) <- Column.ty_union tys.(i) (Column.ty_of_value v)))
+           rest;
+         Array.to_seq schema
+         |> Seq.mapi (fun i c -> (c, tys.(i)))
+         |> Seq.filter (fun (_, ty) -> ty <> Column.T_mixed)
+         |> SMap.of_seq)
   in
   let base =
     { schema = schema_set; consts = SMap.empty; keys = SSet.empty;
@@ -261,7 +264,7 @@ let node_output src =
     keys = SSet.empty;
     one_row = false;
     arbitrary = SSet.inter src.arbitrary iter_only;
-    ctypes = SMap.add "item" Column.T_node (only iter_only src.ctypes);
+    ctypes = lazy (SMap.add "item" Column.T_node (only iter_only (ctypes src)));
     facts = Lazy.from_val [] }
 
 (* ...and of one that builds at most one node per [src] row, in [src]
@@ -272,10 +275,12 @@ let node_per_row src =
     one_row = src.one_row;
     facts = lazy (truncate_facts (String.equal "iter") (Lazy.force src.facts)) }
 
-(* Append a computed column [res] to the carrier rows, which stay in
-   place. *)
+(* Append a computed column [res], typed by [ty] from the input's column
+   types, to the carrier rows, which stay in place. *)
 let append p res ty =
-  { p with schema = SSet.add res p.schema; ctypes = add_ty res ty p.ctypes }
+  { p with
+    schema = SSet.add res p.schema;
+    ctypes = lazy (let ct = ctypes p in add_ty res (ty ct) ct) }
 
 let union_first a b = SMap.union (fun _ v _ -> Some v) a b
 
@@ -303,7 +308,7 @@ let derive get (n : Plan.node) : t =
       keys = rename_set p.keys;
       one_row = p.one_row;
       arbitrary = rename_set p.arbitrary;
-      ctypes = rename_map p.ctypes;
+      ctypes = lazy (rename_map (ctypes p));
       facts =
         lazy
           (List.filter (fun f -> f <> [])
@@ -348,7 +353,7 @@ let derive get (n : Plan.node) : t =
           (if SSet.mem lcol pl.keys then pr.keys else SSet.empty);
       one_row = pl.one_row && pr.one_row;
       arbitrary = SSet.union pl.arbitrary pr.arbitrary;
-      ctypes = union_first pl.ctypes pr.ctypes;
+      ctypes = lazy (union_first (ctypes pl) (ctypes pr));
       (* pair order is left-major with right matches in right-row order
          (hash buckets accumulate probe hits in scan order) *)
       facts =
@@ -364,7 +369,7 @@ let derive get (n : Plan.node) : t =
       keys = SSet.empty;
       one_row = false;
       arbitrary = SSet.union pl.arbitrary pr.arbitrary;
-      ctypes = union_first pl.ctypes pr.ctypes;
+      ctypes = lazy (union_first (ctypes pl) (ctypes pr));
       facts = pl.facts }
   | Plan.Cross { left; right } ->
     let pl = get left and pr = get right in
@@ -377,7 +382,7 @@ let derive get (n : Plan.node) : t =
           (if pl.one_row then pr.keys else SSet.empty);
       one_row = pl.one_row && pr.one_row;
       arbitrary = SSet.union pl.arbitrary pr.arbitrary;
-      ctypes = union_first pl.ctypes pr.ctypes;
+      ctypes = lazy (union_first (ctypes pl) (ctypes pr));
       facts =
         lazy
           (Lazy.force pl.facts
@@ -398,7 +403,7 @@ let derive get (n : Plan.node) : t =
       keys = SSet.empty;
       one_row = false;
       arbitrary = SSet.inter pl.arbitrary pr.arbitrary;
-      ctypes = agree ( = ) pl.ctypes pr.ctypes;
+      ctypes = lazy (agree ( = ) (ctypes pl) (ctypes pr));
       facts = Lazy.from_val [] }
   | Plan.Rownum { input; res; order; part } ->
     let p = get input in
@@ -418,39 +423,40 @@ let derive get (n : Plan.node) : t =
              else None)
           [ Plan.Asc; Plan.Desc ]
     in
-    { (append p res (Some Column.T_int)) with
+    { (append p res (fun _ -> Some Column.T_int)) with
       (* unpartitioned ranks are unique *)
       keys = (if part = None then SSet.add res p.keys else p.keys);
       facts = lazy (extra () @ Lazy.force p.facts) }
   | Plan.Rowid { input; res } ->
     let p = get input in
-    { (append p res (Some Column.T_int)) with
+    { (append p res (fun _ -> Some Column.T_int)) with
       keys = SSet.add res p.keys;
       arbitrary = SSet.add res p.arbitrary;
       facts = lazy ([ (res, Plan.Asc) ] :: Lazy.force p.facts) }
   | Plan.Attach { input; res; value } ->
     let p = get input in
-    { (append p res (Some (Column.ty_of_value value))) with
+    { (append p res (fun _ -> Some (Column.ty_of_value value))) with
       consts = SMap.add res value p.consts }
   | Plan.Fun1 { input; res; f; arg } ->
-    let p = get input in
-    append p res (prim1_ty f (SMap.find_opt arg p.ctypes))
+    append (get input) res (fun ct -> prim1_ty f (SMap.find_opt arg ct))
   | Plan.Fun2 { input; res; f; arg1; arg2 } ->
-    let p = get input in
-    append p res
-      (prim2_ty f (SMap.find_opt arg1 p.ctypes) (SMap.find_opt arg2 p.ctypes))
+    append (get input) res (fun ct ->
+        prim2_ty f (SMap.find_opt arg1 ct) (SMap.find_opt arg2 ct))
   | Plan.Fun3 { input; res; _ } ->
     (* both ternary primitives build strings *)
-    append (get input) res (Some Column.T_str)
+    append (get input) res (fun _ -> Some Column.T_str)
   | Plan.Aggr { input; res; agg; arg; part; _ } -> (
     let p = get input in
-    let res_ty = agg_ty agg (Option.bind arg (fun a -> SMap.find_opt a p.ctypes)) in
+    let res_ty () =
+      agg_ty agg (Option.bind arg (fun a -> SMap.find_opt a (ctypes p)))
+    in
     match part with
     | None ->
       (* a single output row *)
       { schema = SSet.singleton res; consts = SMap.empty;
         keys = SSet.empty; one_row = true; arbitrary = SSet.empty;
-        ctypes = add_ty res res_ty SMap.empty; facts = Lazy.from_val [] }
+        ctypes = lazy (add_ty res (res_ty ()) SMap.empty);
+        facts = Lazy.from_val [] }
     | Some pc ->
       (* one output row per group, groups in first-seen order — which is
          sorted iff the input was sorted by the partition column *)
@@ -460,7 +466,7 @@ let derive get (n : Plan.node) : t =
         keys = keep;
         one_row = p.one_row;
         arbitrary = SSet.inter p.arbitrary keep;
-        ctypes = add_ty res res_ty (only keep p.ctypes);
+        ctypes = lazy (add_ty res (res_ty ()) (only keep (ctypes p)));
         facts =
           lazy
             (List.filter_map
@@ -495,8 +501,9 @@ let derive get (n : Plan.node) : t =
       one_row = false;
       arbitrary = SSet.inter p.arbitrary iter_only;
       ctypes =
-        SMap.add "pos" Column.T_int
-          (SMap.add "item" Column.T_int (only iter_only p.ctypes));
+        lazy
+          (SMap.add "pos" Column.T_int
+             (SMap.add "item" Column.T_int (only iter_only (ctypes p))));
       facts =
         lazy
           (let iter_sorted = proves p [ ("iter", Plan.Asc) ] in
@@ -516,8 +523,9 @@ let derive get (n : Plan.node) : t =
       one_row = p.one_row;
       arbitrary = SSet.inter p.arbitrary iter_only;
       ctypes =
-        SMap.add "item" Column.T_node
-          (only (SSet.of_list [ "iter"; "pos" ]) p.ctypes);
+        lazy
+          (SMap.add "item" Column.T_node
+             (only (SSet.of_list [ "iter"; "pos" ]) (ctypes p)));
       facts = Lazy.from_val [ [ ("iter", Plan.Asc); ("pos", Plan.Asc) ] ] }
 
 (* ------------------------------------------------------------ analyzer *)
@@ -532,10 +540,11 @@ let rec props (a : analyzer) (n : Plan.node) : t =
   | None ->
     let p = derive (props a) n in
     (* at most one row: every column is vacuously duplicate-free *)
+    let facts = p.facts in
     let p =
       { p with
         keys = (if p.one_row then p.schema else p.keys);
-        facts = lazy (clip (Lazy.force p.facts)) }
+        facts = lazy (clip (Lazy.force facts)) }
     in
     Hashtbl.replace a n.Plan.id p;
     p
@@ -543,7 +552,7 @@ let rec props (a : analyzer) (n : Plan.node) : t =
 let schema a n = (props a n).schema
 
 let col_ty a n c =
-  Option.value ~default:Column.T_mixed (SMap.find_opt c (props a n).ctypes)
+  Option.value ~default:Column.T_mixed (SMap.find_opt c (ctypes (props a n)))
 
 let satisfies a n req = proves (props a n) req
 

@@ -40,10 +40,11 @@ type t = {
           every column a key *)
   one_row : bool;  (** at most one row (zero included): every order holds *)
   arbitrary : SSet.t;  (** columns born from [#] *)
-  ctypes : Column.ty SMap.t;
+  ctypes : Column.ty SMap.t Lazy.t;
       (** column → statically known value type; absent = unknown
           ([T_mixed]). These only decorate the physical plan dump:
-          execution re-detects column types dynamically. *)
+          execution re-detects column types dynamically. Computed on
+          first use. *)
   facts : req list Lazy.t;
       (** each: rows are non-strictly lex-sorted by these keys; computed
           on first use *)

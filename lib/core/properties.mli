@@ -3,6 +3,6 @@
 
 include module type of struct include Algebra.Props end
 
-(** Derive the value half of every node's record — what lowering reads
-    for its column-type annotations — without the order facts. *)
+(** Derive every node's record with its column types — what lowering
+    reads for its annotations — but without the order facts. *)
 val infer : Algebra.Plan.node -> analyzer

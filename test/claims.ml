@@ -91,7 +91,7 @@ let node_violations a ctx (n : Plan.node) =
             claim
               (Array.for_all (fun v -> Algebra.Column.ty_of_value v = ty) (col c))
               "type %s : %s" c (Algebra.Column.ty_name ty))
-         (P.SMap.bindings p.P.ctypes)
+         (P.SMap.bindings (Lazy.force p.P.ctypes))
        @
        match n.Plan.op with
        | Plan.Rownum { input; order; part; _ } -> (
