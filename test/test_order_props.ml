@@ -246,7 +246,6 @@ let test_sort_elision_rewrite () =
 
 (* ------------------------------------------------------------- Part 2 *)
 
-
 let doc_xml = "<a><b><c/><d/></b><c/><e k=\"1\">x<f/>y</e></a>"
 let auction_xml = lazy (Xmark.Xmark_gen.generate ~scale:0.002 ())
 
