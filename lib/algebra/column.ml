@@ -204,6 +204,19 @@ let gather c (idx : int array) : t =
 let append a b =
   match (a, b) with
   | Ints x, Ints y -> Ints (Array.append x y)
+  | (Ints _ | Seq _), (Ints _ | Seq _) ->
+    (* a [#] numbering kept as [Seq] (e.g. by a zero-copy join) stays
+       int when appended *)
+    let na = length a in
+    let int_at c i =
+      match c with
+      | Ints x -> x.(i)
+      | Seq { start; _ } -> start + i
+      | _ -> Err.internal "Column.append: int column expected"
+    in
+    Ints
+      (Array.init (na + length b) (fun i ->
+           if i < na then int_at a i else int_at b (i - na)))
   | Dbls x, Dbls y -> Dbls (Array.append x y)
   | Bools x, Bools y -> Bools (Bytes.cat x y)
   | Strs { pool = p1; ids = x }, Strs { pool = p2; ids = y } when p1 == p2 ->

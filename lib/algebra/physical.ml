@@ -20,14 +20,21 @@
 
    Everything without a typed implementation falls back to the boxed
    kernels ([Kernels.eval_op]) through cached table conversions, so the
-   physical layer never has to be complete to be correct. Matching
-   semantics of joins are *shared* with the boxed executor
-   ([Kernels.join_indices] / [theta_indices] / [semi_keep]): the physical
-   layer only changes how inputs are fed and outputs are built, so both
-   executors agree bit-for-bit, including row order (Rownum's stability
-   tie-break makes row order observable) and NaN/negative-zero behavior
-   (float comparisons replicate the boxed [Value] semantics: unordered on
-   NaN, total [Float.compare] otherwise).
+   physical layer never has to be complete to be correct. Equality
+   matching — equi-joins, the eq theta join, single-key semi/antijoins
+   and distinct — reads its keys once as machine ints (ints, interned
+   string ids, dictionary codes) and picks per call how to enumerate
+   pairs from what the keys look like: identical strictly ascending keys
+   join zero-copy, two ascending sides merge, anything else goes through
+   one flat hash index ([Int_index]). Every path emits the reference
+   executor's pair order (left rows ascending, right rows ascending
+   within each), so both executors agree bit-for-bit, including row
+   order (Rownum's stability tie-break makes row order observable).
+   Keys that need the boxed equality rules, inequality theta joins and
+   multi-key semijoins keep the boxed matchers ([Kernels.join_indices] /
+   [theta_indices] / [semi_keep]), and float comparisons replicate the
+   boxed [Value] semantics (unordered on NaN, total [Float.compare]
+   otherwise).
 
    Resource governance: one [Budget.check] per kernel invocation, and one
    kernel per logical node, so a physical run passes exactly the boxed
@@ -65,8 +72,8 @@
    and typed-path dispatch happen on the coordinator before a row loop
    fans out; workers only read frozen columns and the document store
    (whose reads are pure). [%]-bearing kernels (Rownum), Distinct,
-   build-flipped joins/semijoins, steps and boxed fallbacks stay
-   serial. *)
+   merge joins, build-flipped joins/semijoins, steps and boxed fallbacks
+   stay serial. *)
 
 open Basis
 
@@ -93,8 +100,9 @@ type pop =
     }
   | K_join of { lcol : string; rcol : string; build_left : bool }
       (* [build_left]: hash the left column instead of the right (chosen
-         by the lowering when estimates say the left side is smaller);
-         output pair order is identical either way *)
+         by the lowering when estimates say the left side is smaller)
+         when the keys need a hash at all; output pair order is
+         identical either way *)
   | K_thetajoin of { lcol : string; cmp : Plan.prim2; rcol : string }
   | K_semijoin of { anti : bool; on : (string * string) list; build_left : bool }
       (* [build_left]: hash the (smaller) left side's keys and mark them
@@ -493,6 +501,14 @@ let str_reader pool c =
   | Column.Strs { pool = p; ids } when p == pool -> Some (fun i -> ids.(i))
   | _ -> None
 
+(* Code 0 (a row without a value) and the fragment's code for "" both
+   decode to the empty string: [code_norm ctx frag] maps the one onto the
+   other, so that code equality is string equality. *)
+let code_norm ctx frag =
+  match Xmldb.Doc_store.code_of_text ctx.env.Kernels.store frag "" with
+  | Some e -> fun code -> if code = 0 then e else code
+  | None -> fun code -> code
+
 (* Late materialization: expand a code-carrying column to query-pool ids
    (one decode + intern per base row, coordinator-side — String_pool is
    not thread-safe). Keys of hash joins go through this so string joins
@@ -722,11 +738,7 @@ let fun2_col ctx run b f c1 c2 =
                empty string, so codes pass through [norm] first. *)
             let code_pred () =
               let store = ctx.env.Kernels.store in
-              let norm frag =
-                match Xmldb.Doc_store.code_of_text store frag "" with
-                | Some e -> fun code -> if code = 0 then e else code
-                | None -> fun code -> code
-              in
+              let norm = code_norm ctx in
               let neg = f = Plan.P_ne in
               match (c1, c2) with
               | ( Column.Codes { frag; codes; _ },
@@ -885,197 +897,250 @@ let join_output (l : batch) (r : batch) li ri =
     base = n;
     table = None }
 
-(* Matching key pairs via an int hash join — the boxed fast path's exact
-   insertion/probe order, so the output row order agrees with it. The
-   build side is sequential; the probe side (outer loop over [n1]) may
-   fan out over morsels: the index is frozen by then (concurrent
-   [Hashtbl] reads of an unmutated table are safe), and per-morsel match
-   pairs concatenated in morsel order reproduce the serial i-outer,
-   j-inner enumeration. *)
-let int_join_indices ctx ~par g1 n1 g2 n2 =
-  let module IT = Kernels.Int_tbl in
-  let index : int Vec.t IT.t = IT.create (max 16 n2) in
-  for j = 0 to n2 - 1 do
-    let k = g2 j in
-    match IT.find_opt index k with
-    | Some v -> Vec.push v j
-    | None ->
-      let v = Vec.create 0 in
-      Vec.push v j;
-      IT.add index k v
-  done;
-  let probe lo hi =
-    let li = Vec.create 0 and ri = Vec.create 0 in
-    for i = lo to hi - 1 do
-      match IT.find_opt index (g1 i) with
-      | None -> ()
-      | Some v ->
-        Vec.iter
-          (fun j ->
-             Vec.push li i;
-             Vec.push ri j)
-          v
-    done;
-    (Vec.to_array li, Vec.to_array ri)
-  in
-  concat_pairs (map_spans ctx ~par n1 probe)
+(* ----------------------------------------------------------- key matching *)
 
-(* Normalized-code key readers for an equality join: [Some (g1, g2)]
-   when the key pair can hash and compare as machine ints with no string
-   ever materialized. Same-fragment Codes×Codes compares raw codes;
+(* The equality kernels — the equi-join on either build side, the [P_eq]
+   theta join, single-key semi/antijoins and distinct — read their keys
+   once as machine-int arrays over the visible rows: ints, query-pool
+   string ids, or normalized dictionary codes. Key equality is then int
+   equality, and how pairs are enumerated is chosen per call from what
+   the keys look like (see [equi_match]). Keys that need the boxed
+   [Value.equal] rules (doubles, mixed types) stay on the [Kernels]
+   matchers, the row-for-row reference. *)
+
+(* Normalized-code keys for an equality match: [Some (lk, rk)] when the
+   key pair can compare as machine ints with no string ever
+   materialized. Same-fragment Codes×Codes compares normalized codes;
    Codes against interned strings (or a Const comparand) translates each
-   distinct string into the fragment's code once — the reverse dictionary
-   probe — with -1 for strings the fragment never contains (codes are
-   non-negative, so -1 matches nothing). Code 0 (valueless row) and an
-   interned "" both decode to "", hence the [norm] pass on every code
-   read. Translation runs on the coordinator (pool reads and the memo
-   are not domain-safe); the returned readers are pure array reads, safe
-   under morsel fan-out. *)
-let code_key_readers ctx lc rc =
+   distinct string into the fragment's code once — the reverse
+   dictionary probe — with -1 for strings the fragment never contains
+   (codes are non-negative, so -1 matches nothing). Runs on the
+   coordinator: pool reads and the memo are not domain-safe. *)
+let code_keys ctx lc rc =
   let store = ctx.env.Kernels.store in
-  let norm frag =
-    match Xmldb.Doc_store.code_of_text store frag "" with
-    | Some e -> fun code -> if code = 0 then e else code
-    | None -> fun code -> code
-  in
   let translate frag n (get : int -> string) =
-    let nz = norm frag in
+    let nz = code_norm ctx frag in
     let memo : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    let out = Array.make n (-1) in
-    for i = 0 to n - 1 do
-      let s = get i in
-      out.(i) <-
-        (match Hashtbl.find_opt memo s with
-         | Some k -> k
-         | None ->
-           let k =
-             if String.equal s "" then nz 0
-             else
-               match Xmldb.Doc_store.code_of_text store frag s with
-               | Some k -> k
-               | None -> -1
-           in
-           Hashtbl.add memo s k;
-           k)
-    done;
-    fun i -> out.(i)
+    Array.init n (fun i ->
+        let s = get i in
+        match Hashtbl.find_opt memo s with
+        | Some k -> k
+        | None ->
+          let k =
+            if String.equal s "" then nz 0
+            else
+              match Xmldb.Doc_store.code_of_text store frag s with
+              | Some k -> k
+              | None -> -1
+          in
+          Hashtbl.add memo s k;
+          k)
   in
-  let coded frag (codes : int array) =
-    let nz = norm frag in
-    fun i -> nz codes.(i)
+  let coded frag codes = Array.map (code_norm ctx frag) codes in
+  let interned frag pool ids =
+    translate frag (Array.length ids) (fun i -> String_pool.get pool ids.(i))
   in
   match (lc, rc) with
   | Column.Codes k1, Column.Codes k2 when k1.frag == k2.frag ->
     Some (coded k1.frag k1.codes, coded k1.frag k2.codes)
   | Column.Codes { frag; codes; _ }, Column.Strs { pool; ids } ->
-    Some
-      ( coded frag codes,
-        translate frag (Array.length ids) (fun i -> String_pool.get pool ids.(i)) )
+    Some (coded frag codes, interned frag pool ids)
   | Column.Strs { pool; ids }, Column.Codes { frag; codes; _ } ->
-    Some
-      ( translate frag (Array.length ids) (fun i -> String_pool.get pool ids.(i)),
-        coded frag codes )
+    Some (interned frag pool ids, coded frag codes)
   | Column.Codes { frag; codes; _ }, Column.Const { v = Value.Str s; n } ->
     Some (coded frag codes, translate frag n (fun _ -> s))
   | Column.Const { v = Value.Str s; n }, Column.Codes { frag; codes; _ } ->
     Some (translate frag n (fun _ -> s), coded frag codes)
   | _ -> None
 
-(* Build-left over int key readers: same (i asc, j asc within i) pair
-   order as [Kernels.join_indices_build_left] — matches accumulate per
-   left row while the right side streams ascending, then emit
-   left-major. Serial by construction (flipped joins never fan out). *)
-let int_join_indices_build_left g1 n1 g2 n2 =
-  let module IT = Kernels.Int_tbl in
-  let index : int Vec.t IT.t = IT.create (max 16 n1) in
-  for i = 0 to n1 - 1 do
-    let k = g1 i in
-    match IT.find_opt index k with
-    | Some v -> Vec.push v i
-    | None ->
-      let v = Vec.create 0 in
-      Vec.push v i;
-      IT.add index k v
+(* Int keys of an int column ([Ints] shares its array). *)
+let int_keys c =
+  match c with
+  | Column.Ints a -> Some a
+  | Column.Seq { start; n } -> Some (Array.init n (fun i -> start + i))
+  | Column.Const { v = Value.Int x; n } -> Some (Array.make n x)
+  | _ -> None
+
+(* The one key reader of every equality match, over two columns of
+   visible rows: normalized codes when the pair allows it (counted as a
+   code predicate: the match IS the equality predicate), else ints, else
+   query-pool string ids (id equality is string equality within one
+   pool) — code columns that missed the code path materialize late into
+   the query pool first. [None]: the boxed matchers decide. *)
+let match_keys ctx lc rc =
+  match code_keys ctx lc rc with
+  | Some _ as keys ->
+    bump ctx Profile.count_code_pred;
+    keys
+  | None -> (
+    let lc = materialize_codes ctx lc and rc = materialize_codes ctx rc in
+    match (int_keys lc, int_keys rc) with
+    | Some lk, Some rk -> Some (lk, rk)
+    | _ -> (
+      match (lc, rc) with
+      | Column.Strs { pool = p1; ids = lk }, Column.Strs { pool = p2; ids = rk }
+        when p1 == ctx.pool && p2 == ctx.pool ->
+        Some (lk, rk)
+      | _ -> None))
+
+type matched =
+  | Aligned  (* identical strictly ascending keys: row i matches row i *)
+  | Pairs of (int array * int array)  (* (left row, right row) pairs *)
+
+let aligned (lk : int array) (rk : int array) =
+  let n = Array.length lk in
+  let rec go i =
+    i >= n
+    || (lk.(i) = rk.(i) && (i = 0 || lk.(i - 1) < lk.(i)) && go (i + 1))
+  in
+  n = Array.length rk && go 0
+
+let ascending (k : int array) =
+  let rec go i = i >= Array.length k || (k.(i - 1) <= k.(i) && go (i + 1)) in
+  go 1
+
+(* Merge join of two ascending key arrays: each run of equal keys pairs
+   every left row of the run with every right row of the run, left-major
+   — the reference order (left rows ascending, right rows ascending
+   within each). One walk counts the pairs, a second fills exact-size
+   arrays. *)
+let merge_pairs (lk : int array) (rk : int array) =
+  let n1 = Array.length lk and n2 = Array.length rk in
+  let walk emit =
+    let i = ref 0 and j = ref 0 in
+    while !i < n1 && !j < n2 do
+      let a = lk.(!i) and b = rk.(!j) in
+      if a < b then incr i
+      else if a > b then incr j
+      else begin
+        let i1 = ref (!i + 1) and j1 = ref (!j + 1) in
+        while !i1 < n1 && lk.(!i1) = a do incr i1 done;
+        while !j1 < n2 && rk.(!j1) = a do incr j1 done;
+        emit !i !i1 !j !j1;
+        i := !i1;
+        j := !j1
+      end
+    done
+  in
+  let total = ref 0 in
+  walk (fun i0 i1 j0 j1 -> total := !total + ((i1 - i0) * (j1 - j0)));
+  let li = Array.make !total 0 and ri = Array.make !total 0 in
+  let k = ref 0 in
+  walk (fun i0 i1 j0 j1 ->
+      for i = i0 to i1 - 1 do
+        for j = j0 to j1 - 1 do
+          li.(!k) <- i;
+          ri.(!k) <- j;
+          incr k
+        done
+      done);
+  (li, ri)
+
+(* The pairs of the hash paths, left-major: for every left row i in
+   [lo, hi) with group [group i] >= 0, i against each row of that
+   group's CSR list ([start]/[rows], ascending). Counted first, so the
+   arrays are exact-size. *)
+let csr_pairs group start rows lo hi =
+  let total = ref 0 in
+  for i = lo to hi - 1 do
+    let g = group i in
+    if g >= 0 then total := !total + start.(g + 1) - start.(g)
   done;
-  let matches : int Vec.t option array = Array.make n1 None in
-  for j = 0 to n2 - 1 do
-    match IT.find_opt index (g2 j) with
-    | None -> ()
-    | Some v ->
-      Vec.iter
-        (fun i ->
-           match matches.(i) with
-           | Some m -> Vec.push m j
-           | None ->
-             let m = Vec.create 0 in
-             Vec.push m j;
-             matches.(i) <- Some m)
-        v
+  let li = Array.make !total 0 and ri = Array.make !total 0 in
+  let k = ref 0 in
+  for i = lo to hi - 1 do
+    let g = group i in
+    if g >= 0 then
+      for p = start.(g) to start.(g + 1) - 1 do
+        li.(!k) <- i;
+        ri.(!k) <- rows.(p);
+        incr k
+      done
   done;
-  let li = Vec.create 0 and ri = Vec.create 0 in
-  Array.iteri
-    (fun i m ->
-       match m with
-       | None -> ()
-       | Some v ->
-         Vec.iter
-           (fun j ->
-              Vec.push li i;
-              Vec.push ri j)
-           v)
-    matches;
-  (Vec.to_array li, Vec.to_array ri)
+  (li, ri)
+
+(* Build-right hash matching: index the right keys, probe every left
+   row. The probe fans out over morsels — the index is frozen, and
+   per-morsel pairs concatenated in morsel order are the serial
+   i-outer order. *)
+let probe_pairs ctx ~par lk rk =
+  let idx = Int_index.build rk in
+  let probe lo hi =
+    let gs = Array.init (hi - lo) (fun d -> Int_index.find idx lk.(lo + d)) in
+    csr_pairs (fun i -> gs.(i - lo)) idx.Int_index.start idx.Int_index.rows
+      lo hi
+  in
+  concat_pairs (map_spans ctx ~par (Array.length lk) probe)
+
+(* Build-left hash matching: index the left keys, bucket the right rows
+   under the left group each one hits, then emit left-major — the pair
+   order of [probe_pairs]. Serial: flipped joins never fan out. *)
+let bucket_pairs lk rk =
+  let idx = Int_index.build lk in
+  let start, rows =
+    Int_index.bucket idx.Int_index.groups (Array.map (Int_index.find idx) rk)
+  in
+  csr_pairs (fun i -> idx.Int_index.group_of_row.(i)) start rows 0
+    (Array.length lk)
+
+(* How an equality match enumerates its pairs, chosen from the keys
+   themselves — order observed at run time, so the optimizer claims
+   nothing new. Identical strictly ascending keys (loop-lifted [iter]
+   columns, stamped ascending by [#]/[%]) pair row i with row i: no
+   index, no gather. Two ascending sides merge. Anything else goes
+   through one flat index, built on the side the lowering chose; only
+   then does [build_left] build on the left. Every path yields the
+   reference pair order. *)
+let equi_match ctx ~par ~build_left lk rk =
+  if aligned lk rk then begin
+    bump ctx Profile.count_join_aligned;
+    Aligned
+  end
+  else if ascending lk && ascending rk then begin
+    bump ctx Profile.count_join_merged;
+    Pairs (merge_pairs lk rk)
+  end
+  else begin
+    bump ctx Profile.count_join_hashed;
+    if build_left then begin
+      bump ctx Profile.count_build_flip;
+      Pairs (bucket_pairs lk rk)
+    end
+    else Pairs (probe_pairs ctx ~par lk rk)
+  end
+
+(* The output of a match between two compacted batches. [Aligned]: the
+   inputs' columns side by side already are the output rows — shared,
+   not copied (no kernel mutates a column it did not allocate). *)
+let matched_output lb rb = function
+  | Aligned ->
+    { schema = Array.append lb.schema rb.schema;
+      cols = Array.append lb.cols rb.cols;
+      typed = Array.append lb.typed rb.typed;
+      sel = None;
+      nrows = lb.nrows;
+      base = lb.nrows;
+      table = None }
+  | Pairs (li, ri) -> join_output lb rb li ri
 
 let k_join ctx ~par ~build_left lb rb lcol rcname =
   check_disjoint lb.schema rb.schema;
   let lb = compact lb and rb = compact rb in
-  if build_left then begin
-    (* estimated-smaller left side carries the hash; the kernel emits the
-       exact (i asc, j asc) pair order of the build-right paths, so this
-       is purely a cost choice. Serial by construction (ppar is off for
-       flipped joins). *)
-    bump ctx Profile.count_build_flip;
-    let lc0 = rcol ctx lb lcol and rc0 = rcol ctx rb rcname in
+  match match_keys ctx (rcol ctx lb lcol) (rcol ctx rb rcname) with
+  | Some (lk, rk) ->
+    matched_output lb rb (equi_match ctx ~par ~build_left lk rk)
+  | None ->
+    (* boxed [Value.equal] matching; [build_left] picks the hashed side
+       (the estimated-smaller one), never the pair order *)
+    let lvs = boxed_vis ctx lb lcol and rvs = boxed_vis ctx rb rcname in
     let li, ri =
-      match code_key_readers ctx lc0 rc0 with
-      | Some (g1, g2) ->
-        bump ctx Profile.count_code_pred;
-        int_join_indices_build_left g1 lb.nrows g2 rb.nrows
-      | None ->
-        Kernels.join_indices_build_left (boxed_vis ctx lb lcol)
-          (boxed_vis ctx rb rcname)
+      if build_left then begin
+        bump ctx Profile.count_build_flip;
+        Kernels.join_indices_build_left lvs rvs
+      end
+      else Kernels.join_indices lvs rvs
     in
     join_output lb rb li ri
-  end
-  else begin
-    let lc0 = rcol ctx lb lcol and rc0 = rcol ctx rb rcname in
-    match code_key_readers ctx lc0 rc0 with
-    | Some (g1, g2) ->
-      (* the join IS the equality predicate: translated once, it hashes
-         and compares normalized dictionary codes — counted as a code
-         predicate, and no key string is ever materialized *)
-      bump ctx Profile.count_code_pred;
-      let li, ri = int_join_indices ctx ~par g1 lb.nrows g2 rb.nrows in
-      join_output lb rb li ri
-    | None ->
-      (* code-carrying keys that missed the int path materialize into the
-         query pool here: a string hash join then runs on pool ids, not
-         per-pair boxed compares *)
-      let lc = materialize_codes ctx lc0 in
-      let rc = materialize_codes ctx rc0 in
-      let li, ri =
-        match (int_reader lc, int_reader rc) with
-        | Some g1, Some g2 -> int_join_indices ctx ~par g1 lb.nrows g2 rb.nrows
-        | _ -> (
-          match (str_reader ctx.pool lc, str_reader ctx.pool rc) with
-          | Some g1, Some g2 ->
-            int_join_indices ctx ~par g1 lb.nrows g2 rb.nrows
-          | _ ->
-            Kernels.join_indices (boxed_vis ctx lb lcol)
-              (boxed_vis ctx rb rcname))
-      in
-      join_output lb rb li ri
-  end
 
 (* Inequality theta where untyped strings meet numerics: the boxed
    kernel takes its nested loop and re-coerces (re-parses!) the untyped
@@ -1151,87 +1216,82 @@ let theta_float_indices ctx ~par cmp lk rk =
 let k_thetajoin ctx ~par lb rb lcol cmp rcname =
   check_disjoint lb.schema rb.schema;
   let lb = compact lb and rb = compact rb in
-  let li, ri =
+  let boxed () =
+    Pairs
+      (Kernels.theta_indices (boxed_vis ctx lb lcol) cmp
+         (boxed_vis ctx rb rcname))
+  in
+  let m =
     match cmp with
     | Plan.P_eq -> (
-      (* int×int equality is coercion-free: safe for the typed path; an
-         equality over code-carrying string keys hashes normalized
-         dictionary codes instead — the same i-asc, j-asc pair order as
-         the boxed nested loop, with no string ever materialized *)
-      let lc0 = rcol ctx lb lcol and rc0 = rcol ctx rb rcname in
-      match code_key_readers ctx lc0 rc0 with
-      | Some (g1, g2) ->
-        bump ctx Profile.count_code_pred;
-        int_join_indices ctx ~par g1 lb.nrows g2 rb.nrows
-      | None -> (
-        match (int_reader lc0, int_reader rc0) with
-        | Some g1, Some g2 ->
-          int_join_indices ctx ~par g1 lb.nrows g2 rb.nrows
-        | _ ->
-          Kernels.theta_indices (boxed_vis ctx lb lcol) cmp
-            (boxed_vis ctx rb rcname)))
+      (* same-typed int, string or code keys: general-comparison
+         equality is coercion-free there, so this is the equi-join's
+         match, in the boxed nested loop's i-asc, j-asc pair order *)
+      match match_keys ctx (rcol ctx lb lcol) (rcol ctx rb rcname) with
+      | Some (lk, rk) -> equi_match ctx ~par ~build_left:false lk rk
+      | None -> boxed ())
     | Plan.P_lt | Plan.P_le | Plan.P_gt | Plan.P_ge -> (
       let lvs = boxed_vis ctx lb lcol and rvs = boxed_vis ctx rb rcname in
       match theta_float_keys lvs rvs with
-      | Some (lk, rk) -> theta_float_indices ctx ~par cmp lk rk
-      | None -> Kernels.theta_indices lvs cmp rvs)
+      | Some (lk, rk) -> Pairs (theta_float_indices ctx ~par cmp lk rk)
+      | None -> Pairs (Kernels.theta_indices lvs cmp rvs))
     | _ ->
       (* everything else: matching stays boxed (the homogeneity/NaN
          analysis lives there), output stays typed *)
-      Kernels.theta_indices (boxed_vis ctx lb lcol) cmp
-        (boxed_vis ctx rb rcname)
+      boxed ()
   in
-  join_output lb rb li ri
+  matched_output lb rb m
 
 (* Semi/anti join: the output is the left batch with a composed selection
-   — nothing materializes. The default path hashes the right side's keys
-   (serial) and probes the left side, fanning the probe out over morsels
-   exactly like the join probe: the key set is frozen before workers
-   start, the boxed key arrays are materialized on the coordinator (no
-   [String_pool] access inside the loop), and per-morsel kept indices
-   concatenated in morsel order reproduce the serial ascending scan.
-   [build_left] hashes the estimated-smaller left side instead and marks
-   matches in one scan of the right — serial by construction ([ppar] is
-   off for flipped semijoins). *)
+   — nothing materializes. A single key that reads as ints ([match_keys],
+   over the visible rows) uses the flat index as a set: by default it
+   indexes the right keys and probes the left rows, fanning the probe
+   out over morsels like the join probe (kept indices concatenated in
+   morsel order are the serial ascending scan); [build_left] indexes the
+   estimated-smaller left side instead, marks the groups the right rows
+   hit, and keeps the left rows by polarity — serial by construction
+   ([ppar] is off for flipped semijoins). Multi-key and boxed keys run
+   the [Kernels] matchers the same two ways. *)
 let k_semijoin ctx ~par ~anti ~build_left lb rb on =
-  (* single-key semijoins over code-carrying columns keep the match on
-     normalized dictionary codes: the key column is gathered through the
-     selection (gather preserves the Codes/Strs shape), so the readers
-     index visible positions like the boxed key arrays do. Membership is
-     symmetric, so build-side choice cannot change the kept set — both
-     sides share one int-set probe. *)
-  let code_keys =
+  let keys =
     match on with
     | [ (lc, rc) ] ->
       let vis b name =
         let c = rcol ctx b name in
         match b.sel with None -> c | Some s -> Column.gather c s
       in
-      code_key_readers ctx (vis lb lc) (vis rb rc)
+      match_keys ctx (vis lb lc) (vis rb rc)
     | _ -> None
   in
+  let concat = function
+    | [| one |] -> one
+    | parts -> Array.concat (Array.to_list parts)
+  in
   let keep =
-    match code_keys with
-    | Some (g1, g2) ->
-      bump ctx Profile.count_code_pred;
-      if build_left then bump ctx Profile.count_build_flip;
-      let module IT = Kernels.Int_tbl in
-      let set : unit IT.t = IT.create (max 16 rb.nrows) in
-      for j = 0 to rb.nrows - 1 do
-        IT.replace set (g2 j) ()
-      done;
-      let probe lo hi =
-        let keep = Vec.create 0 in
-        for i = lo to hi - 1 do
-          if IT.mem set (g1 i) <> anti then Vec.push keep i
-        done;
-        Vec.to_array keep
-      in
-      (match
-         map_spans ctx ~par:(par && not build_left) lb.nrows probe
-       with
-       | [| one |] -> one
-       | parts -> Array.concat (Array.to_list parts))
+    match keys with
+    | Some (lk, rk) when build_left ->
+      bump ctx Profile.count_build_flip;
+      let idx = Int_index.build lk in
+      let hit = Bytes.make idx.Int_index.groups '\000' in
+      Array.iter
+        (fun k ->
+           let g = Int_index.find idx k in
+           if g >= 0 then Bytes.set hit g '\001')
+        rk;
+      let keep = Vec.create 0 in
+      Array.iteri
+        (fun i g -> if Bytes.get hit g <> '\000' <> anti then Vec.push keep i)
+        idx.Int_index.group_of_row;
+      Vec.to_array keep
+    | Some (lk, rk) ->
+      let idx = Int_index.build rk in
+      concat
+        (map_spans ctx ~par lb.nrows (fun lo hi ->
+             let keep = Vec.create 0 in
+             for i = lo to hi - 1 do
+               if Int_index.find idx lk.(i) >= 0 <> anti then Vec.push keep i
+             done;
+             Vec.to_array keep))
     | None ->
       let lkeys =
         Array.of_list (List.map (fun (lc, _) -> boxed_vis ctx lb lc) on)
@@ -1246,12 +1306,9 @@ let k_semijoin ctx ~par ~anti ~build_left lb rb on =
       end
       else
         let set = Kernels.semi_key_set ~nr:rb.nrows rkeys in
-        (match
-           map_spans ctx ~par lb.nrows (fun lo hi ->
-               Kernels.semi_probe set ~anti lkeys lo hi)
-         with
-        | [| one |] -> one
-        | parts -> Array.concat (Array.to_list parts))
+        concat
+          (map_spans ctx ~par lb.nrows (fun lo hi ->
+               Kernels.semi_probe set ~anti lkeys lo hi))
   in
   let sel' =
     match lb.sel with
@@ -1261,25 +1318,44 @@ let k_semijoin ctx ~par ~anti ~build_left lb rb on =
   bump ctx Profile.count_mat_avoided;
   { lb with sel = Some sel'; nrows = Array.length sel'; table = None }
 
+(* Per-column int keys of a distinct over the visible rows, when every
+   column has them: ints and Seq by value, nodes by (frag, pre), strings
+   by pool id (one column, one pool), codes normalized like
+   [code_keys]; a Const column is equal on every row and adds no key.
+   Dbls/Bools/Mixed give None: the NaN and -0.0 rules of [Value.equal]
+   stay with the boxed path. *)
+let distinct_keys ctx b =
+  let vis f =
+    match b.sel with
+    | None -> Array.init b.nrows f
+    | Some s -> Array.map f s
+  in
+  let ints (a : int array) =
+    match b.sel with None -> a | Some _ -> vis (fun r -> a.(r))
+  in
+  let keys i =
+    match retyped ctx b i with
+    | Column.Ints a | Column.Strs { ids = a; _ } -> Some [ ints a ]
+    | Column.Seq { start; _ } -> Some [ vis (fun r -> start + r) ]
+    | Column.Nodes { frag; pre } -> Some [ ints frag; ints pre ]
+    | Column.Codes { frag; codes; _ } ->
+      let nz = code_norm ctx frag in
+      Some [ vis (fun r -> nz codes.(r)) ]
+    | Column.Const _ -> Some []
+    | Column.Dbls _ | Column.Bools _ | Column.Mixed _ -> None
+  in
+  let rec go i acc =
+    if i < 0 then Some (Array.of_list (List.concat acc))
+    else match keys i with Some k -> go (i - 1) (k :: acc) | None -> None
+  in
+  go (Array.length b.schema - 1) []
+
 let k_distinct ctx b =
-  let n = Array.length b.schema in
   let keep =
-    match (if n = 1 then int_reader (retyped ctx b 0) else None) with
-    | Some g ->
-      (* single int column: dedup without boxing *)
-      let module IT = Kernels.Int_tbl in
-      let seen : unit IT.t = IT.create (max 16 b.nrows) in
-      let keep = Vec.create 0 in
-      let k = ref 0 in
-      iter_sel b (fun r ->
-          let key = g r in
-          if not (IT.mem seen key) then begin
-            IT.add seen key ();
-            Vec.push keep !k
-          end;
-          incr k);
-      Vec.to_array keep
+    match distinct_keys ctx b with
+    | Some cols -> Int_index.first_rows cols b.nrows
     | None ->
+      let n = Array.length b.schema in
       let cols = Array.init n (fun i -> boxed_vis ctx b b.schema.(i)) in
       let seen = Kernels.Row_tbl.create (max 16 b.nrows) in
       let keep = Vec.create 0 in

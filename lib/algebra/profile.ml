@@ -25,8 +25,12 @@ type phys = {
   mutable mat_forced : int;   (* batches boxed back to tables at pipeline
                                  breakers or for a boxed-fallback kernel *)
   mutable retypes : int;      (* Mixed -> typed column conversions *)
-  mutable build_flips : int;  (* joins executed with the hash built on the
-                                 (estimated-smaller) left side *)
+  mutable build_flips : int;  (* joins and semijoins that built their hash
+                                 on the (estimated-smaller) left side *)
+  mutable joins_aligned : int; (* typed equality joins over identical,
+                                  strictly ascending keys: no index *)
+  mutable joins_merged : int; (* ... over two ascending key sequences *)
+  mutable joins_hashed : int; (* ... through a flat hash index *)
   mutable sorts_elided : int; (* interior % nodes rewritten away because the
                                  required order was proved to already hold *)
   mutable sorts_to_merges : int; (* % sorts degraded to k-way run merges of
@@ -65,6 +69,7 @@ let create () =
     phys =
       { kernels = 0; fused_ops = 0; rows_in = 0; rows_out = 0;
         mat_avoided = 0; mat_forced = 0; retypes = 0; build_flips = 0;
+        joins_aligned = 0; joins_merged = 0; joins_hashed = 0;
         sorts_elided = 0; sorts_to_merges = 0; root_sort_elided = 0;
         code_preds = 0; bulk_decodes = 0; late_materializations = 0 } }
 
@@ -95,6 +100,15 @@ let count_retype t =
 
 let count_build_flip t =
   locked t (fun () -> t.phys.build_flips <- t.phys.build_flips + 1)
+
+let count_join_aligned t =
+  locked t (fun () -> t.phys.joins_aligned <- t.phys.joins_aligned + 1)
+
+let count_join_merged t =
+  locked t (fun () -> t.phys.joins_merged <- t.phys.joins_merged + 1)
+
+let count_join_hashed t =
+  locked t (fun () -> t.phys.joins_hashed <- t.phys.joins_hashed + 1)
 
 let add_sorts_elided t k =
   locked t (fun () -> t.phys.sorts_elided <- t.phys.sorts_elided + k)
@@ -175,6 +189,10 @@ let pp fmt t =
     Format.fprintf fmt
       "physical: %d materializations avoided, %d forced, %d columns retyped@."
       p.mat_avoided p.mat_forced p.retypes;
+    if p.joins_aligned + p.joins_merged + p.joins_hashed > 0 then
+      Format.fprintf fmt
+        "physical: equi-joins %d aligned, %d merged, %d hashed@."
+        p.joins_aligned p.joins_merged p.joins_hashed;
     if p.build_flips > 0 then
       Format.fprintf fmt "physical: %d joins built their hash on the left@."
         p.build_flips

@@ -30,8 +30,18 @@ type phys = {
                                   breakers or for boxed-fallback kernels *)
   mutable retypes : int;      (** Mixed → typed column conversions *)
   mutable build_flips : int;
-      (** joins executed with the hash built on the (estimated-smaller)
-          left side *)
+      (** joins and semijoins that built their hash on the
+          (estimated-smaller) left side; a flipped join whose keys ascend
+          builds no hash and is not counted *)
+  mutable joins_aligned : int;
+      (** typed equality joins whose two key sequences were identical
+          and strictly ascending: the inputs' columns side by side are
+          the output, no index is built *)
+  mutable joins_merged : int;
+      (** typed equality joins over two ascending key sequences, matched
+          by a merge *)
+  mutable joins_hashed : int;
+      (** typed equality joins matched through a flat hash index *)
   mutable sorts_elided : int;
       (** interior [%] nodes rewritten away because the required order
           was proved to already hold ({!Order}) *)
@@ -63,6 +73,12 @@ val count_mat_avoided : t -> unit
 val count_mat_forced : t -> unit
 val count_retype : t -> unit
 val count_build_flip : t -> unit
+
+(** One typed equality join, by how its pairs were enumerated. *)
+val count_join_aligned : t -> unit
+
+val count_join_merged : t -> unit
+val count_join_hashed : t -> unit
 
 (** [add_sorts_elided t k] records [k] interior [%] nodes the rewriter
     replaced with [#] stamps for the profiled query. *)

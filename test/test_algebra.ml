@@ -447,6 +447,103 @@ let prop_distinct_idempotent =
        let d2 = Eval.run (store ()) (Plan.distinct b (Plan.distinct b t)) in
        Table.nrows d1 = Table.nrows d2)
 
+(* -------------------------------------------------------- flat int index *)
+
+(* [Int_index] against a [Hashtbl] model: the groups are the distinct
+   keys in first-seen order, [find] names each key's group (and -1 for
+   keys not indexed), and each group lists exactly its key's rows,
+   ascending. *)
+let index_agrees keys =
+  let idx = Int_index.build keys in
+  let rows = Hashtbl.create 16 and order = ref [] in
+  Array.iteri
+    (fun r k ->
+       match Hashtbl.find_opt rows k with
+       | Some l -> Hashtbl.replace rows k (r :: l)
+       | None ->
+         Hashtbl.add rows k [ r ];
+         order := k :: !order)
+    keys;
+  let order = List.rev !order in
+  let group_rows g =
+    List.init
+      (idx.Int_index.start.(g + 1) - idx.Int_index.start.(g))
+      (fun p -> idx.Int_index.rows.(idx.Int_index.start.(g) + p))
+  in
+  idx.Int_index.groups = List.length order
+  && List.for_all2
+       (fun g k ->
+          idx.Int_index.keys.(g) = k
+          && Int_index.find idx k = g
+          && group_rows g = List.rev (Hashtbl.find rows k)
+          && List.for_all (fun r -> idx.Int_index.group_of_row.(r) = g)
+               (group_rows g))
+       (List.init (List.length order) Fun.id)
+       order
+  && List.for_all
+       (fun k -> Hashtbl.mem rows k || Int_index.find idx k = -1)
+       (List.concat_map (fun k -> [ k - 1; k + 1; k lxor min_int ]) order)
+
+(* Keys whose probes all start at the last slot of the table an index of
+   [n] rows gets, so their chain wraps around the table's end. *)
+let wrapping_keys n =
+  let probe = Int_index.build (Array.make n 0) in
+  let last = Array.length probe.Int_index.slots - 1 in
+  Seq.ints 0
+  |> Seq.filter (fun k -> Int_index.home probe k = last)
+  |> Seq.take (n + 1) |> List.of_seq
+
+let gen_index_keys =
+  let open QCheck2.Gen in
+  let* n = int_range 0 40 in
+  let key =
+    oneof
+      [ int_range (-3) 3;                                   (* duplicates *)
+        map (fun m -> m lsl 40) (int_range (-4) 4);    (* multiples of 2^40 *)
+        map (fun m -> m lsl 58) (int_range (-2) 2);
+        oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0 ];
+        oneofl (wrapping_keys (max n 1));             (* one probe chain *)
+        int ]
+  in
+  array_repeat n key
+
+let prop_int_index =
+  QCheck2.Test.make ~count:500 ~name:"flat index = Hashtbl model"
+    ~print:QCheck2.Print.(array int) gen_index_keys index_agrees
+
+(* A chain that wraps: every key starts probing at the last slot. *)
+let test_index_wraps () =
+  let n = 8 in
+  let keys = wrapping_keys n in
+  let stored = Array.of_list (List.filteri (fun i _ -> i < n) keys) in
+  let idx = Int_index.build stored in
+  Alcotest.(check bool) "the chain reaches slot 0" true
+    (idx.Int_index.slots.(0) <> 0);
+  Alcotest.(check bool) "model agrees" true (index_agrees stored);
+  Alcotest.(check bool) "model agrees with duplicates" true
+    (index_agrees (Array.append stored (Array.of_list (List.rev keys))));
+  Alcotest.(check int) "absent key on the same chain" (-1)
+    (Int_index.find idx (List.nth keys n))
+
+(* [first_rows] is first-occurrence duplicate elimination of tuples. *)
+let prop_first_rows =
+  QCheck2.Test.make ~count:300 ~name:"first_rows = first occurrences"
+    QCheck2.Gen.(
+      let* ncols = int_range 0 3 and* n = int_range 0 40 in
+      array_repeat ncols
+        (array_repeat n (oneof [ int_range 0 2; oneofl [ min_int; max_int ] ])))
+    (fun cols ->
+       let n = if Array.length cols = 0 then 3 else Array.length cols.(0) in
+       let seen = Hashtbl.create 16 and expect = ref [] in
+       for r = 0 to n - 1 do
+         let t = Array.map (fun c -> c.(r)) cols in
+         if not (Hashtbl.mem seen t) then begin
+           Hashtbl.add seen t ();
+           expect := r :: !expect
+         end
+       done;
+       Array.to_list (Int_index.first_rows cols n) = List.rev !expect)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -483,4 +580,8 @@ let () =
       qsuite "properties"
         [ prop_rownum_dense; prop_rowid_unique; prop_join_cross_select;
           prop_distinct_idempotent ];
+      ( "flat index",
+        Alcotest.test_case "probe chain wraps" `Quick test_index_wraps
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_int_index; prop_first_rows ] );
     ]

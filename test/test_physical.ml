@@ -284,6 +284,262 @@ let test_error_parity () =
   in
   check_parity "selection removes all rows" guarded
 
+(* --------------------------------------------------- key-shape parity *)
+
+(* The equality kernels read their keys as machine ints and choose how
+   to enumerate pairs from the keys' shape: identical strictly ascending
+   keys (aligned, zero-copy), two ascending sides (merge), anything else
+   (flat index, on the build side the lowering chose). Every shape, on
+   every key representation, must give the reference executor's rows in
+   its order: serially and at jobs 4 over forced-tiny morsels, with the
+   default build side and with the build forced onto the left. *)
+
+(* (name, expected path on int keys, left keys, right keys) *)
+let key_shapes =
+  [ ("aligned", "aligned", [ 1; 2; 3; 5; 8 ], [ 1; 2; 3; 5; 8 ]);
+    ("identical with duplicates", "merged", [ 1; 1; 2 ], [ 1; 1; 2 ]);
+    ("ascending, different keys", "merged", [ 1; 2; 3 ], [ 1; 2; 4 ]);
+    ("left duplicates", "merged", [ 1; 1; 2; 4; 4; 4 ], [ 1; 2; 3; 4 ]);
+    ("right duplicates", "merged", [ 0; 2; 5 ], [ 0; 0; 2; 2; 2; 6 ]);
+    ("duplicates on both sides", "merged", [ 1; 1; 3; 3 ], [ 1; 3; 3; 3 ]);
+    ("unsorted", "hashed", [ 3; 1; 2; 3; 9 ], [ 2; 3; 3; 1; 7 ]);
+    ("unsorted right", "hashed", [ 1; 2; 3 ], [ 3; 1; 2; 1 ]);
+    ("extremes aligned", "aligned", [ min_int; -5; 0; max_int ],
+     [ min_int; -5; 0; max_int ]);
+    ("extremes merged", "merged", [ min_int; min_int; -1; max_int ],
+     [ min_int; -1; -1; max_int; max_int ]);
+    ("extremes unsorted", "hashed", [ max_int; -5; min_int; -5; 0 ],
+     [ -5; max_int; min_int; 7 ]);
+    (* an empty literal column has no type: the boxed matcher runs *)
+    ("empty left", "boxed", [], [ 2; 1 ]);
+    ("empty right", "boxed", [ 2; 1 ], []);
+    ("both empty", "boxed", [], []) ]
+
+let key_text k = Printf.sprintf "k%d" k
+
+(* One document holding an attribute per distinct key value: string()
+   of these attribute nodes is a dictionary-code column. *)
+let doc_keys =
+  List.sort_uniq compare
+    (List.concat_map (fun (_, _, l, r) -> l @ r) key_shapes)
+
+let keys_store () =
+  let st = store () in
+  ignore
+    (Xmldb.Xml_parser.load_document st ~uri:"keys.xml"
+       ("<r>"
+        ^ String.concat ""
+            (List.map (fun k -> "<e v=\"" ^ key_text k ^ "\"/>") doc_keys)
+        ^ "</r>"));
+  st
+
+(* The [v] attribute holding key [k]: pre 0 is the document, 1 is <r>,
+   and every <e> is followed by its attribute. *)
+let key_attr =
+  let st = keys_store () in
+  let frag =
+    Xmldb.Node_id.frag
+      (Option.get (Xmldb.Doc_store.find_document st "keys.xml"))
+  in
+  let pos = Hashtbl.create 16 in
+  List.iteri (fun i k -> Hashtbl.replace pos k i) doc_keys;
+  fun k ->
+    Value.Node
+      (Xmldb.Node_id.make ~frag ~pre:(3 + (2 * Hashtbl.find pos k)))
+
+(* One matching side: key column [key] in the representation [kind],
+   and a payload column [pay] numbering the rows from [base], so the
+   pair order is visible in the output. *)
+let key_side b kind ~key ~pay ~base keys =
+  let rows v = List.mapi (fun i k -> [| v k; v_int (base + i) |]) keys in
+  match kind with
+  | `Int -> Plan.lit b [| key; pay |] (rows v_int)
+  | `Str -> Plan.lit b [| key; pay |] (rows (fun k -> v_str (key_text k)))
+  | `Code ->
+    let nodes = Plan.lit b [| key ^ "_node"; pay |] (rows key_attr) in
+    Plan.fun1 b nodes key Plan.P_string (key ^ "_node")
+
+let kinds = [ ("int", `Int, `Int); ("string", `Str, `Str);
+              ("code", `Code, `Code); ("code x string", `Code, `Str);
+              ("string x code", `Str, `Code) ]
+
+let table_rows t = Array.to_list (Table.schema t) @ table_strings t
+
+(* Reference vs physical at jobs 1 and 4 (morsel 4); with [flip], once
+   more with every join and semijoin whose left input is [flip] lowered
+   to build on the left (checked in the physical plan dump). Returns the
+   profile of the serial default-build run. *)
+let check_keyed ?flip msg plan =
+  let reference = table_rows (Eval.run (keys_store ()) plan) in
+  let lowerings =
+    ("build right", Lower.lower plan)
+    :: (match flip with
+        | None -> []
+        | Some (left : Plan.node) ->
+          let card (n : Plan.node) =
+            if n.Plan.id = left.Plan.id then 1 else 1000
+          in
+          let pp = Lower.lower ~card plan in
+          Alcotest.(check bool) (msg ^ ": flip lowered") true
+            (Astring.String.is_infix ~affix:"(build:left)"
+               (Lower.to_string pp));
+          [ ("build left", pp) ])
+  in
+  let serial = Profile.create () in
+  List.iter
+    (fun (how, pp) ->
+       List.iter
+         (fun jobs ->
+            let profile =
+              if jobs = 1 && how = "build right" then Some serial else None
+            in
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s (%s, jobs=%d)" msg how jobs)
+              reference
+              (table_rows
+                 (Physical.run ?profile ~jobs ~morsel:4 (keys_store ()) pp)))
+         [ 1; 4 ])
+    lowerings;
+  Profile.phys serial
+
+let test_join_key_shapes () =
+  List.iter
+    (fun (kname, lkind, rkind) ->
+       List.iter
+         (fun (shape, path, lkeys, rkeys) ->
+            let b = Plan.builder () in
+            let l = key_side b lkind ~key:"a" ~pay:"x" ~base:0 lkeys in
+            let r = key_side b rkind ~key:"b" ~pay:"y" ~base:100 rkeys in
+            let msg = Printf.sprintf "%s keys, %s" kname shape in
+            let ph =
+              check_keyed ~flip:l (msg ^ ": join") (Plan.join b l r "a" "b")
+            in
+            if lkind = `Int then
+              Alcotest.(check (list int)) (msg ^ ": " ^ path)
+                (List.map (fun p -> if p = path then 1 else 0)
+                   [ "aligned"; "merged"; "hashed" ])
+                [ ph.Profile.joins_aligned; ph.Profile.joins_merged;
+                  ph.Profile.joins_hashed ];
+            if (lkind = `Code || rkind = `Code) && lkeys <> [] && rkeys <> []
+            then
+              Alcotest.(check int) (msg ^ ": matched on codes") 1
+                ph.Profile.code_preds;
+            ignore
+              (check_keyed (msg ^ ": eq theta join")
+                 (Plan.thetajoin b l r "a" Plan.P_eq "b")))
+         key_shapes)
+    kinds
+
+let test_semijoin_key_shapes () =
+  List.iter
+    (fun (kname, lkind, rkind) ->
+       List.iter
+         (fun (shape, _, lkeys, rkeys) ->
+            let b = Plan.builder () in
+            let l = key_side b lkind ~key:"a" ~pay:"x" ~base:0 lkeys in
+            let r = key_side b rkind ~key:"b" ~pay:"y" ~base:100 rkeys in
+            let msg = Printf.sprintf "%s keys, %s" kname shape in
+            ignore
+              (check_keyed ~flip:l (msg ^ ": semijoin")
+                 (Plan.semijoin b l r [ ("a", "b") ]));
+            ignore
+              (check_keyed ~flip:l (msg ^ ": antijoin")
+                 (Plan.antijoin b l r [ ("a", "b") ])))
+         key_shapes)
+    kinds
+
+(* An aligned join hands its inputs' columns through unchanged (a [#]
+   numbering stays a [Seq]); the input's other consumers, and the
+   join's own consumers, must not see each other's work. *)
+let test_aligned_shared_input () =
+  List.iter
+    (fun (kname, kind, _) ->
+       let b = Plan.builder () in
+       let base =
+         Plan.rowid b
+           (key_side b kind ~key:"a" ~pay:"x" ~base:0 [ 1; 2; 3; 5; 8 ])
+           "id"
+       in
+       let right = Plan.project b base [ ("b", "a"); ("y", "x") ] in
+       let joined = Plan.join b base right "a" "b" in
+       let numbered = Plan.fun2 b joined "s" Plan.P_add "x" "y" in
+       let other = Plan.fun2 b base "s" Plan.P_mul "x" "id" in
+       let out p = Plan.project b p [ ("k", "a"); ("s", "s"); ("n", "id") ] in
+       let plan = Plan.union b (out numbered) (out other) in
+       let ph =
+         check_keyed (kname ^ " keys: aligned join with a shared input") plan
+       in
+       Alcotest.(check int) (kname ^ ": the join is aligned") 1
+         ph.Profile.joins_aligned)
+    [ ("int", `Int, `Int); ("string", `Str, `Str); ("code", `Code, `Code) ]
+
+let test_distinct_key_columns () =
+  let b = Plan.builder () in
+  let keys = [ 3; 1; 3; 2; 1; 3; -5; min_int; -5 ] in
+  let base =
+    Plan.lit b [| "i"; "n"; "s"; "u" |]
+      (List.mapi
+         (fun r k ->
+            [| v_int k; key_attr k; v_str (key_text k); v_int (r mod 2) |])
+         keys)
+  in
+  let base = Plan.fun1 b base "c" Plan.P_string "n" in
+  let base = Plan.attach b base "k" (v_str "const") in
+  let rowid = Plan.rowid b base "seq" in
+  let distinct cols =
+    check_keyed
+      ("distinct over " ^ String.concat "," cols)
+      (Plan.distinct b (Plan.project b rowid (List.map (fun c -> (c, c)) cols)))
+  in
+  List.iter
+    (fun cols -> ignore (distinct cols))
+    [ [ "i" ]; [ "n" ]; [ "s" ]; [ "k" ]; [ "seq" ]; [ "i"; "u" ];
+      [ "k"; "u" ]; [ "n"; "s"; "u" ]; [ "c"; "u"; "k" ];
+      [ "i"; "n"; "s"; "c"; "k"; "u" ] ];
+  (* code keys compare as normalized codes: only the final result
+     decodes its strings *)
+  Alcotest.(check int) "distinct over codes decodes once" 1
+    (distinct [ "c" ]).Profile.late_materializations;
+  (* over a selection: the keys are read through it *)
+  let selected =
+    Plan.select b (Plan.fun2 b rowid "p" Plan.P_gt "seq" "u") "p"
+  in
+  check_keyed "distinct over a selection"
+    (Plan.distinct b (Plan.project b selected [ ("c", "c"); ("u", "u") ]))
+  |> ignore
+
+(* The profile says which path each typed equi-join took, and counts a
+   build flip only when a hash was really built on the left. *)
+let test_join_paths () =
+  let b = Plan.builder () in
+  let side key pay keys =
+    Plan.lit b [| key; pay |]
+      (List.mapi (fun i k -> [| v_int k; v_int i |]) keys)
+  in
+  let join l r = Plan.join b l r "a" "b" in
+  let aligned = join (side "a" "x" [ 1; 2; 3 ]) (side "b" "y" [ 1; 2; 3 ]) in
+  let merged_l = side "a" "x" [ 1; 1; 2 ] in
+  let merged = join merged_l (side "b" "y" [ 1; 2; 2 ]) in
+  let hashed_l = side "a" "x" [ 2; 1; 2 ] in
+  let hashed = join hashed_l (side "b" "y" [ 1; 2 ]) in
+  let profile = Profile.create () in
+  List.iter
+    (fun p -> ignore (Physical.run ~profile (store ()) (Lower.lower p)))
+    [ aligned; merged; hashed ];
+  let line = "physical: equi-joins 1 aligned, 1 merged, 1 hashed" in
+  Alcotest.(check bool) ("profile prints: " ^ line) true
+    (Astring.String.is_infix ~affix:line (Profile.to_string profile));
+  let flips left p =
+    let profile = Profile.create () in
+    let card (n : Plan.node) = if n.Plan.id = left.Plan.id then 1 else 1000 in
+    ignore (Physical.run ~profile (store ()) (Lower.lower ~card p));
+    (Profile.phys profile).Profile.build_flips
+  in
+  Alcotest.(check int) "flipped join on ascending keys builds no hash" 0
+    (flips merged_l merged);
+  Alcotest.(check int) "flipped join on unsorted keys builds on the left" 1
+    (flips hashed_l hashed)
+
 (* ---------------------------------------------------------------- steps *)
 
 (* The step kernel evaluates every iteration in one loop-lifted call
@@ -471,6 +727,14 @@ let () =
          Alcotest.test_case "theta-join coercion" `Quick
            test_theta_coercion_parity;
          Alcotest.test_case "errors" `Quick test_error_parity ]);
+      ("key shapes",
+       [ Alcotest.test_case "joins" `Quick test_join_key_shapes;
+         Alcotest.test_case "semi/antijoins" `Quick test_semijoin_key_shapes;
+         Alcotest.test_case "aligned join, shared input" `Quick
+           test_aligned_shared_input;
+         Alcotest.test_case "distinct key columns" `Quick
+           test_distinct_key_columns;
+         Alcotest.test_case "join paths" `Quick test_join_paths ]);
       ("steps",
        [ Alcotest.test_case "step parity" `Quick test_step_parity;
          Alcotest.test_case "step errors" `Quick test_step_errors;
