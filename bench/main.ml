@@ -6,47 +6,36 @@
      fig10      Figure 10: unordered { $t//(c|d) } — union becomes concat
      table2     Table 2:   Q11 execution profile breakdown
      plansizes  in-text:   operator counts before/after CDA (Q11: 235->141)
-     fig12      Figure 12: XMark Q1-Q20 speedups across document sizes
+     fig12      Figure 12: XMark Q1-Q20 speedups across document sizes;
+                exits 1 on a result count mismatch
      micro      Section 3/4 premise: % (rownum) vs # (rowid) operator cost,
                 and staircase-join step throughput
+     ablation   one mechanism switched off per stage (the paper's rules,
+                CDA, hoisting, join recognition, tag-index steps, the
+                rewriter, order properties, join isolation, code eval);
+                exits 1 when a stage's answer differs from the full one
      parallel   morsel-driven scaling at jobs = 1/2/4/8;
                 writes BENCH_parallel.json, exits 1 on a count mismatch
-     rewrite    the logical rewriter on vs off over join-bearing queries;
-                writes BENCH_rewrite.json
-     joingraph  join-graph isolation on vs off (Q9 vs Q8 headline ratio);
-                writes BENCH_joingraph.json
      serve      the query server under concurrent clients: capacity and
                 2x-overload phases, throughput + p50/p99 + shed counts;
                 writes BENCH_serve.json
      storage    packed bytes/node vs 48 boxed, monolithic vs
                 chunked ingest (MB/s), snapshot save/load vs re-parse;
                 writes BENCH_storage.json
-     scan       compressed execution on vs off: bulk packed-column scans
-                and dictionary-code predicates, byte-parity asserted in
-                the same run; writes BENCH_scan.json
 
    Run with no arguments to execute everything; pass experiment names to
    select. Environment knobs:
      XRQ_CUTOFF        per-query cutoff in seconds (default 30, as in the paper)
      XRQ_SCALES        comma-separated XMark scale factors for fig12
      XRQ_TABLE2_SCALE  XMark scale for the Q11 profile (default 0.02)
+     XRQ_ABLATION_SCALE XMark scale for the ablation table (default 0.02)
      XRQ_PAR_SCALE     XMark scale for the parallel experiment (default 0.05)
      XRQ_PAR_OUT       output path for BENCH_parallel.json
-     XRQ_RW_SCALE      XMark scale for the rewrite experiment (default 0.05)
-     XRQ_RW_OUT        output path for BENCH_rewrite.json
-     XRQ_JG_SCALE      XMark scale for the joingraph experiment (default 0.05)
-     XRQ_JG_OUT        output path for BENCH_joingraph.json
-     XRQ_JG_MAX_RATIO  fail (exit 1) when q9/q8 with isolation on exceeds
-                       this ratio (the CI guard; unset = report only)
      XRQ_SERVE_SCALE   XMark scale for the serve experiment (default 0.02)
      XRQ_SERVE_REQS    requests per client in each serve phase (default 40)
      XRQ_SERVE_OUT     output path for BENCH_serve.json
      XRQ_STORAGE_SCALES comma-separated scales for storage (default 0.01,0.05)
      XRQ_STORAGE_OUT   output path for BENCH_storage.json
-     XRQ_SCAN_SCALE    XMark scale for the scan experiment (default 0.1)
-     XRQ_SCAN_OUT      output path for BENCH_scan.json
-     XRQ_SCAN_REQUIRE  fail (exit 1) unless the scan run held parity and
-                       fired both code predicates and bulk decodes (CI)
      XRQ_STORE_CACHE   directory caching generated stores as snapshots;
                        every experiment's store build goes through it *)
 
@@ -118,8 +107,12 @@ let time f =
   (r, Basis.Clock.now () -. t0)
 
 (* Execution time of a precompiled query: repeat short runs (up to 7 or a
-   0.5 s budget) and report the minimum — compilation is excluded. *)
+   0.5 s budget) and report the minimum — compilation is excluded. The
+   heap is compacted first so that a cell does not pay for the garbage of
+   the cell before it (a 10 ms query timed right after a quadratic one
+   once read 1.5x slower). *)
 let measure_exec ?(budget = 0.5) run =
+  Gc.compact ();
   let n = ref 0 in
   let best = ref infinity in
   let total = ref 0.0 in
@@ -273,6 +266,7 @@ let fig12 () =
   let sizes_mb = Array.make nscales 0.0 in
   let last_time : (string, float) Hashtbl.t = Hashtbl.create 32 in
   let skipped : (string, unit) Hashtbl.t = Hashtbl.create 32 in
+  let mismatches = ref [] in
   List.iteri
     (fun si scale ->
        with_store scale (fun st bytes ->
@@ -307,6 +301,9 @@ let fig12 () =
                     Hashtbl.replace skipped name ();
                   let speedup = (t_base /. t_un -. 1.0) *. 100.0 in
                   Hashtbl.replace cells (name, si) (Some speedup);
+                  if n1 <> n2 then
+                    mismatches :=
+                      Printf.sprintf "%s at scale %g" name scale :: !mismatches;
                   Printf.printf
                     "%-4s %9.1f ms -> %9.1f ms   speedup %7.0f%%%s\n%!" name
                     (t_base *. 1000.) (t_un *. 1000.) speedup
@@ -331,7 +328,13 @@ let fig12 () =
   Printf.printf
     "\npaper: speedups range from 0%% to 10,000%%; Q6 and Q7 are exceptional\n\
      because removing the %% between adjacent steps lets them merge into a\n\
-     single descendant step.\n"
+     single descendant step.\n";
+  if !mismatches <> [] then begin
+    List.iter
+      (Printf.eprintf "fig12: result count mismatch on %s\n")
+      (List.rev !mismatches);
+    exit 1
+  end
 
 (* ----------------------------------------------------------------- micro *)
 
@@ -528,55 +531,100 @@ let sharing () =
 
 (* -------------------------------------------------------------- ablation *)
 
+(* A query answer as a multiset: its items serialized and sorted. *)
+let answer_multiset opts st q =
+  (Engine.run ~opts st q).Engine.items
+  |> List.map (function
+    | Algebra.Value.Node n -> Xmldb.Serialize.node_to_string st n
+    | v -> Algebra.Value.to_string v)
+  |> List.sort compare
+
 (* Which mechanism contributes what: the Figure-7 rules alone, CDA alone,
-   both, hoisting, and the alternative step implementation. *)
+   both, then the full setting with one mechanism switched off per stage.
+   Every cell's answer must equal the full stage's as a multiset: ordered
+   and unordered answers are permutations of each other, and no other
+   switch may change the answer at all. A mismatch exits 1 after the
+   table. *)
 let ablation () =
   section "Ablation — contribution of each mechanism (execution time, ms)";
+  let full = mode_unordered in
   let stages =
     [ ("baseline (ordered, no opt)", Engine.ordered_baseline);
       ("rules only (unord, no CDA)", mode_unordered_nocda);
       ("CDA only (ordered)",
        { Engine.default_opts with Engine.mode = Some Xquery.Ast.Ordered });
-      ("rules + CDA (full)", mode_unordered);
-      ("full, hoisting off",
-       { mode_unordered with Engine.hoist = false });
-      ("full, join recognition off",
-       { mode_unordered with Engine.join_rec = false });
+      ("rules + CDA (full)", full);
+      ("full, hoisting off", { full with Engine.hoist = false });
+      ("full, join recognition off", { full with Engine.join_rec = false });
       ("full, tag-index steps",
-       { mode_unordered with Engine.step_impl = Algebra.Eval.Tag_index }) ]
+       { full with Engine.step_impl = Algebra.Eval.Tag_index });
+      ("full, rewriter off", { full with Engine.rewrite = false });
+      ("full, order props off", { full with Engine.order_props = false });
+      ("full, join isolation off", { full with Engine.join_isolation = false });
+      ("full, code eval off", { full with Engine.code_eval = false }) ]
   in
-  let queries = [ "Q1"; "Q5"; "Q6"; "Q8"; "Q11"; "Q14"; "Q19"; "Q20" ] in
+  let queries_dir =
+    if Sys.file_exists "queries" then "queries" else "../queries"
+  in
+  let corpus_query name =
+    let ic = open_in_bin (Filename.concat queries_dir (name ^ ".xq")) in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> (name, really_input_string ic (in_channel_length ic)))
+  in
+  let queries =
+    List.map
+      (fun qn -> (qn, Xmark.Xmark_queries.get qn))
+      [ "Q1"; "Q5"; "Q6"; "Q7"; "Q8"; "Q9"; "Q11"; "Q14"; "Q19"; "Q20" ]
+    @ List.map corpus_query [ "existential_join"; "top_sellers" ]
+  in
+  let width qn = max 9 (String.length qn) in
   let scale =
     try float_of_string (Sys.getenv "XRQ_ABLATION_SCALE")
     with Not_found | Failure _ -> 0.02
   in
   with_store scale (fun st bytes ->
-      Printf.printf "auction.xml: %.2f MB
-
-" (float_of_int bytes /. 1e6);
+      Printf.printf "auction.xml: %.2f MB\n\n" (float_of_int bytes /. 1e6);
+      let expected = List.map (fun (_, q) -> answer_multiset full st q) queries in
       Printf.printf "%-28s" "";
-      List.iter (fun q -> Printf.printf " %9s" q) queries;
+      List.iter (fun (qn, _) -> Printf.printf " %*s" (width qn) qn) queries;
       print_newline ();
+      let mismatches = ref [] in
       List.iter
         (fun (name, opts) ->
            Printf.printf "%-28s" name;
-           List.iter
-             (fun qn ->
-                let _, run = Engine.prepare ~opts st (Xmark.Xmark_queries.get qn) in
+           List.iter2
+             (fun (qn, q) want ->
+                let _, run = Engine.prepare ~opts st q in
                 let _, t = measure_exec run in
-                Printf.printf " %7.1fms" (t *. 1000.))
-             queries;
+                Printf.printf " %*.1fms%!" (width qn - 2) (t *. 1000.);
+                if answer_multiset opts st q <> want then
+                  mismatches := (name, qn) :: !mismatches)
+             queries expected;
            print_newline ())
         stages;
       Printf.printf
-        "
-Reading guide: rules without CDA barely help (the dead %% chains
-         remain, Section 4.1); CDA alone helps ordered plans a little
-         (intermediate path sorts whose pos is consumed by a next step);
-         only rules + CDA realizes the full effect. Hoisting matters for
-         queries with loop-invariant paths (Q8/Q11); tag-indexed steps
-         trade scan time for stream lookups on selective tags.
-")
+        "\nReading guide: the Figure-7 rules without CDA recover only part of\n\
+         the gain (the dead %% chains remain, Section 4.1). CDA alone prunes\n\
+         every %% whose position column no consumer reads, which on these\n\
+         queries comes close to the full setting even under ordering mode\n\
+         ordered. Hoisting matters where a loop-invariant path sits inside\n\
+         a predicate (existential_join); without join recognition the value\n\
+         joins (Q8, Q9, Q11) fall back to filtered cross products. The last\n\
+         four stages switch off the engine's own optimizations, each with a\n\
+         headline column: Q9 for join isolation (its join hides behind a\n\
+         let), existential_join for the rewriter (join synthesis),\n\
+         top_sellers for order properties and Q7 for code eval's bulk\n\
+         scans.\n";
+      if !mismatches <> [] then begin
+        List.iter
+          (fun (name, qn) ->
+             Printf.eprintf
+               "ablation: %s under %S differs from the full stage's answer\n"
+               qn name)
+          (List.rev !mismatches);
+        exit 1
+      end)
 
 (* -------------------------------------------------------------- parallel *)
 
@@ -699,332 +747,6 @@ let parallel_bench () =
         Printf.eprintf "parallel: result count parity failed\n";
         exit 1
       end)
-
-(* The join-graph isolation headline queries (queries/README.md): an
-   anti-join and a semi-join existential whose count-then-filter
-   scaffolds the jg-* rules collapse. The jg-* rules run inside the same
-   rewrite fixpoint, so rewrite-off is also isolation-off. *)
-let xpath_ex =
-  {|let $auction := doc("auction.xml")
-return
-  for $p in $auction/site/people/person
-  where empty(for $t in $auction/site/closed_auctions/closed_auction
-              where $t/buyer/@person = $p/@id
-              return $t)
-  return <quiet>{ $p/name/text() }</quiet>|}
-
-let quant_semi =
-  {|let $auction := doc("auction.xml")
-return
-  for $a in $auction/site/open_auctions/open_auction
-  where some $b in $a/bidder/increase
-        satisfies $b >= 2 * zero-or-one($a/initial)
-  return <hot>{ $a/reserve/text() }</hot>|}
-
-(* --------------------------------------------------------------- rewrite *)
-
-(* The logical rewriter's dividend: join-bearing queries prepared with the
-   rewriter on (default) vs off, same store, same physical backend. The
-   headline query is the existential value join — loop-lifting compiles
-   the predicate's general comparison into a sigma-filtered cross product,
-   and the select-pushdown -> join-reassociation -> join-synthesis chain
-   turns that into a hash theta join, converting quadratic work to linear.
-   Writes BENCH_rewrite.json (override XRQ_RW_OUT; scale XRQ_RW_SCALE,
-   default 0.05). *)
-let rewrite_bench () =
-  section "Rewrite — logical rewriter on vs off";
-  let scale =
-    try float_of_string (Sys.getenv "XRQ_RW_SCALE")
-    with Not_found | Failure _ -> 0.05
-  in
-  let out_path =
-    Option.value (Sys.getenv_opt "XRQ_RW_OUT") ~default:"BENCH_rewrite.json"
-  in
-  let norewrite_opts = { Engine.default_opts with Engine.rewrite = false } in
-  let exjoin =
-    {|let $auction := doc("auction.xml")
-return count($auction/site/people/person[@id =
-    $auction/site/closed_auctions/closed_auction/buyer/@person])|}
-  in
-  let queries =
-    [ ("exjoin", exjoin);
-      ("xpathex", xpath_ex);
-      ("quantsj", quant_semi);
-      ("q8", Xmark.Xmark_queries.q8);
-      ("q10", Xmark.Xmark_queries.q10);
-      ("q11", Xmark.Xmark_queries.q11);
-      ("q6", q6) ]
-  in
-  with_store scale (fun st bytes ->
-      Printf.printf "auction.xml: %.2f MB serialized, %d nodes\n\n"
-        (float_of_int bytes /. 1e6) (Xmldb.Doc_store.total_nodes st);
-      Printf.printf "%-8s %12s %12s %9s %8s\n" "query" "off" "on" "speedup"
-        "items";
-      let rows =
-        List.map
-          (fun (name, q) ->
-             let _, run_off = Engine.prepare ~opts:norewrite_opts st q in
-             let _, run_on = Engine.prepare ~opts:Engine.default_opts st q in
-             let n_off, t_off = measure_exec run_off in
-             let n_on, t_on = measure_exec run_on in
-             Printf.printf "%-8s %10.2fms %10.2fms %8.2fx %8d%s\n%!" name
-               (t_off *. 1000.) (t_on *. 1000.) (t_off /. t_on) n_on
-               (if n_off <> n_on then "  !! result count mismatch" else "");
-             (name, t_off, t_on, n_on, n_off = n_on))
-          queries
-      in
-      let best_name, best =
-        List.fold_left
-          (fun (bn, bs) (name, t_off, t_on, _, _) ->
-             let s = t_off /. t_on in
-             if s > bs then (name, s) else (bn, bs))
-          ("-", 0.0) rows
-      in
-      Printf.printf
-        "\nbest speedup: %.2fx on %s (join synthesis over the compiled\n\
-         cross product; the remaining queries bound the rewriter's\n\
-         overhead where no join is synthesized).\n"
-        best best_name;
-      let oc = open_out out_path in
-      Printf.fprintf oc
-        "{\n  \"experiment\": \"rewrite\",\n  \"scale\": %g,\n\
-        \  \"document_bytes\": %d,\n  \"queries\": [\n" scale bytes;
-      List.iteri
-        (fun i (name, t_off, t_on, n_on, parity) ->
-           Printf.fprintf oc
-             "    { \"query\": %S, \"no_rewrite_ms\": %.3f, \
-              \"rewrite_ms\": %.3f, \"speedup\": %.3f, \"items\": %d, \
-              \"count_parity\": %b }%s\n"
-             name (t_off *. 1000.) (t_on *. 1000.) (t_off /. t_on) n_on
-             parity
-             (if i < List.length rows - 1 then "," else ""))
-        rows;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" out_path)
-
-(* ------------------------------------------------------------- joingraph *)
-
-(* Join-graph isolation on vs off: the corpus outlier Q9 (a value
-   equijoin hidden behind an intervening let), its scaffold-free sibling
-   Q8, the other join-bearing XMark queries, and the two existential
-   headline queries. The headline number is Q9's time relative to Q8
-   with isolation on — the pass's goal is to bring the outlier onto the
-   same curve. Writes BENCH_joingraph.json (override XRQ_JG_OUT; scale
-   XRQ_JG_SCALE, default 0.05). With XRQ_JG_MAX_RATIO set, exits
-   nonzero when the on-ratio exceeds it (the CI guard). *)
-let joingraph_bench () =
-  section "Joingraph — join-graph isolation on vs off";
-  let scale =
-    try float_of_string (Sys.getenv "XRQ_JG_SCALE")
-    with Not_found | Failure _ -> 0.05
-  in
-  let out_path =
-    Option.value (Sys.getenv_opt "XRQ_JG_OUT") ~default:"BENCH_joingraph.json"
-  in
-  let off_opts = { Engine.default_opts with Engine.join_isolation = false } in
-  let queries =
-    [ ("q8", Xmark.Xmark_queries.q8);
-      ("q9", Xmark.Xmark_queries.q9);
-      ("q4", Xmark.Xmark_queries.q4);
-      ("q16", Xmark.Xmark_queries.q16);
-      ("q17", Xmark.Xmark_queries.q17);
-      ("q20", Xmark.Xmark_queries.q20);
-      ("xpathex", xpath_ex);
-      ("quantsj", quant_semi) ]
-  in
-  with_store scale (fun st bytes ->
-      Printf.printf "auction.xml: %.2f MB serialized, %d nodes\n\n"
-        (float_of_int bytes /. 1e6) (Xmldb.Doc_store.total_nodes st);
-      Printf.printf "%-8s %12s %12s %9s %8s\n" "query" "off" "on" "speedup"
-        "items";
-      let rows =
-        List.map
-          (fun (name, q) ->
-             let _, run_off = Engine.prepare ~opts:off_opts st q in
-             let plan_on, run_on =
-               Engine.prepare ~opts:Engine.default_opts st q
-             in
-             let n_off, t_off = measure_exec run_off in
-             let n_on, t_on = measure_exec run_on in
-             let s_on =
-               match plan_on with
-               | Some p -> Algebra.Joingraph.summary_to_string
-                             (Algebra.Joingraph.summary p)
-               | None -> "-"
-             in
-             Printf.printf "%-8s %10.2fms %10.2fms %8.2fx %8d%s\n%!" name
-               (t_off *. 1000.) (t_on *. 1000.) (t_off /. t_on) n_on
-               (if n_off <> n_on then "  !! result count mismatch" else "");
-             Printf.printf "         join graph (on): %s\n%!" s_on;
-             (name, t_off, t_on, n_on, n_off = n_on))
-          queries
-      in
-      let t_of n =
-        List.find_map
-          (fun (name, _, t_on, _, _) -> if name = n then Some t_on else None)
-          rows
-      in
-      let ratio =
-        match (t_of "q9", t_of "q8") with
-        | Some t9, Some t8 when t8 > 0. -> t9 /. t8
-        | _ -> nan
-      in
-      Printf.printf
-        "\nq9 vs q8 with isolation on: %.2fx (the outlier pulled onto the \
-         corpus curve)\n"
-        ratio;
-      let oc = open_out out_path in
-      Printf.fprintf oc
-        "{\n  \"experiment\": \"joingraph\",\n  \"scale\": %g,\n\
-        \  \"document_bytes\": %d,\n  \"q9_vs_q8\": %.3f,\n\
-        \  \"queries\": [\n"
-        scale bytes ratio;
-      List.iteri
-        (fun i (name, t_off, t_on, n_on, parity) ->
-           Printf.fprintf oc
-             "    { \"query\": %S, \"no_isolation_ms\": %.3f, \
-              \"isolation_ms\": %.3f, \"speedup\": %.3f, \"items\": %d, \
-              \"count_parity\": %b }%s\n"
-             name (t_off *. 1000.) (t_on *. 1000.) (t_off /. t_on) n_on
-             parity
-             (if i < List.length rows - 1 then "," else ""))
-        rows;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" out_path;
-      match Sys.getenv_opt "XRQ_JG_MAX_RATIO" with
-      | Some m -> (
-        match float_of_string_opt m with
-        | Some max_ratio when ratio > max_ratio ->
-          Printf.eprintf
-            "joingraph guard: q9/q8 = %.2f exceeds XRQ_JG_MAX_RATIO = %.2f\n"
-            ratio max_ratio;
-          exit 1
-        | Some max_ratio ->
-          Printf.printf "joingraph guard: q9/q8 = %.2f within %.2f\n" ratio
-            max_ratio
-        | None -> ())
-      | None -> ())
-
-(* ----------------------------------------------------------------- order *)
-
-(* Ordering-property reasoning on vs off over the paper-query corpus:
-   wall time per query, the elision counters (interior sorts elided,
-   sorts degraded to merges, root sort skipped), and a three-way parity
-   check — serialized results must agree byte-for-byte with the
-   sort-preserving plans, in the default mode AND under a forced
-   [ordering mode ordered] prolog. Knobs: XRQ_ORDER_SCALE (default
-   0.05), XRQ_ORDER_OUT (default BENCH_order.json). *)
-let order_bench () =
-  section "Order — ordering-property reasoning on vs off, corpus";
-  let scale =
-    try float_of_string (Sys.getenv "XRQ_ORDER_SCALE")
-    with Not_found | Failure _ -> 0.05
-  in
-  let out_path =
-    Option.value (Sys.getenv_opt "XRQ_ORDER_OUT") ~default:"BENCH_order.json"
-  in
-  let noorder_opts = { Engine.default_opts with Engine.order_props = false } in
-  let queries_dir =
-    if Sys.file_exists "queries" then "queries" else "../queries"
-  in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let corpus =
-    Sys.readdir queries_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".xq")
-    |> List.sort compare
-    |> List.map (fun f ->
-        (Filename.chop_suffix f ".xq",
-         read_file (Filename.concat queries_dir f)))
-  in
-  with_store scale (fun st bytes ->
-      (* the corpus also touches the toy document t.xml *)
-      let _ =
-        Xmldb.Xml_parser.load_document st ~uri:"t.xml"
-          "<a><b><c/><d/></b><c/><e k=\"1\">x<f/>y</e></a>"
-      in
-      Printf.printf "auction.xml: %.2f MB serialized, %d nodes\n\n"
-        (float_of_int bytes /. 1e6) (Xmldb.Doc_store.total_nodes st);
-      Printf.printf "%-18s %10s %10s %8s %6s %6s %5s %6s\n" "query" "off"
-        "on" "speedup" "elide" "merge" "root" "parity";
-      let rows =
-        List.map
-          (fun (name, q) ->
-             let _, run_off = Engine.prepare ~opts:noorder_opts st q in
-             let _, run_on = Engine.prepare ~opts:Engine.default_opts st q in
-             let n_off, t_off = measure_exec run_off in
-             let n_on, t_on = measure_exec run_on in
-             let prof = Engine.run ~with_profile:true st q in
-             let elided, merges, root =
-               match prof.Engine.profile with
-               | Some p ->
-                 let ph = Algebra.Profile.phys p in
-                 (ph.Algebra.Profile.sorts_elided,
-                  ph.Algebra.Profile.sorts_to_merges,
-                  ph.Algebra.Profile.root_sort_elided)
-               | None -> (0, 0, 0)
-             in
-             let parity =
-               n_off = n_on
-               && (let s opts = (Engine.run ~opts st q).Engine.serialized in
-                   s Engine.default_opts = s noorder_opts
-                   && (let forced o =
-                         { o with Engine.mode = Some Xquery.Ast.Ordered }
-                       in
-                       s (forced Engine.default_opts)
-                       = s (forced noorder_opts)))
-             in
-             Printf.printf
-               "%-18s %8.2fms %8.2fms %7.2fx %6d %6d %5d %6s%s\n%!" name
-               (t_off *. 1000.) (t_on *. 1000.) (t_off /. t_on) elided
-               merges root
-               (if parity then "ok" else "FAIL")
-               (if parity then "" else "  !! result mismatch");
-             (name, t_off, t_on, n_on, elided, merges, root, parity))
-          corpus
-      in
-      let best_name, best =
-        List.fold_left
-          (fun (bn, bs) (name, t_off, t_on, _, _, _, _, _) ->
-             let s = t_off /. t_on in
-             if s > bs then (name, s) else (bn, bs))
-          ("-", 0.0) rows
-      in
-      let total_elided =
-        List.fold_left (fun a (_, _, _, _, e, _, _, _) -> a + e) 0 rows
-      in
-      let total_root =
-        List.fold_left (fun a (_, _, _, _, _, _, r, _) -> a + r) 0 rows
-      in
-      Printf.printf
-        "\n%d interior sorts elided and %d root sorts skipped across the\n\
-         corpus; best speedup %.2fx on %s. Parity holds iff every elision\n\
-         was a proof, not a guess.\n"
-        total_elided total_root best best_name;
-      let oc = open_out out_path in
-      Printf.fprintf oc
-        "{\n  \"experiment\": \"order\",\n  \"scale\": %g,\n\
-        \  \"document_bytes\": %d,\n  \"queries\": [\n" scale bytes;
-      List.iteri
-        (fun i (name, t_off, t_on, n_on, elided, merges, root, parity) ->
-           Printf.fprintf oc
-             "    { \"query\": %S, \"no_order_props_ms\": %.3f, \
-              \"order_props_ms\": %.3f, \"speedup\": %.3f, \"items\": %d, \
-              \"sorts_elided\": %d, \"sorts_to_merges\": %d, \
-              \"root_sort_elided\": %d, \"parity\": %b }%s\n"
-             name (t_off *. 1000.) (t_on *. 1000.) (t_off /. t_on) n_on
-             elided merges root parity
-             (if i < List.length rows - 1 then "," else ""))
-        rows;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" out_path)
 
 (* ----------------------------------------------------------------- serve *)
 
@@ -1365,155 +1087,14 @@ let storage_bench () =
   close_out oc;
   Printf.printf "wrote %s\n" out_path
 
-(* ------------------------------------------------------------------ scan *)
-
-(* Compressed execution on vs off: the same prepared physical plans run
-   with code_eval enabled (batched staircase steps consuming the store's
-   bulk range decoders; atomize/string carried as per-fragment dictionary
-   codes; string-equality predicates translated once into a code and
-   evaluated as int compares) and with --no-code-eval (the materialized
-   reference path). Byte parity is asserted IN THE SAME RUN as the
-   timings — a speedup that breaks parity is a bug, not a result. The
-   query set splits into name-test-heavy descendant scans (Q6/Q7: the
-   bulk-decode path) and equality-heavy value comparisons over generated
-   attribute/text values (the code-predicate path; top_sellers probes the
-   zipf-heavy seller attribute). Writes BENCH_scan.json (override
-   XRQ_SCAN_OUT; scale XRQ_SCAN_SCALE, default 0.1). With
-   XRQ_SCAN_REQUIRE set, exits 1 unless every query holds parity, some
-   query fired code predicates and some query bulk-decoded rows — the CI
-   smoke guard that the compressed paths are actually exercised. *)
-let scan_bench () =
-  section "Scan — compressed execution (code-eval + bulk scans) on vs off";
-  let scale =
-    try float_of_string (Sys.getenv "XRQ_SCAN_SCALE")
-    with Not_found | Failure _ -> 0.1
-  in
-  let out_path =
-    Option.value (Sys.getenv_opt "XRQ_SCAN_OUT") ~default:"BENCH_scan.json"
-  in
-  let off_opts = { Engine.default_opts with Engine.code_eval = false } in
-  let top_sellers =
-    {|let $auction := doc("auction.xml")
-return count(for $t in $auction/site/closed_auctions/closed_auction
-             where $t/seller/@person eq "person0"
-             return $t)|}
-  in
-  let eq_education =
-    {|let $auction := doc("auction.xml")
-return count(for $e in $auction//profile/education
-             where $e/text() eq "Graduate School"
-             return $e)|}
-  in
-  let eq_business =
-    {|let $auction := doc("auction.xml")
-return count(for $b in $auction//profile/business
-             where $b/text() eq "Yes"
-             return $b)|}
-  in
-  let queries =
-    [ ("Q6", q6);
-      ("Q7", Xmark.Xmark_queries.get "Q7");
-      ("Q11", Xmark.Xmark_queries.q11);
-      ("top_sellers", top_sellers);
-      ("eq_education", eq_education);
-      ("eq_business", eq_business) ]
-  in
-  with_store scale (fun st bytes ->
-      Printf.printf "auction.xml: %.2f MB serialized, %d nodes\n\n"
-        (float_of_int bytes /. 1e6) (Xmldb.Doc_store.total_nodes st);
-      Printf.printf "%-12s %12s %12s %9s %7s %7s %7s %7s %7s\n" "query"
-        "off" "on" "speedup" "items" "parity" "cpreds" "bulk" "latemat";
-      let rows =
-        List.map
-          (fun (name, q) ->
-             let _, run_off = Engine.prepare ~opts:off_opts st q in
-             let _, run_on = Engine.prepare ~opts:Engine.default_opts st q in
-             let n_off, t_off = measure_exec run_off in
-             let n_on, t_on = measure_exec run_on in
-             (* byte parity, same store, same run *)
-             let parity =
-               n_off = n_on
-               && (Engine.run ~opts:Engine.default_opts st q).Engine.serialized
-                  = (Engine.run ~opts:off_opts st q).Engine.serialized
-             in
-             let cpreds, bulk, latemat =
-               match
-                 (Engine.run ~opts:Engine.default_opts ~with_profile:true st q)
-                   .Engine.profile
-               with
-               | Some p ->
-                 let ph = Algebra.Profile.phys p in
-                 (ph.Algebra.Profile.code_preds,
-                  ph.Algebra.Profile.bulk_decodes,
-                  ph.Algebra.Profile.late_materializations)
-               | None -> (0, 0, 0)
-             in
-             Printf.printf
-               "%-12s %10.2fms %10.2fms %8.2fx %7d %7s %7d %7d %7d%s\n%!"
-               name (t_off *. 1000.) (t_on *. 1000.) (t_off /. t_on) n_on
-               (if parity then "ok" else "FAIL") cpreds bulk latemat
-               (if parity then "" else "  !! result mismatch");
-             (name, t_off, t_on, n_on, parity, cpreds, bulk, latemat))
-          queries
-      in
-      let fast =
-        List.filter (fun (_, t_off, t_on, _, _, _, _, _) -> t_off /. t_on >= 1.3) rows
-      in
-      let total f = List.fold_left (fun a r -> a + f r) 0 rows in
-      let total_cpreds = total (fun (_, _, _, _, _, c, _, _) -> c) in
-      let total_bulk = total (fun (_, _, _, _, _, _, b, _) -> b) in
-      let all_parity = List.for_all (fun (_, _, _, _, p, _, _, _) -> p) rows in
-      Printf.printf
-        "\n%d of %d queries at >= 1.3x; %d code predicates and %d \
-         bulk-decoded rows fired across the set; parity %s.\n"
-        (List.length fast) (List.length rows) total_cpreds total_bulk
-        (if all_parity then "holds everywhere" else "VIOLATED");
-      let oc = open_out out_path in
-      Printf.fprintf oc
-        "{\n  \"experiment\": \"scan\",\n  \"scale\": %g,\n\
-        \  \"document_bytes\": %d,\n  \"queries\": [\n" scale bytes;
-      List.iteri
-        (fun i (name, t_off, t_on, n_on, parity, cpreds, bulk, latemat) ->
-           Printf.fprintf oc
-             "    { \"query\": %S, \"no_code_eval_ms\": %.3f, \
-              \"code_eval_ms\": %.3f, \"speedup\": %.3f, \"items\": %d, \
-              \"parity\": %b, \"code_preds\": %d, \"bulk_decodes\": %d, \
-              \"late_materializations\": %d }%s\n"
-             name (t_off *. 1000.) (t_on *. 1000.) (t_off /. t_on) n_on
-             parity cpreds bulk latemat
-             (if i < List.length rows - 1 then "," else ""))
-        rows;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" out_path;
-      if Sys.getenv_opt "XRQ_SCAN_REQUIRE" <> None then begin
-        if not all_parity then begin
-          Printf.eprintf "scan guard: parity violated\n";
-          exit 1
-        end;
-        if total_cpreds = 0 then begin
-          Printf.eprintf "scan guard: no code predicates fired\n";
-          exit 1
-        end;
-        if total_bulk = 0 then begin
-          Printf.eprintf "scan guard: no rows bulk-decoded\n";
-          exit 1
-        end;
-        Printf.printf
-          "scan guard: parity ok, %d code predicates, %d bulk rows\n"
-          total_cpreds total_bulk
-      end)
-
 (* ---------------------------------------------------------------- driver *)
 
 let experiments =
   [ ("fig6", fig6); ("fig9", fig9); ("fig10", fig10); ("table2", table2);
     ("plansizes", plansizes); ("fig12", fig12); ("micro", micro);
     ("sharing", sharing); ("ablation", ablation);
-    ("parallel", parallel_bench); ("rewrite", rewrite_bench);
-    ("joingraph", joingraph_bench); ("order", order_bench);
-    ("serve", serve_bench); ("storage", storage_bench);
-    ("scan", scan_bench) ]
+    ("parallel", parallel_bench); ("serve", serve_bench);
+    ("storage", storage_bench) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -222,8 +222,6 @@ let mk b op =
     Hashtbl.add b.consed key n;
     n
 
-let with_label label n = n.label <- label; n
-
 let set_label n label = n.label <- label
 
 (* -- convenience constructors (paper notation in comments) ---------------- *)
@@ -338,16 +336,6 @@ let op_symbol = function
   | Range _ -> "range"
   | Textify _ -> "textify"
   | Id_lookup _ -> "id"
-
-(* Count operators by kind; [count_rownums] is the metric Figures 6/9 track. *)
-let count_by_kind root =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun n ->
-       let k = op_symbol n.op in
-       Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    (topo_order root);
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let count_kind root sym =
   List.fold_left

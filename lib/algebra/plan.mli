@@ -177,8 +177,6 @@ val builder : unit -> builder
     return the same node. *)
 val mk : builder -> op -> node
 
-val with_label : string -> node -> node
-
 (** Set the profiling label (idempotent plan decoration). *)
 val set_label : node -> string -> unit
 
@@ -234,8 +232,6 @@ val sharing_factor : node -> float
 
 (** Short symbol for an operator kind: "%", "#", "⊘", "π", ... *)
 val op_symbol : op -> string
-
-val count_by_kind : node -> (string * int) list
 
 (** [count_kind p "%"] — e.g. the number of order-establishing rownums. *)
 val count_kind : node -> string -> int

@@ -51,8 +51,6 @@ let col_index t name =
     Err.internal "Table: no column %S in schema [%s]" name
       (String.concat "," (Array.to_list t.schema))
 
-let has_col t name = Array.exists (String.equal name) t.schema
-
 let col t name = t.cols.(col_index t name)
 
 (* The raw column storage, in schema order — the zero-copy bridge into the
@@ -75,9 +73,6 @@ let of_rows schema rows =
   { schema; cols; nrows; index = None }
 
 let row t r = Array.map (fun c -> c.(r)) t.cols
-
-let iter_rows f t =
-  for r = 0 to t.nrows - 1 do f r done
 
 (* Select a subset of rows by index. *)
 let gather t (idx : int array) =

@@ -21,8 +21,6 @@ val empty : string array -> t
 (** Index of a column; internal error when absent. *)
 val col_index : t -> string -> int
 
-val has_col : t -> string -> bool
-
 (** The raw column array (shared, do not mutate). *)
 val col : t -> string -> Value.t array
 
@@ -36,8 +34,6 @@ val of_rows : string array -> Value.t array list -> t
 
 (** Materialize row [r] as an array. *)
 val row : t -> int -> Value.t array
-
-val iter_rows : (int -> unit) -> t -> unit
 
 (** Select a subset of rows by index (duplicates allowed). *)
 val gather : t -> int array -> t

@@ -6,6 +6,4 @@
 
 external monotonic_ns : unit -> int64 = "exrquy_clock_monotonic_ns"
 
-let now_ns = monotonic_ns
-
 let now () = Int64.to_float (monotonic_ns ()) *. 1e-9

@@ -4,8 +4,5 @@
     suppressed. The origin is unspecified; only differences mean
     anything. *)
 
-(** Nanoseconds on the monotonic scale. *)
-val now_ns : unit -> int64
-
 (** Seconds on the monotonic scale (the unit {!Budget} deadlines use). *)
 val now : unit -> float

@@ -314,11 +314,6 @@ let code_of_id dict id =
 
 let name_code_of_id f id = if id < 0 then None else code_of_id f.p_name_dict id
 
-let code_of_name t f q =
-  match Qname_pool.find_opt t.name_pool q with
-  | None -> None
-  | Some id -> name_code_of_id f id
-
 let code_of_text t f s =
   match String_pool.find_opt t.text_pool s with
   | None -> None
@@ -327,10 +322,6 @@ let code_of_text t f s =
 (* Decode a local text code back to its global pool id (-1 for 0 = none):
    the late-materialization step of code-carrying columns. *)
 let[@inline] text_id_of_code f code = decode_dict f.p_value_dict code
-
-let text_of_code t f code =
-  let id = text_id_of_code f code in
-  if id < 0 then "" else text_of_id t id
 
 (* -- node accessors ------------------------------------------------------ *)
 

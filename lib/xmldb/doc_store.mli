@@ -97,13 +97,10 @@ val name_code_at : frag -> int -> int
 (** Local text/value code at a row (0 = no value). *)
 val text_code_at : frag -> int -> int
 
-(** Translate a name into the fragment's local code. [None] = this name
-    cannot occur in the fragment (or is not interned at all): a name test
-    against it matches nothing. One probe per (predicate, fragment). *)
-val code_of_name : t -> frag -> Qname.t -> int option
-
-(** Same, from an already-interned global name id (negative ids — the
-    {!name_test_id} "never occurs" marker included — give [None]). *)
+(** Translate an interned global name id into the fragment's local code.
+    [None] = this name cannot occur in the fragment (negative ids — the
+    {!name_test_id} "never occurs" marker included): a name test against
+    it matches nothing. One probe per (predicate, fragment). *)
 val name_code_of_id : frag -> int -> int option
 
 (** Translate a string constant into the fragment's local value code.
@@ -112,9 +109,6 @@ val code_of_text : t -> frag -> string -> int option
 
 (** Global text-pool id behind a local value code (-1 for code 0). *)
 val text_id_of_code : frag -> int -> int
-
-(** Materialize a local value code ([""] for code 0). *)
-val text_of_code : t -> frag -> int -> string
 
 (** The store's global text pool (late materialization of code-carrying
     columns keys interned ids against it). *)
