@@ -11,7 +11,7 @@
      --no-cda                    disable column dependency analysis
      --no-rewrite                disable the logical rewriter
      --no-order-props            disable ordering-property reasoning
-                                 (sort elision, root-sort skip, merges)
+                                 (the rewriter's sort elision)
      --no-join-isolation         disable join-graph isolation (the
                                  where-past-lets slide and the semijoin/
                                  antijoin synthesis rules)
@@ -30,7 +30,6 @@
    Parallelism (run/xmark):
      --jobs N                    morsel-parallel physical execution on N
                                  domains (default: XRQ_JOBS, else 1)
-     --no-parallel               force serial execution
 
    Resource governance (run/xmark):
      --timeout S                 wall-clock deadline per query, in seconds
@@ -108,9 +107,9 @@ let no_rewrite_arg =
 
 let no_order_props_arg =
   Arg.(value & flag & info [ "no-order-props" ]
-         ~doc:"Disable ordering-property reasoning: no sort elision, no \
-               root-sort-on-pos skip, no merge-degraded sorts. Results \
-               are identical either way; plans keep every sort.")
+         ~doc:"Disable ordering-property reasoning: the rewriter elides \
+               no sort, so plans keep every sort. Results are identical \
+               either way.")
 
 let no_code_eval_arg =
   Arg.(value & flag & info [ "no-code-eval" ]
@@ -169,11 +168,6 @@ let jobs_arg =
                  profile counters are identical to serial execution. \
                  Default: the XRQ_JOBS environment variable, else 1.")
 
-let no_parallel_arg =
-  Arg.(value & flag & info [ "no-parallel" ]
-         ~doc:"Force serial execution (equivalent to --jobs 1; overrides \
-               --jobs and XRQ_JOBS).")
-
 let tree_eval_arg =
   Arg.(value & flag & info [ "tree-eval" ]
          ~doc:"Evaluate plans as trees, re-computing shared subplans at \
@@ -228,19 +222,16 @@ let plan_opts_term =
         $ no_joinrec_arg $ no_join_isolation_arg $ no_rewrite_arg
         $ no_order_props_arg)
 
-let jobs_of ~no_parallel jobs =
-  if no_parallel then 1
-  else
-    match jobs with
-    | Some j -> max 1 j
-    | None -> Engine.default_opts.Engine.jobs
+let jobs_of = function
+  | Some j -> max 1 j
+  | None -> Engine.default_opts.Engine.jobs
 
 (* ...and the execution part, which run and xmark add on top of it:
    backend, step implementation, evaluation mode, budgets, fallback,
    parallelism and compressed execution. *)
 let opts_term =
   let make opts interpret tag_index tree_eval timeout max_rows max_bytes
-      max_ops no_fallback jobs no_parallel no_code_eval =
+      max_ops no_fallback jobs no_code_eval =
     { opts with
       Engine.backend =
         (if interpret then Engine.Interpreted else Engine.Compiled);
@@ -249,13 +240,12 @@ let opts_term =
       eval_mode = (if tree_eval then Algebra.Eval.Tree else Algebra.Eval.Dag);
       budget = budget_spec timeout max_rows max_bytes max_ops;
       fallback = not no_fallback;
-      jobs = jobs_of ~no_parallel jobs;
+      jobs = jobs_of jobs;
       code_eval = not no_code_eval }
   in
   Term.(const make $ plan_opts_term $ interpret_arg $ tag_index_arg
         $ tree_eval_arg $ timeout_arg $ max_rows_arg $ max_bytes_arg
-        $ max_ops_arg $ no_fallback_arg $ jobs_arg $ no_parallel_arg
-        $ no_code_eval_arg)
+        $ max_ops_arg $ no_fallback_arg $ jobs_arg $ no_code_eval_arg)
 
 let load_documents store specs =
   List.iter
@@ -353,8 +343,8 @@ let props_annot ~order_props a n =
 let plan_cmd =
   let action docs qf expr opts dot =
     handle (fun () ->
-        (* documents are loaded only for their statistics: the rewriter's
-           and the lowerer's cost decisions (join sides) *)
+        (* documents are loaded only for their statistics: the
+           rewriter's join input order *)
         let stats =
           if docs = [] then None
           else begin
@@ -399,14 +389,12 @@ let plan_cmd =
              (Algebra.Joingraph.summary optimized));
         if opts.Engine.cda then print_string (render optimized);
         if not dot then begin
-          let pp =
-            Engine.lower_physical ?stats ~order_props optimized
-          in
+          let pp = Algebra.Lower.lower optimized in
           Printf.printf
             "-- physical plan: %d kernels, %d parallelizable (\xE2\x88\xA5)\n"
             (Algebra.Lower.count_kernels pp)
             (Algebra.Lower.count_parallel pp);
-          print_string (Algebra.Lower.to_string pp)
+          print_string (Algebra.Lower.to_string ~plan:optimized pp)
         end)
   in
   Cmd.v (Cmd.info "plan" ~doc:"Compile a query and print its algebra plan")
@@ -549,7 +537,7 @@ let store_load_cmd =
               Engine.mode;
               backend =
                 (if interpret then Engine.Interpreted else Engine.Compiled);
-              jobs = jobs_of ~no_parallel:false jobs;
+              jobs = jobs_of jobs;
               code_eval = not no_code_eval }
           in
           let r =

@@ -29,11 +29,6 @@ val build : int array -> t
 (** The group holding key [k], or [-1]. *)
 val find : t -> int -> int
 
-(** [bucket groups g]: the rows [r] with [g.(r) >= 0] listed under group
-    [g.(r)] (< [groups]) — CSR offsets of length [groups + 1] and the
-    rows, ascending within each group; the layout of [start]/[rows]. *)
-val bucket : int -> int array -> int array * int array
-
 (** The slot a probe for [k] starts at; a key whose group is stored
     elsewhere was displaced by collisions. Exposed so tests can build
     colliding and wrapping probe chains. *)

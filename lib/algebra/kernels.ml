@@ -442,66 +442,6 @@ let join_indices (lc : Value.t array) (rc : Value.t array) =
   end;
   (Vec.to_array li, Vec.to_array ri)
 
-(* The same matching with the hash built on the LEFT column — chosen by
-   the lowerer when cardinality estimates say the left side is smaller.
-   Matches are accumulated per left row while streaming the right side in
-   ascending order, then emitted left-major, so the output pair order is
-   IDENTICAL to [join_indices] (i ascending, each i's j's ascending): the
-   build side is a cost choice, never a semantic one. *)
-let join_indices_build_left (lc : Value.t array) (rc : Value.t array) =
-  let nl = Array.length lc and nr = Array.length rc in
-  let matches : int Vec.t option array = Array.make nl None in
-  let push_match i j =
-    match matches.(i) with
-    | Some v -> Vec.push v j
-    | None ->
-      let v = Vec.create 0 in
-      Vec.push v j;
-      matches.(i) <- Some v
-  in
-  if all_ints lc && all_ints rc then begin
-    let index : int Vec.t Int_tbl.t = Int_tbl.create (max 16 nl) in
-    for i = 0 to nl - 1 do
-      let k = match lc.(i) with Value.Int x -> x | _ -> assert false in
-      (match Int_tbl.find_opt index k with
-       | Some v -> Vec.push v i
-       | None ->
-         let v = Vec.create 0 in
-         Vec.push v i;
-         Int_tbl.add index k v)
-    done;
-    for j = 0 to nr - 1 do
-      let k = match rc.(j) with Value.Int x -> x | _ -> assert false in
-      match Int_tbl.find_opt index k with
-      | None -> ()
-      | Some v -> Vec.iter (fun i -> push_match i j) v
-    done
-  end
-  else begin
-    let index : int Vec.t Val_tbl.t = Val_tbl.create (max 16 nl) in
-    for i = 0 to nl - 1 do
-      (match Val_tbl.find_opt index lc.(i) with
-       | Some v -> Vec.push v i
-       | None ->
-         let v = Vec.create 0 in
-         Vec.push v i;
-         Val_tbl.add index lc.(i) v)
-    done;
-    for j = 0 to nr - 1 do
-      match Val_tbl.find_opt index rc.(j) with
-      | None -> ()
-      | Some v -> Vec.iter (fun i -> push_match i j) v
-    done
-  end;
-  let li = Vec.create 0 and ri = Vec.create 0 in
-  Array.iteri
-    (fun i m ->
-       match m with
-       | None -> ()
-       | Some v -> Vec.iter (fun j -> Vec.push li i; Vec.push ri j) v)
-    matches;
-  (Vec.to_array li, Vec.to_array ri)
-
 let eval_join l r lcol rcol =
   check_disjoint_schemas (Table.schema l) (Table.schema r);
   let li, ri = join_indices (Table.col l lcol) (Table.col r rcol) in
@@ -615,30 +555,6 @@ let semi_keep ~anti ~nl ~nr (lcols : Value.t array array)
     (rcols : Value.t array array) =
   let set = semi_key_set ~nr rcols in
   semi_probe set ~anti lcols 0 nl
-
-(* Build-flipped variant: hash the (estimated-smaller) left side's keys,
-   mark the matched ones in one scan of the right, then keep the left
-   rows whose membership agrees with the polarity. The marking scan
-   mutates the table, so this path is inherently sequential. Emits the
-   same ascending left subsequence as [semi_keep]. *)
-let semi_keep_build_left ~anti ~nl ~nr (lcols : Value.t array array)
-    (rcols : Value.t array array) =
-  let tbl = Row_tbl.create (max 16 nl) in
-  for i = 0 to nl - 1 do
-    let k = Array.map (fun c -> c.(i)) lcols in
-    if not (Row_tbl.mem tbl k) then Row_tbl.add tbl k (ref false)
-  done;
-  for j = 0 to nr - 1 do
-    match Row_tbl.find_opt tbl (Array.map (fun c -> c.(j)) rcols) with
-    | Some hit -> hit := true
-    | None -> ()
-  done;
-  let idx = Vec.create 0 in
-  for i = 0 to nl - 1 do
-    let mem = !(Row_tbl.find tbl (Array.map (fun c -> c.(i)) lcols)) in
-    if mem <> anti then Vec.push idx i
-  done;
-  Vec.to_array idx
 
 let eval_semi ~anti l r on =
   let rcols = Array.of_list (List.map (fun (_, rc) -> Table.col r rc) on) in

@@ -72,8 +72,7 @@
    and typed-path dispatch happen on the coordinator before a row loop
    fans out; workers only read frozen columns and the document store
    (whose reads are pure). [%]-bearing kernels (Rownum), Distinct,
-   merge joins, build-flipped joins/semijoins, steps and boxed fallbacks
-   stay serial. *)
+   merge joins, steps and boxed fallbacks stay serial. *)
 
 open Basis
 
@@ -93,24 +92,10 @@ type pop =
       res : string;
       order : (string * Plan.dir) list;
       part : string option;
-      merge_hint : int option;
-          (* ordering analysis proved the input piecewise sorted in at
-             most this many runs: replace the O(n log n) sort with run
-             detection + a k-way merge. None = no guarantee, full sort. *)
     }
-  | K_join of { lcol : string; rcol : string; build_left : bool }
-      (* [build_left]: hash the left column instead of the right (chosen
-         by the lowering when estimates say the left side is smaller)
-         when the keys need a hash at all; output pair order is
-         identical either way *)
+  | K_join of { lcol : string; rcol : string }
   | K_thetajoin of { lcol : string; cmp : Plan.prim2; rcol : string }
-  | K_semijoin of { anti : bool; on : (string * string) list; build_left : bool }
-      (* [build_left]: hash the (smaller) left side's keys and mark them
-         while scanning the right, instead of hashing the right and
-         probing per left row. The marking scan is the output build
-         itself, so a flipped semijoin stays serial; the default probe
-         fans out over morsels like [K_join]. Either way the kept rows
-         are an ascending subsequence of the left input. *)
+  | K_semijoin of { anti : bool; on : (string * string) list }
   | K_aggr of {
       res : string;
       agg : Plan.agg;
@@ -128,8 +113,6 @@ type pnode = {
   pop : pop;
   pinputs : pnode list;
   plabel : string;     (* profile bucket (the logical node's label) *)
-  ptypes : (string * Column.ty) list;
-      (* statically inferred column types of the output (plan-dump aid) *)
   ppar : bool;
       (* order-indifferent kernel, licensed to fan out over morsels:
          per-row select/attach/fun kernels, rowid/[#] stamps, hash/theta
@@ -149,12 +132,9 @@ let pop_name = function
   | K_union -> "union"
   | K_rowid _ -> "rowid"
   | K_rownum _ -> "rownum"
-  | K_join { build_left = true; _ } -> "join(build:left)"
   | K_join _ -> "join"
   | K_thetajoin _ -> "thetajoin"
-  | K_semijoin { anti = false; build_left = true; _ } -> "semijoin(build:left)"
   | K_semijoin { anti = false; _ } -> "semijoin"
-  | K_semijoin { anti = true; build_left = true; _ } -> "antijoin(build:left)"
   | K_semijoin { anti = true; _ } -> "antijoin"
   | K_aggr _ -> "aggr"
   | K_step _ -> "step"
@@ -899,10 +879,10 @@ let join_output (l : batch) (r : batch) li ri =
 
 (* ----------------------------------------------------------- key matching *)
 
-(* The equality kernels — the equi-join on either build side, the [P_eq]
-   theta join, single-key semi/antijoins and distinct — read their keys
-   once as machine-int arrays over the visible rows: ints, query-pool
-   string ids, or normalized dictionary codes. Key equality is then int
+(* The equality kernels — the equi-join, the [P_eq] theta join,
+   single-key semi/antijoins and distinct — read their keys once as
+   machine-int arrays over the visible rows: ints, query-pool string
+   ids, or normalized dictionary codes. Key equality is then int
    equality, and how pairs are enumerated is chosen per call from what
    the keys look like (see [equi_match]). Keys that need the boxed
    [Value.equal] rules (doubles, mixed types) stay on the [Kernels]
@@ -1059,10 +1039,10 @@ let csr_pairs group start rows lo hi =
   done;
   (li, ri)
 
-(* Build-right hash matching: index the right keys, probe every left
-   row. The probe fans out over morsels — the index is frozen, and
-   per-morsel pairs concatenated in morsel order are the serial
-   i-outer order. *)
+(* Hash matching: index the right keys, probe every left row, as the
+   reference executor does. The probe fans out over morsels — the index
+   is frozen, and per-morsel pairs concatenated in morsel order are the
+   serial i-outer order. *)
 let probe_pairs ctx ~par lk rk =
   let idx = Int_index.build rk in
   let probe lo hi =
@@ -1072,26 +1052,14 @@ let probe_pairs ctx ~par lk rk =
   in
   concat_pairs (map_spans ctx ~par (Array.length lk) probe)
 
-(* Build-left hash matching: index the left keys, bucket the right rows
-   under the left group each one hits, then emit left-major — the pair
-   order of [probe_pairs]. Serial: flipped joins never fan out. *)
-let bucket_pairs lk rk =
-  let idx = Int_index.build lk in
-  let start, rows =
-    Int_index.bucket idx.Int_index.groups (Array.map (Int_index.find idx) rk)
-  in
-  csr_pairs (fun i -> idx.Int_index.group_of_row.(i)) start rows 0
-    (Array.length lk)
-
 (* How an equality match enumerates its pairs, chosen from the keys
    themselves — order observed at run time, so the optimizer claims
-   nothing new. Identical strictly ascending keys (loop-lifted [iter]
+   nothing. Identical strictly ascending keys (loop-lifted [iter]
    columns, stamped ascending by [#]/[%]) pair row i with row i: no
    index, no gather. Two ascending sides merge. Anything else goes
-   through one flat index, built on the side the lowering chose; only
-   then does [build_left] build on the left. Every path yields the
+   through one flat index over the right keys. Every path yields the
    reference pair order. *)
-let equi_match ctx ~par ~build_left lk rk =
+let equi_match ctx ~par lk rk =
   if aligned lk rk then begin
     bump ctx Profile.count_join_aligned;
     Aligned
@@ -1102,11 +1070,7 @@ let equi_match ctx ~par ~build_left lk rk =
   end
   else begin
     bump ctx Profile.count_join_hashed;
-    if build_left then begin
-      bump ctx Profile.count_build_flip;
-      Pairs (bucket_pairs lk rk)
-    end
-    else Pairs (probe_pairs ctx ~par lk rk)
+    Pairs (probe_pairs ctx ~par lk rk)
   end
 
 (* The output of a match between two compacted batches. [Aligned]: the
@@ -1123,22 +1087,15 @@ let matched_output lb rb = function
       table = None }
   | Pairs (li, ri) -> join_output lb rb li ri
 
-let k_join ctx ~par ~build_left lb rb lcol rcname =
+let k_join ctx ~par lb rb lcol rcname =
   check_disjoint lb.schema rb.schema;
   let lb = compact lb and rb = compact rb in
   match match_keys ctx (rcol ctx lb lcol) (rcol ctx rb rcname) with
-  | Some (lk, rk) ->
-    matched_output lb rb (equi_match ctx ~par ~build_left lk rk)
+  | Some (lk, rk) -> matched_output lb rb (equi_match ctx ~par lk rk)
   | None ->
-    (* boxed [Value.equal] matching; [build_left] picks the hashed side
-       (the estimated-smaller one), never the pair order *)
-    let lvs = boxed_vis ctx lb lcol and rvs = boxed_vis ctx rb rcname in
+    (* boxed [Value.equal] matching *)
     let li, ri =
-      if build_left then begin
-        bump ctx Profile.count_build_flip;
-        Kernels.join_indices_build_left lvs rvs
-      end
-      else Kernels.join_indices lvs rvs
+      Kernels.join_indices (boxed_vis ctx lb lcol) (boxed_vis ctx rb rcname)
     in
     join_output lb rb li ri
 
@@ -1228,7 +1185,7 @@ let k_thetajoin ctx ~par lb rb lcol cmp rcname =
          equality is coercion-free there, so this is the equi-join's
          match, in the boxed nested loop's i-asc, j-asc pair order *)
       match match_keys ctx (rcol ctx lb lcol) (rcol ctx rb rcname) with
-      | Some (lk, rk) -> equi_match ctx ~par ~build_left:false lk rk
+      | Some (lk, rk) -> equi_match ctx ~par lk rk
       | None -> boxed ())
     | Plan.P_lt | Plan.P_le | Plan.P_gt | Plan.P_ge -> (
       let lvs = boxed_vis ctx lb lcol and rvs = boxed_vis ctx rb rcname in
@@ -1244,15 +1201,12 @@ let k_thetajoin ctx ~par lb rb lcol cmp rcname =
 
 (* Semi/anti join: the output is the left batch with a composed selection
    — nothing materializes. A single key that reads as ints ([match_keys],
-   over the visible rows) uses the flat index as a set: by default it
-   indexes the right keys and probes the left rows, fanning the probe
-   out over morsels like the join probe (kept indices concatenated in
-   morsel order are the serial ascending scan); [build_left] indexes the
-   estimated-smaller left side instead, marks the groups the right rows
-   hit, and keeps the left rows by polarity — serial by construction
-   ([ppar] is off for flipped semijoins). Multi-key and boxed keys run
-   the [Kernels] matchers the same two ways. *)
-let k_semijoin ctx ~par ~anti ~build_left lb rb on =
+   over the visible rows) uses the flat index as a set: it indexes the
+   right keys and probes the left rows, fanning the probe out over
+   morsels like the join probe (kept indices concatenated in morsel
+   order are the serial ascending scan). Multi-key and boxed keys run
+   the [Kernels] key set the same way. *)
+let k_semijoin ctx ~par ~anti lb rb on =
   let keys =
     match on with
     | [ (lc, rc) ] ->
@@ -1269,20 +1223,6 @@ let k_semijoin ctx ~par ~anti ~build_left lb rb on =
   in
   let keep =
     match keys with
-    | Some (lk, rk) when build_left ->
-      bump ctx Profile.count_build_flip;
-      let idx = Int_index.build lk in
-      let hit = Bytes.make idx.Int_index.groups '\000' in
-      Array.iter
-        (fun k ->
-           let g = Int_index.find idx k in
-           if g >= 0 then Bytes.set hit g '\001')
-        rk;
-      let keep = Vec.create 0 in
-      Array.iteri
-        (fun i g -> if Bytes.get hit g <> '\000' <> anti then Vec.push keep i)
-        idx.Int_index.group_of_row;
-      Vec.to_array keep
     | Some (lk, rk) ->
       let idx = Int_index.build rk in
       concat
@@ -1299,16 +1239,10 @@ let k_semijoin ctx ~par ~anti ~build_left lb rb on =
       let rkeys =
         Array.of_list (List.map (fun (_, rc) -> boxed_vis ctx rb rc) on)
       in
-      if build_left then begin
-        bump ctx Profile.count_build_flip;
-        Kernels.semi_keep_build_left ~anti ~nl:lb.nrows ~nr:rb.nrows lkeys
-          rkeys
-      end
-      else
-        let set = Kernels.semi_key_set ~nr:rb.nrows rkeys in
-        concat
-          (map_spans ctx ~par lb.nrows (fun lo hi ->
-               Kernels.semi_probe set ~anti lkeys lo hi))
+      let set = Kernels.semi_key_set ~nr:rb.nrows rkeys in
+      concat
+        (map_spans ctx ~par lb.nrows (fun lo hi ->
+             Kernels.semi_probe set ~anti lkeys lo hi))
   in
   let sel' =
     match lb.sel with
@@ -1420,11 +1354,15 @@ let k_rowid ctx ~par b res =
         done);
     with_col b res (Column.Ints out)
 
+(* The most sorted runs a [%] input may arrive in and still be merged
+   rather than sorted. *)
+let max_runs = 64
+
 (* Rownum: the pipeline breaker the paper's cost model revolves around.
    Compact, sort a permutation — typed comparators where columns are
    typed; [Value.compare_total] agrees with [Int.compare]/[Float.compare]
    on homogeneous columns — then number within partitions. *)
-let k_rownum ctx b res order part merge_hint =
+let k_rownum ctx b res order part =
   let b = compact b in
   let n = b.nrows in
   let cmp_of name =
@@ -1474,73 +1412,68 @@ let k_rownum ctx b res order part merge_hint =
       in
       go ocmps
   in
-  (* Piecewise-sorted input (ordering analysis bounded the run count,
-     e.g. a union of per-branch sorted sides): detect the runs in one
-     linear scan and replace the O(n log n) sort with a bottom-up merge
-     of adjacent runs. [compare_rows] is a total order (row-position
-     tie-break), so the merge result is the unique sorted permutation —
-     bit-identical to [Array.sort]. Fall back to the full sort if the
-     input has more runs than promised (the hint is a performance claim;
-     correctness never depends on it). *)
+  (* Piecewise-sorted input (a union of per-branch sorted sides, a
+     computed column that happens to ascend): detect the runs in one
+     linear scan and, at [max_runs] runs or fewer, replace the
+     O(n log n) sort with a bottom-up merge of adjacent runs. The order
+     is observed, not proved, so no plan property is involved.
+     [compare_rows] is a total order (row-position tie-break), so the
+     merge result is the unique sorted permutation — bit-identical to
+     [Array.sort]. The scan makes at most n - 1 comparisons and stops
+     at the first run past the cap: a few dozen on shuffled input. *)
   let merged =
-    match merge_hint with
-    | None -> false
-    | Some hint ->
-      let cap = max hint 64 in
-      let bounds = ref [ 0 ] and runs = ref 1 in
-      (try
-         for i = 1 to n - 1 do
-           if compare_rows (i - 1) i > 0 then begin
-             incr runs;
-             if !runs > cap then raise Exit;
-             bounds := i :: !bounds
-           end
-         done;
-         let segments =
-           (* (lo, hi) run extents, in input order *)
-           let rec go hi acc = function
-             | [] -> acc
-             | lo :: rest -> go lo ((lo, hi) :: acc) rest
-           in
-           go n [] !bounds
-         in
-         let arrays =
-           List.map (fun (lo, hi) -> Array.init (hi - lo) (fun k -> lo + k))
-             segments
-         in
-         let merge xs ys =
-           let nx = Array.length xs and ny = Array.length ys in
-           let out = Array.make (nx + ny) 0 in
-           let i = ref 0 and j = ref 0 in
-           for k = 0 to nx + ny - 1 do
-             if
-               !i < nx
-               && (!j >= ny || compare_rows xs.(!i) ys.(!j) <= 0)
-             then begin
-               out.(k) <- xs.(!i);
-               incr i
-             end
-             else begin
-               out.(k) <- ys.(!j);
-               incr j
-             end
-           done;
-           out
-         in
-         let rec rounds = function
-           | [] -> ()
-           | [ final ] -> Array.blit final 0 perm 0 n
-           | many ->
-             let rec pair = function
-               | a :: c :: rest -> merge a c :: pair rest
-               | tail -> tail
-             in
-             rounds (pair many)
-         in
-         rounds arrays;
-         bump ctx Profile.count_sort_merge;
-         true
-       with Exit -> false)
+    let bounds = ref [ 0 ] and runs = ref 1 in
+    try
+      for i = 1 to n - 1 do
+        if compare_rows (i - 1) i > 0 then begin
+          incr runs;
+          if !runs > max_runs then raise Exit;
+          bounds := i :: !bounds
+        end
+      done;
+      let segments =
+        (* (lo, hi) run extents, in input order *)
+        let rec go hi acc = function
+          | [] -> acc
+          | lo :: rest -> go lo ((lo, hi) :: acc) rest
+        in
+        go n [] !bounds
+      in
+      let arrays =
+        List.map (fun (lo, hi) -> Array.init (hi - lo) (fun k -> lo + k))
+          segments
+      in
+      let merge xs ys =
+        let nx = Array.length xs and ny = Array.length ys in
+        let out = Array.make (nx + ny) 0 in
+        let i = ref 0 and j = ref 0 in
+        for k = 0 to nx + ny - 1 do
+          if !i < nx && (!j >= ny || compare_rows xs.(!i) ys.(!j) <= 0)
+          then begin
+            out.(k) <- xs.(!i);
+            incr i
+          end
+          else begin
+            out.(k) <- ys.(!j);
+            incr j
+          end
+        done;
+        out
+      in
+      let rec rounds = function
+        | [] -> ()
+        | [ final ] -> Array.blit final 0 perm 0 n
+        | many ->
+          let rec pair = function
+            | a :: c :: rest -> merge a c :: pair rest
+            | tail -> tail
+          in
+          rounds (pair many)
+      in
+      rounds arrays;
+      bump ctx Profile.count_sort_merge;
+      true
+    with Exit -> false
   in
   if not merged then Array.sort compare_rows perm;
   let out = Array.make n 0 in
@@ -1763,17 +1696,16 @@ let exec_kernel ctx (p : pnode) (inputs : batch list) : batch =
     let l, r = two () in
     k_union l r
   | K_rowid res -> k_rowid ctx ~par (one ()) res
-  | K_rownum { res; order; part; merge_hint } ->
-    k_rownum ctx (one ()) res order part merge_hint
-  | K_join { lcol; rcol; build_left } ->
+  | K_rownum { res; order; part } -> k_rownum ctx (one ()) res order part
+  | K_join { lcol; rcol } ->
     let l, r = two () in
-    k_join ctx ~par ~build_left l r lcol rcol
+    k_join ctx ~par l r lcol rcol
   | K_thetajoin { lcol; cmp; rcol } ->
     let l, r = two () in
     k_thetajoin ctx ~par l r lcol cmp rcol
-  | K_semijoin { anti; on; build_left } ->
+  | K_semijoin { anti; on } ->
     let l, r = two () in
-    k_semijoin ctx ~par ~anti ~build_left l r on
+    k_semijoin ctx ~par ~anti l r on
   | K_aggr { res; agg; arg; part; order } ->
     k_aggr ctx ~par (one ()) res agg arg part order
   | K_step { axis; test } -> k_step ctx (one ()) axis test

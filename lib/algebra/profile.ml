@@ -25,18 +25,16 @@ type phys = {
   mutable mat_forced : int;   (* batches boxed back to tables at pipeline
                                  breakers or for a boxed-fallback kernel *)
   mutable retypes : int;      (* Mixed -> typed column conversions *)
-  mutable build_flips : int;  (* joins and semijoins that built their hash
-                                 on the (estimated-smaller) left side *)
   mutable joins_aligned : int; (* typed equality joins over identical,
                                   strictly ascending keys: no index *)
   mutable joins_merged : int; (* ... over two ascending key sequences *)
   mutable joins_hashed : int; (* ... through a flat hash index *)
   mutable sorts_elided : int; (* interior % nodes rewritten away because the
                                  required order was proved to already hold *)
-  mutable sorts_to_merges : int; (* % sorts degraded to k-way run merges of
-                                    piecewise-sorted input *)
-  mutable root_sort_elided : int; (* root sort-on-pos skipped: the plan
-                                     proved pos-order *)
+  mutable sorts_to_merges : int; (* % sorts replaced by merges: the input
+                                    arrived in at most 64 sorted runs *)
+  mutable root_sort_elided : int; (* root sort-on-pos skipped: the pos
+                                     column arrived non-decreasing *)
   mutable code_preds : int;   (* predicates translated to dictionary codes
                                  and evaluated as integer compares *)
   mutable bulk_decodes : int; (* column rows the run's batched staircase
@@ -68,7 +66,7 @@ let create () =
     nodes = Hashtbl.create 64;
     phys =
       { kernels = 0; fused_ops = 0; rows_in = 0; rows_out = 0;
-        mat_avoided = 0; mat_forced = 0; retypes = 0; build_flips = 0;
+        mat_avoided = 0; mat_forced = 0; retypes = 0;
         joins_aligned = 0; joins_merged = 0; joins_hashed = 0;
         sorts_elided = 0; sorts_to_merges = 0; root_sort_elided = 0;
         code_preds = 0; bulk_decodes = 0; late_materializations = 0 } }
@@ -97,9 +95,6 @@ let count_mat_forced t =
 
 let count_retype t =
   locked t (fun () -> t.phys.retypes <- t.phys.retypes + 1)
-
-let count_build_flip t =
-  locked t (fun () -> t.phys.build_flips <- t.phys.build_flips + 1)
 
 let count_join_aligned t =
   locked t (fun () -> t.phys.joins_aligned <- t.phys.joins_aligned + 1)
@@ -192,10 +187,7 @@ let pp fmt t =
     if p.joins_aligned + p.joins_merged + p.joins_hashed > 0 then
       Format.fprintf fmt
         "physical: equi-joins %d aligned, %d merged, %d hashed@."
-        p.joins_aligned p.joins_merged p.joins_hashed;
-    if p.build_flips > 0 then
-      Format.fprintf fmt "physical: %d joins built their hash on the left@."
-        p.build_flips
+        p.joins_aligned p.joins_merged p.joins_hashed
   end;
   if p.sorts_elided > 0 || p.sorts_to_merges > 0 || p.root_sort_elided > 0
   then

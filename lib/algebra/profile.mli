@@ -29,10 +29,6 @@ type phys = {
   mutable mat_forced : int;   (** batches boxed back to tables at pipeline
                                   breakers or for boxed-fallback kernels *)
   mutable retypes : int;      (** Mixed → typed column conversions *)
-  mutable build_flips : int;
-      (** joins and semijoins that built their hash on the
-          (estimated-smaller) left side; a flipped join whose keys ascend
-          builds no hash and is not counted *)
   mutable joins_aligned : int;
       (** typed equality joins whose two key sequences were identical
           and strictly ascending: the inputs' columns side by side are
@@ -44,12 +40,13 @@ type phys = {
       (** typed equality joins matched through a flat hash index *)
   mutable sorts_elided : int;
       (** interior [%] nodes rewritten away because the required order
-          was proved to already hold ({!Order}) *)
+          was proved to already hold ({!Props}) *)
   mutable sorts_to_merges : int;
-      (** [%] sorts degraded to k-way run merges of piecewise-sorted
-          input *)
+      (** [%] sorts replaced by k-way run merges: the kernel found its
+          input in at most 64 sorted runs *)
   mutable root_sort_elided : int;
-      (** root sort-on-pos skipped because the plan proved pos-order *)
+      (** root sort-on-pos skipped: one scan found the result's [pos]
+          column non-decreasing *)
   mutable code_preds : int;
       (** predicates translated to per-fragment dictionary codes and
           evaluated as integer compares (no string materialization) *)
@@ -72,7 +69,6 @@ val add_kernel : t -> rows_in:int -> rows_out:int -> unit
 val count_mat_avoided : t -> unit
 val count_mat_forced : t -> unit
 val count_retype : t -> unit
-val count_build_flip : t -> unit
 
 (** One typed equality join, by how its pairs were enumerated. *)
 val count_join_aligned : t -> unit

@@ -31,15 +31,15 @@
        rows in place;
      - equi-joins and × probe the left side in row order (left-major
        pair order), so the outer side's facts survive;
-     - Union is an append: facts die, but each side keeps its own, which
-       [sorted_runs] recovers for k-way merges;
+     - Union is an append: facts die (each side stays a sorted run,
+       which a surviving [%] observes at run time and merges);
      - Select/Distinct/Semijoin/Antijoin emit a subsequence of their
        (left) input, and subsequences of sorted rows stay sorted.
 
    Keys, consts and facts license rewrites (keyed δ elision, % criteria
-   dropping, sort elision, the root-sort skip), so every rule must be
-   exact: a missing fact costs a sort that was already paid for, a wrong
-   one changes answers. Facts and column types are computed only when
+   dropping, sort elision), so every rule must be exact: a missing fact
+   costs a sort that was already paid for, a wrong one changes
+   answers. Facts and column types are computed only when
    asked for: column dependency analysis and the rewriter read the rest
    of the value half on every round and need neither. *)
 
@@ -389,8 +389,8 @@ let derive get (n : Plan.node) : t =
            @ if pl.one_row then Lazy.force pr.facts else []) }
   | Plan.Union { left; right } ->
     (* an append: rows of both sides interleave, so keys and global facts
-       die (per-side facts become runs, see [sorted_runs]); a column is
-       constant or typed iff it is so, identically, on both sides *)
+       die; a column is constant or typed iff it is so, identically, on
+       both sides *)
     let pl = get left and pr = get right in
     let agree eq =
       SMap.merge (fun _ a b ->
@@ -555,48 +555,6 @@ let col_ty a n c =
   Option.value ~default:Column.T_mixed (SMap.find_opt c (ctypes (props a n)))
 
 let satisfies a n req = proves (props a n) req
-
-(* How many sorted runs (w.r.t. [req]) is this node's output a
-   concatenation of? [Some 1] = globally sorted; [Some k] licenses a
-   k-way merge instead of a full sort; [None] = nothing provable. Unions
-   are the producers (each side contributes its own runs); row-preserving
-   and subsequence operators pass the count through. *)
-let sorted_runs a node req =
-  let cap = 64 in
-  let rec runs (n : Plan.node) req =
-    let p = props a n in
-    let req = strip_consts p.consts req in
-    if proves p req then Some 1
-    else
-      match n.Plan.op with
-      | Plan.Union { left; right } -> (
-        match (runs left req, runs right req) with
-        | Some k1, Some k2 when k1 + k2 <= cap -> Some (k1 + k2)
-        | _ -> None)
-      | Plan.Select { input; _ } | Plan.Distinct { input } ->
-        (* a subsequence of k sorted runs is at most k sorted runs *)
-        runs input req
-      | Plan.Semijoin { left; _ } | Plan.Antijoin { left; _ } ->
-        runs left req
-      | Plan.Project { input; cols } ->
-        let rec back acc = function
-          | [] -> Some (List.rev acc)
-          | (c, d) :: rest -> (
-            match List.assoc_opt c cols with
-            | Some src -> back ((src, d) :: acc) rest
-            | None -> None)
-        in
-        Option.bind (back [] req) (fun req' -> runs input req')
-      | Plan.Rownum { input; res; _ }
-      | Plan.Rowid { input; res }
-      | Plan.Attach { input; res; _ }
-      | Plan.Fun1 { input; res; _ }
-      | Plan.Fun2 { input; res; _ }
-      | Plan.Fun3 { input; res; _ } ->
-        if List.mem_assoc res req then None else runs input req
-      | _ -> None
-  in
-  runs node req
 
 (* ----------------------------------------------------------- rendering *)
 

@@ -16,9 +16,8 @@
     Consumers: column dependency analysis ([Exrquy.Icols]: const
     criteria dropping, the Section-7 degradation of an all-arbitrary [%]
     to [#], keyed [δ] elision, static schemas); the rewriter (static
-    schemas, ["sort-elision"]); lowering (column-type annotations, merge
-    hints for surviving sorts); the engine's root-sort skip; and the
-    [xrquy plan] annotations.
+    schemas, ["sort-elision"]); and the [xrquy plan] annotations,
+    the physical dump's column types included.
 
     The paper's Section-7 {e dense} columns — strictly increasing in row
     order — are not a separate property: a dense column is a key with an
@@ -68,13 +67,6 @@ val col_ty : analyzer -> Plan.node -> string -> Column.ty
     [req]? Constant columns are discounted; a matched key column pins
     the remaining requirement. *)
 val satisfies : analyzer -> Plan.node -> req -> bool
-
-(** [sorted_runs a n req]: the node's output is a concatenation of at
-    most [k] runs each sorted by [req]. [Some 1] means globally sorted;
-    [Some k], k > 1 licenses a k-way merge in place of a full sort.
-    Unions produce runs; subsequence and column-appending operators pass
-    the count through. Capped at 64. *)
-val sorted_runs : analyzer -> Plan.node -> req -> int option
 
 (** Render a requirement as ["pos↑,item↓"]. *)
 val req_to_string : req -> string

@@ -40,23 +40,26 @@ type opts = {
   jobs : int;
       (* domains for morsel-parallel physical execution; 1 = serial.
          Results, errors and profile counters are identical either way.
-         The interpreter ignores it. *)
+         The interpreter ignores it. Not in the plan-cache key: it only
+         shapes the run *)
   rewrite : bool;
       (* the logical rewriter (Algebra.Rewrite): selection/fun pushdown,
          join synthesis over cross products, order-insensitive join
          reassociation and cardinality-driven input ordering, run between
          CDA and lowering *)
   order_props : bool;
-      (* ordering-property reasoning (Algebra.Props): the rewriter's
-         sort-elision rule, the root sort-on-pos skip, and merge-degraded
-         % kernels. Pure optimization — a proof of an order already held
-         can change no result *)
+      (* ordering-property reasoning (Algebra.Props) for the rewriter's
+         sort-elision rule (% -> # when the order provably holds). Pure
+         optimization — a proof of an order already held can change no
+         result. The root-sort skip and merged % kernels observe their
+         input at run time and need no proof *)
   code_eval : bool;
       (* compressed execution in the physical backend: batched staircase
          scans over bulk-decoded packed columns, atomize/string results
          kept as per-fragment dictionary codes, and equality predicates
          evaluated as integer code compares. Bit-identical results either
-         way; off (--no-code-eval) is the materialized reference path *)
+         way; off (--no-code-eval) is the materialized reference path.
+         Not in the plan-cache key: it only shapes the run *)
 }
 
 (* Engine-wide default parallelism, from XRQ_JOBS (CI runs the whole
@@ -109,11 +112,10 @@ let parse_and_normalize ?mode text =
   let q = Xquery.Parser.parse_query text in
   Xquery.Normalize.normalize_query ?mode_override:mode q
 
-(* Cardinality statistics for the rewriter / lowering, read off a store.
-   Estimates steer only performance decisions (join input order, hash
-   build sides), never correctness — so feeding a prepared plan compiled
-   against one store's statistics to another store stays sound, merely
-   possibly slower. *)
+(* Cardinality statistics for the rewriter, read off a store. Estimates
+   steer only a performance decision (join input order), never
+   correctness — so feeding a prepared plan compiled against one store's
+   statistics to another store stays sound, merely possibly slower. *)
 let stats_of_store store : Algebra.Plan.Card.stats =
   { Algebra.Plan.Card.total_nodes = Xmldb.Doc_store.total_nodes store;
     name_count = (fun q -> Xmldb.Doc_store.name_occurrences store q) }
@@ -190,10 +192,6 @@ type prepared =
       physical : Algebra.Physical.pnode;
           (* the lowered physical plan (lowering is cached with the
              plans) *)
-      pos_sorted : bool;
-          (* the ordering analysis proved the optimized plan delivers its
-             rows already sorted by pos: the root sort is a no-op and the
-             executors skip it. A plan property, cached with the plan. *)
       sorts_elided : int;
           (* "sort-elision" fires during optimization, stamped into the
              profile of every run of this prepared plan *)
@@ -206,24 +204,20 @@ let create_cache ?(capacity = 64) () : cache = Plan_cache.create ~capacity
 
 let cache_stats (c : cache) = Plan_cache.stats c
 
-(* Only the knobs that shape the prepared artifact participate: budget,
-   fallback, step_impl and eval_mode are pure execution concerns, and one
-   cached plan serves every setting of them. The backend is in because the
-   two backends cache different artifacts. Parallelism is in even though
-   the lowered plan is identical either way: a prepared entry advertises
-   the execution configuration it was created under, and keeping jobs out
-   would make cache hits silently change a query's parallelism when a
-   caller mixes widths in one cache. *)
+(* Only the knobs that shape the prepared artifact participate. Budget,
+   fallback, step_impl, eval_mode, jobs and code_eval are pure execution
+   concerns: [Physical.run] takes them from the caller's opts on every
+   run, so one cached plan serves every setting of them. The backend is
+   in because the two backends cache different artifacts. *)
 let opts_fingerprint opts =
-  Printf.sprintf "m%sr%bc%bh%bj%bb%sx%dw%bO%bg%be%b"
+  Printf.sprintf "m%sr%bc%bh%bj%bb%sw%bO%bg%b"
     (match opts.mode with
      | None -> "-"
      | Some Xquery.Ast.Ordered -> "o"
      | Some Xquery.Ast.Unordered -> "u")
     opts.unordered_rules opts.cda opts.hoist opts.join_rec
     (match opts.backend with Compiled -> "c" | Interpreted -> "i")
-    opts.jobs opts.rewrite opts.order_props opts.join_isolation
-    opts.code_eval
+    opts.rewrite opts.order_props opts.join_isolation
 
 let cache_key opts text =
   opts_fingerprint opts ^ "\x00" ^ Plan_cache.normalize_query text
@@ -254,13 +248,11 @@ let label_plan root =
             | Algebra.Plan.Union _ | Algebra.Plan.Range _ -> "plumbing"))
     (Algebra.Plan.topo_order root)
 
-(* Lower an optimized logical plan to the physical-operator DAG: the
-   cardinality estimates choose hash-build sides, and the property
-   analyzer supplies the column-type annotations and, under
-   [order_props], the merge hints. *)
-let lower_physical ?stats ?order_props ?props optimized =
-  Algebra.Lower.lower ~card:(Algebra.Plan.Card.estimator ?stats ())
-    ?order_props ?props optimized
+(* Lower an optimized logical plan to the physical-operator DAG.
+   Lowering reads only the plan: [stats] and [order_props] are accepted
+   and ignored, for callers written when they steered it. *)
+let lower_physical ?stats:_ ?order_props:_ optimized =
+  Algebra.Lower.lower optimized
 
 let prepared_of ?cache ?stats opts text =
   let build () =
@@ -272,25 +264,12 @@ let prepared_of ?cache ?stats opts text =
       (* label before lowering so physical kernels inherit the profile
          buckets of their logical head operators *)
       label_plan optimized;
-      let props = Algebra.Props.make () in
-      let physical =
-        lower_physical ?stats ~order_props:opts.order_props ~props optimized
-      in
-      (* The root sort exists to order items by pos; when the optimized
-         plan already proves pos-order (non-strict suffices: the root
-         sort is stable), the executor may serialize in row order.
-         This is a structural fact about the plan — it never consults
-         the query's ordering mode. *)
-      let pos_sorted =
-        opts.order_props
-        && Algebra.Props.satisfies props optimized
-             [ ("pos", Algebra.Plan.Asc) ]
-      in
+      let physical = Algebra.Lower.lower optimized in
       let sorts_elided =
         Option.value ~default:0
           (List.assoc_opt "sort-elision" a.arewrite.Algebra.Rewrite.fires)
       in
-      Prepared_plans { raw; optimized; physical; pos_sorted; sorts_elided }
+      Prepared_plans { raw; optimized; physical; sorts_elided }
   in
   match cache with
   | None -> build ()
@@ -318,20 +297,24 @@ let constructs_nodes ?cache ?(opts = default_opts) store text =
             | _ -> false)
          (Algebra.Plan.topo_order optimized))
 
-(* Extract the result sequence from the final iter|pos|item table.
-   [pos_sorted] is the ordering analysis's verdict on the optimized plan:
-   when the rows provably arrive sorted by pos, the (stable) root sort
-   would be the identity and is skipped outright. *)
-let items_of_table ?(pos_sorted = false) t =
+(* Extract the result sequence from the final iter|pos|item table, in
+   pos order. One scan checks whether the rows already arrive with pos
+   non-decreasing; then the (stable) root sort would be the identity and
+   is skipped. The order is observed, never proved, so this holds for
+   every plan and every ordering mode. *)
+let items_of_table ?profile t =
   let n = Algebra.Table.nrows t in
-  if pos_sorted then List.init n (fun i -> Algebra.Table.get t "item" i)
+  let pos = Array.map Algebra.Value.int_value (Algebra.Table.col t "pos") in
+  let item = Algebra.Table.col t "item" in
+  let rec sorted i = i >= n || (pos.(i - 1) <= pos.(i) && sorted (i + 1)) in
+  if sorted 1 then begin
+    Option.iter Algebra.Profile.count_root_sort_elided profile;
+    Array.to_list item
+  end
   else
-    let rows =
-      List.init n (fun i ->
-          (Algebra.Value.int_value (Algebra.Table.get t "pos" i),
-           Algebra.Table.get t "item" i))
-    in
-    List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) rows)
+    List.init n (fun i -> (pos.(i), item.(i)))
+    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
 
 (* The fault-injection hook lives in the compiled executor's boundary
    checks only: the interpreter (and in particular the fallback retry)
@@ -369,18 +352,16 @@ let run ?cache ?(opts = default_opts) ?(with_profile = false) store text : resul
     run_interpreted ~degraded:None core
   | Compiled ->
     let run_compiled () =
-      let raw, optimized, physical, pos_sorted, sorts_elided =
+      let raw, optimized, physical, sorts_elided =
         match prepared_of ?cache ~stats:card_stats opts text with
-        | Prepared_plans { raw; optimized; physical; pos_sorted; sorts_elided }
-          ->
-          (raw, optimized, physical, pos_sorted, sorts_elided)
+        | Prepared_plans { raw; optimized; physical; sorts_elided } ->
+          (raw, optimized, physical, sorts_elided)
         | Prepared_core _ -> assert false
       in
       let profile = if with_profile then Some (Algebra.Profile.create ()) else None in
       Option.iter
         (fun p ->
-           if sorts_elided > 0 then Algebra.Profile.add_sorts_elided p sorts_elided;
-           if pos_sorted then Algebra.Profile.count_root_sort_elided p)
+           if sorts_elided > 0 then Algebra.Profile.add_sorts_elided p sorts_elided)
         profile;
       let guard = Option.map Budget.start opts.budget in
       let table =
@@ -388,7 +369,7 @@ let run ?cache ?(opts = default_opts) ?(with_profile = false) store text : resul
           ~mode:opts.eval_mode ~jobs:opts.jobs ~code_eval:opts.code_eval
           store physical
       in
-      let items = items_of_table ~pos_sorted table in
+      let items = items_of_table ?profile table in
       { items;
         serialized = Interp.Xdm.serialize store items;
         plan = Some optimized; raw_plan = Some raw;

@@ -58,8 +58,8 @@ type opts = {
           The default comes from the XRQ_JOBS environment variable
           (absent/malformed = 1). Results, error choice and profile
           counters are bit-identical to serial — only wall-clock time
-          changes. The interpreter ignores it.
-          Participates in the plan-cache fingerprint. *)
+          changes. The interpreter ignores it. Outside the plan-cache
+          fingerprint: one prepared plan serves every width. *)
   rewrite : bool;
       (** run the logical rewriter ({!Algebra.Rewrite}) between CDA and
           lowering: selection/function pushdown, join synthesis over
@@ -68,13 +68,13 @@ type opts = {
           results and error behaviour are unchanged (default [true]).
           Participates in the plan-cache fingerprint. *)
   order_props : bool;
-      (** ordering-property reasoning ({!Algebra.Props}): the rewriter's
-          sort-elision rule ([%] → [#] when the required order already
-          holds), the root sort-on-pos skip when the plan proves
-          pos-order, and merge-degraded [%] kernels over piecewise-sorted
-          input. Structural proofs about physical row order — never the
-          query's ordering mode — so results are identical on or off
-          (default [true]). Participates in the plan-cache
+      (** ordering-property reasoning ({!Algebra.Props}) for the
+          rewriter's sort-elision rule ([%] → [#] when the required
+          order already holds). Structural proofs about physical row
+          order — never the query's ordering mode — so results are
+          identical on or off (default [true]). The root sort-on-pos
+          skip and merged [%] kernels do not depend on it: they observe
+          their input at run time. Participates in the plan-cache
           fingerprint. *)
   code_eval : bool;
       (** compressed execution in the physical backend: batched staircase
@@ -86,7 +86,8 @@ type opts = {
           and output. Results are bit-identical on or off; [false]
           ([--no-code-eval]) is the materialized reference path the
           parity oracle and benchmarks compare against (default [true]).
-          Participates in the plan-cache fingerprint. *)
+          Outside the plan-cache fingerprint: the physical plan is the
+          same either way. *)
 }
 
 val default_opts : opts
@@ -118,9 +119,9 @@ type result = {
     options fingerprint): a hit skips parse → normalize → compile →
     optimize entirely. Prepared plans hold no store references, so one
     cache may serve runs against different stores. Only plan-shaping
-    options participate in the fingerprint — budget, fallback, step and
-    evaluation mode do not; the backend does (the two backends cache
-    different artifacts). *)
+    options participate in the fingerprint — budget, fallback, step
+    implementation, evaluation mode, [jobs] and [code_eval] do not; the
+    backend does (the two backends cache different artifacts). *)
 
 type cache
 
@@ -135,9 +136,9 @@ val opts_fingerprint : opts -> string
 val parse_and_normalize :
   ?mode:Xquery.Ast.ordering_mode -> string -> Xquery.Core_ast.core
 
-(** Cardinality statistics read off a store, for the rewriter's and the
-    lowerer's cost decisions (join input order, hash build sides).
-    Advisory only: estimates never affect results. *)
+(** Cardinality statistics read off a store, for the rewriter's cost
+    decision (join input order). Advisory only: estimates never affect
+    results. *)
 val stats_of_store : Xmldb.Doc_store.t -> Algebra.Plan.Card.stats
 
 (** Everything the compiler front half produces for one query: the
@@ -161,17 +162,13 @@ val plans_of :
   ?opts:opts -> ?stats:Algebra.Plan.Card.stats -> string ->
   Exrquy.Compile.cfg * Algebra.Plan.node * Algebra.Plan.node
 
-(** Lower an optimized logical plan to its physical-operator DAG, with
-    statically inferred column types attached as plan-dump annotations
-    (what the compiled backend executes). [stats]
-    steers the hash-join build-side choice; omitted = defaults.
-    [order_props] (default [true]) lets the ordering analysis attach
-    merge hints to surviving [%] kernels. [props] is the property
-    analyzer to read (default: a fresh one). *)
+(** Lower an optimized logical plan to its physical-operator DAG (what
+    the compiled backend executes): {!Algebra.Lower.lower}, which reads
+    only the plan. [stats] and [order_props] are ignored; they remain so
+    that callers written when they steered lowering still compile. *)
 val lower_physical :
   ?stats:Algebra.Plan.Card.stats ->
   ?order_props:bool ->
-  ?props:Algebra.Props.analyzer ->
   Algebra.Plan.node ->
   Algebra.Physical.pnode
 

@@ -8,13 +8,12 @@
      - each key column has pairwise distinct values;
      - a one-row node has at most one row;
      - each order fact holds from each row to the next;
-     - each static column type matches every value of its column;
-     - the input of each % splits into no more sorted runs than the
-       merge hint lowering would give it ([Props.sorted_runs]).
+     - each static column type matches every value of its column.
 
-   The optimizer acts on exactly these claims (const criteria dropping,
-   keyed δ elision, sort elision, the root-sort skip, merges), so a
-   violation is a wrong plan waiting for the query that exposes it.
+   The optimizer acts on the value and order claims (const criteria
+   dropping, keyed δ elision, sort elision), so a violation is a wrong
+   plan waiting for the query that exposes it. Column types only
+   annotate the physical plan dump.
 
    [violations ctx root] reads each node's table from [ctx]'s cache: call
    it after [Algebra.Eval.eval ctx root] returned, which (in Dag mode)
@@ -91,20 +90,7 @@ let node_violations a ctx (n : Plan.node) =
             claim
               (Array.for_all (fun v -> Algebra.Column.ty_of_value v = ty) (col c))
               "type %s : %s" c (Algebra.Column.ty_name ty))
-         (P.SMap.bindings (Lazy.force p.P.ctypes))
-       @
-       match n.Plan.op with
-       | Plan.Rownum { input; order; part; _ } -> (
-         let req =
-           (match part with Some c -> [ (c, Plan.Asc) ] | None -> []) @ order
-         in
-         match P.sorted_runs a input req with
-         | Some k ->
-           let r = runs (Algebra.Eval.eval ctx input) req in
-           [ claim (r <= k) "merge hint %d runs of %s, input has %d" k
-               (P.req_to_string req) r ]
-         | None -> [])
-       | _ -> [])
+         (P.SMap.bindings (Lazy.force p.P.ctypes)))
 
 let violations ctx root =
   let a = P.make () in

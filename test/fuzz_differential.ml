@@ -249,7 +249,7 @@ let evaluate_reference_executor ~budget_spec q =
     let result =
       match
         let a = Engine.analyze ~stats q in
-        exec ~stats ~guard st a.Engine.aoptimized
+        exec ~guard st a.Engine.aoptimized
       with
       | t -> Ok (st, t)
       | exception e ->
@@ -274,15 +274,15 @@ let evaluate_reference_executor ~budget_spec q =
   in
   let violations = ref [] in
   let reference =
-    run (fun ~stats:_ ~guard st p ->
+    run (fun ~guard st p ->
         let ctx = Algebra.Eval.create ~guard st in
         let t = Algebra.Eval.eval ctx p in
         violations := Claims.violations ctx p;
         t)
   in
   let physical =
-    run (fun ~stats ~guard st p ->
-        Algebra.Physical.run ~guard st (Engine.lower_physical ~stats p))
+    run (fun ~guard st p ->
+        Algebra.Physical.run ~guard st (Algebra.Lower.lower p))
   in
   let budgets_differ (o1, r1) (o2, r2) =
     Blew_up
@@ -350,11 +350,11 @@ let configs ~budget_spec =
        the DAG run sails under, so Resource errors from this config are
        tolerated (see the main loop), not divergences. *)
     ("compiled/tree", plain (with_budget tree));
-    (* ordering-property reasoning off: every elided
-       sort, skipped root sort and merge-degraded % in the default runs
-       is differentially checked against these sort-preserving plans.
-       (These replaced cold-cache: the warm-cache config's first run IS
-       a cold-cache run, so that pair already covers both states.) *)
+    (* ordering-property reasoning off: every sort the rewriter elides
+       in the default runs is differentially checked against these
+       sort-preserving plans. (These replaced cold-cache: the warm-cache
+       config's first run IS a cold-cache run, so that pair already
+       covers both states.) *)
     ("compiled/no-order-props", plain noorder);
     (* join-graph isolation off: every scaffold the
        jg-* rules collapse (and every where that slid past a let at

@@ -600,6 +600,19 @@ let test_run_cache_identity () =
   let s = Engine.cache_stats cache in
   Alcotest.(check int) "one miss (the cold run)" 1 s.PC.misses;
   Alcotest.(check int) "one hit (reformatted warm run)" 1 s.PC.hits;
+  (* parallelism and compressed execution shape the run, not the
+     prepared plan: both hit the default run's entry *)
+  List.iteri
+    (fun i (what, opts) ->
+       let r = Engine.run ~cache ~opts (mk_store ()) q in
+       Alcotest.(check string) (what ^ ": identical answers")
+         cold.Engine.serialized r.Engine.serialized;
+       let s = Engine.cache_stats cache in
+       Alcotest.(check (pair int int)) (what ^ ": a hit, no new miss")
+         (2 + i, 1) (s.PC.hits, s.PC.misses))
+    [ ("jobs = 4", { Engine.default_opts with Engine.jobs = 4 });
+      ("code_eval = false",
+       { Engine.default_opts with Engine.code_eval = false }) ];
   let baseline = { Engine.ordered_baseline with Engine.budget = None } in
   ignore (Engine.run ~cache ~opts:baseline (mk_store ()) q);
   Alcotest.(check int) "other options fingerprint misses" 2

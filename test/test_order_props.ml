@@ -6,17 +6,16 @@
    emits document order only when its input is iter-sorted; [#] stamps a
    sorted key regardless of carrier order; [@] is order-neutral; joins
    pass the OUTER side's order and never the inner's (unless the outer
-   is one row); Union kills facts but its sides become countable runs.
+   is one row); Union kills facts.
    The no-fire cases are the point: a rule that fires too eagerly is a
    wrong answer waiting for a query to expose it.
 
    Part 2 — the elision oracle. For every corpus query, under a FORCED
    [ordering mode ordered] prolog, the engine with ordering-property
-   reasoning on (sorts elided, root sort skipped, merges) must produce
-   byte-identical output to the serial engine with it off, at
-   {serial, jobs = 4}. Order props prove facts about
-   physical row order, never about the query's mode — so elision must be
-   invisible even where order is fully observable.
+   reasoning on (sorts elided) must produce byte-identical output to
+   the serial engine with it off, at {serial, jobs = 4}. Order props
+   prove facts about physical row order, never about the query's mode —
+   so elision must be invisible even where order is fully observable.
 
    Part 3 — the claims check. Every claim the analysis makes about a
    node of a corpus plan (raw and optimized, XMark Q1–Q20 included,
@@ -34,10 +33,6 @@ module V = Algebra.Value
 let sat root req =
   let a = O.make () in
   O.satisfies a root req
-
-let runs root req =
-  let a = O.make () in
-  O.sorted_runs a root req
 
 let check_sat name expected root req =
   Alcotest.(check bool)
@@ -202,26 +197,13 @@ let test_rownum_props () =
   check_sat "% over unsorted input: no rank fact" false rn2
     [ ("rk", P.Asc) ]
 
-let test_union_runs () =
+(* An append of two sorted sides is not sorted. (A [%] over it merges
+   the two runs, observed at run time: test_physical's run-time merge
+   cases.) *)
+let test_union_kills_facts () =
   let b = P.builder () in
-  let s1 = ints b "c" [ 1; 3; 5 ] in
-  let s2 = ints b "c" [ 2; 4 ] in
-  let s3 = ints b "c" [ 0; 6 ] in
-  let u = P.union b s1 s2 in
-  (* append kills global facts... *)
-  check_sat "union kills facts" false u [ ("c", P.Asc) ];
-  (* ...but each side is one run: a 2-way merge suffices *)
-  Alcotest.(check (option int)) "union = 2 runs" (Some 2)
-    (runs u [ ("c", P.Asc) ]);
-  Alcotest.(check (option int)) "nested union sums runs" (Some 3)
-    (runs (P.union b u s3) [ ("c", P.Asc) ]);
-  Alcotest.(check (option int)) "sorted input = 1 run" (Some 1)
-    (runs s1 [ ("c", P.Asc) ]);
-  Alcotest.(check (option int)) "unsorted side proves nothing" None
-    (runs (P.union b s1 (ints b "c" [ 9; 2 ])) [ ("c", P.Asc) ]);
-  (* column-appending operators pass the run count through *)
-  Alcotest.(check (option int)) "runs pass through #" (Some 2)
-    (runs (P.rowid b u "rid") [ ("c", P.Asc) ])
+  let u = P.union b (ints b "c" [ 1; 3; 5 ]) (ints b "c" [ 2; 4 ]) in
+  check_sat "union kills facts" false u [ ("c", P.Asc) ]
 
 (* The rewrite rule itself: % over a provably-ordered input becomes #,
    exactly once, and only when the analysis is enabled. *)
@@ -331,23 +313,30 @@ let test_corpus_fire_guards () =
          (List.assoc_opt "sort-elision" (fires_of ~order_props:false text)))
     (corpus ())
 
-(* Root-sort elision, observed through the profile counters: fires where
-   the plan proves pos-order, stays silent where it cannot. *)
-let root_elided file =
+(* Root-sort elision, observed through the profile counters: the engine
+   skips the root sort when one scan finds the pos column already
+   non-decreasing, and keeps it otherwise. The scan needs no proof, so
+   switching ordering-property reasoning off changes nothing here. *)
+let root_elided ?(order_props = true) file =
   let st = mk_store () in
   let text = read_file (Filename.concat queries_dir file) in
-  let r = Engine.run ~with_profile:true st text in
+  let opts = { Engine.default_opts with Engine.order_props } in
+  let r = Engine.run ~opts ~with_profile:true st text in
   match r.Engine.profile with
   | None -> Alcotest.fail "profile requested but absent"
   | Some p -> (Algebra.Profile.phys p).Algebra.Profile.root_sort_elided
 
 let test_root_sort_counters () =
-  Alcotest.(check int) "paper_q6: root sort elided" 1
-    (root_elided "paper_q6.xq");
-  (* top_sellers ends in a descending order-by: pos-order is unprovable
-     and the root sort MUST stay *)
-  Alcotest.(check int) "top_sellers: root sort kept" 0
-    (root_elided "top_sellers.xq")
+  List.iter
+    (fun order_props ->
+       let tag = Printf.sprintf " (order_props=%b)" order_props in
+       Alcotest.(check int) ("paper_q6: root sort elided" ^ tag) 1
+         (root_elided ~order_props "paper_q6.xq");
+       (* top_sellers ends in a descending order-by: its rows arrive out
+          of pos order and the root sort MUST stay *)
+       Alcotest.(check int) ("top_sellers: root sort kept" ^ tag) 0
+         (root_elided ~order_props "top_sellers.xq"))
+    [ true; false ]
 
 (* ------------------------------------------------------------- Part 3 *)
 
@@ -386,7 +375,8 @@ let () =
          Alcotest.test_case "select subsequence" `Quick
            test_select_subsequence;
          Alcotest.test_case "rownum (%)" `Quick test_rownum_props;
-         Alcotest.test_case "union runs" `Quick test_union_runs ]);
+         Alcotest.test_case "union kills facts" `Quick
+           test_union_kills_facts ]);
       ("sort-elision rewrite",
        [ Alcotest.test_case "fire and no-fire" `Quick
            test_sort_elision_rewrite ]);

@@ -289,10 +289,14 @@ let test_error_parity () =
 (* The equality kernels read their keys as machine ints and choose how
    to enumerate pairs from the keys' shape: identical strictly ascending
    keys (aligned, zero-copy), two ascending sides (merge), anything else
-   (flat index, on the build side the lowering chose). Every shape, on
-   every key representation, must give the reference executor's rows in
-   its order: serially and at jobs 4 over forced-tiny morsels, with the
-   default build side and with the build forced onto the left. *)
+   (flat index over the right keys). Every shape, on every key
+   representation, must give the reference executor's rows in its
+   order: serially and at jobs 4 over forced-tiny morsels. *)
+
+(* A thousand unsorted keys, for a one-row left side that hits (12) or
+   misses (4): the index is built over the large right side, as the
+   reference executor builds it. *)
+let thousand = List.init 1000 (fun i -> 10 + (i * 7 mod 13))
 
 (* (name, expected path on int keys, left keys, right keys) *)
 let key_shapes =
@@ -310,6 +314,8 @@ let key_shapes =
      [ min_int; -1; -1; max_int; max_int ]);
     ("extremes unsorted", "hashed", [ max_int; -5; min_int; -5; 0 ],
      [ -5; max_int; min_int; 7 ]);
+    ("one row vs 1000, hit", "hashed", [ 12 ], thousand);
+    ("one row vs 1000, miss", "hashed", [ 4 ], thousand);
     (* an empty literal column has no type: the boxed matcher runs *)
     ("empty left", "boxed", [], [ 2; 1 ]);
     ("empty right", "boxed", [ 2; 1 ], []);
@@ -365,41 +371,20 @@ let kinds = [ ("int", `Int, `Int); ("string", `Str, `Str);
 
 let table_rows t = Array.to_list (Table.schema t) @ table_strings t
 
-(* Reference vs physical at jobs 1 and 4 (morsel 4); with [flip], once
-   more with every join and semijoin whose left input is [flip] lowered
-   to build on the left (checked in the physical plan dump). Returns the
-   profile of the serial default-build run. *)
-let check_keyed ?flip msg plan =
+(* Reference vs physical at jobs 1 and 4 (morsel 4). Returns the
+   profile of the serial run. *)
+let check_keyed msg plan =
   let reference = table_rows (Eval.run (keys_store ()) plan) in
-  let lowerings =
-    ("build right", Lower.lower plan)
-    :: (match flip with
-        | None -> []
-        | Some (left : Plan.node) ->
-          let card (n : Plan.node) =
-            if n.Plan.id = left.Plan.id then 1 else 1000
-          in
-          let pp = Lower.lower ~card plan in
-          Alcotest.(check bool) (msg ^ ": flip lowered") true
-            (Astring.String.is_infix ~affix:"(build:left)"
-               (Lower.to_string pp));
-          [ ("build left", pp) ])
-  in
+  let pp = Lower.lower plan in
   let serial = Profile.create () in
   List.iter
-    (fun (how, pp) ->
-       List.iter
-         (fun jobs ->
-            let profile =
-              if jobs = 1 && how = "build right" then Some serial else None
-            in
-            Alcotest.(check (list string))
-              (Printf.sprintf "%s (%s, jobs=%d)" msg how jobs)
-              reference
-              (table_rows
-                 (Physical.run ?profile ~jobs ~morsel:4 (keys_store ()) pp)))
-         [ 1; 4 ])
-    lowerings;
+    (fun jobs ->
+       let profile = if jobs = 1 then Some serial else None in
+       Alcotest.(check (list string))
+         (Printf.sprintf "%s (jobs=%d)" msg jobs)
+         reference
+         (table_rows (Physical.run ?profile ~jobs ~morsel:4 (keys_store ()) pp)))
+    [ 1; 4 ];
   Profile.phys serial
 
 let test_join_key_shapes () =
@@ -411,9 +396,7 @@ let test_join_key_shapes () =
             let l = key_side b lkind ~key:"a" ~pay:"x" ~base:0 lkeys in
             let r = key_side b rkind ~key:"b" ~pay:"y" ~base:100 rkeys in
             let msg = Printf.sprintf "%s keys, %s" kname shape in
-            let ph =
-              check_keyed ~flip:l (msg ^ ": join") (Plan.join b l r "a" "b")
-            in
+            let ph = check_keyed (msg ^ ": join") (Plan.join b l r "a" "b") in
             if lkind = `Int then
               Alcotest.(check (list int)) (msg ^ ": " ^ path)
                 (List.map (fun p -> if p = path then 1 else 0)
@@ -440,10 +423,10 @@ let test_semijoin_key_shapes () =
             let r = key_side b rkind ~key:"b" ~pay:"y" ~base:100 rkeys in
             let msg = Printf.sprintf "%s keys, %s" kname shape in
             ignore
-              (check_keyed ~flip:l (msg ^ ": semijoin")
+              (check_keyed (msg ^ ": semijoin")
                  (Plan.semijoin b l r [ ("a", "b") ]));
             ignore
-              (check_keyed ~flip:l (msg ^ ": antijoin")
+              (check_keyed (msg ^ ": antijoin")
                  (Plan.antijoin b l r [ ("a", "b") ])))
          key_shapes)
     kinds
@@ -508,8 +491,7 @@ let test_distinct_key_columns () =
     (Plan.distinct b (Plan.project b selected [ ("c", "c"); ("u", "u") ]))
   |> ignore
 
-(* The profile says which path each typed equi-join took, and counts a
-   build flip only when a hash was really built on the left. *)
+(* The profile says which path each typed equi-join took. *)
 let test_join_paths () =
   let b = Plan.builder () in
   let side key pay keys =
@@ -518,27 +500,65 @@ let test_join_paths () =
   in
   let join l r = Plan.join b l r "a" "b" in
   let aligned = join (side "a" "x" [ 1; 2; 3 ]) (side "b" "y" [ 1; 2; 3 ]) in
-  let merged_l = side "a" "x" [ 1; 1; 2 ] in
-  let merged = join merged_l (side "b" "y" [ 1; 2; 2 ]) in
-  let hashed_l = side "a" "x" [ 2; 1; 2 ] in
-  let hashed = join hashed_l (side "b" "y" [ 1; 2 ]) in
+  let merged = join (side "a" "x" [ 1; 1; 2 ]) (side "b" "y" [ 1; 2; 2 ]) in
+  let hashed = join (side "a" "x" [ 2; 1; 2 ]) (side "b" "y" [ 1; 2 ]) in
   let profile = Profile.create () in
   List.iter
     (fun p -> ignore (Physical.run ~profile (store ()) (Lower.lower p)))
     [ aligned; merged; hashed ];
   let line = "physical: equi-joins 1 aligned, 1 merged, 1 hashed" in
   Alcotest.(check bool) ("profile prints: " ^ line) true
-    (Astring.String.is_infix ~affix:line (Profile.to_string profile));
-  let flips left p =
-    let profile = Profile.create () in
-    let card (n : Plan.node) = if n.Plan.id = left.Plan.id then 1 else 1000 in
-    ignore (Physical.run ~profile (store ()) (Lower.lower ~card p));
-    (Profile.phys profile).Profile.build_flips
+    (Astring.String.is_infix ~affix:line (Profile.to_string profile))
+
+(* The physical dump reads its column types from the logical plan it is
+   given: a string key stamps the join [code], and the types print. *)
+let test_dump_types () =
+  let b = Plan.builder () in
+  let l = key_side b `Code ~key:"a" ~pay:"x" ~base:0 [ 1; 2 ] in
+  let r = key_side b `Str ~key:"b" ~pay:"y" ~base:100 [ 2; 3 ] in
+  let plan = Plan.join b l r "a" "b" in
+  let dump = Lower.to_string ~plan (Lower.lower plan) in
+  List.iter
+    (fun affix ->
+       Alcotest.(check bool) (Printf.sprintf "dump has %S: %s" affix dump)
+         true (Astring.String.is_infix ~affix dump))
+    [ "] join \xE2\x88\xA5 [code] {"; "a:str"; "b:str"; "x:int"; "y:int";
+      "a_node:node" ]
+
+(* ------------------------------------------------------ run-time order *)
+
+(* A surviving [%] observes its input: at most 64 sorted runs merge,
+   more sort. No plan property is consulted, so a column computed at run
+   time ([d := c + c]) merges although nothing proves its order. Each
+   case equals the reference executor row for row at jobs 1 and 4. *)
+let test_rownum_runs () =
+  let b = Plan.builder () in
+  (* [runs] ascending runs of [len] rows each, the runs descending *)
+  let c_runs ~runs ~len =
+    Plan.lit b [| "c"; "x" |]
+      (List.init (runs * len) (fun i ->
+           [| v_int (((runs - (i / len)) * 100) + (i mod len)); v_int i |]))
   in
-  Alcotest.(check int) "flipped join on ascending keys builds no hash" 0
-    (flips merged_l merged);
-  Alcotest.(check int) "flipped join on unsorted keys builds on the left" 1
-    (flips hashed_l hashed)
+  let rank input =
+    Plan.rownum b
+      (Plan.fun2 b input "d" Plan.P_add "c" "c")
+      "pos" [ ("d", Plan.Asc) ] None
+  in
+  let merges msg plan =
+    (check_keyed msg plan).Profile.sorts_to_merges
+  in
+  Alcotest.(check int) "ascending computed column: merged" 1
+    (merges "ascending d" (rank (c_runs ~runs:1 ~len:100)));
+  Alcotest.(check int) "64 runs: merged" 1
+    (merges "64 runs" (rank (c_runs ~runs:64 ~len:2)));
+  Alcotest.(check int) "65 descending runs: sorted" 0
+    (merges "65 runs" (rank (c_runs ~runs:65 ~len:2)));
+  let asc lo =
+    Plan.lit b [| "c"; "x" |]
+      (List.init 50 (fun i -> [| v_int (lo + (2 * i)); v_int (lo + i) |]))
+  in
+  Alcotest.(check int) "union of two ascending sides: merged" 1
+    (merges "union" (rank (Plan.union b (asc 0) (asc 1))))
 
 (* ---------------------------------------------------------------- steps *)
 
@@ -618,12 +638,10 @@ let test_step_errors () =
 let test_step_plan_dump () =
   let b = Plan.builder () in
   let input = Plan.lit b [| "iter"; "item" |] [] in
-  let dump =
-    Lower.to_string
-      (Lower.lower
-         (Plan.step b input Xmldb.Axis.Child
-            (Plan.N_name (Xmldb.Qname.make "seller"))))
+  let plan =
+    Plan.step b input Xmldb.Axis.Child (Plan.N_name (Xmldb.Qname.make "seller"))
   in
+  let dump = Lower.to_string ~plan (Lower.lower plan) in
   Alcotest.(check bool) ("dump has the step kernel: " ^ dump) true
     (Astring.String.is_infix ~affix:"] step [child::seller]" dump)
 
@@ -667,7 +685,7 @@ let test_corpus_parity () =
     (fun (name, q) ->
        let stats = Engine.stats_of_store (corpus_store ()) in
        let plan = (Engine.analyze ~stats q).Engine.aoptimized in
-       let pp = Engine.lower_physical ~stats plan in
+       let pp = Lower.lower plan in
        let outcome run =
          let guard = Basis.Budget.start Basis.Budget.unlimited in
          let rows =
@@ -734,7 +752,12 @@ let () =
            test_aligned_shared_input;
          Alcotest.test_case "distinct key columns" `Quick
            test_distinct_key_columns;
-         Alcotest.test_case "join paths" `Quick test_join_paths ]);
+         Alcotest.test_case "join paths" `Quick test_join_paths;
+         Alcotest.test_case "plan dump: types and code stamps" `Quick
+           test_dump_types ]);
+      ("run-time order",
+       [ Alcotest.test_case "rownum merges observed runs" `Quick
+           test_rownum_runs ]);
       ("steps",
        [ Alcotest.test_case "step parity" `Quick test_step_parity;
          Alcotest.test_case "step errors" `Quick test_step_errors;

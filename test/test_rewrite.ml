@@ -218,38 +218,6 @@ let test_dense_rownum_degrade () =
   Alcotest.(check int) "sort-elision does not fire" 0 (fire "sort-elision" s2);
   Alcotest.(check bool) "rownum kept" true (has_op is_rownum root2)
 
-(* ------------------------------------------- physical build-side flip *)
-
-let test_build_flip_parity () =
-  let b = P.builder () in
-  let l = lit b [ "a"; "x" ] (ints [ [ 1; 10 ]; [ 2; 20 ]; [ 1; 30 ] ]) in
-  let r = lit b [ "b"; "y" ]
-      (ints [ [ 1; 100 ]; [ 1; 200 ]; [ 2; 300 ]; [ 3; 400 ] ]) in
-  let join = P.mk b (P.Join { left = l; right = r; lcol = "a"; rcol = "b" }) in
-  let st = Xmldb.Doc_store.create () in
-  let exec card =
-    let profile = Algebra.Profile.create () in
-    let pp = Algebra.Lower.lower ?card join in
-    let t = Algebra.Physical.run ~profile st pp in
-    let rows =
-      List.init (Algebra.Table.nrows t) (fun i ->
-          String.concat "|"
-            (List.map
-               (fun c -> V.to_string (Algebra.Table.get t c i))
-               (List.sort compare (Array.to_list (Algebra.Table.schema t)))))
-    in
-    (rows, (Algebra.Profile.phys profile).Algebra.Profile.build_flips)
-  in
-  let plain, flips0 = exec None in
-  let flipped, flips1 =
-    (* force the flip: pretend the left side is far smaller *)
-    exec (Some (fun (n : P.node) -> if n.P.id = l.P.id then 1 else 1000))
-  in
-  Alcotest.(check int) "no flip by default" 0 flips0;
-  Alcotest.(check bool) "flip recorded" true (flips1 > 0);
-  Alcotest.(check (list string)) "row order identical either side" plain
-    flipped
-
 (* -------------------------------------------- corpus result identity *)
 
 let auction_xml = lazy (Xmark.Xmark_gen.generate ~scale:0.002 ())
@@ -310,9 +278,6 @@ let () =
            test_keyed_distinct_elision;
          Alcotest.test_case "dense rownum degrade" `Quick
            test_dense_rownum_degrade ]);
-      ("physical",
-       [ Alcotest.test_case "build-side flip parity" `Quick
-           test_build_flip_parity ]);
       ("corpus",
        [ Alcotest.test_case "rewrite on = rewrite off" `Quick
            test_corpus_identity ]) ]
