@@ -103,7 +103,9 @@ let dot_arg =
 
 let no_rewrite_arg =
   Arg.(value & flag & info [ "no-rewrite" ]
-         ~doc:"Disable the logical rewriter (selection/function pushdown,                join synthesis over cross products, order-insensitive join                reassociation, cardinality-driven join input ordering).")
+         ~doc:"Disable the logical rewriter (selection/function pushdown, \
+               join synthesis over cross products, order-insensitive join \
+               reassociation).")
 
 let no_order_props_arg =
   Arg.(value & flag & info [ "no-order-props" ]
@@ -341,19 +343,9 @@ let props_annot ~order_props a n =
   else Some ("(" ^ String.concat " " parts ^ ")")
 
 let plan_cmd =
-  let action docs qf expr opts dot =
+  let action qf expr opts dot =
     handle (fun () ->
-        (* documents are loaded only for their statistics: the
-           rewriter's join input order *)
-        let stats =
-          if docs = [] then None
-          else begin
-            let store = Xmldb.Doc_store.create () in
-            load_documents store docs;
-            Some (Engine.stats_of_store store)
-          end
-        in
-        let a = Engine.analyze ~opts ?stats (query_text qf expr) in
+        let a = Engine.analyze ~opts (query_text qf expr) in
         let raw = a.Engine.araw and optimized = a.Engine.aoptimized in
         let order_props = opts.Engine.order_props in
         let props = Algebra.Props.make () in
@@ -389,17 +381,16 @@ let plan_cmd =
              (Algebra.Joingraph.summary optimized));
         if opts.Engine.cda then print_string (render optimized);
         if not dot then begin
-          let pp = Algebra.Lower.lower optimized in
           Printf.printf
             "-- physical plan: %d kernels, %d parallelizable (\xE2\x88\xA5)\n"
-            (Algebra.Lower.count_kernels pp)
-            (Algebra.Lower.count_parallel pp);
-          print_string (Algebra.Lower.to_string ~plan:optimized pp)
+            (Algebra.Lower.count_kernels optimized)
+            (Algebra.Lower.count_parallel optimized);
+          print_string (Algebra.Lower.to_string optimized)
         end)
   in
   Cmd.v (Cmd.info "plan" ~doc:"Compile a query and print its algebra plan")
-    Term.(const action $ docs_arg $ query_file_arg $ expr_arg
-          $ plan_opts_term $ dot_arg)
+    Term.(const action $ query_file_arg $ expr_arg $ plan_opts_term
+          $ dot_arg)
 
 (* --------------------------------------------------------------- xmark *)
 

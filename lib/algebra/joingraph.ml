@@ -13,11 +13,10 @@
    rewriter ([Rewrite]) runs inside its fixpoint, each named and
    fire-counted like every other rewrite rule. Together they collapse the
    count-then-filter scaffolds that [where empty(for ...)] and
-   [some ... satisfies] compile to into [Plan.Semijoin] / [Plan.Antijoin]
-   — the operators were plumbed end-to-end (Order/Card/lower/kernels) by
-   earlier PRs, but nothing synthesized them until now. The compile-level
-   half (sliding a joinable where past intervening lets) lives in
-   [Exrquy.Compile] behind the same [join_isolation] switch.
+   [some ... satisfies] compile to into [Plan.Semijoin] / [Plan.Antijoin],
+   which both executors run. The compile-level half (sliding a joinable
+   where past intervening lets) lives in [Exrquy.Compile] behind the same
+   [join_isolation] switch.
 
    Soundness. Every rule preserves the result multiset; all but the
    constant-selection rules are row-order-exact:

@@ -1,5 +1,5 @@
-(* The physical executor: evaluates a lowered physical-operator DAG over
-   typed column batches instead of boxed value tables.
+(* The physical executor: evaluates the optimized plan DAG over typed
+   column batches instead of boxed value tables.
 
    Two mechanisms carry the speedup:
 
@@ -15,8 +15,9 @@
        Rownum's sort, aggregation, Union, boxed-fallback kernels, and the
        final serialization).
 
-   The lowering pass ([Lower]) maps every logical node to exactly one
-   kernel, so every node's output is a batch of its own.
+   It runs the plan as it is: every plan node is exactly one kernel,
+   chosen by the node's operator, so every node's output is a batch of
+   its own.
 
    Everything without a typed implementation falls back to the boxed
    kernels ([Kernels.eval_op]) through cached table conversions, so the
@@ -45,8 +46,8 @@
 
    Morsel-driven parallelism ([jobs > 1]): kernels whose output order the
    optimizer proved immaterial — exactly the rowid/[#] shapes and
-   order-indifferent aggregates of the paper, marked [ppar] by the
-   lowering — split their row loops into contiguous row-range morsels
+   order-indifferent aggregates of the paper ([parallelizable]) — split
+   their row loops into contiguous row-range morsels
    executed on a fixed domain pool ([Basis.Pool]). Determinism is by
    construction, not by luck:
 
@@ -76,69 +77,51 @@
 
 open Basis
 
-(* ------------------------------------------------------ the physical plan *)
+(* ------------------------------------------------------------- kernels *)
 
-type pop =
-  | K_select of string
-  | K_attach of string * Value.t
-  | K_fun1 of string * Plan.prim1 * string
-  | K_fun2 of string * Plan.prim2 * string * string
-  | K_fun3 of string * Plan.prim3 * string * string * string
-  | K_project of (string * string) list
-  | K_distinct
-  | K_union
-  | K_rowid of string
-  | K_rownum of {
-      res : string;
-      order : (string * Plan.dir) list;
-      part : string option;
-    }
-  | K_join of { lcol : string; rcol : string }
-  | K_thetajoin of { lcol : string; cmp : Plan.prim2; rcol : string }
-  | K_semijoin of { anti : bool; on : (string * string) list }
-  | K_aggr of {
-      res : string;
-      agg : Plan.agg;
-      arg : string option;
-      part : string option;
-      order : string option;
-    }
-  | K_step of { axis : Xmldb.Axis.t; test : Plan.ntest }
-      (* ⊘: one loop-lifted staircase (or tag-index) call over the
-         whole batch *)
-  | K_boxed of Plan.op           (* no typed implementation: boxed kernel *)
+(* The kernel that runs a plan operator, as plan dumps name it: the
+   operators with a typed implementation name their kernel; everything
+   else (Lit, Cross, node construction, Range, Textify, Id_lookup, Doc)
+   runs the boxed kernel over converted inputs. *)
+let kernel_name : Plan.op -> string = function
+  | Plan.Select _ -> "select"
+  | Plan.Attach _ -> "attach"
+  | Plan.Fun1 _ -> "fun1"
+  | Plan.Fun2 _ -> "fun2"
+  | Plan.Fun3 _ -> "fun3"
+  | Plan.Project _ -> "project"
+  | Plan.Distinct _ -> "distinct"
+  | Plan.Union _ -> "union"
+  | Plan.Rowid _ -> "rowid"
+  | Plan.Rownum _ -> "rownum"
+  | Plan.Join _ -> "join"
+  | Plan.Thetajoin _ -> "thetajoin"
+  | Plan.Semijoin _ -> "semijoin"
+  | Plan.Antijoin _ -> "antijoin"
+  | Plan.Aggr _ -> "aggr"
+  | Plan.Step _ -> "step"
+  | op -> "boxed:" ^ Plan.op_symbol op
 
-type pnode = {
-  pid : int;           (* hash-cons id of the logical node *)
-  pop : pop;
-  pinputs : pnode list;
-  plabel : string;     (* profile bucket (the logical node's label) *)
-  ppar : bool;
-      (* order-indifferent kernel, licensed to fan out over morsels:
-         per-row select/attach/fun kernels, rowid/[#] stamps, hash/theta
-         join and semijoin probes, and count/sum/min/max aggregates —
-         never [%]-bearing (Rownum), step or boxed kernels. Set by the
-         lowering ([Lower]). *)
-}
-
-let pop_name = function
-  | K_select _ -> "select"
-  | K_attach _ -> "attach"
-  | K_fun1 _ -> "fun1"
-  | K_fun2 _ -> "fun2"
-  | K_fun3 _ -> "fun3"
-  | K_project _ -> "project"
-  | K_distinct -> "distinct"
-  | K_union -> "union"
-  | K_rowid _ -> "rowid"
-  | K_rownum _ -> "rownum"
-  | K_join _ -> "join"
-  | K_thetajoin _ -> "thetajoin"
-  | K_semijoin { anti = false; _ } -> "semijoin"
-  | K_semijoin { anti = true; _ } -> "antijoin"
-  | K_aggr _ -> "aggr"
-  | K_step _ -> "step"
-  | K_boxed op -> "boxed:" ^ Plan.op_symbol op
+(* Order-indifference licence per kernel — the plan-shape story of the
+   paper, mapped onto the executor: Rowid is the [#] shape (order
+   immaterial — dense renumbering at the end), Rownum is the [%] shape
+   (an order the query can observe). So the per-row select/attach/fun
+   kernels, join and semijoin probes, standalone [#] stamps and the
+   order-indifferent aggregates (count/sum/min/max) may fan out over
+   morsels, while Rownum — and everything whose matching logic is
+   inherently sequential (Distinct's first-wins dedup, Union's append,
+   the loop-lifted step's run-by-run walk) or boxed — stays serial. A
+   [#] stamp's dense path is O(1) and its scattered path writes
+   disjoint, index-determined slots per morsel; this is what makes
+   sort-elision (% becoming #) widen the ∥ fraction of the plan, not
+   just remove a sort. *)
+let parallelizable : Plan.op -> bool = function
+  | Plan.Select _ | Plan.Attach _ | Plan.Fun1 _ | Plan.Fun2 _ | Plan.Fun3 _
+  | Plan.Join _ | Plan.Thetajoin _ | Plan.Semijoin _ | Plan.Antijoin _
+  | Plan.Rowid _ -> true
+  | Plan.Aggr { agg = Plan.A_count | Plan.A_sum | Plan.A_min | Plan.A_max; _ }
+    -> true
+  | _ -> false
 
 (* ---------------------------------------------------------------- batches *)
 
@@ -333,8 +316,8 @@ let col_pos b name =
   go 0
 
 (* The column, after a cached attempt to tighten Mixed to a typed
-   representation. Dynamic detection is authoritative; static hints from
-   the lowering only ever decorate the plan dump. *)
+   representation. Dynamic detection is authoritative; the static column
+   types ([Props]) only ever decorate the plan dump. *)
 let retyped ctx b i =
   match b.cols.(i) with
   | Column.Mixed vs when Array.length vs > 0 -> (
@@ -1654,7 +1637,7 @@ let k_step ctx b axis test =
 
 (* ------------------------------------------------------------- dispatcher *)
 
-let exec_kernel ctx (p : pnode) (inputs : batch list) : batch =
+let exec_kernel ctx (n : Plan.node) (inputs : batch list) : batch =
   let one () =
     match inputs with
     | [ b ] -> b
@@ -1665,74 +1648,78 @@ let exec_kernel ctx (p : pnode) (inputs : batch list) : batch =
     | [ a; b ] -> (a, b)
     | _ -> Err.internal "physical kernel arity: two inputs expected"
   in
-  let par = p.ppar in
-  match p.pop with
-  | K_select col ->
+  let par = parallelizable n.Plan.op in
+  match n.Plan.op with
+  | Plan.Select { col; _ } ->
     let b = one () in
     let s = select_sel ctx ~par b (rcol ctx b col) in
     bump ctx Profile.count_mat_avoided;
     { b with sel = Some s; nrows = Array.length s; table = None }
-  | K_attach (res, v) ->
+  | Plan.Attach { res; value; _ } ->
     let b = one () in
-    with_col b res (Column.const v b.base)
-  | K_fun1 (res, f, a) ->
+    with_col b res (Column.const value b.base)
+  | Plan.Fun1 { res; f; arg; _ } ->
     let b = one () in
-    let c = rcol ctx b a in
+    let c = rcol ctx b arg in
     with_col b res (fun1_col ctx (row_runner ctx ~par b) b f c)
-  | K_fun2 (res, f, a1, a2) ->
+  | Plan.Fun2 { res; f; arg1; arg2; _ } ->
     let b = one () in
-    let c1 = rcol ctx b a1 in
-    let c2 = rcol ctx b a2 in
+    let c1 = rcol ctx b arg1 in
+    let c2 = rcol ctx b arg2 in
     with_col b res (fun2_col ctx (row_runner ctx ~par b) b f c1 c2)
-  | K_fun3 (res, f, a1, a2, a3) ->
+  | Plan.Fun3 { res; f; arg1; arg2; arg3; _ } ->
     let b = one () in
-    let c1 = rcol ctx b a1 in
-    let c2 = rcol ctx b a2 in
-    let c3 = rcol ctx b a3 in
+    let c1 = rcol ctx b arg1 in
+    let c2 = rcol ctx b arg2 in
+    let c3 = rcol ctx b arg3 in
     with_col b res (generic3 ctx.env (row_runner ctx ~par b) b f c1 c2 c3)
-  | K_project cols -> k_project (one ()) cols
-  | K_distinct -> k_distinct ctx (one ())
-  | K_union ->
+  | Plan.Project { cols; _ } -> k_project (one ()) cols
+  | Plan.Distinct _ -> k_distinct ctx (one ())
+  | Plan.Union _ ->
     let l, r = two () in
     k_union l r
-  | K_rowid res -> k_rowid ctx ~par (one ()) res
-  | K_rownum { res; order; part } -> k_rownum ctx (one ()) res order part
-  | K_join { lcol; rcol } ->
+  | Plan.Rowid { res; _ } -> k_rowid ctx ~par (one ()) res
+  | Plan.Rownum { res; order; part; _ } -> k_rownum ctx (one ()) res order part
+  | Plan.Join { lcol; rcol; _ } ->
     let l, r = two () in
     k_join ctx ~par l r lcol rcol
-  | K_thetajoin { lcol; cmp; rcol } ->
+  | Plan.Thetajoin { lcol; cmp; rcol; _ } ->
     let l, r = two () in
     k_thetajoin ctx ~par l r lcol cmp rcol
-  | K_semijoin { anti; on } ->
+  | Plan.Semijoin { on; _ } ->
     let l, r = two () in
-    k_semijoin ctx ~par ~anti l r on
-  | K_aggr { res; agg; arg; part; order } ->
+    k_semijoin ctx ~par ~anti:false l r on
+  | Plan.Antijoin { on; _ } ->
+    let l, r = two () in
+    k_semijoin ctx ~par ~anti:true l r on
+  | Plan.Aggr { res; agg; arg; part; order; _ } ->
     k_aggr ctx ~par (one ()) res agg arg part order
-  | K_step { axis; test } -> k_step ctx (one ()) axis test
-  | K_boxed op ->
+  | Plan.Step { axis; test; _ } -> k_step ctx (one ()) axis test
+  | op ->
     let tables = List.map (to_table ctx) inputs in
     of_table (Kernels.eval_op ctx.env op tables)
 
-let rec eval ctx (p : pnode) : batch =
+let rec eval ctx (n : Plan.node) : batch =
   match
     (match ctx.mode with
-     | Eval.Dag -> Hashtbl.find_opt ctx.cache p.pid
+     | Eval.Dag -> Hashtbl.find_opt ctx.cache n.Plan.id
      | Eval.Tree -> None)
   with
   | Some b -> b
   | None ->
+    let children = Plan.children n.Plan.op in
     (* the kernel boundary: deadline / op budget / cancellation / fault
-       injection fire here, once per kernel invocation. Kernels map 1:1
-       onto logical nodes, so a physical run makes exactly the checks the
-       boxed executor makes for the same plan. *)
+       injection fire here, once per kernel invocation. Every plan node is
+       one kernel, so a physical run makes exactly the checks the boxed
+       executor makes for the same plan. *)
     (match ctx.guard with Some g -> Budget.check g | None -> ());
     (match ctx.mode with
-     | Eval.Dag -> List.iter (fun c -> ignore (eval ctx c)) p.pinputs
+     | Eval.Dag -> List.iter (fun c -> ignore (eval ctx c)) children
      | Eval.Tree -> ());
     let t0 = match ctx.profile with Some _ -> Clock.now () | None -> 0.0 in
     ctx.kernels <- ctx.kernels + 1;
-    let inputs = List.map (eval ctx) p.pinputs in
-    let out = exec_kernel ctx p inputs in
+    let inputs = List.map (eval ctx) children in
+    let out = exec_kernel ctx n inputs in
     (match ctx.guard with
      | Some g ->
        Budget.add_rows g out.nrows;
@@ -1741,25 +1728,28 @@ let rec eval ctx (p : pnode) : batch =
     (match ctx.profile with
      | Some prof ->
        let dt = Clock.now () -. t0 in
-       Profile.add prof p.plabel dt;
-       Profile.add_node prof p.pid p.plabel dt;
+       let label =
+         if n.Plan.label = "" then Plan.op_symbol n.Plan.op else n.Plan.label
+       in
+       Profile.add prof label dt;
+       Profile.add_node prof n.Plan.id label dt;
        Profile.add_kernel prof
          ~rows_in:(List.fold_left (fun acc b -> acc + b.nrows) 0 inputs)
          ~rows_out:out.nrows
      | None -> ());
     (match ctx.mode with
-     | Eval.Dag -> Hashtbl.add ctx.cache p.pid out
+     | Eval.Dag -> Hashtbl.add ctx.cache n.Plan.id out
      | Eval.Tree -> ());
     out
 
-(* Evaluate a whole physical plan; the result is boxed for the
-   serialization boundary (the one materialization every query pays).
-   [jobs] > 1 enables morsel parallelism on the kernels the lowering
-   marked order-indifferent; results, errors and profile counters are
+(* Evaluate a whole plan; the result is boxed for the serialization
+   boundary (the one materialization every query pays). [jobs] > 1
+   enables morsel parallelism on the order-indifferent kernels
+   ([parallelizable]); results, errors and profile counters are
    bit-identical to [jobs = 1]. [morsel] overrides the minimum rows per
    morsel (default 1024, or XRQ_MORSEL). *)
 let run ?profile ?guard ?step_impl ?mode ?jobs ?morsel ?code_eval store
-    (root : pnode) : Table.t =
+    (root : Plan.node) : Table.t =
   let ctx =
     create ?profile ?guard ?step_impl ?mode ?jobs ?morsel ?code_eval store
   in

@@ -341,88 +341,3 @@ let count_kind root sym =
   List.fold_left
     (fun acc n -> if String.equal (op_symbol n.op) sym then acc + 1 else acc)
     0 (topo_order root)
-
-(* -- cardinality estimation ------------------------------------------------ *)
-
-(* Coarse bottom-up row-count estimates, seeded from document-store
-   statistics (tag occurrence counts, total store size). The estimates
-   only ever steer performance decisions — which join side to build a
-   hash on, which input of an order-indifferent join to enumerate first —
-   never correctness, so being wrong is cheap and being store-independent
-   (the default stats) is sound. *)
-module Card = struct
-  type stats = {
-    total_nodes : int;                   (* rows across all fragments *)
-    name_count : Xmldb.Qname.t -> int;   (* occurrences of a tag name *)
-  }
-
-  (* A store-free guess: documents are "medium", every tag is "common".
-     Chosen so that a literal sequence (rows known exactly) still ranks
-     below a path step into an unknown document. *)
-  let default_stats = { total_nodes = 10_000; name_count = (fun _ -> 1_000) }
-
-  let sat_mul a b =
-    if a > 0 && b > max_int / a then max_int else a * b
-
-  (* On-demand estimator: estimates are memoized by node id, so one
-     estimator can serve a whole optimization run — including nodes the
-     rewriter creates after the estimator was made. *)
-  let estimator ?(stats = default_stats) () : node -> int =
-    let memo : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    let rec est (n : node) =
-      match Hashtbl.find_opt memo n.id with
-      | Some e -> e
-      | None ->
-        let e =
-          match n.op with
-          | Lit { rows; _ } -> List.length rows
-          | Project { input; _ } | Attach { input; _ } | Fun1 { input; _ }
-          | Fun2 { input; _ } | Fun3 { input; _ } | Rownum { input; _ }
-          | Rowid { input; _ } | Doc { input } | Textify { input } ->
-            est input
-          | Select { input; _ } -> max 1 (est input / 3)
-          | Distinct { input } -> max 1 (est input / 2)
-          (* a semijoin keeps at most one copy of each left row per right
-             match class: bounded by both sides. The antijoin keeps the
-             complement of that bound. *)
-          | Semijoin { left; right; _ } ->
-            max 1 (min (est left) (est right))
-          | Antijoin { left; right; _ } ->
-            max 1 (est left - min (est left) (est right))
-          | Join { left; right; _ } -> max (est left) (est right)
-          | Thetajoin { left; right; _ } ->
-            max 1 (sat_mul (est left) (est right) / 4)
-          | Cross { left; right } -> sat_mul (est left) (est right)
-          | Union { left; right } -> est left + est right
-          | Aggr { input; part; _ } ->
-            (match part with None -> 1 | Some _ -> max 1 (est input / 2))
-          | Step { input; test; axis } ->
-            (* a named step lands on at most that tag's population;
-               unnamed steps fan out relative to the context size *)
-            let ctx = est input in
-            (match test with
-             | N_name q -> max 1 (min (stats.name_count q) (sat_mul ctx 8))
-             | N_wild | N_any ->
-               (match axis with
-                | Xmldb.Axis.Attribute | Xmldb.Axis.Child -> sat_mul ctx 4
-                | _ -> max ctx (stats.total_nodes / 2))
-             | N_kind _ | N_pi _ -> sat_mul ctx 2)
-          | Elem { qnames; _ } | Attr { qnames; _ } -> est qnames
-          | Textnode { input } | Commentnode { input } | Pinode { input } ->
-            est input
-          | Range { input; _ } -> sat_mul (est input) 8
-          | Id_lookup { values; _ } -> est values
-        in
-        Hashtbl.replace memo n.id e;
-        e
-    in
-    est
-
-  (* node id -> estimated row count over one fixed DAG *)
-  let estimate ?stats (root : node) : int -> int =
-    let est = estimator ?stats () in
-    List.iter (fun n -> ignore (est n)) (topo_order root);
-    let byid = Hashtbl.create 64 in
-    List.iter (fun n -> Hashtbl.replace byid n.id (est n)) (topo_order root);
-    fun id -> Option.value ~default:1 (Hashtbl.find_opt byid id)
-end

@@ -235,29 +235,3 @@ val op_symbol : op -> string
 
 (** [count_kind p "%"] — e.g. the number of order-establishing rownums. *)
 val count_kind : node -> string -> int
-
-(** {2 Cardinality estimation}
-
-    Coarse bottom-up row-count estimates seeded from document-store
-    statistics (tag occurrence counts, store size). They steer only
-    performance decisions — hash-join build sides, the enumeration order
-    of order-indifferent join inputs — never correctness, so wrong or
-    store-independent (default) stats are always sound. *)
-module Card : sig
-  type stats = {
-    total_nodes : int;                  (** rows across all fragments *)
-    name_count : Xmldb.Qname.t -> int;  (** occurrences of a tag name *)
-  }
-
-  (** Store-free guesses (documents are "medium", tags are "common"). *)
-  val default_stats : stats
-
-  (** An on-demand estimator: memoized by node id, so one estimator can
-      serve an optimization run including nodes created after it was
-      made. *)
-  val estimator : ?stats:stats -> unit -> node -> int
-
-  (** [estimate ?stats root] memoizes an estimate for every node in the
-      DAG and returns the lookup (by node id; unknown ids estimate 1). *)
-  val estimate : ?stats:stats -> node -> int -> int
-end

@@ -17,7 +17,7 @@ type node_stat = {
 type phys = {
   mutable kernels : int;      (* physical kernel invocations *)
   mutable fused_ops : int;    (* logical operators covered by kernels:
-                                 lowering is 1:1, so always [kernels] *)
+                                 one per plan node, so always [kernels] *)
   mutable rows_in : int;      (* input rows across all kernel invocations *)
   mutable rows_out : int;     (* output rows across all kernel invocations *)
   mutable mat_avoided : int;  (* results delivered as a selection vector /

@@ -19,7 +19,7 @@ type phys = {
   mutable kernels : int;      (** physical kernel invocations *)
   mutable fused_ops : int;
       (** logical operators covered by kernels, summed over invocations.
-          Lowering maps every logical node to one kernel, so this always
+          Every plan node runs as one kernel, so this always
           equals [kernels]; it stays as the exact count [perfbench]
           reports as [exec.fused_ops]. *)
   mutable rows_in : int;      (** input rows summed over kernel invocations *)

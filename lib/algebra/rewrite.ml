@@ -1,5 +1,7 @@
-(* Property- and cardinality-aware logical rewriting, between column
-   dependency analysis and lowering.
+(* Property-aware logical rewriting, between column dependency analysis
+   and execution. It reads only the plan: no rule consults a document or
+   store statistics, so a rewritten plan depends on the query and the
+   options alone.
 
    CDA (Icols) prunes what order indifference makes dead; this pass
    reshapes what is left, in the spirit of the classical rewrites
@@ -17,18 +19,17 @@
        commutes with the Cross — the rewrite that actually removes the
        quadratic iteration spaces loop-lifting builds for existential
        predicates;
-     - join inputs are reordered so the hash build side is the smaller
-       one (cardinality estimates from [Plan.Card]);
      - the join-graph isolation rules ([Joingraph]) collapse the
        count-then-filter scaffolds of where-empty / quantifier
        existentials into Semijoin/Antijoin operators.
 
    Soundness and row order. Every rule preserves the result multiset
-   exactly. The first three groups also preserve row order bit-for-bit
-   (filtering and per-row computation commute with append/cross order;
-   a theta join enumerates pairs in the same left-major order the
-   filtered cross did). The last two change row order, so they are gated
-   on an order-insensitivity analysis: a node may be reordered only when
+   exactly. The first three groups and the join-graph rules also
+   preserve row order bit-for-bit (filtering and per-row computation
+   commute with append/cross order; a theta join enumerates pairs in the
+   same left-major order the filtered cross did). The join/cross
+   commutation changes row order, so it is gated on an
+   order-insensitivity analysis: a node may be reordered only when
    EVERY path from it to the root passes through an operator that
    provably erases row order (a Distinct, a Semijoin/Antijoin right
    input, an order-indifferent aggregate) before anything order-sensitive
@@ -142,7 +143,7 @@ let total_fires s = List.fold_left (fun acc (_, k) -> acc + k) 0 s.fires
    patterns (sigma over its own attached constant, Distinct over a
    left-only projection of a join, ...) are disjoint from the arms below,
    so the order only decides who answers, never what. *)
-let rewrite_once b ~est ~fire ~props ~order_props ~jg (root : Plan.node) :
+let rewrite_once b ~fire ~props ~order_props ~jg (root : Plan.node) :
     Plan.node =
   let schema_of = Props.schema props in
   let insensitive = order_insensitive root in
@@ -351,7 +352,7 @@ let rewrite_once b ~est ~fire ~props ~order_props ~jg (root : Plan.node) :
              end
              else keep op'
            | _ -> keep op')
-         (* -- join/cross commutation and input ordering ----------------- *)
+         (* -- join/cross commutation ------------------------------------ *)
          | Plan.Join { left; right; lcol; rcol } when insensitive orig -> (
            match (left.Plan.op, right.Plan.op) with
            | _, Plan.Cross { left = a; right = b2 } when owns a rcol ->
@@ -380,10 +381,6 @@ let rewrite_once b ~est ~fire ~props ~order_props ~jg (root : Plan.node) :
                   { left = a;
                     right = keep (Plan.Join { left = b2; right; lcol; rcol })
                   })
-           | _ when est right > 2 * est left ->
-             (* hash builds on the right: make the smaller side the build *)
-             fire "join-swap";
-             keep (Plan.Join { left = right; right = left; lcol = rcol; rcol = lcol })
            | _ -> keep op')
          | Plan.Thetajoin { left; right; lcol; cmp; rcol }
            when insensitive orig -> (
@@ -422,12 +419,6 @@ let rewrite_once b ~est ~fire ~props ~order_props ~jg (root : Plan.node) :
                       keep
                         (Plan.Thetajoin { left = b2; right; lcol; cmp; rcol })
                   })
-           | _ when est right > 2 * est left ->
-             fire "join-swap";
-             keep
-               (Plan.Thetajoin
-                  { left = right; right = left; lcol = rcol;
-                    cmp = mirror_cmp cmp; rcol = lcol })
            | _ -> keep op')
          (* -- sort elision: % whose order already holds becomes # ------- *)
          | Plan.Rownum { input; res; order; part = None }
@@ -437,7 +428,7 @@ let rewrite_once b ~est ~fire ~props ~order_props ~jg (root : Plan.node) :
               tie-break, so the stable sort of an already-sorted input is
               the identity permutation and the rank column is exactly the
               1..n row stamp # produces — bit-identical, breaker-free,
-              and ∥-eligible after lowering *)
+              and ∥-eligible in the physical executor *)
            fire "sort-elision";
            keep (Plan.Rowid { input; res })
          | _ -> keep op'
@@ -450,9 +441,8 @@ let rewrite_once b ~est ~fire ~props ~order_props ~jg (root : Plan.node) :
 (* --------------------------------------------------------------- driver *)
 
 let optimize ?(max_rounds = 50) ?(order_props = true)
-  ?(join_isolation = true) ?stats:card_stats b
+  ?(join_isolation = true) ?stats:_ b
   (root : Plan.node) : Plan.node * stats =
-  let est = Plan.Card.estimator ?stats:card_stats () in
   let counts : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let fire rule =
     Hashtbl.replace counts rule
@@ -464,7 +454,7 @@ let optimize ?(max_rounds = 50) ?(order_props = true)
     if i >= max_rounds then (root, i)
     else
       let root' =
-        rewrite_once b ~est ~fire ~props ~order_props ~jg:join_isolation root
+        rewrite_once b ~fire ~props ~order_props ~jg:join_isolation root
       in
       if root'.Plan.id = root.Plan.id then (root, i) else go (i + 1) root'
   in

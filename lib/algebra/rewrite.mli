@@ -1,5 +1,7 @@
-(** Property- and cardinality-aware logical rewriting over the plan DAG,
-    applied between column dependency analysis and lowering.
+(** Property-aware logical rewriting over the plan DAG, applied between
+    column dependency analysis and execution. No rule reads a document
+    or store statistics: the rewritten plan depends only on the query
+    and the options.
 
     The pass runs a small set of named rules to fixpoint:
 
@@ -25,10 +27,6 @@
        factor of a Cross operand commutes with the Cross, shrinking the
        quadratic iteration spaces loop-lifting builds for existential
        predicates (changes row order — gated on order insensitivity);}
-    {- ["join-swap"] — order-indifferent join inputs are swapped so the
-       hash build side is the estimated-smaller one ({!Plan.Card};
-       order-changing, same gate; a strict 2x ratio prevents
-       oscillation);}
     {- ["sort-elision"] — an unpartitioned [%] (Rownum) whose input
        provably arrives sorted by the requested keys ({!Props}) becomes
        a [#] (Rowid) stamp: the stable sort of a sorted input is the
@@ -67,8 +65,8 @@ val total_fires : stats -> int
 
 (** [optimize b root] rewrites to fixpoint (bounded by [max_rounds],
     default 50) and returns the new root with run statistics.
-    [stats] seeds cardinality estimates for ["join-swap"]; estimates are
-    advisory — they steer performance choices, never correctness.
+    [stats] is ignored; it remains so that callers written when store
+    statistics steered join input order still compile.
     [order_props] (default [true]) enables the {!Props}-backed
     ["sort-elision"] rule; switching it off restores sort-preserving
     plans for differential testing. [join_isolation] (default [true])
@@ -78,7 +76,7 @@ val optimize :
   ?max_rounds:int ->
   ?order_props:bool ->
   ?join_isolation:bool ->
-  ?stats:Plan.Card.stats ->
+  ?stats:unit ->
   Plan.builder ->
   Plan.node ->
   Plan.node * stats

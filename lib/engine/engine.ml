@@ -44,9 +44,8 @@ type opts = {
          shapes the run *)
   rewrite : bool;
       (* the logical rewriter (Algebra.Rewrite): selection/fun pushdown,
-         join synthesis over cross products, order-insensitive join
-         reassociation and cardinality-driven input ordering, run between
-         CDA and lowering *)
+         join synthesis over cross products and order-insensitive join
+         reassociation, run after CDA *)
   order_props : bool;
       (* ordering-property reasoning (Algebra.Props) for the rewriter's
          sort-elision rule (% -> # when the order provably holds). Pure
@@ -99,8 +98,9 @@ type result = {
   serialized : string;
   plan : Algebra.Plan.node option;          (* after optimization *)
   raw_plan : Algebra.Plan.node option;      (* before optimization *)
-  physical_plan : Algebra.Physical.pnode option;
-      (* what actually ran; None when the interpreter answered *)
+  physical_plan : Algebra.Plan.node option;
+      (* what actually ran: [plan], since the physical executor runs the
+         optimized plan as it is; None when the interpreter answered *)
   profile : Algebra.Profile.t option;
   wall_seconds : float;
   degraded : string option;    (* Some reason: served by the fallback path *)
@@ -112,13 +112,10 @@ let parse_and_normalize ?mode text =
   let q = Xquery.Parser.parse_query text in
   Xquery.Normalize.normalize_query ?mode_override:mode q
 
-(* Cardinality statistics for the rewriter, read off a store. Estimates
-   steer only a performance decision (join input order), never
-   correctness — so feeding a prepared plan compiled against one store's
-   statistics to another store stays sound, merely possibly slower. *)
-let stats_of_store store : Algebra.Plan.Card.stats =
-  { Algebra.Plan.Card.total_nodes = Xmldb.Doc_store.total_nodes store;
-    name_count = (fun q -> Xmldb.Doc_store.name_occurrences store q) }
+(* Plans read no store statistics; this and the [?stats] parameters it
+   feeds are ignored, kept so that callers written when statistics
+   steered join input order still compile. *)
+let stats_of_store (_ : Xmldb.Doc_store.t) = ()
 
 type analysis = {
   acfg : Exrquy.Compile.cfg;
@@ -131,7 +128,7 @@ type analysis = {
    dead columns and projections (CDA's food), and CDA's narrowing exposes
    new rewrite sites; each pass is itself a fixpoint, and in practice one
    interleaving round suffices, so two bounds the loop. *)
-let analyze ?(opts = default_opts) ?stats text =
+let analyze ?(opts = default_opts) ?stats:(_ : unit option) text =
   let core = parse_and_normalize ?mode:opts.mode text in
   let cfg =
     { (Exrquy.Compile.default_cfg ()) with
@@ -149,12 +146,11 @@ let analyze ?(opts = default_opts) ?stats text =
       let order_props = opts.order_props in
       let join_isolation = opts.join_isolation in
       let o1, s1 =
-        Algebra.Rewrite.optimize ~order_props ~join_isolation ?stats cfg.b
-          optimized
+        Algebra.Rewrite.optimize ~order_props ~join_isolation cfg.b optimized
       in
       let o1 = if o1.Algebra.Plan.id <> optimized.Algebra.Plan.id then cda o1 else o1 in
       let o2, s2 =
-        Algebra.Rewrite.optimize ~order_props ~join_isolation ?stats cfg.b o1
+        Algebra.Rewrite.optimize ~order_props ~join_isolation cfg.b o1
       in
       let o2 = if o2.Algebra.Plan.id <> o1.Algebra.Plan.id then cda o2 else o2 in
       let fires =
@@ -175,23 +171,22 @@ let analyze ?(opts = default_opts) ?stats text =
   { acfg = cfg; araw = raw; aoptimized = optimized; arewrite = rstats }
 
 (* Compile a query text to an (unoptimized, optimized) plan pair. *)
-let plans_of ?opts ?stats text =
-  let a = analyze ?opts ?stats text in
+let plans_of ?opts text =
+  let a = analyze ?opts text in
   (a.acfg, a.araw, a.aoptimized)
 
 (* ------------------------------------------------- prepared-plan cache *)
 
 (* What a cache hit skips: parse -> normalize (-> compile -> optimize for
-   the compiled backend). Plans hold no store references (documents are
-   resolved by Doc at evaluation time), so a prepared entry is reusable
-   against any store. *)
+   the compiled backend). A prepared entry is a function of the query
+   text and the fingerprinted options alone: plans hold no store
+   references (documents are resolved by Doc at evaluation time) and
+   optimization reads no store statistics, so the cache key is complete
+   and an entry is reusable against any store. *)
 type prepared =
   | Prepared_plans of {
       raw : Algebra.Plan.node;
-      optimized : Algebra.Plan.node;
-      physical : Algebra.Physical.pnode;
-          (* the lowered physical plan (lowering is cached with the
-             plans) *)
+      optimized : Algebra.Plan.node;  (* what the physical executor runs *)
       sorts_elided : int;
           (* "sort-elision" fires during optimization, stamped into the
              profile of every run of this prepared plan *)
@@ -248,28 +243,27 @@ let label_plan root =
             | Algebra.Plan.Union _ | Algebra.Plan.Range _ -> "plumbing"))
     (Algebra.Plan.topo_order root)
 
-(* Lower an optimized logical plan to the physical-operator DAG.
-   Lowering reads only the plan: [stats] and [order_props] are accepted
-   and ignored, for callers written when they steered it. *)
-let lower_physical ?stats:_ ?order_props:_ optimized =
-  Algebra.Lower.lower optimized
+(* The physical executor runs the optimized plan as it is, so this is
+   the identity. [stats] and [order_props] are ignored; they remain for
+   callers written when a lowering pass read them. *)
+let lower_physical ?stats:(_ : unit option) ?order_props:(_ : bool option)
+    (optimized : Algebra.Plan.node) =
+  optimized
 
-let prepared_of ?cache ?stats opts text =
+let prepared_of ?cache opts text =
   let build () =
     match opts.backend with
     | Interpreted -> Prepared_core (parse_and_normalize ?mode:opts.mode text)
     | Compiled ->
-      let a = analyze ~opts ?stats text in
+      let a = analyze ~opts text in
       let raw = a.araw and optimized = a.aoptimized in
-      (* label before lowering so physical kernels inherit the profile
-         buckets of their logical head operators *)
+      (* the profile buckets every kernel reports to *)
       label_plan optimized;
-      let physical = Algebra.Lower.lower optimized in
       let sorts_elided =
         Option.value ~default:0
           (List.assoc_opt "sort-elision" a.arewrite.Algebra.Rewrite.fires)
       in
-      Prepared_plans { raw; optimized; physical; sorts_elided }
+      Prepared_plans { raw; optimized; sorts_elided }
   in
   match cache with
   | None -> build ()
@@ -281,11 +275,11 @@ let prepared_of ?cache ?stats opts text =
    query server uses this to pick the read or write side of a shared
    store's lock; sharing [cache] with the later [run] means the
    classification compile is the run's compile. *)
-let constructs_nodes ?cache ?(opts = default_opts) store text =
+let constructs_nodes ?cache ?(opts = default_opts) text =
   match opts.backend with
   | Interpreted -> true
   | Compiled ->
-    (match prepared_of ?cache ~stats:(stats_of_store store) opts text with
+    (match prepared_of ?cache opts text with
      | Prepared_core _ -> true
      | Prepared_plans { optimized; _ } ->
        List.exists
@@ -341,21 +335,20 @@ let run ?cache ?(opts = default_opts) ?(with_profile = false) store text : resul
       degraded;
       cache_stats = stats () }
   in
-  let card_stats = stats_of_store store in
   match opts.backend with
   | Interpreted ->
     let core =
-      match prepared_of ?cache ~stats:card_stats opts text with
+      match prepared_of ?cache opts text with
       | Prepared_core c -> c
       | Prepared_plans _ -> assert false  (* the key includes the backend *)
     in
     run_interpreted ~degraded:None core
   | Compiled ->
     let run_compiled () =
-      let raw, optimized, physical, sorts_elided =
-        match prepared_of ?cache ~stats:card_stats opts text with
-        | Prepared_plans { raw; optimized; physical; sorts_elided } ->
-          (raw, optimized, physical, sorts_elided)
+      let raw, optimized, sorts_elided =
+        match prepared_of ?cache opts text with
+        | Prepared_plans { raw; optimized; sorts_elided } ->
+          (raw, optimized, sorts_elided)
         | Prepared_core _ -> assert false
       in
       let profile = if with_profile then Some (Algebra.Profile.create ()) else None in
@@ -367,13 +360,13 @@ let run ?cache ?(opts = default_opts) ?(with_profile = false) store text : resul
       let table =
         Algebra.Physical.run ?profile ?guard ~step_impl:opts.step_impl
           ~mode:opts.eval_mode ~jobs:opts.jobs ~code_eval:opts.code_eval
-          store physical
+          store optimized
       in
       let items = items_of_table ?profile table in
       { items;
         serialized = Interp.Xdm.serialize store items;
         plan = Some optimized; raw_plan = Some raw;
-        physical_plan = Some physical;
+        physical_plan = Some optimized;
         profile;
         wall_seconds = Basis.Clock.now () -. t0;
         degraded = None;
@@ -430,18 +423,18 @@ let run_result ?cache ?opts ?with_profile store text =
    optimized plan and a closure that runs it against a fresh evaluation
    context, returning the item count. *)
 let prepare ?cache ?(opts = default_opts) store text =
-  match prepared_of ?cache ~stats:(stats_of_store store) opts text with
+  match prepared_of ?cache opts text with
   | Prepared_core core ->
     ( None,
       fun () ->
         List.length
           (Interp.Interpreter.eval_core ?guard:(interp_guard opts) store core)
     )
-  | Prepared_plans { optimized; physical; _ } ->
+  | Prepared_plans { optimized; _ } ->
     ( Some optimized,
       fun () ->
         let guard = Option.map Budget.start opts.budget in
         Algebra.Table.nrows
           (Algebra.Physical.run ?guard ~step_impl:opts.step_impl
              ~mode:opts.eval_mode ~jobs:opts.jobs ~code_eval:opts.code_eval
-             store physical) )
+             store optimized) )

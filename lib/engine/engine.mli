@@ -8,11 +8,11 @@
     ordering mode ordered, no cleanup — the comparison system of the
     paper's Section 5).
 
-    The compiled backend always lowers the optimized plan to the physical
-    layer ({!Algebra.Physical}: typed columns, selection vectors, one
-    kernel per logical operator) and executes that. {!Algebra.Eval} is
-    the boxed logical executor the tests keep as a row-for-row
-    reference; the engine never runs it. *)
+    The compiled backend runs the optimized plan on the physical layer
+    ({!Algebra.Physical}: typed columns, selection vectors, one kernel
+    per plan node). {!Algebra.Eval} is the boxed logical executor the
+    tests keep as a row-for-row reference over the same plan; the engine
+    never runs it. *)
 
 (** The LRU machinery behind the prepared-plan cache (re-exported: the
     library is wrapped, so this is its public path). *)
@@ -61,11 +61,11 @@ type opts = {
           changes. The interpreter ignores it. Outside the plan-cache
           fingerprint: one prepared plan serves every width. *)
   rewrite : bool;
-      (** run the logical rewriter ({!Algebra.Rewrite}) between CDA and
-          lowering: selection/function pushdown, join synthesis over
-          cross products, order-insensitive join reassociation, and
-          cardinality-driven join input ordering. Pure optimization —
-          results and error behaviour are unchanged (default [true]).
+      (** run the logical rewriter ({!Algebra.Rewrite}) after CDA:
+          selection/function pushdown, join synthesis over cross
+          products and order-insensitive join reassociation. Pure
+          optimization — results and error behaviour are unchanged
+          (default [true]).
           Participates in the plan-cache fingerprint. *)
   order_props : bool;
       (** ordering-property reasoning ({!Algebra.Props}) for the
@@ -86,8 +86,8 @@ type opts = {
           and output. Results are bit-identical on or off; [false]
           ([--no-code-eval]) is the materialized reference path the
           parity oracle and benchmarks compare against (default [true]).
-          Outside the plan-cache fingerprint: the physical plan is the
-          same either way. *)
+          Outside the plan-cache fingerprint: the plan is the same
+          either way. *)
 }
 
 val default_opts : opts
@@ -100,9 +100,11 @@ type result = {
   serialized : string;
   plan : Algebra.Plan.node option;      (** after optimization *)
   raw_plan : Algebra.Plan.node option;  (** before optimization *)
-  physical_plan : Algebra.Physical.pnode option;
-      (** the lowered physical plan that ran; [None] when the
-          interpreter answered (interpreted backend or fallback) *)
+  physical_plan : Algebra.Plan.node option;
+      (** the plan the physical executor ran: always [plan], which it
+          runs as it is. Kept for callers written when a lowered copy
+          ran; [None] when the interpreter answered (interpreted backend
+          or fallback) *)
   profile : Algebra.Profile.t option;
   wall_seconds : float;
   degraded : string option;
@@ -117,11 +119,15 @@ type result = {
 
     An LRU cache over prepared queries, keyed by (normalized query text,
     options fingerprint): a hit skips parse → normalize → compile →
-    optimize entirely. Prepared plans hold no store references, so one
-    cache may serve runs against different stores. Only plan-shaping
-    options participate in the fingerprint — budget, fallback, step
-    implementation, evaluation mode, [jobs] and [code_eval] do not; the
-    backend does (the two backends cache different artifacts). *)
+    optimize entirely. A prepared entry is the raw plan, the optimized
+    plan the physical executor runs, and its sort-elision count. It is a
+    function of the key alone: plans hold no store references, and
+    optimization reads no document and no store statistics, so one cache
+    serves runs against different stores and a hit returns the plan a
+    fresh compile would. Only plan-shaping options participate in the
+    fingerprint — budget, fallback, step implementation, evaluation
+    mode, [jobs] and [code_eval] do not; the backend does (the two
+    backends cache different artifacts). *)
 
 type cache
 
@@ -136,10 +142,11 @@ val opts_fingerprint : opts -> string
 val parse_and_normalize :
   ?mode:Xquery.Ast.ordering_mode -> string -> Xquery.Core_ast.core
 
-(** Cardinality statistics read off a store, for the rewriter's cost
-    decision (join input order). Advisory only: estimates never affect
-    results. *)
-val stats_of_store : Xmldb.Doc_store.t -> Algebra.Plan.Card.stats
+(** Ignored: plans read no store statistics. It and the [?stats]
+    parameters of {!analyze}, {!lower_physical} and
+    {!Algebra.Rewrite.optimize} remain so that callers written when
+    statistics steered join input order still compile. *)
+val stats_of_store : Xmldb.Doc_store.t -> unit
 
 (** Everything the compiler front half produces for one query: the
     compile configuration, the raw plan, the optimized plan (CDA
@@ -152,25 +159,23 @@ type analysis = {
   arewrite : Algebra.Rewrite.stats;
 }
 
-val analyze :
-  ?opts:opts -> ?stats:Algebra.Plan.Card.stats -> string -> analysis
+val analyze : ?opts:opts -> ?stats:unit -> string -> analysis
 
 (** Compile a query text; returns (compiler cfg, raw plan, optimized
     plan). With [opts.cda = false] and [opts.rewrite = false] the
     optimized plan equals the raw plan. *)
 val plans_of :
-  ?opts:opts -> ?stats:Algebra.Plan.Card.stats -> string ->
+  ?opts:opts -> string ->
   Exrquy.Compile.cfg * Algebra.Plan.node * Algebra.Plan.node
 
-(** Lower an optimized logical plan to its physical-operator DAG (what
-    the compiled backend executes): {!Algebra.Lower.lower}, which reads
-    only the plan. [stats] and [order_props] are ignored; they remain so
-    that callers written when they steered lowering still compile. *)
+(** The identity: the physical executor runs the optimized plan as it
+    is. It, [stats] and [order_props] are ignored leftovers of a lowering
+    pass, kept so that callers written against it still compile. *)
 val lower_physical :
-  ?stats:Algebra.Plan.Card.stats ->
+  ?stats:unit ->
   ?order_props:bool ->
   Algebra.Plan.node ->
-  Algebra.Physical.pnode
+  Algebra.Plan.node
 
 (** Whether evaluating this query may append fragments to the store:
     true when the prepared plan contains construction operators, and
@@ -178,8 +183,7 @@ val lower_physical :
     this to decide between the shared (read) and exclusive (write) side
     of a store's lock; passing the same [cache] as the subsequent {!run}
     makes the classification compile and the run compile one compile. *)
-val constructs_nodes :
-  ?cache:cache -> ?opts:opts -> Xmldb.Doc_store.t -> string -> bool
+val constructs_nodes : ?cache:cache -> ?opts:opts -> string -> bool
 
 (** Evaluate a query against the store. [with_profile] attaches a
     per-bucket execution profile (the paper's Table 2 instrument).

@@ -196,20 +196,17 @@ let query ?timeout_s ?jobs t text =
     classified (fun () ->
       (* Classification compiles through the shared cache, so the lock is
          only held for execution — the run below hits the same entry. *)
-      let writes = Engine.constructs_nodes ?cache:t.cache ~opts store text in
+      let writes = Engine.constructs_nodes ?cache:t.cache ~opts text in
       let section = if writes then Rwlock.with_write else Rwlock.with_read in
       section entry.Registry.lock (fun () ->
         Result.map (reply_of store)
           (Engine.run_result ?cache:t.cache ~opts store text))))
 
 let prepare t ~name text =
-  let entry = current_entry t in
   classified (fun () ->
     (* Compile eagerly (populating the shared cache) so static errors
        surface at prepare time, not first exec. *)
-    ignore
-      (Engine.constructs_nodes ?cache:t.cache ~opts:t.opts
-         entry.Registry.store text);
+    ignore (Engine.constructs_nodes ?cache:t.cache ~opts:t.opts text);
     locked t (fun () -> Hashtbl.replace t.prepared name text);
     Ok ())
 

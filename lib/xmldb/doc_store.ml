@@ -236,18 +236,16 @@ let frag_bytes p =
 
 type t = {
   mu : Mutex.t;
-      (* guards frags appends, the documents list, and name_counts; the
-         pools carry their own locks. Readers of already-published
-         fragments do not take it — fragments are immutable once pushed,
-         and cross-thread visibility of the push itself is the lock's
-         job on the writing side (server-level store locks keep whole
-         queries from racing a concurrent append). *)
+      (* guards frags appends and the documents list; the pools carry
+         their own locks. Readers of already-published fragments do not
+         take it — fragments are immutable once pushed, and cross-thread
+         visibility of the push itself is the lock's job on the writing
+         side (server-level store locks keep whole queries from racing a
+         concurrent append). *)
   name_pool : Qname_pool.t;
   text_pool : String_pool.t;
   frags : frag Vec.t;
   mutable documents : (string * Node_id.t) list; (* uri -> document node *)
-  name_counts : (int, int) Hashtbl.t;  (* name id -> total occurrences *)
-  mutable counted_frags : int;         (* frags folded into name_counts *)
 }
 
 let empty_frag =
@@ -260,8 +258,6 @@ let create () = {
   text_pool = String_pool.create ();
   frags = Vec.create empty_frag;
   documents = [];
-  name_counts = Hashtbl.create 64;
-  counted_frags = 0;
 }
 
 let[@inline] locked t f =
@@ -555,41 +551,6 @@ end
 
 let total_nodes t =
   Vec.fold_left (fun acc f -> acc + frag_length f) 0 t.frags
-
-(* How many nodes (elements and attributes) carry the given name, across
-   all fragments. Counts are folded incrementally: fragments are immutable
-   once finished, so only the frags appended since the last query need a
-   scan. Fragments with a name dictionary fold by counting local codes
-   and expanding once through the dictionary. Used to seed the
-   optimizer's cardinality estimates. *)
-let name_occurrences t q =
-  let qid = Qname_pool.find_opt t.name_pool q in
-  locked t (fun () ->
-    let bump id k =
-      if k > 0 then
-        Hashtbl.replace t.name_counts id
-          (k + Option.value ~default:0 (Hashtbl.find_opt t.name_counts id))
-    in
-    for fid = t.counted_frags to n_frags t - 1 do
-      let p = frag t fid in
-      let k = Array.length p.p_name_dict in
-      if k > 0 then begin
-        let counts = Array.make (k + 1) 0 in
-        for pre = 0 to p.p_len - 1 do
-          let c = col_get p.p_names pre in
-          counts.(c) <- counts.(c) + 1
-        done;
-        for c = 1 to k do bump p.p_name_dict.(c - 1) counts.(c) done
-      end else
-        for pre = 0 to p.p_len - 1 do
-          let c = col_get p.p_names pre in
-          if c > 0 then bump (c - 1) 1
-        done
-    done;
-    t.counted_frags <- n_frags t;
-    match qid with
-    | None -> 0
-    | Some id -> Option.value ~default:0 (Hashtbl.find_opt t.name_counts id))
 
 (* -- snapshots ------------------------------------------------------------ *)
 

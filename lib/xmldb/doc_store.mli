@@ -152,12 +152,6 @@ val documents : t -> (string * Node_id.t) list
 (** Total number of node rows across all fragments (statistics). *)
 val total_nodes : t -> int
 
-(** Number of nodes (elements and attributes) carrying the given name,
-    across all fragments; 0 for names the store has never seen. Counts
-    fold incrementally over finished (immutable) fragments, so repeated
-    queries are cheap. Seeds the optimizer's cardinality estimates. *)
-val name_occurrences : t -> Qname.t -> int
-
 (** {2 Building fragments}
 
     A builder accumulates one fragment event-style. Text pushed in

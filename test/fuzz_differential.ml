@@ -244,11 +244,10 @@ let evaluate_server q =
 let evaluate_reference_executor ~budget_spec q =
   let run exec =
     let st = mk_store () in
-    let stats = Engine.stats_of_store st in
     let guard = Budget.start budget_spec in
     let result =
       match
-        let a = Engine.analyze ~stats q in
+        let a = Engine.analyze q in
         exec ~guard st a.Engine.aoptimized
       with
       | t -> Ok (st, t)
@@ -281,8 +280,7 @@ let evaluate_reference_executor ~budget_spec q =
         t)
   in
   let physical =
-    run (fun ~guard st p ->
-        Algebra.Physical.run ~guard st (Algebra.Lower.lower p))
+    run (fun ~guard st p -> Algebra.Physical.run ~guard st p)
   in
   let budgets_differ (o1, r1) (o2, r2) =
     Blew_up

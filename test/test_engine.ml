@@ -618,6 +618,43 @@ let test_run_cache_identity () =
   Alcotest.(check int) "other options fingerprint misses" 2
     (Engine.cache_stats cache).PC.misses
 
+let queries_dir =
+  if Sys.file_exists "../queries" then "../queries" else "queries"
+
+(* A prepared plan is a function of the query and the options alone: one
+   cache serving stores of two sizes hands the second store exactly the
+   plan a fresh compile against it builds, and the same answer. *)
+let test_cache_across_stores () =
+  let xmark scale =
+    let st = Xmldb.Doc_store.create () in
+    ignore (Xmark.Xmark_gen.load ~scale st);
+    st
+  in
+  let small = xmark 0.001 and large = xmark 0.01 in
+  let cache = Engine.create_cache ~capacity:8 () in
+  let tree (r : Engine.result) =
+    Algebra.Plan_pp.to_tree (Option.get r.Engine.plan)
+  in
+  let existential_join =
+    In_channel.with_open_bin
+      (Filename.concat queries_dir "existential_join.xq")
+      In_channel.input_all
+  in
+  List.iter
+    (fun (name, q) ->
+       ignore (Engine.run ~cache small q);
+       let hits = (Engine.cache_stats cache).PC.hits in
+       let cached = Engine.run ~cache large q in
+       Alcotest.(check int) (name ^ ": the second store hits the cache")
+         (hits + 1) (Engine.cache_stats cache).PC.hits;
+       let fresh = Engine.run large q in
+       Alcotest.(check string) (name ^ ": the plan a fresh compile builds")
+         (tree fresh) (tree cached);
+       Alcotest.(check string) (name ^ ": the same answer")
+         fresh.Engine.serialized cached.Engine.serialized)
+    [ ("Q5", Xmark.Xmark_queries.get "Q5");
+      ("existential_join.xq", existential_join) ]
+
 let () =
   Alcotest.run "engine"
     [ ( "differential",
@@ -653,6 +690,8 @@ let () =
           Alcotest.test_case "commented constructor keys" `Quick
             test_commented_constructor_cache;
           Alcotest.test_case "run identity + counters" `Quick
-            test_run_cache_identity ] );
+            test_run_cache_identity;
+          Alcotest.test_case "one cache, two stores" `Quick
+            test_cache_across_stores ] );
       ( "random", [ QCheck_alcotest.to_alcotest random_query_prop ] );
     ]

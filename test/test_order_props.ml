@@ -344,10 +344,9 @@ let test_corpus_claims () =
   List.iter
     (fun (name, text) ->
        let st = mk_store () in
-       let stats = Engine.stats_of_store st in
        List.iter
          (fun (oname, opts) ->
-            let a = Engine.analyze ~opts ~stats text in
+            let a = Engine.analyze ~opts text in
             List.iter
               (fun (pname, plan) ->
                  let ctx = Algebra.Eval.create st in

@@ -177,7 +177,7 @@ let test_profile_hammer () =
 let jobs_widths = [ 2; 3; 4; 8 ]
 
 let run_phys ?guard ?jobs ?morsel plan =
-  Physical.run ?guard ?jobs ?morsel (store ()) (Lower.lower plan)
+  Physical.run ?guard ?jobs ?morsel (store ()) plan
 
 let check_par_parity ?(morsel = 2) msg plan =
   let serial = run_phys plan in

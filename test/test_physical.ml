@@ -1,7 +1,7 @@
-(* Tests for the physical-plan layer: lowering (one kernel per logical
-   node, sharing preservation) and the typed kernels, checked
-   differentially against
-   [Eval], the boxed logical executor the tests keep as the reference.
+(* Tests for the physical executor: one kernel per plan node, shared
+   nodes evaluated once, and the typed kernels, checked differentially
+   against [Eval], the boxed logical executor the tests keep as the
+   reference over the same plan.
 
    The physical executor promises *exact* parity with the reference —
    including row order (rownum's stability tie-break makes row order
@@ -28,7 +28,7 @@ let table_strings t =
    and demand identical schemas and identical rows in identical order. *)
 let check_parity ?(mk = store) ?step_impl msg plan =
   let boxed = Eval.run ?step_impl (mk ()) plan in
-  let physical = Physical.run ?step_impl (mk ()) (Lower.lower plan) in
+  let physical = Physical.run ?step_impl (mk ()) plan in
   Alcotest.(check (list string))
     (msg ^ ": schema")
     (Array.to_list (Table.schema boxed))
@@ -48,9 +48,9 @@ let run_outcome run =
 let check_error_parity ?(mk = store) msg plan =
   Alcotest.(check string) msg
     (run_outcome (fun () -> Eval.run (mk ()) plan))
-    (run_outcome (fun () -> Physical.run (mk ()) (Lower.lower plan)))
+    (run_outcome (fun () -> Physical.run (mk ()) plan))
 
-(* ------------------------------------------------------------ lowering *)
+(* ------------------------------------------------- one kernel per node *)
 
 let test_one_kernel_per_node () =
   let b = Plan.builder () in
@@ -65,14 +65,11 @@ let test_one_kernel_per_node () =
          "keep" Plan.P_lt "item" "five")
       "keep"
   in
-  let pp = Lower.lower p in
-  Alcotest.(check int) "kernels = logical ops" (Plan.count_ops p)
-    (Lower.count_kernels pp);
   check_parity "attach · fun2 · select" p;
   (* the profile counts one kernel (and one covered op) per node, with
      the rows every kernel read and produced *)
   let prof = Profile.create () in
-  ignore (Physical.run ~profile:prof (store ()) pp);
+  ignore (Physical.run ~profile:prof (store ()) p);
   let ph = Profile.phys prof in
   Alcotest.(check (pair int int)) "profiled kernels, covered ops" (4, 4)
     (ph.Profile.kernels, ph.Profile.fused_ops);
@@ -88,16 +85,12 @@ let test_sharing_preserved () =
   let left = Plan.fun2 b shared "s" Plan.P_add "item" "k" in
   let p = Plan.union b (Plan.project b left [ ("item", "s") ])
       (Plan.project b shared [ ("item", "item") ]) in
-  let pp = Lower.lower p in
-  let rec find_shared (n : Physical.pnode) seen =
-    if List.memq n.Physical.pid !seen then true
-    else begin
-      seen := n.Physical.pid :: !seen;
-      List.exists (fun c -> find_shared c seen) n.Physical.pinputs
-    end
-  in
-  Alcotest.(check bool) "shared node kept its own kernel" true
-    (find_shared pp (ref []));
+  (* the shared node runs once: one kernel per distinct node (6), not
+     per node of the plan unfolded as a tree (8) *)
+  let prof = Profile.create () in
+  ignore (Physical.run ~profile:prof (store ()) p);
+  Alcotest.(check (pair int int)) "kernels run, tree nodes" (6, 8)
+    ((Profile.phys prof).Profile.kernels, Plan.count_tree_nodes p);
   check_parity "sharing preserved" p
 
 (* -------------------------------------------------------- empty tables *)
@@ -166,9 +159,6 @@ let test_select_of_select () =
          (Plan.fun2 b sel1 "bnd" Plan.P_lt "item" "iter") "t" (v_bool true))
       "bnd"
   in
-  let pp = Lower.lower sel2 in
-  Alcotest.(check int) "one kernel per logical node" (Plan.count_ops sel2)
-    (Lower.count_kernels pp);
   check_parity "select of select" sel2;
   (* a selection stacked directly on a selection (no recompute between) *)
   check_parity "directly stacked selects"
@@ -375,7 +365,6 @@ let table_rows t = Array.to_list (Table.schema t) @ table_strings t
    profile of the serial run. *)
 let check_keyed msg plan =
   let reference = table_rows (Eval.run (keys_store ()) plan) in
-  let pp = Lower.lower plan in
   let serial = Profile.create () in
   List.iter
     (fun jobs ->
@@ -383,7 +372,8 @@ let check_keyed msg plan =
        Alcotest.(check (list string))
          (Printf.sprintf "%s (jobs=%d)" msg jobs)
          reference
-         (table_rows (Physical.run ?profile ~jobs ~morsel:4 (keys_store ()) pp)))
+         (table_rows
+            (Physical.run ?profile ~jobs ~morsel:4 (keys_store ()) plan)))
     [ 1; 4 ];
   Profile.phys serial
 
@@ -504,20 +494,20 @@ let test_join_paths () =
   let hashed = join (side "a" "x" [ 2; 1; 2 ]) (side "b" "y" [ 1; 2 ]) in
   let profile = Profile.create () in
   List.iter
-    (fun p -> ignore (Physical.run ~profile (store ()) (Lower.lower p)))
+    (fun p -> ignore (Physical.run ~profile (store ()) p))
     [ aligned; merged; hashed ];
   let line = "physical: equi-joins 1 aligned, 1 merged, 1 hashed" in
   Alcotest.(check bool) ("profile prints: " ^ line) true
     (Astring.String.is_infix ~affix:line (Profile.to_string profile))
 
-(* The physical dump reads its column types from the logical plan it is
-   given: a string key stamps the join [code], and the types print. *)
+(* The physical dump reads its column types from the plan's property
+   analysis: a string key stamps the join [code], and the types print. *)
 let test_dump_types () =
   let b = Plan.builder () in
   let l = key_side b `Code ~key:"a" ~pay:"x" ~base:0 [ 1; 2 ] in
   let r = key_side b `Str ~key:"b" ~pay:"y" ~base:100 [ 2; 3 ] in
   let plan = Plan.join b l r "a" "b" in
-  let dump = Lower.to_string ~plan (Lower.lower plan) in
+  let dump = Lower.to_string plan in
   List.iter
     (fun affix ->
        Alcotest.(check bool) (Printf.sprintf "dump has %S: %s" affix dump)
@@ -632,7 +622,7 @@ let test_step_errors () =
   check_error_parity ~mk:two_docs "node and integer items" p;
   Alcotest.(check string) "the reference executor's message"
     "dynamic: expected a node, got xs:integer"
-    (run_outcome (fun () -> Physical.run (two_docs ()) (Lower.lower p)))
+    (run_outcome (fun () -> Physical.run (two_docs ()) p))
 
 (* The physical plan dump names the step's axis and node test. *)
 let test_step_plan_dump () =
@@ -641,7 +631,7 @@ let test_step_plan_dump () =
   let plan =
     Plan.step b input Xmldb.Axis.Child (Plan.N_name (Xmldb.Qname.make "seller"))
   in
-  let dump = Lower.to_string ~plan (Lower.lower plan) in
+  let dump = Lower.to_string plan in
   Alcotest.(check bool) ("dump has the step kernel: " ^ dump) true
     (Astring.String.is_infix ~affix:"] step [child::seller]" dump)
 
@@ -683,9 +673,7 @@ let test_corpus_parity () =
   in
   List.iter
     (fun (name, q) ->
-       let stats = Engine.stats_of_store (corpus_store ()) in
-       let plan = (Engine.analyze ~stats q).Engine.aoptimized in
-       let pp = Lower.lower plan in
+       let plan = (Engine.analyze q).Engine.aoptimized in
        let outcome run =
          let guard = Basis.Budget.start Basis.Budget.unlimited in
          let rows =
@@ -704,7 +692,7 @@ let test_corpus_parity () =
               (Printf.sprintf "%s (jobs=%d)" name jobs)
               reference
               (outcome (fun ~guard st ->
-                   Physical.run ~guard ~jobs ~morsel:4 st pp)))
+                   Physical.run ~guard ~jobs ~morsel:4 st plan)))
          [ 1; 4 ])
     (files @ Xmark.Xmark_queries.all)
 
@@ -716,9 +704,7 @@ let test_budget_through_physical () =
   let p = Plan.distinct b (Plan.fun2 b big "r" Plan.P_mul "item" "item") in
   let spec = Basis.Budget.limits ~max_rows:50 () in
   let outcome () =
-    match Physical.run ~guard:(Basis.Budget.start spec) (store ())
-            (Lower.lower p)
-    with
+    match Physical.run ~guard:(Basis.Budget.start spec) (store ()) p with
     | (_ : Table.t) -> "ok"
     | exception Basis.Err.Resource_error _ -> "resource"
   in

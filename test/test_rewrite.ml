@@ -4,8 +4,7 @@
      1. per-rule unit fixtures over hand-built plans — each rule has a
         case where it fires (and the plan shape changes as advertised)
         and a case where it provably must not (its guard would be
-        violated: result column selected on, order-sensitive consumer,
-        balanced cardinalities);
+        violated: result column selected on, order-sensitive consumer);
 
      2. executable soundness — for the order-changing rules, the
         original and rewritten plans are evaluated and compared as
@@ -130,29 +129,6 @@ let test_join_cross_elim () =
   let _, s2 = R.optimize b2 guarded in
   Alcotest.(check int) "no fire under rowid" 0 (fire "join-cross-elim" s2)
 
-let test_join_swap () =
-  let small = ints [ [ 1 ]; [ 2 ] ] in
-  let big = ints (List.init 64 (fun i -> [ i mod 3 ])) in
-  let b = P.builder () in
-  let l = lit b [ "a" ] small in
-  let r = lit b [ "b" ] big in
-  let join = P.mk b (P.Join { left = l; right = r; lcol = "a"; rcol = "b" }) in
-  let root, s = R.optimize b join in
-  Alcotest.(check int) "fires on skew" 1 (fire "join-swap" s);
-  (match root.P.op with
-   | P.Join { lcol; rcol; _ } ->
-     Alcotest.(check (pair string string)) "columns mirrored" ("b", "a")
-       (lcol, rcol)
-   | _ -> Alcotest.fail "expected a join root");
-  check_rows ~sort:true "same multiset" join root;
-  (* guard: balanced inputs stay put (no oscillation) *)
-  let b2 = P.builder () in
-  let l2 = lit b2 [ "a" ] big in
-  let r2 = lit b2 [ "b" ] big in
-  let join2 = P.mk b2 (P.Join { left = l2; right = r2; lcol = "a"; rcol = "b" }) in
-  let _, s2 = R.optimize b2 join2 in
-  Alcotest.(check int) "no fire when balanced" 0 (fire "join-swap" s2)
-
 (* --------------------- property-driven rules: CDA's and sort elision *)
 
 let pos_item b n =
@@ -271,8 +247,7 @@ let () =
     [ ("rules",
        [ Alcotest.test_case "select pushdown" `Quick test_select_pushdown;
          Alcotest.test_case "join synthesis" `Quick test_join_synthesis;
-         Alcotest.test_case "join-cross elimination" `Quick test_join_cross_elim;
-         Alcotest.test_case "join swap" `Quick test_join_swap ]);
+         Alcotest.test_case "join-cross elimination" `Quick test_join_cross_elim ]);
       ("properties",
        [ Alcotest.test_case "keyed distinct elision" `Quick
            test_keyed_distinct_elision;
