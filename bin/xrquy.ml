@@ -135,7 +135,8 @@ let no_join_isolation_arg =
 
 let tag_index_arg =
   Arg.(value & flag & info [ "tag-index" ]
-         ~doc:"Evaluate steps with TwigStack-style tag-indexed element                streams instead of the staircase scan.")
+         ~doc:"Evaluate steps with TwigStack-style tag-indexed element \
+               streams instead of the staircase scan.")
 
 let timeout_arg =
   Arg.(value & opt (some float) None

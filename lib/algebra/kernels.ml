@@ -26,11 +26,14 @@ type env = {
          physical layer. Results are bit-identical on or off. *)
   bulk_decodes : int Atomic.t;
       (* column rows this run's batched staircase scans decoded *)
+  steps_reused : int Atomic.t;
+      (* context rows this run's loop-lifted steps answered from an
+         earlier run's result *)
 }
 
 let env ?tag_index ?(code_eval = true) store =
   { store; tag_index; id_index = None; code_eval;
-    bulk_decodes = Atomic.make 0 }
+    bulk_decodes = Atomic.make 0; steps_reused = Atomic.make 0 }
 
 let id_index env =
   match env.id_index with
@@ -798,10 +801,10 @@ let step_lifted env axis test rows =
   let test = resolve_test env.store test in
   match env.tag_index with
   | Some ti when Xmldb.Tag_index.applicable axis test ->
-    Xmldb.Tag_index.step_lifted ti axis test rows
+    Xmldb.Tag_index.step_lifted ~reused:env.steps_reused ti axis test rows
   | _ ->
     Xmldb.Staircase.step_lifted ~batch:env.code_eval ~decoded:env.bulk_decodes
-      env.store axis test rows
+      ~reused:env.steps_reused env.store axis test rows
 
 let eval_doc store t =
   let itemc = Table.col t "item" in

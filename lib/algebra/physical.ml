@@ -1591,13 +1591,16 @@ let k_aggr ctx ~par b res agg arg part order =
 (* The step operator ⊘ over the whole batch: [iter] read as machine ints,
    [item] as a node column, one loop-lifted call ([Kernels.step_lifted]),
    an Ints/Nodes batch out — no boxed row per result and no boxed table.
-   Rows come out in the boxed kernel's order (iterations in input order;
-   within one, document order without duplicates), so results, errors
-   and budget charges are unchanged. The loop-lifted call needs each
-   iteration to be one run of rows; when the iters are not
-   non-decreasing, or [item] is not a node column, the boxed
-   per-iteration kernel runs instead — which is also what raises the
-   "expected a node" error. *)
+   The call writes its rows straight into the int arrays that become
+   the batch's columns, and steps each distinct context of its one-row
+   iterations once ([Xmldb.Staircase.drive]; the profile's
+   [steps_reused] counts the rest). Rows come out in the boxed kernel's
+   order (iterations in input order; within one, document order without
+   duplicates), so results, errors and budget charges are unchanged.
+   The loop-lifted call needs each iteration to be one run of rows;
+   when the iters are not non-decreasing, or [item] is not a node
+   column, the boxed per-iteration kernel runs instead — which is also
+   what raises the "expected a node" error. *)
 let k_step ctx b axis test =
   let typed (r : Xmldb.Staircase.rows) =
     let n = Array.length r.pre in
@@ -1755,5 +1758,6 @@ let run ?profile ?guard ?step_impl ?mode ?jobs ?morsel ?code_eval store
   in
   let out = eval ctx root in
   bump ctx (fun p ->
-      Profile.add_bulk_decodes p (Atomic.get ctx.env.Kernels.bulk_decodes));
+      Profile.add_bulk_decodes p (Atomic.get ctx.env.Kernels.bulk_decodes);
+      Profile.add_steps_reused p (Atomic.get ctx.env.Kernels.steps_reused));
   to_table ctx out

@@ -168,8 +168,50 @@ let scan_batched scr f tr lo hi ~before_ctx emit =
        ignore (Atomic.fetch_and_add c (cols * (hi + 1 - lo))))
     scr.decoded
 
+(* -- the output buffer ---------------------------------------------------- *)
+
+(* One loop-lifted call writes its result rows in place: row [k < len]
+   is result [pre.(k)] of fragment [frag.(k)] in iteration [iter.(k)].
+   A slice's evaluation stores only pres ([emit]); the walk then tags
+   the slice's rows with their iter and fragment ([tag]), so the scan
+   loops write one int per result. The three arrays grow separately:
+   a single large slice grows [pre] while it is scanned and the other
+   two once, to its size. *)
+type out = {
+  mutable o_iter : int array;
+  mutable o_frag : int array;
+  mutable o_pre : int array;
+  mutable len : int;
+}
+
+let out_create cap =
+  { o_iter = Array.make cap 0; o_frag = Array.make cap 0;
+    o_pre = Array.make cap 0; len = 0 }
+
+(* [a], or a copy of its first [keep] ints with room for [need]. *)
+let grown a need keep =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 keep;
+    b
+  end
+
+let emit o pre =
+  if o.len = Array.length o.o_pre then
+    o.o_pre <- grown o.o_pre (o.len + 1) o.len;
+  Array.unsafe_set o.o_pre o.len pre;
+  o.len <- o.len + 1
+
+(* Tag the rows from [start] on as iteration [it]'s, in fragment [f]. *)
+let tag o start it f =
+  o.o_iter <- grown o.o_iter o.len start;
+  o.o_frag <- grown o.o_frag o.len start;
+  Array.fill o.o_iter start (o.len - start) it;
+  Array.fill o.o_frag start (o.len - start) f
+
 (* One fragment's share of one iteration: [ctxs] are its context pres,
-   ascending and duplicate-free. Result pres are pushed onto [out]; the
+   ascending and duplicate-free. Result pres are emitted into [out]; the
    return value says whether they came out ascending and duplicate-free.
    [scr] is the call's lazily allocated scan scratch ([None]: batching
    off, or not a contiguous-range axis). *)
@@ -177,7 +219,7 @@ let eval_group scr store (axis : Axis.t) test frag_id (ctxs : int array) out =
   let f = Doc_store.frag store frag_id in
   let n = Doc_store.frag_length f in
   let m pre = matches f test pre in
-  let emit pre = Vec.push out pre in
+  let emit pre = emit out pre in
   let size_ pre = Doc_store.size_at f pre in
   let parent_ pre = Doc_store.parent_at f pre in
   let is_attr pre =
@@ -354,40 +396,126 @@ let sort_dedup (v : Node_id.t Vec.t) =
    A run already strictly ascending in document order (always so for a
    one-row run) is cut into per-fragment slices as it stands; any other
    run is sorted and deduplicated first. Every fragment's slice goes
-   through [group], which pushes result pres onto one output vector for
-   the whole call; a slice whose results come back unsorted is
-   sort-deduplicated in its own segment of that vector. *)
+   through [group], which emits result pres into the call's output; a
+   slice whose results come back unsorted is sort-deduplicated in
+   place.
+
+   A path that depends only on an outer value but sits in a predicate
+   that reads the loop variable steps the same context once per
+   iteration: one-row runs that repeat a handful of contexts. [drive]
+   evaluates each distinct context of a one-row run once per call; a
+   later one-row run on the same context copies the earlier run's rows
+   under its own iter. One scan decides whether to look: when the
+   contexts strictly ascend over all rows, no two rows share one, and
+   no table is built. *)
 
 type rows = { iter : int array; frag : int array; pre : int array }
 
-type group_eval = int -> int array -> int Vec.t -> bool
+type group_eval = int -> int array -> out -> bool
 
-(* Sort and adjacent-dedup [out]'s elements from [start] on. *)
-let sort_dedup_tail (out : int Vec.t) start =
-  let seg =
-    Array.init (Vec.length out - start) (fun k -> Vec.get out (start + k))
-  in
+(* Sort and adjacent-dedup the pres from [start] on. *)
+let sort_dedup_tail o start =
+  let seg = Array.sub o.o_pre start (o.len - start) in
   Array.sort Int.compare seg;
-  Vec.truncate out start;
-  Array.iteri
-    (fun k p -> if k = 0 || seg.(k - 1) <> p then Vec.push out p)
-    seg
+  o.len <- start;
+  Array.iteri (fun k p -> if k = 0 || seg.(k - 1) <> p then emit o p) seg
 
-let drive (group : group_eval) (r : rows) : rows =
+(* Append the pres [s, s + l) again. *)
+let repeat o s l =
+  o.o_pre <- grown o.o_pre (o.len + l) o.len;
+  Array.blit o.o_pre s o.o_pre o.len l;
+  o.len <- o.len + l
+
+(* The contexts of one call's one-row runs: open addressing from
+   [(frag lsl 32) lor pre] (a pre fits in 32 bits: the packed columns
+   are u32) to the start and length of that context's first result rows
+   in the output. Slot [i] is [slots.(3i)], the key or -1 when empty,
+   then the start and the length. The table doubles when half full, so
+   it is sized by the distinct contexts, not by the rows. *)
+type memo = {
+  mutable slots : int array;
+  mutable used : int;
+  mutable shift : int;  (* the slot is the top bits of [key * mult] *)
+}
+
+let mult = 0x2545F4914F6CDD1D
+
+let memo_create () =
+  let bits = 4 in
+  { slots = Array.make (3 lsl bits) (-1); used = 0;
+    shift = Sys.int_size - bits }
+
+(* The slot holding [key], or the empty slot where it goes. *)
+let memo_slot m key =
+  let mask = (Array.length m.slots / 3) - 1 in
+  let rec probe i =
+    let k = Array.unsafe_get m.slots (3 * i) in
+    if k = key || k < 0 then i else probe ((i + 1) land mask)
+  in
+  probe ((key * mult) lsr m.shift)
+
+let memo_set m i key start len =
+  m.slots.(3 * i) <- key;
+  m.slots.((3 * i) + 1) <- start;
+  m.slots.((3 * i) + 2) <- len
+
+(* Record [key] in the empty slot [i] that [memo_slot] found. *)
+let memo_add m i key start len =
+  memo_set m i key start len;
+  m.used <- m.used + 1;
+  if 2 * m.used > Array.length m.slots / 3 then begin
+    let old = m.slots in
+    m.slots <- Array.make (2 * Array.length old) (-1);
+    m.shift <- m.shift - 1;
+    for j = 0 to (Array.length old / 3) - 1 do
+      let k = old.(3 * j) in
+      if k >= 0 then
+        memo_set m (memo_slot m k) k old.((3 * j) + 1) old.((3 * j) + 2)
+    done
+  end
+
+(* Do the contexts strictly ascend in document order over all rows? *)
+let strictly_ascending (r : rows) =
+  let n = Array.length r.pre in
+  let k = ref 1 in
+  while
+    !k < n
+    && (let f0 = r.frag.(!k - 1) and f1 = r.frag.(!k) in
+        f1 > f0 || (f1 = f0 && r.pre.(!k) > r.pre.(!k - 1)))
+  do
+    incr k
+  done;
+  !k >= n
+
+let drive ?reused (group : group_eval) (r : rows) : rows =
   let n = Array.length r.iter in
-  let out = Vec.create 0 in
-  (* one segment per (run, fragment) slice with results: its iter, its
-     fragment, and the end of its pres in [out] *)
-  let seg_iter = Vec.create 0 and seg_frag = Vec.create 0 in
-  let seg_end = Vec.create 0 in
+  let o = out_create (max n 16) in
   let slice it f ctxs =
-    let start = Vec.length out in
-    if not (group f ctxs out) then sort_dedup_tail out start;
-    if Vec.length out > start then begin
-      Vec.push seg_iter it;
-      Vec.push seg_frag f;
-      Vec.push seg_end (Vec.length out)
-    end
+    let start = o.len in
+    if not (group f ctxs o) then sort_dedup_tail o start;
+    tag o start it f
+  in
+  let one = [| 0 |] in
+  let memo = if strictly_ascending r then None else Some (memo_create ()) in
+  let hits = ref 0 in
+  let one_row it f p =
+    one.(0) <- p;
+    match memo with
+    | None -> slice it f one
+    | Some m ->
+      let key = (f lsl 32) lor p in
+      let i = memo_slot m key in
+      if m.slots.(3 * i) = key then begin
+        let start = o.len in
+        repeat o m.slots.((3 * i) + 1) m.slots.((3 * i) + 2);
+        tag o start it f;
+        incr hits
+      end
+      else begin
+        let start = o.len in
+        slice it f one;
+        memo_add m i key start (o.len - start)
+      end
   in
   let i = ref 0 in
   while !i < n do
@@ -401,7 +529,8 @@ let drive (group : group_eval) (r : rows) : rows =
     done;
     if !j < n && r.iter.(!j) < it then
       Err.internal "Staircase.drive: iters are not non-decreasing";
-    if !ascending then begin
+    if !j = !i + 1 then one_row it r.frag.(!i) r.pre.(!i)
+    else if !ascending then begin
       let k = ref !i in
       while !k < !j do
         let f = r.frag.(!k) in
@@ -421,16 +550,11 @@ let drive (group : group_eval) (r : rows) : rows =
     end;
     i := !j
   done;
-  let m = Vec.length out in
-  let iter = Array.make m 0 and frag = Array.make m 0 in
-  let s = ref 0 in
-  for g = 0 to Vec.length seg_end - 1 do
-    let e = Vec.get seg_end g in
-    Array.fill iter !s (e - !s) (Vec.get seg_iter g);
-    Array.fill frag !s (e - !s) (Vec.get seg_frag g);
-    s := e
-  done;
-  { iter; frag; pre = Vec.to_array out }
+  (match reused with
+   | Some c when !hits > 0 -> ignore (Atomic.fetch_and_add c !hits)
+   | _ -> ());
+  let fit a = if Array.length a = o.len then a else Array.sub a 0 o.len in
+  { iter = fit o.o_iter; frag = fit o.o_frag; pre = fit o.o_pre }
 
 let of_nodes (contexts : Node_id.t array) =
   { iter = Array.make (Array.length contexts) 0;
@@ -441,7 +565,7 @@ let to_nodes r =
   Array.init (Array.length r.pre) (fun k ->
       Node_id.make ~frag:r.frag.(k) ~pre:r.pre.(k))
 
-let step_lifted ?(batch = true) ?decoded store (axis : Axis.t)
+let step_lifted ?(batch = true) ?decoded ?reused store (axis : Axis.t)
     (test : Node_test.t) rows =
   let scr =
     match (batch, axis) with
@@ -450,7 +574,8 @@ let step_lifted ?(batch = true) ?decoded store (axis : Axis.t)
       Some (lazy (mk_scratch decoded))
     | _ -> None
   in
-  drive (eval_group scr store axis (resolve_test store axis test)) rows
+  drive ?reused
+    (eval_group scr store axis (resolve_test store axis test)) rows
 
 let step ?batch ?decoded store axis test contexts =
   to_nodes (step_lifted ?batch ?decoded store axis test (of_nodes contexts))

@@ -20,7 +20,9 @@ type rows = { iter : int array; frag : int array; pre : int array }
     for [descendant](-or-self) (each result region is scanned once),
     earliest-context-only evaluation of [following], latest-context-only
     evaluation of [preceding]. Axes whose per-context results interleave
-    fall back to collect + sort + dedup of that run's results.
+    fall back to collect + sort + dedup of that run's results. Across
+    runs, each distinct context of a one-row run is evaluated once per
+    call (see {!drive}).
 
     [batch] (default [true]) lets the three contiguous-range axes
     ([descendant](-or-self), [following], [preceding]) decode kind/name
@@ -31,14 +33,17 @@ type rows = { iter : int array; frag : int array; pre : int array }
     [--no-code-eval]).
 
     [decoded], when given, is credited with every column row a batched
-    scan decodes (kinds, plus name codes for a name test and sizes for
-    [preceding]). It belongs to the caller's run, so concurrent runs
-    never see each other's counts.
+    scan actually decodes (kinds, plus name codes for a name test and
+    sizes for [preceding]): a one-row run answered from an earlier
+    run's result decodes nothing. [reused], when given, is credited
+    with every one-row run so answered. Both belong to the caller's run,
+    so concurrent runs never see each other's counts.
 
     Raises {!Basis.Err.Internal_error} when the iters decrease. *)
 val step_lifted :
   ?batch:bool ->
   ?decoded:int Atomic.t ->
+  ?reused:int Atomic.t ->
   Doc_store.t -> Axis.t -> Node_test.t -> rows -> rows
 
 (** [step store axis test contexts] is {!step_lifted} over a single
@@ -56,16 +61,29 @@ val principal_kind : Axis.t -> Node_kind.t
 (** {2 Shared helpers} (used by alternative step implementations such as
     {!Tag_index}) *)
 
+(** The output of one {!drive} call, written in place. *)
+type out
+
+(** [emit out pre] appends result [pre] to the slice being evaluated;
+    {!drive} supplies its iter and fragment when the slice is done. *)
+val emit : out -> int -> unit
+
 (** [group frag ctxs out] evaluates one fragment's share of one
     iteration: the context pres [ctxs] of fragment [frag], ascending and
-    duplicate-free. It pushes the result pres onto [out] and returns
+    duplicate-free (an array the caller may reuse once [group]
+    returns). It {!emit}s the result pres into [out] and returns
     whether they came out ascending and duplicate-free. *)
-type group_eval = int -> int array -> int Basis.Vec.t -> bool
+type group_eval = int -> int array -> out -> bool
 
 (** The run-by-run walk behind {!step_lifted}, with [group] evaluating
     each (iteration, fragment) slice; same input contract and output
-    order. *)
-val drive : group_eval -> rows -> rows
+    order. [group] is called once per distinct context of the call's
+    one-row runs: a later one-row run on the same (frag, pre) gets a
+    copy of the first one's rows under its own iter, and counts one in
+    [reused]. When the contexts strictly ascend over all rows, no two
+    share a context and no lookup table is built. Multi-row runs are
+    always evaluated. *)
+val drive : ?reused:int Atomic.t -> group_eval -> rows -> rows
 
 (** One iteration (iter 0) over the given contexts. *)
 val of_nodes : Node_id.t array -> rows

@@ -10,7 +10,8 @@
    on the same optimized plan}, the logical rewriter {on, off — both
    against each other and against the interpreter}, morsel-parallel
    execution {jobs 4 over tiny forced morsels, with the serial runs as
-   oracle}, the prepared-plan cache {cold, warm}, the query server
+   oracle}, the step operator's realization {staircase scan, tag
+   index}, the prepared-plan cache {cold, warm}, the query server
    {direct Engine, loopback TCP through a lazily started in-process
    server} and the ingest path {monolithic parse, chunked streaming
    ingest}, asserting
@@ -98,7 +99,7 @@ let gen_query ~lax prng =
     if depth <= 0 then atom ()
     else
       let sub () = gen (depth - 1) vars in
-      match Prng.int prng 16 with
+      match Prng.int prng 17 with
       | 0 ->
         let op = Prng.pick prng [| "+"; "-"; "*" |] in
         Printf.sprintf "(%s %s %s)" (sub ()) op (sub ())
@@ -155,6 +156,17 @@ let gen_query ~lax prng =
       | 14 ->
         lax := true;
         Printf.sprintf "distinct-values((%s, %s))" (sub ()) (sub ())
+      | 15 ->
+        (* a path that depends on no variable, under a predicate that
+           reads the loop variable: the loop-lifted steps see every
+           context node once per iteration *)
+        let v = Prng.pick prng var_names in
+        let tag = Prng.pick prng [| "b"; "c"; "e"; "*" |] in
+        let s = Prng.pick prng [| "*"; "@k"; "text()"; "node()"; ".." |] in
+        Printf.sprintf
+          "(for $%s in (%s) return count(doc(\"t.xml\")/a/%s[boolean((%s, \
+           $%s, 0)[1])]))"
+          v (sub ()) tag s v
       | _ -> Printf.sprintf "<r>{%s}</r>" (sub ())
   in
   gen (2 + Prng.int prng 2) []
@@ -368,6 +380,10 @@ let configs ~budget_spec =
      plain { Engine.default_opts with Engine.code_eval = false });
     ("compiled/no-code-eval/parallel",
      plain { parallel with Engine.code_eval = false });
+    (* the second realization of the step operator: tag-indexed element
+       streams through the same loop-lifted walk as the staircase scan *)
+    ("compiled/tag-index",
+     plain { Engine.default_opts with Engine.step_impl = Algebra.Eval.Tag_index });
     (* the ingest dimension: a store ingested through the streaming reader
        in 3-byte chunks over a 16-byte window must be invisible to every
        query *)

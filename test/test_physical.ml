@@ -612,6 +612,55 @@ let test_step_parity () =
   check_step_parity "non-monotone iters"
     [ [| v_int 2; a 1 |]; [| v_int 1; z 1 |]; [| v_int 2; a 2 |] ]
 
+(* One-row runs that step the same context again, in no document order
+   and across both documents: the loop-lifted call steps each distinct
+   context once and copies its rows for the later runs. Every axis and
+   both step realizations must still give the reference executor's rows,
+   and the profile counts the copied runs: a multi-row run is always
+   stepped, so the mixed batch reuses only its last two one-row runs. *)
+let test_step_repeated_contexts () =
+  let a = doc_node "a.xml" and z = doc_node "z.xml" in
+  let one_row =
+    List.mapi
+      (fun i n -> [| v_int (i + 1); n |])
+      [ a 1; z 1; a 1; a 2; z 1; a 1 ]
+  in
+  let mixed =
+    [ [| v_int 1; a 1 |]; [| v_int 2; z 1 |]; [| v_int 3; a 5 |];
+      [| v_int 3; a 1 |]; [| v_int 3; z 1 |]; [| v_int 4; a 1 |];
+      [| v_int 6; z 1 |] ]
+  in
+  check_step_parity "repeated contexts" one_row;
+  check_step_parity "repeated contexts and a multi-row run" mixed;
+  let reused rows (axis, test) step_impl =
+    let b = Plan.builder () in
+    let p = Plan.step b (Plan.lit b [| "iter"; "item" |] rows) axis test in
+    let prof = Profile.create () in
+    ignore (Physical.run ~profile:prof ~step_impl (two_docs ()) p);
+    ((Profile.phys prof).Profile.steps_reused, Profile.to_string prof)
+  in
+  List.iter
+    (fun case ->
+       List.iter
+         (fun step_impl ->
+            let n, text = reused one_row case step_impl in
+            Alcotest.(check int) "one-row runs: contexts reused" 3 n;
+            let line = "physical: 3 step contexts reused" in
+            Alcotest.(check bool) ("profile prints: " ^ line) true
+              (Astring.String.is_infix ~affix:line text);
+            Alcotest.(check int) "with a multi-row run: contexts reused" 2
+              (fst (reused mixed case step_impl)))
+         [ Eval.Scan; Eval.Tag_index ])
+    step_cases;
+  (* ascending contexts are all distinct: nothing reused, no line *)
+  let ascending =
+    [ [| v_int 1; a 1 |]; [| v_int 2; a 2 |]; [| v_int 3; z 1 |] ]
+  in
+  let n, text = reused ascending (List.hd step_cases) Eval.Scan in
+  Alcotest.(check int) "ascending: nothing reused" 0 n;
+  Alcotest.(check bool) "ascending: no reuse line" false
+    (Astring.String.is_infix ~affix:"contexts reused" text)
+
 let test_step_errors () =
   let b = Plan.builder () in
   let mixed =
@@ -746,6 +795,8 @@ let () =
            test_rownum_runs ]);
       ("steps",
        [ Alcotest.test_case "step parity" `Quick test_step_parity;
+         Alcotest.test_case "repeated contexts" `Quick
+           test_step_repeated_contexts;
          Alcotest.test_case "step errors" `Quick test_step_errors;
          Alcotest.test_case "plan dump" `Quick test_step_plan_dump ]);
       ("budgets",

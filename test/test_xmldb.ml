@@ -558,8 +558,10 @@ let tag_index_prop =
    attribute rows, ascending or arbitrary order — or every node of both,
    so that contexts nest. Its rows must be exactly the per-iteration
    results tagged with their iter, and a batched run must decode exactly
-   as many column rows. *)
-let lifted_input (src1, src2, seed) =
+   as many column rows as the per-iteration steps of every run but the
+   one-row runs that repeat an earlier one-row run's context (those are
+   answered from the earlier result). *)
+let two_doc_nodes (src1, src2) =
   let st = store () in
   let nodes =
     Array.concat
@@ -571,6 +573,19 @@ let lifted_input (src1, src2, seed) =
               (fun pre -> Node_id.make ~frag:frag_id ~pre))
          [ src1; src2 ])
   in
+  (st, nodes)
+
+let rows_of_runs runs =
+  { Staircase.iter =
+      Array.concat
+        (List.map (fun (it, c) -> Array.make (Array.length c) it) runs);
+    frag =
+      Array.concat (List.map (fun (_, c) -> Array.map Node_id.frag c) runs);
+    pre =
+      Array.concat (List.map (fun (_, c) -> Array.map Node_id.pre c) runs) }
+
+let lifted_input (src1, src2, seed) =
+  let st, nodes = two_doc_nodes (src1, src2) in
   let rng = Basis.Prng.create seed in
   let iter = ref (Basis.Prng.int rng 3) in
   let runs =
@@ -587,16 +602,7 @@ let lifted_input (src1, src2, seed) =
         iter := !iter + 1 + Basis.Prng.int rng 2;
         run)
   in
-  let rows =
-    { Staircase.iter =
-        Array.concat
-          (List.map (fun (it, c) -> Array.make (Array.length c) it) runs);
-      frag =
-        Array.concat (List.map (fun (_, c) -> Array.map Node_id.frag c) runs);
-      pre =
-        Array.concat (List.map (fun (_, c) -> Array.map Node_id.pre c) runs) }
-  in
-  (st, runs, rows)
+  (st, runs, rows_of_runs runs)
 
 let lifted_rows (r : Staircase.rows) =
   List.init (Array.length r.pre) (fun k ->
@@ -609,6 +615,20 @@ let per_run_rows step runs =
          (fun n -> Printf.sprintf "%d:%s" it (Node_id.to_string n))
          (Array.to_list (step ctxs)))
     runs
+
+(* The column rows the per-iteration steps decode, skipping each
+   one-row run whose context an earlier one-row run already had. *)
+let per_run_decodes step runs =
+  let decoded = Atomic.make 0 and seen = Hashtbl.create 8 in
+  List.iter
+    (fun (_, ctxs) ->
+       match ctxs with
+       | [| c |] when Hashtbl.mem seen c -> ()
+       | _ ->
+         if Array.length ctxs = 1 then Hashtbl.replace seen ctxs.(0) ();
+         ignore (step decoded ctxs))
+    runs;
+  Atomic.get decoded
 
 let gen_lifted =
   QCheck2.Gen.(tup3 gen_doc gen_doc (int_bound 10000))
@@ -634,27 +654,31 @@ let lifted_prop =
               (fun test ->
                  List.for_all
                    (fun batch ->
-                      let d_runs = Atomic.make 0 and d_lifted = Atomic.make 0 in
+                      let d_lifted = Atomic.make 0 in
                       let want =
-                        per_run_rows
-                          (Staircase.step ~batch ~decoded:d_runs st ax test)
-                          runs
+                        per_run_rows (Staircase.step ~batch st ax test) runs
                       in
                       let got =
                         lifted_rows
                           (Staircase.step_lifted ~batch ~decoded:d_lifted st ax
                              test rows)
                       in
+                      let d_runs =
+                        per_run_decodes
+                          (fun decoded ->
+                             Staircase.step ~batch ~decoded st ax test)
+                          runs
+                      in
                       if got <> want then
                         QCheck2.Test.fail_reportf
                           "axis %s, batch %b: got [%s] want [%s]"
                           (Axis.to_string ax) batch
                           (String.concat ";" got) (String.concat ";" want)
-                      else if Atomic.get d_runs <> Atomic.get d_lifted then
+                      else if d_runs <> Atomic.get d_lifted then
                         QCheck2.Test.fail_reportf
                           "axis %s, batch %b: decoded %d rows, per-run %d"
                           (Axis.to_string ax) batch (Atomic.get d_lifted)
-                          (Atomic.get d_runs)
+                          d_runs
                       else true)
                    [ true; false ])
               tests)
@@ -694,6 +718,86 @@ let lifted_tag_index_prop =
               tests)
          [ Axis.Child; Axis.Descendant; Axis.Descendant_or_self;
            Axis.Attribute ])
+
+(* One-row runs whose contexts repeat, drawn in random order from a
+   small pool over both documents: the walk must hand each distinct
+   context to [group] once and still give every run its per-iteration
+   result. The counting [group] steps its context with [Staircase.step]
+   and emits the result pres. The staircase step over the same rows
+   must give the same rows and decode each distinct context's columns
+   once. *)
+let gen_repeated =
+  QCheck2.Gen.(
+    tup3 (tup2 gen_doc gen_doc) (int_range 1 4) (list_size (int_range 1 30) nat))
+
+let repeated_contexts_prop =
+  QCheck2.Test.make ~count:100
+    ~name:"each distinct context of a one-row run is stepped once"
+    gen_repeated
+    (fun (docs, pool_size, draws) ->
+       let st, nodes = two_doc_nodes docs in
+       let pool =
+         Array.init pool_size (fun k ->
+             nodes.((k * 7919) mod Array.length nodes))
+       in
+       let runs =
+         List.mapi
+           (fun it d -> (2 * it, [| pool.(d mod pool_size) |]))
+           draws
+       in
+       let rows = rows_of_runs runs in
+       let distinct =
+         List.length
+           (List.sort_uniq Node_id.compare
+              (List.map (fun (_, c) -> c.(0)) runs))
+       in
+       List.for_all
+         (fun ax ->
+            List.for_all
+              (fun test ->
+                 let calls = ref 0 in
+                 let group frag ctxs out =
+                   incr calls;
+                   Array.iter
+                     (fun n -> Staircase.emit out (Node_id.pre n))
+                     (Staircase.step st ax test
+                        (Array.map (fun pre -> Node_id.make ~frag ~pre) ctxs));
+                   true
+                 in
+                 let reused = Atomic.make 0 and decoded = Atomic.make 0 in
+                 let got = lifted_rows (Staircase.drive ~reused group rows) in
+                 let want = per_run_rows (Staircase.step st ax test) runs in
+                 let stepped =
+                   lifted_rows
+                     (Staircase.step_lifted ~decoded st ax test rows)
+                 in
+                 let d_runs =
+                   per_run_decodes
+                     (fun decoded -> Staircase.step ~decoded st ax test)
+                     runs
+                 in
+                 if got <> want || stepped <> want then
+                   QCheck2.Test.fail_reportf
+                     "axis %s: got [%s], stepped [%s], want [%s]"
+                     (Axis.to_string ax) (String.concat ";" got)
+                     (String.concat ";" stepped) (String.concat ";" want)
+                 else if Atomic.get decoded <> d_runs then
+                   QCheck2.Test.fail_reportf
+                     "axis %s: decoded %d rows, per distinct context %d"
+                     (Axis.to_string ax) (Atomic.get decoded) d_runs
+                 else if !calls <> distinct then
+                   QCheck2.Test.fail_reportf
+                     "axis %s: %d group calls for %d distinct contexts \
+                      over %d runs"
+                     (Axis.to_string ax) !calls distinct (List.length runs)
+                 else if Atomic.get reused <> List.length runs - distinct then
+                   QCheck2.Test.fail_reportf "axis %s: %d reused, want %d"
+                     (Axis.to_string ax) (Atomic.get reused)
+                     (List.length runs - distinct)
+                 else true)
+              [ Node_test.Any_node; Node_test.Name_wild;
+                Node_test.Name (Doc_store.name_test_id st (Qname.make "b")) ])
+         all_axes)
 
 let roundtrip_prop =
   QCheck2.Test.make ~count:200 ~name:"parse-serialize-parse is stable"
@@ -846,5 +950,5 @@ let () =
             test_ingest_generous_guard_is_invisible ] );
       qsuite "properties"
         [ axis_oracle_prop; tag_index_prop; lifted_prop; lifted_tag_index_prop;
-          roundtrip_prop; encoding_invariants_prop ];
+          repeated_contexts_prop; roundtrip_prop; encoding_invariants_prop ];
     ]
