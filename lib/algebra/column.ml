@@ -233,22 +233,6 @@ let append a b =
   | _ ->
     Mixed (Array.append (to_values a) (to_values b))
 
-(* Estimated footprint: the Budget byte-accounting currency. Typed
-   columns are priced at their flat-array cost; [Mixed] at the boxed
-   cost, as the logical layer would. *)
-let estimated_bytes c =
-  match c with
-  | Ints a -> 16 + (8 * Array.length a)
-  | Dbls a -> 16 + (8 * Array.length a)
-  | Bools b -> 16 + Bytes.length b
-  | Strs { ids; _ } -> 16 + (8 * Array.length ids)
-  | Codes { codes; _ } -> 16 + (8 * Array.length codes)
-  | Nodes { pre; _ } -> 32 + (16 * Array.length pre)
-  | Const { v; _ } -> 16 + Value.estimated_bytes v
-  | Seq _ -> 32
-  | Mixed a ->
-    Array.fold_left (fun acc v -> acc + Value.estimated_bytes v) 16 a
-
 let describe c =
   Printf.sprintf "%s[%d]%s" (ty_name (ty_of c)) (length c)
     (match c with

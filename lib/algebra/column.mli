@@ -67,8 +67,5 @@ val gather : t -> int array -> t
     [Mixed]. [Strs] stay typed only when both share one pool. *)
 val append : t -> t -> t
 
-(** Estimated footprint, the {!Basis.Budget} byte currency. *)
-val estimated_bytes : t -> int
-
 (** One-line summary, e.g. ["int[42] const"], for plan dumps. *)
 val describe : t -> string

@@ -24,8 +24,8 @@
      - jg-select-const: sigma over its own attached constant keeps every
        row (true) or none (false) — the attach IS the predicate. The
        false case prunes the input subtree, which can only suppress
-       dynamic errors: the XQuery 2.3.4 latitude CDA's select pushdown
-       already uses.
+       dynamic errors: the XQuery 2.3.4 latitude the rewriter's select
+       pushdown already uses.
      - jg-empty-prune: an operator fed an empty relation emits an empty
        relation (row-wise operators, joins; NOT unpartitioned Aggr, which
        emits one row from zero, and NOT Union, which jg-union-empty

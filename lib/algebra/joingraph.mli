@@ -12,7 +12,7 @@
     {- ["jg-select-const"] — a selection over its own attached boolean
        constant keeps every row ([true]: the attach is returned as-is) or
        none ([false]: the empty relation — subtree pruning under the
-       XQuery 2.3.4 error latitude CDA's pushdown already uses);}
+       XQuery 2.3.4 error latitude select pushdown already uses);}
     {- ["jg-empty-prune"] — emptiness propagates through row-wise
        operators and join family members (an antijoin against an empty
        right side is its left input, unchanged);}

@@ -4,9 +4,10 @@
    Two mechanisms carry the speedup:
 
      - typed columns ([Column]): batches hold unboxed int/float/bool/
-       string-id/node-id arrays, converted from the boxed representation
-       on demand (per column, cached) and kept typed across operators —
-       in particular across the [Column.gather]s that build join outputs;
+       string-id/node-id arrays, one representation per column — a boxed
+       column is converted the first time a typed kernel reads it and
+       replaced by the result — kept typed across operators, in
+       particular across the [Column.gather]s that build join outputs;
 
      - selection vectors: Select, Distinct, Semijoin and Antijoin deliver
        a selection over their input's rows instead of materializing a new
@@ -21,16 +22,18 @@
 
    Everything without a typed implementation falls back to the boxed
    kernels ([Kernels.eval_op]) through cached table conversions, so the
-   physical layer never has to be complete to be correct. Equality
-   matching — equi-joins, the eq theta join, single-key semi/antijoins
-   and distinct — reads its keys once as machine ints (ints, interned
-   string ids, dictionary codes) and picks per call how to enumerate
-   pairs from what the keys look like: identical strictly ascending keys
-   join zero-copy, two ascending sides merge, anything else goes through
-   one flat hash index ([Int_index]). Every path emits the reference
-   executor's pair order (left rows ascending, right rows ascending
-   within each), so both executors agree bit-for-bit, including row
-   order (Rownum's stability tie-break makes row order observable).
+   physical layer never has to be complete to be correct. Exact
+   equality — the [=]/[!=] predicate, equi-joins, the eq theta join and
+   single-key semi/antijoins — reads its keys through one reader
+   ([match_keys]) as machine ints (ints, interned string ids, dictionary
+   codes); distinct reads its keys as machine ints too. Matching picks
+   per call how to enumerate pairs from what the keys look like:
+   identical strictly ascending keys join zero-copy, two ascending sides
+   merge, anything else goes through one flat hash index ([Int_index]).
+   Every path emits the reference executor's pair order (left rows
+   ascending, right rows ascending within each), so both executors agree
+   bit-for-bit, including row order (Rownum's stability tie-break makes
+   row order observable).
    Keys that need the boxed equality rules, inequality theta joins and
    multi-key semijoins keep the boxed matchers ([Kernels.join_indices] /
    [theta_indices] / [semi_keep]), and float comparisons replicate the
@@ -129,20 +132,15 @@ let parallelizable : Plan.op -> bool = function
    selection vector: the visible rows are [sel] (in that order) when
    present, all of [0 .. base-1] otherwise.
 
-   A column entering from the boxed world stays [Mixed] in [cols] — the
-   boxed view must remain zero-copy, because boxed kernels (node
-   construction, [doc], [textify]) sit between many typed ones and a
-   retype that *replaced* the boxed array would force a full re-boxing
-   pass at the next boxed boundary. (The step kernel is the exception:
-   it builds its output typed, and a boxed consumer boxes it once,
-   through [table].) Typed kernels instead consult [typed], a lazily
-   filled per-column cache of the retyped view ([Some Mixed] records a
-   scan that found the column genuinely heterogeneous, so it is never
-   rescanned). [table] caches the whole-batch boxed view. *)
+   Each column has one representation. A column entering from the boxed
+   world is [Mixed] until a typed kernel reads it; [retyped] then writes
+   the typed column over it, in place. [table] caches the whole-batch
+   boxed view, the one second view: boxed kernels and the final
+   serialization read it, so a boxed consumer of a typed column boxes
+   it once. *)
 type batch = {
   schema : string array;
-  cols : Column.t array;
-  typed : Column.t option array; (* entries mutated by retype caching *)
+  cols : Column.t array;  (* entries replaced by [retyped] *)
   sel : int array option;
   nrows : int;                   (* visible rows ( = |sel| when present ) *)
   base : int;                    (* rows in the base columns *)
@@ -290,7 +288,6 @@ let of_table t =
   let cols = Array.map (fun c -> Column.Mixed c) (Table.columns t) in
   { schema = Table.schema t;
     cols;
-    typed = Array.make (Array.length cols) None;
     sel = None;
     nrows = n;
     base = n;
@@ -315,20 +312,21 @@ let col_pos b name =
   in
   go 0
 
-(* The column, after a cached attempt to tighten Mixed to a typed
-   representation. Dynamic detection is authoritative; the static column
+(* The column, after an attempt to tighten Mixed to a typed
+   representation. A typed result replaces the Mixed column in [cols],
+   so every batch that shares the array (the output of a select, a
+   semi/antijoin or a distinct) reads it typed from then on. A column
+   that scans as heterogeneous stays Mixed and is scanned again at its
+   next typed read. Dynamic detection is authoritative; the static column
    types ([Props]) only ever decorate the plan dump. *)
 let retyped ctx b i =
   match b.cols.(i) with
   | Column.Mixed vs when Array.length vs > 0 -> (
-    match b.typed.(i) with
-    | Some c -> c
-    | None ->
-      let c = Column.of_values ~pool:ctx.pool vs in
-      (match c with
-       | Column.Mixed _ -> ()
-       | _ -> bump ctx Profile.count_retype);
-      b.typed.(i) <- Some c;
+    match Column.of_values ~pool:ctx.pool vs with
+    | Column.Mixed _ as c -> c
+    | c ->
+      bump ctx Profile.count_retype;
+      b.cols.(i) <- c;
       c)
   | c -> c
 
@@ -339,22 +337,16 @@ let with_col b name c =
   { b with
     schema = Array.append b.schema [| name |];
     cols = Array.append b.cols [| c |];
-    typed = Array.append b.typed [| None |];
     table = None }
 
 (* Force the selection into the base: one gather per column, in whatever
-   representation the column has (typed views are gathered alongside, so
-   the retype cache survives compaction). *)
+   representation the column has. *)
 let compact b =
   match b.sel with
   | None -> b
   | Some s ->
     { schema = b.schema;
       cols = Array.map (fun c -> Column.gather c s) b.cols;
-      typed =
-        Array.map
-          (function Some c -> Some (Column.gather c s) | None -> None)
-          b.typed;
       sel = None;
       nrows = b.nrows;
       base = b.nrows;
@@ -381,9 +373,8 @@ let to_table ctx b =
     t
 
 (* A single column's visible rows, boxed (for key columns of matching
-   kernels that have no typed path). Reads the base representation — for
-   Mixed columns this is the original boxed array, no retype scan, no
-   re-boxing. *)
+   kernels that have no typed path). A Mixed column is read as it is,
+   with no retype scan; a typed one is boxed per visible row. *)
 let boxed_vis ctx b name =
   let c = b.cols.(col_pos b name) in
   (* boxing a code-carrying column decodes every visible row: count it as
@@ -457,25 +448,11 @@ let bool_reader c =
   | Column.Const { v = Value.Bool x; _ } -> Some (fun _ -> x)
   | _ -> None
 
-(* String-pool ids, when every row is a string interned in [pool] —
-   id equality is string equality within one pool. *)
-let str_reader pool c =
-  match c with
-  | Column.Strs { pool = p; ids } when p == pool -> Some (fun i -> ids.(i))
-  | _ -> None
-
-(* Code 0 (a row without a value) and the fragment's code for "" both
-   decode to the empty string: [code_norm ctx frag] maps the one onto the
-   other, so that code equality is string equality. *)
-let code_norm ctx frag =
-  match Xmldb.Doc_store.code_of_text ctx.env.Kernels.store frag "" with
-  | Some e -> fun code -> if code = 0 then e else code
-  | None -> fun code -> code
-
 (* Late materialization: expand a code-carrying column to query-pool ids
    (one decode + intern per base row, coordinator-side — String_pool is
-   not thread-safe). Keys of hash joins go through this so string joins
-   keep the pool-id fast path; other columns pass through untouched. *)
+   not thread-safe). Code keys that miss [code_keys] go through this so
+   string equality keeps the pool-id fast path; other columns pass
+   through untouched. *)
 let materialize_codes ctx c =
   match c with
   | Column.Codes { frag; pool; codes } ->
@@ -490,6 +467,83 @@ let materialize_codes ctx c =
     in
     Column.Strs { pool = ctx.pool; ids }
   | c -> c
+
+(* ------------------------------------------------------------ key reader *)
+
+(* Every exact equality — the [=]/[!=] predicate, equi-joins, the eq
+   theta join and single-key semi/antijoins — reads its two key columns
+   through [match_keys], as machine-int arrays indexed like the columns:
+   equal ints are equal keys.
+
+   [code_keys]: keys that compare with no string materialized. Within
+   one fragment, equal codes are equal strings: the store interns every
+   attribute, text, comment and PI value ("" included), so a value row
+   never holds code 0, and same-fragment code columns are their own
+   keys. A string compared with codes is translated into the fragment's
+   code once — once for a constant, once per pool id for interned
+   strings — with -1 for a string the fragment never contains (codes
+   are non-negative, so -1 matches nothing). Runs on the coordinator:
+   pool reads and the memo are not domain-safe. *)
+let code_keys ctx lc rc =
+  let store = ctx.env.Kernels.store in
+  let code frag s =
+    match Xmldb.Doc_store.code_of_text store frag s with
+    | Some k -> k
+    | None -> -1
+  in
+  let interned frag pool ids =
+    let memo : (int, int) Hashtbl.t = Hashtbl.create 8 in
+    Array.map
+      (fun id ->
+         match Hashtbl.find_opt memo id with
+         | Some k -> k
+         | None ->
+           let k = code frag (String_pool.get pool id) in
+           Hashtbl.add memo id k;
+           k)
+      ids
+  in
+  match (lc, rc) with
+  | Column.Codes k1, Column.Codes k2 when k1.frag == k2.frag ->
+    Some (k1.codes, k2.codes)
+  | Column.Codes { frag; codes; _ }, Column.Strs { pool; ids } ->
+    Some (codes, interned frag pool ids)
+  | Column.Strs { pool; ids }, Column.Codes { frag; codes; _ } ->
+    Some (interned frag pool ids, codes)
+  | Column.Codes { frag; codes; _ }, Column.Const { v = Value.Str s; n } ->
+    Some (codes, Array.make n (code frag s))
+  | Column.Const { v = Value.Str s; n }, Column.Codes { frag; codes; _ } ->
+    Some (Array.make n (code frag s), codes)
+  | _ -> None
+
+(* Int keys of an int column ([Ints] shares its array). *)
+let int_keys c =
+  match c with
+  | Column.Ints a -> Some a
+  | Column.Seq { start; n } -> Some (Array.init n (fun i -> start + i))
+  | Column.Const { v = Value.Int x; n } -> Some (Array.make n x)
+  | _ -> None
+
+(* The key reader: codes when the pair allows it (counted as a code
+   predicate, once per kernel), else ints, else query-pool string ids
+   (id equality is string equality within one pool) — code columns that
+   missed the code path materialize late into the query pool first.
+   [None]: the boxed rules decide. *)
+let match_keys ctx lc rc =
+  match code_keys ctx lc rc with
+  | Some _ as keys ->
+    bump ctx Profile.count_code_pred;
+    keys
+  | None -> (
+    let lc = materialize_codes ctx lc and rc = materialize_codes ctx rc in
+    match (int_keys lc, int_keys rc) with
+    | Some lk, Some rk -> Some (lk, rk)
+    | _ -> (
+      match (lc, rc) with
+      | Column.Strs { pool = p1; ids = lk }, Column.Strs { pool = p2; ids = rk }
+        when p1 == ctx.pool && p2 == ctx.pool ->
+        Some (lk, rk)
+      | _ -> None))
 
 (* --------------------------------------------------------- per-row kernels *)
 
@@ -694,88 +748,13 @@ let fun2_col ctx run b f c1 c2 =
             | Plan.P_ge -> Some (fcmp_bools g1 g2 (fun c -> c >= 0))
             | _ -> None (* idiv/mod on doubles: rare, stays boxed *))
           | _ -> (
-            (* dictionary-coded equality: translate the comparand into
-               the fragment's local code once, then compare machine ints
-               per row — no string is ever materialized. Code 0 (row
-               without a value) and an interned "" both decode to the
-               empty string, so codes pass through [norm] first. *)
-            let code_pred () =
-              let store = ctx.env.Kernels.store in
-              let norm = code_norm ctx in
-              let neg = f = Plan.P_ne in
-              match (c1, c2) with
-              | ( Column.Codes { frag; codes; _ },
-                  Column.Const { v = Value.Str s; _ } )
-              | ( Column.Const { v = Value.Str s; _ },
-                  Column.Codes { frag; codes; _ } ) ->
-                let nz = norm frag in
-                let target =
-                  if String.equal s "" then Some (nz 0)
-                  else Xmldb.Doc_store.code_of_text store frag s
-                in
-                bump ctx Profile.count_code_pred;
-                (match target with
-                 | Some k ->
-                   Some (bools (fun r -> (nz codes.(r) = k) <> neg))
-                 | None ->
-                   (* the string occurs nowhere in the fragment: the
-                      predicate is constant over every row *)
-                   Some (bools (fun _ -> neg)))
-              | Column.Codes k1, Column.Codes k2 when k1.frag == k2.frag ->
-                let nz = norm k1.frag in
-                let ca = k1.codes and cb = k2.codes in
-                bump ctx Profile.count_code_pred;
-                Some (bools (fun r -> (nz ca.(r) = nz cb.(r)) <> neg))
-              | ( Column.Codes { frag; codes; _ },
-                  Column.Strs { pool; ids } )
-              | ( Column.Strs { pool; ids },
-                  Column.Codes { frag; codes; _ } ) ->
-                (* interned comparands (a replicated literal that lost its
-                   Const-ness in a boxed kernel, typically): translate each
-                   distinct pool id into the fragment's code once, then
-                   compare ints. The translation runs on the coordinator
-                   (String_pool reads + the memo are not domain-safe);
-                   the fill loop may still fan out. -1 = absent from the
-                   fragment, matching no row. *)
-                let nz = norm frag in
-                let memo : (int, int) Hashtbl.t = Hashtbl.create 8 in
-                let tcodes = Array.make b.base (-1) in
-                iter_sel b (fun r ->
-                    let id = ids.(r) in
-                    tcodes.(r) <-
-                      (match Hashtbl.find_opt memo id with
-                       | Some k -> k
-                       | None ->
-                         let s = String_pool.get pool id in
-                         let k =
-                           if String.equal s "" then nz 0
-                           else
-                             match
-                               Xmldb.Doc_store.code_of_text store frag s
-                             with
-                             | Some k -> k
-                             | None -> -1
-                         in
-                         Hashtbl.add memo id k;
-                         k));
-                bump ctx Profile.count_code_pred;
-                Some (bools (fun r -> (nz codes.(r) = tcodes.(r)) <> neg))
-              | _ -> None
-            in
             match f with
-            | Plan.P_eq | Plan.P_ne -> (
-              match code_pred () with
-              | Some _ as res -> res
-              | None -> (
-                (* string equality via pool ids; code columns that missed
-                   the int path materialize late into the query pool *)
-                let c1 = materialize_codes ctx c1 in
-                let c2 = materialize_codes ctx c2 in
-                match (str_reader ctx.pool c1, str_reader ctx.pool c2) with
-                | Some g1, Some g2 ->
-                  if f = Plan.P_eq then Some (bools (fun r -> g1 r = g2 r))
-                  else Some (bools (fun r -> g1 r <> g2 r))
-                | _ -> None))
+            | Plan.P_eq | Plan.P_ne ->
+              (* string equality, on the matchers' key reader *)
+              let neg = f = Plan.P_ne in
+              Option.map
+                (fun (k1, k2) -> bools (fun r -> (k1.(r) = k2.(r)) <> neg))
+                (match_keys ctx c1 c2)
             | _ -> None)))
     | Plan.P_and | Plan.P_or -> (
       match (bool_reader c1, bool_reader c2) with
@@ -845,16 +824,9 @@ let check_disjoint l r =
    the match index pairs — no boxing, the payoff of the whole layer. *)
 let join_output (l : batch) (r : batch) li ri =
   let n = Array.length li in
-  let side (b : batch) idx =
-    ( Array.map (fun c -> Column.gather c idx) b.cols,
-      Array.map
-        (function Some c -> Some (Column.gather c idx) | None -> None)
-        b.typed )
-  in
-  let lc, lt = side l li and rc, rt = side r ri in
+  let side (b : batch) idx = Array.map (fun c -> Column.gather c idx) b.cols in
   { schema = Array.append l.schema r.schema;
-    cols = Array.append lc rc;
-    typed = Array.append lt rt;
+    cols = Array.append (side l li) (side r ri);
     sel = None;
     nrows = n;
     base = n;
@@ -862,89 +834,13 @@ let join_output (l : batch) (r : batch) li ri =
 
 (* ----------------------------------------------------------- key matching *)
 
-(* The equality kernels — the equi-join, the [P_eq] theta join,
-   single-key semi/antijoins and distinct — read their keys once as
-   machine-int arrays over the visible rows: ints, query-pool string
-   ids, or normalized dictionary codes. Key equality is then int
-   equality, and how pairs are enumerated is chosen per call from what
-   the keys look like (see [equi_match]). Keys that need the boxed
-   [Value.equal] rules (doubles, mixed types) stay on the [Kernels]
-   matchers, the row-for-row reference. *)
-
-(* Normalized-code keys for an equality match: [Some (lk, rk)] when the
-   key pair can compare as machine ints with no string ever
-   materialized. Same-fragment Codes×Codes compares normalized codes;
-   Codes against interned strings (or a Const comparand) translates each
-   distinct string into the fragment's code once — the reverse
-   dictionary probe — with -1 for strings the fragment never contains
-   (codes are non-negative, so -1 matches nothing). Runs on the
-   coordinator: pool reads and the memo are not domain-safe. *)
-let code_keys ctx lc rc =
-  let store = ctx.env.Kernels.store in
-  let translate frag n (get : int -> string) =
-    let nz = code_norm ctx frag in
-    let memo : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    Array.init n (fun i ->
-        let s = get i in
-        match Hashtbl.find_opt memo s with
-        | Some k -> k
-        | None ->
-          let k =
-            if String.equal s "" then nz 0
-            else
-              match Xmldb.Doc_store.code_of_text store frag s with
-              | Some k -> k
-              | None -> -1
-          in
-          Hashtbl.add memo s k;
-          k)
-  in
-  let coded frag codes = Array.map (code_norm ctx frag) codes in
-  let interned frag pool ids =
-    translate frag (Array.length ids) (fun i -> String_pool.get pool ids.(i))
-  in
-  match (lc, rc) with
-  | Column.Codes k1, Column.Codes k2 when k1.frag == k2.frag ->
-    Some (coded k1.frag k1.codes, coded k1.frag k2.codes)
-  | Column.Codes { frag; codes; _ }, Column.Strs { pool; ids } ->
-    Some (coded frag codes, interned frag pool ids)
-  | Column.Strs { pool; ids }, Column.Codes { frag; codes; _ } ->
-    Some (interned frag pool ids, coded frag codes)
-  | Column.Codes { frag; codes; _ }, Column.Const { v = Value.Str s; n } ->
-    Some (coded frag codes, translate frag n (fun _ -> s))
-  | Column.Const { v = Value.Str s; n }, Column.Codes { frag; codes; _ } ->
-    Some (translate frag n (fun _ -> s), coded frag codes)
-  | _ -> None
-
-(* Int keys of an int column ([Ints] shares its array). *)
-let int_keys c =
-  match c with
-  | Column.Ints a -> Some a
-  | Column.Seq { start; n } -> Some (Array.init n (fun i -> start + i))
-  | Column.Const { v = Value.Int x; n } -> Some (Array.make n x)
-  | _ -> None
-
-(* The one key reader of every equality match, over two columns of
-   visible rows: normalized codes when the pair allows it (counted as a
-   code predicate: the match IS the equality predicate), else ints, else
-   query-pool string ids (id equality is string equality within one
-   pool) — code columns that missed the code path materialize late into
-   the query pool first. [None]: the boxed matchers decide. *)
-let match_keys ctx lc rc =
-  match code_keys ctx lc rc with
-  | Some _ as keys ->
-    bump ctx Profile.count_code_pred;
-    keys
-  | None -> (
-    let lc = materialize_codes ctx lc and rc = materialize_codes ctx rc in
-    match (int_keys lc, int_keys rc) with
-    | Some lk, Some rk -> Some (lk, rk)
-    | _ -> (
-      match (lc, rc) with
-      | Column.Strs { pool = p1; ids = lk }, Column.Strs { pool = p2; ids = rk }
-        when p1 == ctx.pool && p2 == ctx.pool ->
-        Some (lk, rk)
-      | _ -> None))
+(* The matching kernels — the equi-join, the [P_eq] theta join and
+   single-key semi/antijoins — read their keys through [match_keys] over
+   the visible rows. Key equality is then int equality, and how pairs
+   are enumerated is chosen per call from what the keys look like (see
+   [equi_match]). Keys that need the boxed [Value.equal] rules (doubles,
+   mixed types) stay on the [Kernels] matchers, the row-for-row
+   reference. *)
 
 type matched =
   | Aligned  (* identical strictly ascending keys: row i matches row i *)
@@ -1063,7 +959,6 @@ let matched_output lb rb = function
   | Aligned ->
     { schema = Array.append lb.schema rb.schema;
       cols = Array.append lb.cols rb.cols;
-      typed = Array.append lb.typed rb.typed;
       sel = None;
       nrows = lb.nrows;
       base = lb.nrows;
@@ -1237,8 +1132,9 @@ let k_semijoin ctx ~par ~anti lb rb on =
 
 (* Per-column int keys of a distinct over the visible rows, when every
    column has them: ints and Seq by value, nodes by (frag, pre), strings
-   by pool id (one column, one pool), codes normalized like
-   [code_keys]; a Const column is equal on every row and adds no key.
+   by pool id (one column, one pool), codes by code (one column, one
+   fragment, as in [code_keys]); a Const column is equal on every row
+   and adds no key.
    Dbls/Bools/Mixed give None: the NaN and -0.0 rules of [Value.equal]
    stay with the boxed path. *)
 let distinct_keys ctx b =
@@ -1252,12 +1148,11 @@ let distinct_keys ctx b =
   in
   let keys i =
     match retyped ctx b i with
-    | Column.Ints a | Column.Strs { ids = a; _ } -> Some [ ints a ]
+    | Column.Ints a | Column.Strs { ids = a; _ } | Column.Codes { codes = a; _ }
+      ->
+      Some [ ints a ]
     | Column.Seq { start; _ } -> Some [ vis (fun r -> start + r) ]
     | Column.Nodes { frag; pre } -> Some [ ints frag; ints pre ]
-    | Column.Codes { frag; codes; _ } ->
-      let nz = code_norm ctx frag in
-      Some [ vis (fun r -> nz codes.(r)) ]
     | Column.Const _ -> Some []
     | Column.Dbls _ | Column.Bools _ | Column.Mixed _ -> None
   in
@@ -1297,7 +1192,6 @@ let k_project b cols =
   let idx = Array.of_list (List.map (fun (_, src) -> col_pos b src) cols) in
   { schema = Array.of_list (List.map fst cols);
     cols = Array.map (fun i -> b.cols.(i)) idx;
-    typed = Array.map (fun i -> b.typed.(i)) idx;
     sel = b.sel;
     nrows = b.nrows;
     base = b.base;
@@ -1314,7 +1208,6 @@ let k_union lb rb =
   in
   { schema = lb.schema;
     cols;
-    typed = Array.make (Array.length cols) None;
     sel = None;
     nrows = lb.nrows + rb.nrows;
     base = lb.nrows + rb.nrows;
@@ -1371,13 +1264,12 @@ let k_rownum ctx b res order part =
         if id < 0 then "" else String_pool.get pool id
       in
       fun x y -> String.compare (s x) (s y)
-    | _ -> (
-      (* genuinely heterogeneous: compare the boxed values in place —
-         never [Column.get] on a typed rep, which would allocate a box
-         per comparison inside the sort *)
-      match b.cols.(i) with
-      | Column.Mixed vs -> fun x y -> Value.compare_total vs.(x) vs.(y)
-      | c -> fun x y -> Value.compare_total (Column.get c x) (Column.get c y))
+    | Column.Bools bb ->
+      (* false < true, as [Bool.compare] orders them *)
+      fun x y -> Char.compare (Bytes.get bb x) (Bytes.get bb y)
+    | Column.Mixed vs ->
+      (* genuinely heterogeneous: compare the boxed values in place *)
+      fun x y -> Value.compare_total vs.(x) vs.(y)
   in
   let ocmps = List.map (fun (name, d) -> (cmp_of name, d)) order in
   let pcmp = Option.map cmp_of part in
@@ -1557,7 +1449,6 @@ let k_aggr ctx ~par b res agg arg part order =
     let n = Array.length keys in
     { schema = [| p; res |];
       cols = [| Column.Ints keys; Column.Ints vals |];
-      typed = [| None; None |];
       sel = None;
       nrows = n;
       base = n;
@@ -1607,7 +1498,6 @@ let k_step ctx b axis test =
     { schema = [| "iter"; "item" |];
       cols =
         [| Column.Ints r.iter; Column.Nodes { frag = r.frag; pre = r.pre } |];
-      typed = [| None; None |];
       sel = None;
       nrows = n;
       base = n;

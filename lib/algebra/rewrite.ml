@@ -40,10 +40,9 @@
    Errors: rules never evaluate a row-wise operator over more rows than
    the original plan did. Selections pushed below a Fun filter rows
    before the Fun sees them, which can only suppress dynamic errors —
-   the latitude XQuery 2.3.4 grants and that CDA's existing select
-   pushdown already uses. Fun pushdown through Cross would evaluate the
-   Fun on rows the product may have dropped (an empty other side), so it
-   is restricted to primitives that cannot raise. *)
+   the latitude XQuery 2.3.4 grants. Fun pushdown through Cross would
+   evaluate the Fun on rows the product may have dropped (an empty other
+   side), so it is restricted to primitives that cannot raise. *)
 
 module SSet = Set.Make (String)
 
@@ -53,19 +52,17 @@ module SSet = Set.Make (String)
    to the root erases its row order. Meet over parent edges (a single
    order-sensitive consumer pins the node).
 
-   The root itself is insensitive by default: every executor in this
-   engine extracts the result sequence by sorting the final iter|pos|item
-   table on pos (order is encoded in data, not in physical row order —
-   the paper's thesis, made literal). A consumer that does read the final
-   table in physical row order must pass ~root_ordered:true. *)
-let order_insensitive ?(root_ordered = false) (root : Plan.node) :
-    Plan.node -> bool =
+   The root itself is insensitive: every executor in this engine
+   extracts the result sequence by sorting the final iter|pos|item table
+   on pos (order is encoded in data, not in physical row order — the
+   paper's thesis, made literal). *)
+let order_insensitive (root : Plan.node) : Plan.node -> bool =
   let insens : (int, bool) Hashtbl.t = Hashtbl.create 64 in
   let note (c : Plan.node) v =
     Hashtbl.replace insens c.Plan.id
       (v && Option.value ~default:true (Hashtbl.find_opt insens c.Plan.id))
   in
-  Hashtbl.replace insens root.Plan.id (not root_ordered);
+  Hashtbl.replace insens root.Plan.id true;
   List.iter
     (fun (n : Plan.node) ->
        let pi =

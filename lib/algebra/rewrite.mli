@@ -9,8 +9,7 @@
     {- ["select-pushdown"] — selections migrate through
        Attach/Fun/Project/Distinct and into the join, cross, semijoin or
        union side that owns their column (row order preserved; can only
-       suppress dynamic errors, the latitude CDA's pushdown already
-       uses);}
+       suppress dynamic errors, the latitude XQuery 2.3.4 grants);}
     {- ["fun-pushdown"] — Attach and error-free Fun1 primitives
        distribute over Cross into the side owning their argument, so
        per-row computation runs once per input row instead of once per

@@ -15,12 +15,6 @@ let length t = t.len
 
 let clear t = t.len <- 0
 
-let truncate t n =
-  if n < 0 || n > t.len then
-    Err.internal "Vec.truncate: length %d out of bounds (length %d)" n t.len;
-  Array.fill t.data n (t.len - n) t.dummy;
-  t.len <- n
-
 let ensure t n =
   if n > Array.length t.data then begin
     let cap = ref (Array.length t.data) in

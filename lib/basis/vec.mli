@@ -13,10 +13,6 @@ val length : 'a t -> int
 (** Reset the length to 0 (keeps the allocation). *)
 val clear : 'a t -> unit
 
-(** [truncate t n] drops every element from index [n] on (keeps the
-    allocation); raises {!Err.Internal_error} unless [0 <= n <= length]. *)
-val truncate : 'a t -> int -> unit
-
 (** Ensure capacity for at least [n] elements. *)
 val ensure : 'a t -> int -> unit
 

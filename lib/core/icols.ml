@@ -17,9 +17,11 @@
        sort elision);
      - adjacent steps merge: descendant-or-self::node()/child::nt
        becomes descendant::nt once no order-establishing operator remains
-       between them (the Q6/Q7 "exceptional speedup" of Section 5);
-     - sigma over a comparison over a cross product fuses into a theta
-       join (a lightweight form of Pathfinder's join recognition [9]).
+       between them (the Q6/Q7 "exceptional speedup" of Section 5).
+
+   Selection pushdown, join recognition over cross products and the
+   empty-side union belong to the logical rewriter ([Algebra.Rewrite]),
+   which runs after CDA.
 
    The optimize loop alternates analysis and rewriting to a fixpoint;
    the properties come from one [Algebra.Props] analyzer shared by every
@@ -222,101 +224,23 @@ let rewrite b (props : P.analyzer) req (root : A.node) : A.node =
             | A.Distinct _ -> input
             | _ when keyed -> input
             | _ -> keep op')
-         (* union with a statically empty side; re-align schemas that the
-            narrowing of one side may have made asymmetric *)
+         (* union: re-align schemas that the narrowing of one side may
+            have made asymmetric *)
          | A.Union { left; right } ->
-           (match (left.A.op, right.A.op) with
-            | A.Lit { rows = []; _ }, _ -> right
-            | _, A.Lit { rows = []; _ } -> left
-            | _ ->
-              let sl = schema_of left and sr = schema_of right in
-              if SSet.equal sl sr then keep op'
-              else begin
-                let common = SSet.elements (SSet.inter sl sr) in
-                let narrow side s =
-                  if SSet.equal s (SSet.of_list common) then side
-                  else
-                    A.mk b
-                      (A.Project
-                         { input = side;
-                           cols = List.map (fun c -> (c, c)) common })
-                in
-                keep
-                  (A.Union { left = narrow left sl; right = narrow right sr })
-              end)
-         (* join recognition (lightweight): sigma over a comparison over a
-            cross product becomes a theta join; otherwise selections are
-            pushed toward the side that produces their column *)
-         | A.Select { input; col } ->
-           (match input.A.op with
-            | A.Join { left; right; lcol; rcol }
-              when SSet.mem col (schema_of left)
-                   && not (SSet.mem col (schema_of right)) ->
-              keep (A.Join { left = keep (A.Select { input = left; col });
-                             right; lcol; rcol })
-            | A.Join { left; right; lcol; rcol }
-              when SSet.mem col (schema_of right)
-                   && not (SSet.mem col (schema_of left)) ->
-              keep (A.Join { left;
-                             right = keep (A.Select { input = right; col });
-                             lcol; rcol })
-            | A.Cross { left; right }
-              when SSet.mem col (schema_of left)
-                   && not (SSet.mem col (schema_of right)) ->
-              keep (A.Cross { left = keep (A.Select { input = left; col }); right })
-            | A.Cross { left; right }
-              when SSet.mem col (schema_of right)
-                   && not (SSet.mem col (schema_of left)) ->
-              keep (A.Cross { left; right = keep (A.Select { input = right; col }) })
-            | A.Semijoin { left; right; on }
-              when SSet.mem col (schema_of left) ->
-              keep (A.Semijoin { left = keep (A.Select { input = left; col });
-                                 right; on })
-            | A.Union { left; right } ->
-              keep (A.Union { left = keep (A.Select { input = left; col });
-                              right = keep (A.Select { input = right; col }) })
-            | A.Fun2 { input = j; res; f;
-                       arg1; arg2 }
-              when String.equal res col
-                   && (match f with
-                       | A.P_eq | A.P_ne | A.P_lt | A.P_le | A.P_gt | A.P_ge ->
-                         true
-                       | _ -> false) ->
-              (match j.A.op with
-               | A.Cross { left; right } ->
-                 let lsch, rsch =
-                   match orig.A.op with
-                   | A.Select { input = oin; _ } ->
-                     (match oin.A.op with
-                      | A.Fun2 { input = oj; _ } ->
-                        (match oj.A.op with
-                         | A.Cross { left = ol; right = or_ } ->
-                           (P.schema props ol, P.schema props or_)
-                         | _ -> (SSet.empty, SSet.empty))
-                      | _ -> (SSet.empty, SSet.empty))
-                   | _ -> (SSet.empty, SSet.empty)
-                 in
-                 if SSet.mem arg1 lsch && SSet.mem arg2 rsch then
-                   let tj =
-                     A.mk b (A.Thetajoin { left; right; lcol = arg1; cmp = f; rcol = arg2 })
-                   in
-                   (* consumers may still reference the boolean column *)
-                   A.mk b (A.Attach { input = tj; res = col; value = Algebra.Value.Bool true })
-                 else if SSet.mem arg2 lsch && SSet.mem arg1 rsch then
-                   let flipped =
-                     match f with
-                     | A.P_lt -> A.P_gt | A.P_le -> A.P_ge
-                     | A.P_gt -> A.P_lt | A.P_ge -> A.P_le
-                     | other -> other
-                   in
-                   let tj =
-                     A.mk b
-                       (A.Thetajoin { left; right; lcol = arg2; cmp = flipped; rcol = arg1 })
-                   in
-                   A.mk b (A.Attach { input = tj; res = col; value = Algebra.Value.Bool true })
-                 else keep op'
-               | _ -> keep op')
-            | _ -> keep op')
+           let sl = schema_of left and sr = schema_of right in
+           if SSet.equal sl sr then keep op'
+           else begin
+             let common = SSet.elements (SSet.inter sl sr) in
+             let narrow side s =
+               if SSet.equal s (SSet.of_list common) then side
+               else
+                 A.mk b
+                   (A.Project
+                      { input = side;
+                        cols = List.map (fun c -> (c, c)) common })
+             in
+             keep (A.Union { left = narrow left sl; right = narrow right sr })
+           end
          | _ -> keep op'
        in
        if result.A.label = "" then A.set_label result orig.A.label;

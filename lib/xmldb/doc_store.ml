@@ -110,21 +110,6 @@ let kinds_range f lo hi (buf : Node_kind.t array) =
       (Node_kind.of_int (Char.code (Bytes.unsafe_get f.p_kinds i)))
   done
 
-let decode_range col dict lo hi buf =
-  col_range col lo hi buf;
-  if Array.length dict = 0 then
-    for i = 0 to hi - lo - 1 do buf.(i) <- buf.(i) - 1 done
-  else
-    for i = 0 to hi - lo - 1 do buf.(i) <- decode_dict dict buf.(i) done
-
-let names_range f lo hi buf =
-  check_range "names_range" f lo hi (Array.length buf);
-  decode_range f.p_names f.p_name_dict lo hi buf
-
-let values_range f lo hi buf =
-  check_range "values_range" f lo hi (Array.length buf);
-  decode_range f.p_values f.p_value_dict lo hi buf
-
 let sizes_range f lo hi buf =
   check_range "sizes_range" f lo hi (Array.length buf);
   col_range f.p_sizes lo hi buf

@@ -73,8 +73,6 @@ val parent_at : frag -> int -> int
     rows (see {!Staircase.step}) count them per run. *)
 
 val kinds_range : frag -> int -> int -> Node_kind.t array -> unit
-val names_range : frag -> int -> int -> int array -> unit
-val values_range : frag -> int -> int -> int array -> unit
 val sizes_range : frag -> int -> int -> int array -> unit
 
 (** Raw local name codes (see {!name_code_at}), bulk form. *)

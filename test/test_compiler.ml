@@ -159,54 +159,6 @@ let test_rownum_degradation () =
   Alcotest.(check int) "degraded to rowid" 0 (rownums opt);
   Alcotest.(check bool) "rowid present" true (rowids opt >= 1)
 
-let test_thetajoin_recognition () =
-  let b = A.builder () in
-  let l = A.lit b [| "a" |] [ [| Algebra.Value.Int 1 |]; [| Algebra.Value.Int 9 |] ] in
-  let r = A.lit b [| "c" |] [ [| Algebra.Value.Int 5 |] ] in
-  let x = A.cross b l r in
-  let f = A.fun2 b x "keep" A.P_gt "a" "c" in
-  let s = A.select b f "keep" in
-  let p = A.project b s [ ("a", "a"); ("c", "c") ] in
-  let opt = Exrquy.Icols.optimize b p in
-  let has_theta =
-    List.exists
-      (fun n -> match n.A.op with A.Thetajoin _ -> true | _ -> false)
-      (A.topo_order opt)
-  in
-  Alcotest.(check bool) "cross+select fused" true has_theta;
-  (* and the fused plan computes the same rows *)
-  let st = Xmldb.Doc_store.create () in
-  let t1 = Algebra.Eval.run st p and t2 = Algebra.Eval.run st opt in
-  Alcotest.(check int) "same cardinality" (Algebra.Table.nrows t1) (Algebra.Table.nrows t2)
-
-let test_select_pushdown () =
-  (* a selection on a left-side column descends below the join *)
-  let b = A.builder () in
-  let l = A.lit b [| "iter"; "flag" |]
-      [ [| Algebra.Value.Int 1; Algebra.Value.Bool true |];
-        [| Algebra.Value.Int 2; Algebra.Value.Bool false |] ] in
-  let r = A.lit b [| "iter2"; "v" |]
-      [ [| Algebra.Value.Int 1; Algebra.Value.Int 10 |];
-        [| Algebra.Value.Int 2; Algebra.Value.Int 20 |] ] in
-  let j = A.join b l r "iter" "iter2" in
-  let s = A.select b j "flag" in
-  let p = A.project b s [ ("iter", "iter"); ("v", "v"); ("flag", "flag") ] in
-  let opt = Exrquy.Icols.optimize b p in
-  let pushed =
-    List.exists
-      (fun n ->
-         match n.A.op with
-         | A.Join { left; _ } ->
-           (match left.A.op with A.Select _ -> true | _ -> false)
-         | _ -> false)
-      (A.topo_order opt)
-  in
-  Alcotest.(check bool) "select below join" true pushed;
-  (* and the results agree *)
-  let st = Xmldb.Doc_store.create () in
-  let t1 = Algebra.Eval.run st p and t2 = Algebra.Eval.run st opt in
-  Alcotest.(check int) "same rows" (Algebra.Table.nrows t1) (Algebra.Table.nrows t2)
-
 let test_cda_fixpoint () =
   (* optimizing an already-optimized plan is the identity *)
   let p = compile_text ~mode:Xquery.Ast.Unordered ~cda:true q6ish in
@@ -298,9 +250,7 @@ let () =
         [ Alcotest.test_case "const inference" `Quick test_properties_consts;
           Alcotest.test_case "arbitrary inference" `Quick test_properties_arbitrary;
           Alcotest.test_case "rownum degradation (§7)" `Quick test_rownum_degradation;
-          Alcotest.test_case "thetajoin recognition" `Quick test_thetajoin_recognition;
           Alcotest.test_case "CDA fixpoint" `Quick test_cda_fixpoint;
-          Alcotest.test_case "select pushdown" `Quick test_select_pushdown;
           Alcotest.test_case "join recognition (Q11 shape)" `Quick test_join_recognition_flwor;
           Alcotest.test_case "join recognition (swapped)" `Quick test_join_recognition_swapped;
           Alcotest.test_case "loop-invariant hoisting" `Quick test_hoisting_shares_path ] );

@@ -421,6 +421,53 @@ let test_semijoin_key_shapes () =
          key_shapes)
     kinds
 
+(* The [=]/[!=] predicate reads its keys through the matchers' reader.
+   One literal pairs every left key with every right key in a row, so
+   both key columns sit in one batch and code columns reach the
+   predicate as codes; the selection keeps the equal (unequal) pairs. *)
+let test_predicate_key_shapes () =
+  let value kind k =
+    match kind with
+    | `Int -> v_int k
+    | `Str -> v_str (key_text k)
+    | `Code -> key_attr k
+  in
+  (* a code key is string() of the literal's attribute-node column *)
+  let raw kind key = if kind = `Code then key ^ "_node" else key in
+  List.iter
+    (fun (kname, lkind, rkind) ->
+       List.iter
+         (fun (shape, _, lkeys, rkeys) ->
+            let b = Plan.builder () in
+            let pairs =
+              List.concat_map (fun l -> List.map (fun r -> (l, r)) rkeys) lkeys
+            in
+            let base =
+              Plan.lit b [| raw lkind "a"; raw rkind "b"; "x" |]
+                (List.mapi
+                   (fun i (l, r) -> [| value lkind l; value rkind r; v_int i |])
+                   pairs)
+            in
+            let keyed kind key p =
+              if kind = `Code then
+                Plan.fun1 b p key Plan.P_string (raw kind key)
+              else p
+            in
+            let keyed = keyed rkind "b" (keyed lkind "a" base) in
+            List.iter
+              (fun (pname, f) ->
+                 let msg = Printf.sprintf "%s keys, %s: %s" kname shape pname in
+                 let ph =
+                   check_keyed msg
+                     (Plan.select b (Plan.fun2 b keyed "t" f "a" "b") "t")
+                 in
+                 if (lkind = `Code || rkind = `Code) && pairs <> [] then
+                   Alcotest.(check int) (msg ^ ": compared on codes") 1
+                     ph.Profile.code_preds)
+              [ ("=", Plan.P_eq); ("!=", Plan.P_ne) ])
+         key_shapes)
+    kinds
+
 (* An aligned join hands its inputs' columns through unchanged (a [#]
    numbering stays a [Seq]); the input's other consumers, and the
    join's own consumers, must not see each other's work. *)
@@ -469,8 +516,8 @@ let test_distinct_key_columns () =
     [ [ "i" ]; [ "n" ]; [ "s" ]; [ "k" ]; [ "seq" ]; [ "i"; "u" ];
       [ "k"; "u" ]; [ "n"; "s"; "u" ]; [ "c"; "u"; "k" ];
       [ "i"; "n"; "s"; "c"; "k"; "u" ] ];
-  (* code keys compare as normalized codes: only the final result
-     decodes its strings *)
+  (* code keys compare as codes: only the final result decodes its
+     strings *)
   Alcotest.(check int) "distinct over codes decodes once" 1
     (distinct [ "c" ]).Profile.late_materializations;
   (* over a selection: the keys are read through it *)
@@ -783,6 +830,7 @@ let () =
       ("key shapes",
        [ Alcotest.test_case "joins" `Quick test_join_key_shapes;
          Alcotest.test_case "semi/antijoins" `Quick test_semijoin_key_shapes;
+         Alcotest.test_case "=/!= predicate" `Quick test_predicate_key_shapes;
          Alcotest.test_case "aligned join, shared input" `Quick
            test_aligned_shared_input;
          Alcotest.test_case "distinct key columns" `Quick

@@ -9,6 +9,11 @@
    sharing). Any compiler, optimizer, or hash-consing change that moves a
    plan shape shows up here as a one-line diff.
 
+   A second table pins each whole optimized plan, by digest, under every
+   plan-shaping flag of the CLI (the CI plan smoke's flag list): a change
+   meant to leave plans alone (deleting a rewrite that never fires, say)
+   must leave all of them equal.
+
    Regenerating after an intentional change:
 
      PLAN_SHAPES_DUMP=1 dune exec test/test_plan_shapes.exe
@@ -317,6 +322,224 @@ let golden_fires : (string * (string * int) list) list =
        ("sort-elision", 5) ]);
   ]
 
+(* (file, optimized-plan digest under each of [flag_opts], in order);
+   regenerate with PLAN_SHAPES_DUMP=1 (see header). *)
+let golden_digests : (string * string list) list =
+  [ ("existential_join.xq",
+     [ "393e42415ec1cf8e54cc5641e79861cf"; "393e42415ec1cf8e54cc5641e79861cf";
+       "0bd7f16008b34d40072bf174792bafcb"; "76153db7e0da5d9cb650efa7581e3492";
+       "393e42415ec1cf8e54cc5641e79861cf"; "9c29fb55767bdf8726e548a69908322c";
+       "e78605848819ba627281ef5456f05af1"; "5a25621f704229528e838c2802ea32ce" ]);
+    ("gold_items.xq",
+     [ "c611bd4e0557b17e833f38a10e9ecb62"; "6c0172f527ca5296cd6a7de1a7bd8455";
+       "2d403276faf808643f2b218a1524eff4"; "8cc23dee956a2cad996ed02da12ee287";
+       "c611bd4e0557b17e833f38a10e9ecb62"; "c611bd4e0557b17e833f38a10e9ecb62";
+       "15d0733de18874e1b94df1f9d4f6d401"; "c611bd4e0557b17e833f38a10e9ecb62" ]);
+    ("income_histogram.xq",
+     [ "3a1dc8a0b5e00ce8ea99a0f8e243347c"; "3a1dc8a0b5e00ce8ea99a0f8e243347c";
+       "0a1dbc8998a05375ee5064d84b0b236a"; "8632ddff76074fc3b54e6dd2473cf32b";
+       "3a1dc8a0b5e00ce8ea99a0f8e243347c"; "b571dc4f7175572632a7d661d8e5700f";
+       "20b05871c88c7310a10e680c67e702ed"; "3a1dc8a0b5e00ce8ea99a0f8e243347c" ]);
+    ("paper_expression3.xq",
+     [ "3ba04dcdf0f0cbf91cf20a8dcfdc2549"; "02e47920c52522ddae820012cc19e7a9";
+       "cbf1cad0038ab9bf49702ff6824535b9"; "3ba04dcdf0f0cbf91cf20a8dcfdc2549";
+       "3ba04dcdf0f0cbf91cf20a8dcfdc2549"; "3ba04dcdf0f0cbf91cf20a8dcfdc2549";
+       "41a59644150e023c9b21310aacd70193"; "41a59644150e023c9b21310aacd70193" ]);
+    ("paper_fig10.xq",
+     [ "6243cb559ed2f45a4cd2f02407f6b1e3"; "682462eba1d3469f183a9352c4f2ce02";
+       "044f71924ba880c15757168f34cd95c3"; "6243cb559ed2f45a4cd2f02407f6b1e3";
+       "6243cb559ed2f45a4cd2f02407f6b1e3"; "6243cb559ed2f45a4cd2f02407f6b1e3";
+       "6243cb559ed2f45a4cd2f02407f6b1e3"; "6243cb559ed2f45a4cd2f02407f6b1e3" ]);
+    ("paper_q11.xq",
+     [ "0b0d60dbba7edabca10c8b9aed6e0f4f"; "0b0d60dbba7edabca10c8b9aed6e0f4f";
+       "c7fe6b82334453a67483b9bb329027b5"; "19f01e2204d5d2017788c5b56af76c72";
+       "5ef39c8ae170303529e7f6e805c5158a"; "0b0d60dbba7edabca10c8b9aed6e0f4f";
+       "d898a8e194c505d9e73c8ab6fd48dbf6"; "3a39280182e3a23ce8a562d94866ed47" ]);
+    ("paper_q6.xq",
+     [ "dfb7b268cf33c7c7e8d684a33580e2f0"; "dfb7b268cf33c7c7e8d684a33580e2f0";
+       "3b8d4b23d5824f4aafa08bd6560b2c85"; "dfb7b268cf33c7c7e8d684a33580e2f0";
+       "dfb7b268cf33c7c7e8d684a33580e2f0"; "dfb7b268cf33c7c7e8d684a33580e2f0";
+       "e163595e77640f0de89ca191fb6428aa"; "e163595e77640f0de89ca191fb6428aa" ]);
+    ("quantifier_semijoin.xq",
+     [ "ca0f6ac50e32202edf03ccf6dfda742a"; "ca0f6ac50e32202edf03ccf6dfda742a";
+       "e83e6315d736b5eafbae5f0515d9b056"; "c986e5f883d55a93a9b80db89644c88a";
+       "ca0f6ac50e32202edf03ccf6dfda742a"; "79ab7008b635909378239632588469a5";
+       "e64e55755feaa87a74e63953c4fbed96"; "ccf81b5e70aa96a583675050b68aa276" ]);
+    ("top_sellers.xq",
+     [ "fe4cf556b81750c6534094b8f984cfa7"; "dd8f1907b130ceb7a741840b79f4f5b4";
+       "e250b4000aa145e50957e5f8072fee58"; "fcf988e7e8c1cc158566850b3439e25e";
+       "fe4cf556b81750c6534094b8f984cfa7"; "d90bdf1711bdfb57c65940741c9ccc99";
+       "004f216acb624dab12e38b078912ccaf"; "e820d81cc5727e60a90a860b80ea53da" ]);
+    ("xpath_existentials.xq",
+     [ "7bc456401183b126fa298ac1ca267404"; "7bc456401183b126fa298ac1ca267404";
+       "5c278f8d8bbcf004ebae708d4ea8c845"; "543cf5f695588f83d58db83725b9de19";
+       "1476b4189f455740ca28e498c759fd54"; "6261a6e082e746eed96c4691ca356159";
+       "973352f4d58bc132ba3d007072084eac"; "87e6984fd572da2e9c8372b7c0227c92" ]);
+    ("Q1",
+     [ "b8507a05ff03130415feb9f5b3959e22"; "b8507a05ff03130415feb9f5b3959e22";
+       "d5968c1c6f216848eadc59413c550829"; "02aaffcf29c9a3ca0c7571fd5ba761ae";
+       "b8507a05ff03130415feb9f5b3959e22"; "ec7a094b55dc0983b70b7ebb5e62941d";
+       "ab0f5cdbb8995aa550e4ede973bc16e3"; "3cf70d032e63abc6ef0e5c8a5c89f139" ]);
+    ("Q2",
+     [ "d39ec7c8fee370d4f0ca3485a65cbe3d"; "d39ec7c8fee370d4f0ca3485a65cbe3d";
+       "5aca142c8928d098d5a878beee71f6f6"; "bc2d4b53f9460961def9a64185c88392";
+       "d39ec7c8fee370d4f0ca3485a65cbe3d"; "d39ec7c8fee370d4f0ca3485a65cbe3d";
+       "cdb8a5e1856857a0fc9f9a5df9beb341"; "a27beef40f2e98efd629e780d0128da6" ]);
+    ("Q3",
+     [ "530efab798d2046ed798a69332266de1"; "530efab798d2046ed798a69332266de1";
+       "9ccbdd567d527a589ed256d52fc76d8d"; "0809d8e96bed41977f3f6815022a6b29";
+       "530efab798d2046ed798a69332266de1"; "8e9c31c3c11928e4ec73fad2bdbb5edc";
+       "02be06cfbde1162644df05d5f293ac44"; "5a5e6be821b36cc0fa35d16187affcae" ]);
+    ("Q4",
+     [ "8707516065820f1c9a1df447d77c2fbf"; "c4533373f3d48afb835c7010b3fee606";
+       "33c1775ee2c1687220499b517b2253b2"; "ca6c53ff62a37e06320ccb09eb3a25ed";
+       "8707516065820f1c9a1df447d77c2fbf"; "7673a9958367ca9c7c1d0f472e6f52d3";
+       "f44257911e5db5e69dcd3fdf9bd59f86"; "a74d59440cdd03ab81949295e7c2149f" ]);
+    ("Q5",
+     [ "2718efdfd8371e999e09b924d878274b"; "2718efdfd8371e999e09b924d878274b";
+       "e013f6905bcc65dbd6ed92bc268b0fc5"; "2718efdfd8371e999e09b924d878274b";
+       "b63784132f4f1beae9a8bad576f3af59"; "2718efdfd8371e999e09b924d878274b";
+       "66b7af7da60c1c338e27ef8650c19a95"; "66b7af7da60c1c338e27ef8650c19a95" ]);
+    ("Q6",
+     [ "dfb7b268cf33c7c7e8d684a33580e2f0"; "dfb7b268cf33c7c7e8d684a33580e2f0";
+       "3b8d4b23d5824f4aafa08bd6560b2c85"; "dfb7b268cf33c7c7e8d684a33580e2f0";
+       "dfb7b268cf33c7c7e8d684a33580e2f0"; "dfb7b268cf33c7c7e8d684a33580e2f0";
+       "e163595e77640f0de89ca191fb6428aa"; "e163595e77640f0de89ca191fb6428aa" ]);
+    ("Q7",
+     [ "66a7a445925fc73da723d83a737870c4"; "66a7a445925fc73da723d83a737870c4";
+       "25bf391ea743290cb52155a8302d8fd5"; "66a7a445925fc73da723d83a737870c4";
+       "66a7a445925fc73da723d83a737870c4"; "66a7a445925fc73da723d83a737870c4";
+       "1dfcb55b75c5097c9b39719b0d5cd4ab"; "1dfcb55b75c5097c9b39719b0d5cd4ab" ]);
+    ("Q8",
+     [ "c4af5ea6096de9fe94cb77c38ad3e7db"; "c4af5ea6096de9fe94cb77c38ad3e7db";
+       "c7ec99f20756a72f887405fef81f3525"; "0e02352cbd915fe14f07adafb6e4022f";
+       "5fcd225ffea9d39b2d822c9a0e197fa0"; "c4af5ea6096de9fe94cb77c38ad3e7db";
+       "bc2ea164695c603fd50548e10ca3e8b2"; "77d4910da8f3f5663badcb0e9f649156" ]);
+    ("Q9",
+     [ "d6c07d60f13dabe43c64f2035d8128fe"; "d6c07d60f13dabe43c64f2035d8128fe";
+       "a9b1662d8d588216072fb40ac064c5de"; "f3b1f0064ecd786099e6fe11e5d62483";
+       "91a6d3a0586908fa307e9548bc6086de"; "962482ac04312d38838d6acfdd5d00f6";
+       "ff74d0061739b46e0ddac200641bc844"; "844bf8b6303c346bef6e5408156fea83" ]);
+    ("Q10",
+     [ "27f6211734526dbb105de8e573ba9bf6"; "27f6211734526dbb105de8e573ba9bf6";
+       "ad65959bff7aaaf4262d9d13b5728f41"; "f14c80f909ee6135f06d004eb8542b2c";
+       "f9dfb4990cd2280a134c4b676f10fb35"; "27f6211734526dbb105de8e573ba9bf6";
+       "93308dc701e3dbb8645b4be5c30998ed"; "66bbe06f8008f2d5b3080d495cc1e9b1" ]);
+    ("Q11",
+     [ "0b0d60dbba7edabca10c8b9aed6e0f4f"; "0b0d60dbba7edabca10c8b9aed6e0f4f";
+       "c7fe6b82334453a67483b9bb329027b5"; "19f01e2204d5d2017788c5b56af76c72";
+       "5ef39c8ae170303529e7f6e805c5158a"; "0b0d60dbba7edabca10c8b9aed6e0f4f";
+       "d898a8e194c505d9e73c8ab6fd48dbf6"; "3a39280182e3a23ce8a562d94866ed47" ]);
+    ("Q12",
+     [ "d2bc82db5e056e1eaf79bbe373fc30fe"; "d2bc82db5e056e1eaf79bbe373fc30fe";
+       "b6cc72f74fe9ae13f938d40d816ca023"; "8fe0a482e713ad9b4a96eb71cfb6a242";
+       "0882626b48cb4719252f27d1441f07e7"; "7ee6d7f111bcf6bc27cae6c1a160de26";
+       "de9434b6f33244d0206bcf7097ff8bb5"; "2bc5b72bf0aeb879bbb520706e2580fd" ]);
+    ("Q13",
+     [ "1577ca6b961d3f5a5909a75fc72815aa"; "1577ca6b961d3f5a5909a75fc72815aa";
+       "179399b99d65debca0855c6f823dd942"; "05ffff0720c23cd8b13f0ba91edd2728";
+       "1577ca6b961d3f5a5909a75fc72815aa"; "1577ca6b961d3f5a5909a75fc72815aa";
+       "4653b14162e020e847b15442de3b421c"; "66a0a057a27b0bf553d9b2927af24f85" ]);
+    ("Q14",
+     [ "c08570bbdf238f96e66ac36db47ce332"; "c08570bbdf238f96e66ac36db47ce332";
+       "bcdd84f9d69125235bfff936abf7c777"; "5133e5eab9782b33bc450f120808511e";
+       "c08570bbdf238f96e66ac36db47ce332"; "c08570bbdf238f96e66ac36db47ce332";
+       "f74450ea6a95237acce39194e69f4d3a"; "f52dbacabaa3fd3ad036b64a484c3c78" ]);
+    ("Q15",
+     [ "e1c8ff9b348cdc8ed6695223ea134f1c"; "e1c8ff9b348cdc8ed6695223ea134f1c";
+       "5572838b557d8bd0e3599f50abb1ecb5"; "5309f0b10766900a2aac1229750dfab5";
+       "e1c8ff9b348cdc8ed6695223ea134f1c"; "e1c8ff9b348cdc8ed6695223ea134f1c";
+       "540bb0292f78def8231971fe5ce59978"; "536a6ef125042b5550134a491bb5a9c3" ]);
+    ("Q16",
+     [ "7406fce0043d307ac9c125e24d91222a"; "7406fce0043d307ac9c125e24d91222a";
+       "98a2ced701596dc9b3451e2487bf1165"; "77739b91a0e209dec31a2160a9f130a6";
+       "7406fce0043d307ac9c125e24d91222a"; "dc4c34c4c9d68b05071752b5a7a14876";
+       "acbf29bdbbd4bb1145e6283bf861aeb6"; "c78a7368e2b748abbdb396855645fd9b" ]);
+    ("Q17",
+     [ "a13a0c7b858bc2b8a39bd289daddc461"; "a13a0c7b858bc2b8a39bd289daddc461";
+       "7462e6e40327c7b23df3ed44a8655e91"; "b61b7f0282bb2894a0243d326941b049";
+       "a13a0c7b858bc2b8a39bd289daddc461"; "1edaec99501e61270d5af4ac91d24fe1";
+       "04c418a35c53e0aab2654331619518df"; "9f4ac31aade5aa91b4f4de7f7e831f68" ]);
+    ("Q18",
+     [ "f347e8d0eeb47a42d4cf42a9562d9e9e"; "f347e8d0eeb47a42d4cf42a9562d9e9e";
+       "686c9a1aef1523c433be81399be9bbb2"; "eb924d05f48560b4f907d1102b8a7e70";
+       "f347e8d0eeb47a42d4cf42a9562d9e9e"; "f347e8d0eeb47a42d4cf42a9562d9e9e";
+       "83df5fef96f389e9e17cbc064bbf3242"; "8c4c46809c1c3a6910fccf11bc3fc6a5" ]);
+    ("Q19",
+     [ "de400ec502c21fa4b5a55a0412684445"; "6d1301cd817db058548fb4af8cce9d23";
+       "930b5011cbbf02d22992dcb9461742f7"; "5121fce1b3dbea98f5a3caf13dca255f";
+       "de400ec502c21fa4b5a55a0412684445"; "de400ec502c21fa4b5a55a0412684445";
+       "ec5b2e0178cf7aa4ca9107456554ca95"; "de400ec502c21fa4b5a55a0412684445" ]);
+    ("Q20",
+     [ "0bd26921ecf302012557924ce0de8752"; "0bd26921ecf302012557924ce0de8752";
+       "ad05fd1a0fd69821090035f8f1789138"; "9d43c349ed52cbe3720511535d0d15df";
+       "0bd26921ecf302012557924ce0de8752"; "1d0a127de0ea9303741642b367f15002";
+       "63c53c280830e40ae4caa4b47869b615"; "f4977ea96c3771e5fce11e157f40389e" ]);
+  ]
+
+(* The CI plan smoke's flag list, each as the options the CLI builds
+   from it. *)
+let flag_opts : (string * Engine.opts) list =
+  let d = Engine.default_opts in
+  [ ("", d);
+    ("--no-rules", { d with Engine.unordered_rules = false });
+    ("--no-cda", { d with Engine.cda = false });
+    ("--no-hoist", { d with Engine.hoist = false });
+    ("--no-joinrec", { d with Engine.join_rec = false });
+    ("--no-join-isolation", { d with Engine.join_isolation = false });
+    ("--no-rewrite", { d with Engine.rewrite = false });
+    ("--no-order-props", { d with Engine.order_props = false }) ]
+
+(* Operator fields the plan dump's text leaves out. *)
+let elided : P.op -> string = function
+  | P.Lit { rows; _ } ->
+    let cell v =
+      Algebra.Value.type_name v ^ " "
+      ^ String.escaped (Format.asprintf "%a" Algebra.Value.pp v)
+    in
+    " rows "
+    ^ String.concat ";"
+        (List.map
+           (fun r -> String.concat "|" (Array.to_list (Array.map cell r)))
+           rows)
+  | P.Aggr { order = Some c; _ } -> " order " ^ c
+  | P.Fun1
+      { f = (P.P_cast_as _ | P.P_castable _ | P.P_instance_item _) as f; _ }
+    ->
+    " "
+    ^ Digest.to_hex
+        (Digest.string (Marshal.to_string f [ Marshal.No_sharing ]))
+  | _ -> ""
+
+(* The MD5 of a canonical plan dump: nodes numbered by first visit from
+   the root (builder ids depend on compile history, not on the plan), one
+   line per node with its operator, the elided fields and its children's
+   numbers. *)
+let plan_digest root =
+  let num = Hashtbl.create 64 and buf = Buffer.create 4096 in
+  let rec visit (n : P.node) =
+    match Hashtbl.find_opt num n.P.id with
+    | Some k -> k
+    | None ->
+      let k = Hashtbl.length num in
+      Hashtbl.add num n.P.id k;
+      let kids = List.map visit (P.children n.P.op) in
+      Printf.bprintf buf "%d %s%s <%s>\n" k (Algebra.Plan_pp.describe n)
+        (elided n.P.op)
+        (String.concat "," (List.map string_of_int kids));
+      k
+  in
+  ignore (visit root);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let digests file =
+  let text = query_text file in
+  List.map
+    (fun (_, opts) ->
+       let _, _, optimized = Engine.plans_of ~opts text in
+       plan_digest optimized)
+    flag_opts
+
 let measure file =
   let text = query_text file in
   (compile Engine.default_opts text, compile Engine.ordered_baseline text)
@@ -350,6 +573,21 @@ let dump () =
          (String.concat ";\n       "
             (List.map (fun (r, k) -> Printf.sprintf "(%S, %d)" r k) fires)))
     query_files;
+  print_string "  ]\n";
+  print_string
+    "\nlet golden_digests : (string * string list) list =\n  [ ";
+  List.iteri
+    (fun i file ->
+       let rec pairs = function
+         | a :: b :: rest -> Printf.sprintf "%S; %S" a b :: pairs rest
+         | [ a ] -> [ Printf.sprintf "%S" a ]
+         | [] -> []
+       in
+       Printf.printf "%s(%S,\n     [ %s ]);\n"
+         (if i = 0 then "" else "    ")
+         file
+         (String.concat ";\n       " (pairs (digests file))))
+    (query_files @ xmark_names);
   print_string "  ]\n"
 
 let check_shape name expected actual =
@@ -372,6 +610,16 @@ let pp_fires fires =
 let test_fires (file, expected) () =
   Alcotest.(check string)
     (file ^ " (rule fires)") (pp_fires expected) (pp_fires (measure_fires file))
+
+let test_digests (file, expected) () =
+  List.iter2
+    (fun (flag, _) (exp, got) ->
+       Alcotest.(check string)
+         (Printf.sprintf "%s (plan digest%s)" file
+            (if flag = "" then "" else ", " ^ flag))
+         exp got)
+    flag_opts
+    (List.combine expected (digests file))
 
 (* The paper's point, as an invariant over the whole corpus: order
    indifference never adds order bookkeeping, and plans never grow. *)
@@ -405,6 +653,11 @@ let () =
            (fun ((file, _) as g) ->
               Alcotest.test_case file `Quick (test_fires g))
            golden_fires);
+        ("plan digests",
+         List.map
+           (fun ((file, _) as g) ->
+              Alcotest.test_case file `Quick (test_digests g))
+           golden_digests);
         ("invariants",
          [ Alcotest.test_case "default ≤ baseline" `Quick test_invariants ]) ]
   end

@@ -105,6 +105,45 @@ let test_join_synthesis () =
   let _, s2 = R.optimize b2 f2' in
   Alcotest.(check int) "no fire without a sigma" 0 (fire "join-synthesis" s2)
 
+(* The selection's column lives on one side of a Join: it descends into
+   that side, and the rows stay the same. *)
+let test_select_below_join () =
+  let b = P.builder () in
+  let l = lit b [ "iter"; "flag" ]
+      [ [| V.Int 1; V.Bool true |]; [| V.Int 2; V.Bool false |] ] in
+  let r = lit b [ "iter2"; "v" ] (ints [ [ 1; 10 ]; [ 2; 20 ] ]) in
+  let j =
+    P.mk b (P.Join { left = l; right = r; lcol = "iter"; rcol = "iter2" })
+  in
+  let sel = P.mk b (P.Select { input = j; col = "flag" }) in
+  let root, s = R.optimize b sel in
+  Alcotest.(check int) "fires into the left side" 1 (fire "select-pushdown" s);
+  Alcotest.(check bool) "select below join" true
+    (has_op
+       (function
+         | P.Join { left; _ } ->
+           (match left.P.op with P.Select _ -> true | _ -> false)
+         | _ -> false)
+       root);
+  check_rows ~sort:false "rows unchanged" sel root
+
+(* An inequality over a cross product becomes a theta join too. *)
+let test_thetajoin_recognition () =
+  let b = P.builder () in
+  let l = lit b [ "a" ] (ints [ [ 1 ]; [ 9 ] ]) in
+  let r = lit b [ "c" ] (ints [ [ 5 ] ]) in
+  let cross = P.mk b (P.Cross { left = l; right = r }) in
+  let f2 =
+    P.mk b
+      (P.Fun2
+         { input = cross; res = "keep"; f = P.P_gt; arg1 = "a"; arg2 = "c" })
+  in
+  let sel = P.mk b (P.Select { input = f2; col = "keep" }) in
+  let root, s = R.optimize b sel in
+  Alcotest.(check int) "fires" 1 (fire "join-synthesis" s);
+  Alcotest.(check bool) "cross+select fused" true (has_op is_theta root);
+  check_rows ~sort:false "pair order preserved" sel root
+
 let test_join_cross_elim () =
   let mk_shape b =
     let a = lit b [ "a" ] (ints [ [ 1 ]; [ 2 ] ]) in
@@ -246,7 +285,11 @@ let () =
   Alcotest.run "rewrite"
     [ ("rules",
        [ Alcotest.test_case "select pushdown" `Quick test_select_pushdown;
+         Alcotest.test_case "select pushdown below a join" `Quick
+           test_select_below_join;
          Alcotest.test_case "join synthesis" `Quick test_join_synthesis;
+         Alcotest.test_case "thetajoin recognition" `Quick
+           test_thetajoin_recognition;
          Alcotest.test_case "join-cross elimination" `Quick test_join_cross_elim ]);
       ("properties",
        [ Alcotest.test_case "keyed distinct elision" `Quick

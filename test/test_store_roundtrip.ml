@@ -24,8 +24,10 @@
      6. compressed execution — the bulk [*_range] accessors agree row
         for row with the per-row accessors (across chunk seams too),
         batched staircase scans account exactly the rows they decode,
-        and query results under code-eval are byte-identical to the
-        materialized reference path, dictionary or no dictionary. *)
+        query results under code-eval are byte-identical to the
+        materialized reference path, dictionary or no dictionary, and
+        every attribute/text/comment/PI row keeps a value code, ""
+        included. *)
 
 module DS = Xmldb.Doc_store
 module K = Xmldb.Node_kind
@@ -426,14 +428,11 @@ let check_bulk_parity label f =
       [ (0, 0); (0, 1); (n - 1, n); (n / 3, min n ((2 * n / 3) + 1)); (0, n) ]
     in
     let kinds = Array.make n (DS.kind_at f 0) in
-    let names = Array.make n 0 and values = Array.make n 0 in
     let sizes = Array.make n 0 and ncodes = Array.make n 0 in
     List.iter
       (fun (lo, hi) ->
          let len = hi - lo in
          DS.kinds_range f lo hi kinds;
-         DS.names_range f lo hi names;
-         DS.values_range f lo hi values;
          DS.sizes_range f lo hi sizes;
          DS.name_codes_range f lo hi ncodes;
          for i = 0 to len - 1 do
@@ -446,8 +445,6 @@ let check_bulk_parity label f =
            ck "kind"
              (Xmldb.Node_kind.to_int kinds.(i))
              (Xmldb.Node_kind.to_int (DS.kind_at f pre));
-           ck "name" names.(i) (DS.name_at f pre);
-           ck "value" values.(i) (DS.value_at f pre);
            ck "size" sizes.(i) (DS.size_at f pre);
            ck "name code" ncodes.(i) (DS.name_code_at f pre)
          done)
@@ -599,6 +596,68 @@ let test_code_eval_oracle_hostile () =
          (run_with Engine.default_opts st q))
     queries
 
+(* The invariant that lets value codes compare as strings: the store
+   interns every attribute, text, comment and PI value, "" included, so
+   none of those rows holds code 0 (no value) — in parsed, constructed
+   and snapshot-loaded fragments alike. An [eq ""] predicate over their
+   codes then keeps exactly the empty-valued rows: on codes (the profile
+   counts a code predicate), and as the materialized path does. *)
+let empty_values_xml = {|<r a="" b="x"><!----><?p?><?q d?><e c=""/>t</r>|}
+
+(* (query, the empty-valued rows it counts) *)
+let empty_value_queries =
+  [ ({|count(doc("d.xml")//@*[. eq ""])|}, 2);
+    ({|count(doc("d.xml")//comment()[. eq ""])|}, 1);
+    ({|count(doc("d.xml")//processing-instruction()[. eq ""])|}, 1);
+    ({|count(doc("d.xml")//text()[. eq ""])|}, 0);
+    ({|count(<n z="" y="v">{attribute w {""}}</n>/@*[. eq ""])|}, 2);
+    ({|count(<n><!---->{comment {""}}<?p?>{processing-instruction q {""}}
+              </n>/node()[. eq ""])|},
+     4);
+    ({|count(text {""}[. eq ""])|}, 1);
+    ({|count(attribute z {""}[. eq ""])|}, 1);
+    ({|count(comment {""}[. eq ""])|}, 1);
+    ({|count(processing-instruction p {""}[. eq ""])|}, 1) ]
+
+let check_value_codes label st =
+  for fi = 0 to DS.n_frags st - 1 do
+    let f = DS.frag st fi in
+    for pre = 0 to DS.frag_length f - 1 do
+      match DS.kind_at f pre with
+      | K.Attribute | K.Text | K.Comment | K.Processing_instruction ->
+        if DS.text_code_at f pre < 1 then
+          Alcotest.failf "%s frag %d row %d: value code %d" label fi pre
+            (DS.text_code_at f pre)
+      | K.Element | K.Document -> ()
+    done
+  done
+
+let test_empty_value_codes () =
+  let parsed = build empty_values_xml in
+  let loaded = DS.Snapshot.of_string (DS.Snapshot.to_string parsed) in
+  List.iter
+    (fun (label, st) ->
+       List.iter
+         (fun (q, want) ->
+            let r = Engine.run ~with_profile:true st q in
+            Alcotest.(check string) (label ^ ": " ^ q) (string_of_int want)
+              r.Engine.serialized;
+            Alcotest.(check string)
+              (label ^ ": code-eval on = off")
+              (run_with code_eval_off st q)
+              ("ok: " ^ r.Engine.serialized);
+            match r.Engine.profile with
+            | Some p
+              when (Algebra.Profile.phys p).Algebra.Profile.code_preds > 0 ->
+              ()
+            | _ -> Alcotest.failf "%s: %s never ran on codes" label q)
+         empty_value_queries;
+       (* the queries' constructors appended fragments to [st] *)
+       check_value_codes label st)
+    [ ("parsed", parsed); ("loaded", loaded) ];
+  check_value_codes "reloaded"
+    (DS.Snapshot.of_string (DS.Snapshot.to_string parsed))
+
 (* --------------------------------------------------- 5. corruption *)
 
 let expect_dynamic label thunk =
@@ -705,7 +764,9 @@ let () =
          Alcotest.test_case "equality shapes (hit/miss/empty/ne)" `Quick
            test_code_eval_oracle_eq_shapes;
          Alcotest.test_case "dictionary-hostile fallback" `Quick
-           test_code_eval_oracle_hostile ]);
+           test_code_eval_oracle_hostile;
+         Alcotest.test_case "empty values keep a code" `Quick
+           test_empty_value_codes ]);
       ("5. corruption is a clean dynamic error",
        [ Alcotest.test_case "truncations" `Quick test_corrupt_truncations;
          Alcotest.test_case "bit flips" `Quick test_corrupt_bitflips;
