@@ -15,7 +15,7 @@
      --no-join-isolation         disable join-graph isolation (the
                                  where-past-lets slide and the semijoin/
                                  antijoin synthesis rules)
-     --no-joinrec                disable where-clause join recognition
+     --no-joinrec                disable value-join recognition
      --no-hoist                  disable loop-invariant hoisting
 
    Execution (run/xmark):
@@ -124,7 +124,7 @@ let no_code_eval_arg =
 
 let no_joinrec_arg =
   Arg.(value & flag & info [ "no-joinrec" ]
-         ~doc:"Disable FLWOR where-clause value-join recognition.")
+         ~doc:"Disable value-join recognition on FLWOR where clauses and path predicates.")
 
 let no_join_isolation_arg =
   Arg.(value & flag & info [ "no-join-isolation" ]

@@ -655,6 +655,10 @@ let eval_fun3 store t res f arg1 arg2 arg3 =
   Table.append_col t res
     (Array.init (Table.nrows t) (fun r -> apply3 store f c1.(r) c2.(r) c3.(r)))
 
+(* The [A_the] aggregate's error, for a group of [n > 1] items. *)
+let not_singleton n =
+  Err.dynamic "a singleton sequence is required here, got %d items" n
+
 let eval_aggr store t res agg arg part order =
   let argc = Option.map (Table.col t) arg in
   let orderc = Option.map (Table.col t) order in
@@ -677,9 +681,7 @@ let eval_aggr store t res agg arg part order =
          (match rows with
           | [| r |] -> emit (arg_at r)
           | [||] -> ()
-          | _ ->
-            Err.dynamic "a singleton sequence is required here, got %d items"
-              (Array.length rows))
+          | _ -> not_singleton (Array.length rows))
        | A_count -> emit (Value.Int (Array.length rows))
        | A_sum ->
          let s =

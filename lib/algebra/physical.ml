@@ -526,10 +526,14 @@ let int_keys c =
 
 (* The key reader: codes when the pair allows it (counted as a code
    predicate, once per kernel), else ints, else query-pool string ids
-   (id equality is string equality within one pool) — code columns that
+   (id equality is string equality within one pool; a string constant is
+   looked up once, -1 when the pool never saw it) — code columns that
    missed the code path materialize late into the query pool first.
    [None]: the boxed rules decide. *)
 let match_keys ctx lc rc =
+  let pool_id s =
+    Option.value ~default:(-1) (String_pool.find_opt ctx.pool s)
+  in
   match code_keys ctx lc rc with
   | Some _ as keys ->
     bump ctx Profile.count_code_pred;
@@ -543,6 +547,12 @@ let match_keys ctx lc rc =
       | Column.Strs { pool = p1; ids = lk }, Column.Strs { pool = p2; ids = rk }
         when p1 == ctx.pool && p2 == ctx.pool ->
         Some (lk, rk)
+      | Column.Strs { pool; ids }, Column.Const { v = Value.Str s; n }
+        when pool == ctx.pool ->
+        Some (ids, Array.make n (pool_id s))
+      | Column.Const { v = Value.Str s; n }, Column.Strs { pool; ids }
+        when pool == ctx.pool ->
+        Some (Array.make n (pool_id s), ids)
       | _ -> None))
 
 (* --------------------------------------------------------- per-row kernels *)
@@ -1474,6 +1484,34 @@ let k_aggr ctx ~par b res agg arg part order =
         | _ -> max
       in
       grouped p ~g ~of_row:ga ~combine
+    | _ -> boxed ())
+  | Plan.A_the, Some p -> (
+    match (int_reader (rcol ctx b p), arg) with
+    | Some g, Some a ->
+      (* over non-decreasing groups, the groups are the runs of equal
+         [p], in first-seen order: the first run of more than one row
+         raises the boxed kernel's error, and when every run is one row
+         the result is the input's two columns as they are (a code
+         column stays codes) *)
+      let sorted = ref true and long = ref 0 in
+      let prev = ref 0 and run = ref 0 in
+      iter_sel b (fun r ->
+          let it = g r in
+          if !run > 0 && it = !prev then incr run
+          else begin
+            if !run > 0 && it < !prev then sorted := false;
+            if !long = 0 && !run > 1 then long := !run;
+            run := 1
+          end;
+          prev := it);
+      if !long = 0 && !run > 1 then long := !run;
+      if not !sorted then boxed ()
+      else if !long > 1 then Kernels.not_singleton !long
+      else
+        { b with
+          schema = [| p; res |];
+          cols = [| rcol ctx b p; rcol ctx b a |];
+          table = None }
     | _ -> boxed ())
   | _ -> boxed ()
 

@@ -36,7 +36,9 @@ type cfg = {
       (** FLWOR where-clause value-join recognition (the paper's reference
           [9]): [for $v in D where a cmp b] with a fully loop-invariant D,
           a independent of $v, and b depending on at most $v compiles the
-          filtered inner loop as a theta join instead of cross + filter *)
+          filtered inner loop as a theta join instead of cross + filter.
+          A correlated general-comparison predicate [E[P]] over a
+          loop-invariant E compiles as [for $dot in E where P] *)
   join_isolation : bool;
       (** compile-level join-graph isolation: a joinable where may slide
           left past intervening let clauses that do not bind its free

@@ -34,7 +34,7 @@ type opts = {
       (** [Dag] (default): shared subplans are evaluated once per run;
           [Tree]: sharing-oblivious re-evaluation, the differential
           oracle — results identical, costs not *)
-  join_rec : bool;  (** FLWOR where-clause value-join recognition *)
+  join_rec : bool;  (** value-join recognition on where clauses and predicates *)
   join_isolation : bool;
       (** join-graph isolation: the compile-level slide of a joinable
           [where] past intervening [let] clauses it does not depend on

@@ -73,6 +73,26 @@ let test_ebv () =
   check st "nonempty string is true" "true" "boolean(\"false\")";
   expect_dynamic st "boolean((1,2))"
 
+(* Predicates whose value is known only at run time (XQuery 1.0, 3.2.2):
+   one numeric item tests the position, anything else its effective
+   boolean value. *)
+let test_dynamic_predicates () =
+  let st = mk_store () in
+  check st "integer" "20" "let $n := 2 return (10,20,30)[$n]";
+  check st "integer per iteration" "<b><c/><d/></b><c/>"
+    {|for $n in (1,2) return doc("t.xml")/a/*[$n]|};
+  check st "double" "20" "let $n := 2.0 return (10,20,30)[$n]";
+  check st "double, no such position" "" "let $n := 2.5 return (10,20,30)[$n]";
+  check st "string" "10 20 30" {|let $n := "x" return (10,20,30)[$n]|};
+  check st "empty string" "" {|let $n := "" return (10,20,30)[$n]|};
+  check st "node" "<b><c/><d/></b><c/><e k=\"1\">x<f/>y</e>"
+    {|let $n := doc("t.xml")//@k return doc("t.xml")/a/*[$n]|};
+  check st "context item" "2" "(3,2,1)[.]";
+  (* reverse axes number their predicate positions nearest first *)
+  check st "reverse axis" "<c/><b><c/><d/></b>"
+    {|for $n in (1,2) return doc("t.xml")//e/preceding-sibling::*[$n]|};
+  expect_dynamic st "let $n := (1,2) return (10,20,30)[$n]"
+
 (* ----------------------------------------------------------- construction *)
 
 let test_construction () =
@@ -157,6 +177,7 @@ let () =
           t "order by" test_order_by ] );
       ( "semantics",
         [ t "effective boolean value" test_ebv;
+          t "dynamic predicates" test_dynamic_predicates;
           t "construction" test_construction;
           t "node identity" test_node_identity;
           t "quantifiers" test_quantifiers ] );

@@ -468,6 +468,114 @@ let test_predicate_key_shapes () =
          key_shapes)
     kinds
 
+(* Interned strings against a string constant: every exact-equality
+   kernel reads the pair as pool ids, the constant looked up once. A
+   constant the query never interned ("k404") matches nothing. *)
+let test_const_string_keys () =
+  let keys = [ 3; 1; 3; 2; 1 ] in
+  List.iter
+    (fun (cname, c) ->
+       List.iter
+         (fun const_left ->
+            let b = Plan.builder () in
+            let strs key pay base = key_side b `Str ~key ~pay ~base keys in
+            let const key pay base =
+              Plan.attach b
+                (Plan.project b (strs "_k" pay base) [ (pay, pay) ])
+                key (v_str c)
+            in
+            let l = (if const_left then const else strs) "a" "x" 0 in
+            let r = (if const_left then strs else const) "b" "y" 100 in
+            let msg =
+              Printf.sprintf "%s, constant %s" cname
+                (if const_left then "left" else "right")
+            in
+            let ph = check_keyed (msg ^ ": join") (Plan.join b l r "a" "b") in
+            Alcotest.(check int) (msg ^ ": typed join") 1
+              (ph.Profile.joins_aligned + ph.Profile.joins_merged
+               + ph.Profile.joins_hashed);
+            ignore
+              (check_keyed (msg ^ ": eq theta join")
+                 (Plan.thetajoin b l r "a" Plan.P_eq "b"));
+            ignore
+              (check_keyed (msg ^ ": semijoin")
+                 (Plan.semijoin b l r [ ("a", "b") ]));
+            ignore
+              (check_keyed (msg ^ ": antijoin")
+                 (Plan.antijoin b l r [ ("a", "b") ]));
+            (* both keys in one batch: the constant beside the strings *)
+            let pairs =
+              if const_left then Plan.attach b r "a" (v_str c)
+              else Plan.attach b l "b" (v_str c)
+            in
+            List.iter
+              (fun (pname, f) ->
+                 ignore
+                   (check_keyed (msg ^ ": " ^ pname)
+                      (Plan.select b (Plan.fun2 b pairs "t" f "a" "b") "t")))
+              [ ("=", Plan.P_eq); ("!=", Plan.P_ne) ])
+         [ false; true ])
+    [ ("hit", key_text 3); ("miss", "k404") ]
+
+(* [the] over a non-decreasing group column: groups are runs, and when
+   each is one row the input columns pass through (codes stay codes, so
+   an equality above compares codes); a longer run raises the boxed
+   kernel's error, and unsorted groups take the boxed kernel. *)
+let test_the_over_runs () =
+  let b = Plan.builder () in
+  let the_of ?(select = false) groups =
+    let nodes =
+      Plan.lit b [| "n"; "iter"; "keep" |]
+        (List.mapi
+           (fun i g -> [| key_attr (1 + (i mod 3)); v_int g; v_bool (i <> 1) |])
+           groups)
+    in
+    let input = if select then Plan.select b nodes "keep" else nodes in
+    let coded = Plan.fun1 b input "item" Plan.P_string "n" in
+    Plan.aggr b coded "res" Plan.A_the (Some "item") (Some "iter") None
+  in
+  let singletons = the_of [ 1; 2; 3; 5; 8 ] in
+  let ph = check_keyed "the: singleton runs" singletons in
+  Alcotest.(check int) "the: singleton runs decode once" 1
+    ph.Profile.late_materializations;
+  let eq =
+    Plan.fun2 b (Plan.attach b singletons "c" (v_str (key_text 2))) "t"
+      Plan.P_eq "res" "c"
+  in
+  let ph = check_keyed "the: equality above" (Plan.select b eq "t") in
+  Alcotest.(check int) "the: equality above compares codes" 1
+    ph.Profile.code_preds;
+  List.iter
+    (fun (msg, groups, select) -> ignore (check_keyed msg (the_of ~select groups)))
+    [ ("the: unsorted singletons", [ 3; 1; 2 ], false);
+      ("the: empty", [], false);
+      ("the: a run of two, dropped by a selection", [ 1; 2; 2; 3 ], true) ];
+  List.iter
+    (fun (msg, groups) ->
+       check_error_parity ~mk:keys_store msg (the_of groups))
+    [ ("the: a run of two", [ 1; 2; 2; 3 ]);
+      ("the: a run of three", [ 1; 1; 1 ]);
+      ("the: the first long run", [ 1; 2; 2; 3; 3; 3 ]);
+      ("the: a group split across runs", [ 1; 2; 2; 0; 2 ]) ]
+
+(* An [eq ""] join behind a [the] over attribute values: the key column
+   stays codes through the aggregate and the join compares codes. *)
+let test_code_join_behind_the () =
+  let st = store () in
+  ignore
+    (Xmldb.Xml_parser.load_document st ~uri:"d.xml"
+       {|<a x="" y="1"><b z=""/><c w="q"/></a>|});
+  let r =
+    Engine.run ~with_profile:true st
+      {|count(for $a in doc("d.xml")//@* where data($a) eq "" return $a)|}
+  in
+  Alcotest.(check (list string)) "answer" [ "2" ]
+    (List.map Value.to_string r.Engine.items);
+  let ph = Profile.phys (Option.get r.Engine.profile) in
+  Alcotest.(check bool) "compared on codes" true (ph.Profile.code_preds >= 1);
+  Alcotest.(check int) "no late materialization" 0
+    ph.Profile.late_materializations
+
 (* An aligned join hands its inputs' columns through unchanged (a [#]
    numbering stays a [Seq]); the input's other consumers, and the
    join's own consumers, must not see each other's work. *)
@@ -831,6 +939,10 @@ let () =
        [ Alcotest.test_case "joins" `Quick test_join_key_shapes;
          Alcotest.test_case "semi/antijoins" `Quick test_semijoin_key_shapes;
          Alcotest.test_case "=/!= predicate" `Quick test_predicate_key_shapes;
+         Alcotest.test_case "strings x constant" `Quick test_const_string_keys;
+         Alcotest.test_case "the over iter runs" `Quick test_the_over_runs;
+         Alcotest.test_case "code join behind the" `Quick
+           test_code_join_behind_the;
          Alcotest.test_case "aligned join, shared input" `Quick
            test_aligned_shared_input;
          Alcotest.test_case "distinct key columns" `Quick
