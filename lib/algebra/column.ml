@@ -12,23 +12,6 @@
 
 open Basis
 
-type ty = T_int | T_dbl | T_bool | T_str | T_node | T_mixed
-
-let ty_name = function
-  | T_int -> "int" | T_dbl -> "dbl" | T_bool -> "bool"
-  | T_str -> "str" | T_node -> "node" | T_mixed -> "mixed"
-
-let ty_of_value = function
-  | Value.Int _ -> T_int
-  | Value.Dbl _ -> T_dbl
-  | Value.Bool _ -> T_bool
-  | Value.Str _ -> T_str
-  | Value.Node _ -> T_node
-  | Value.Qname_v _ -> T_mixed
-
-(* the join of two column types: equal or Mixed *)
-let ty_union a b = if a = b then a else T_mixed
-
 type t =
   | Ints of int array
   | Dbls of float array
@@ -54,17 +37,6 @@ let length = function
   | Const { n; _ } -> n
   | Seq { n; _ } -> n
   | Mixed a -> Array.length a
-
-let ty_of = function
-  | Ints _ -> T_int
-  | Dbls _ -> T_dbl
-  | Bools _ -> T_bool
-  | Strs _ -> T_str
-  | Codes _ -> T_str
-  | Nodes _ -> T_node
-  | Const { v; _ } -> ty_of_value v
-  | Seq _ -> T_int
-  | Mixed _ -> T_mixed
 
 let get c i =
   match c with
@@ -232,9 +204,3 @@ let append a b =
     Const { v = c1.v; n = c1.n + c2.n }
   | _ ->
     Mixed (Array.append (to_values a) (to_values b))
-
-let describe c =
-  Printf.sprintf "%s[%d]%s" (ty_name (ty_of c)) (length c)
-    (match c with
-     | Const _ -> " const" | Seq _ -> " seq" | Codes _ -> " codes"
-     | _ -> "")

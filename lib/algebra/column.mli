@@ -8,14 +8,6 @@
     (i -> start + i, MonetDB's void) encode Attach and Rowid results
     without materializing anything. *)
 
-type ty = T_int | T_dbl | T_bool | T_str | T_node | T_mixed
-
-val ty_name : ty -> string
-val ty_of_value : Value.t -> ty
-
-(** The join of two column types: equal, or [T_mixed]. *)
-val ty_union : ty -> ty -> ty
-
 type t =
   | Ints of int array
   | Dbls of float array
@@ -39,7 +31,6 @@ type t =
   | Mixed of Value.t array
 
 val length : t -> int
-val ty_of : t -> ty
 
 (** Box row [i]. *)
 val get : t -> int -> Value.t
@@ -66,6 +57,3 @@ val gather : t -> int array -> t
 (** Disjoint-union append; mismatched representations degrade to
     [Mixed]. [Strs] stay typed only when both share one pool. *)
 val append : t -> t -> t
-
-(** One-line summary, e.g. ["int[42] const"], for plan dumps. *)
-val describe : t -> string

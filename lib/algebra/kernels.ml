@@ -26,14 +26,11 @@ type env = {
          physical layer. Results are bit-identical on or off. *)
   bulk_decodes : int Atomic.t;
       (* column rows this run's batched staircase scans decoded *)
-  steps_reused : int Atomic.t;
-      (* context rows this run's loop-lifted steps answered from an
-         earlier run's result *)
 }
 
 let env ?tag_index ?(code_eval = true) store =
   { store; tag_index; id_index = None; code_eval;
-    bulk_decodes = Atomic.make 0; steps_reused = Atomic.make 0 }
+    bulk_decodes = Atomic.make 0 }
 
 let id_index env =
   match env.id_index with
@@ -190,11 +187,7 @@ let apply1 store f v =
     else Err.dynamic "treat as: the operand does not match the required type"
   | P_error ->
     Err.dynamic "fn:error: %s" (Value.to_string (atomize store v))
-  | P_node_check ->
-    (match v with
-     | Value.Node _ -> v
-     | v ->
-       Err.dynamic "path steps must return nodes, got %s" (Value.type_name v))
+  | P_node_check -> if Value.is_node v then v else Value.path_not_node v
 
 let apply2 store f a bv =
   match f with
@@ -655,10 +648,6 @@ let eval_fun3 store t res f arg1 arg2 arg3 =
   Table.append_col t res
     (Array.init (Table.nrows t) (fun r -> apply3 store f c1.(r) c2.(r) c3.(r)))
 
-(* The [A_the] aggregate's error, for a group of [n > 1] items. *)
-let not_singleton n =
-  Err.dynamic "a singleton sequence is required here, got %d items" n
-
 let eval_aggr store t res agg arg part order =
   let argc = Option.map (Table.col t) arg in
   let orderc = Option.map (Table.col t) order in
@@ -681,7 +670,7 @@ let eval_aggr store t res agg arg part order =
          (match rows with
           | [| r |] -> emit (arg_at r)
           | [||] -> ()
-          | _ -> not_singleton (Array.length rows))
+          | _ -> Value.not_singleton (Array.length rows))
        | A_count -> emit (Value.Int (Array.length rows))
        | A_sum ->
          let s =
@@ -731,9 +720,7 @@ let eval_aggr store t res agg arg part order =
              Array.for_all (fun r -> Value.is_node (arg_at r)) rows in
            if all_nodes then emit (Value.Bool true)
            else if n = 1 then emit (Value.Bool (Value.ebv_atomic (arg_at rows.(0))))
-           else
-             Err.dynamic
-               "effective boolean value of a sequence of %d atomic items" n
+           else Value.ebv_of_atomics n
          end
        | A_str_join sep ->
          let items =
@@ -803,10 +790,10 @@ let step_lifted env axis test rows =
   let test = resolve_test env.store test in
   match env.tag_index with
   | Some ti when Xmldb.Tag_index.applicable axis test ->
-    Xmldb.Tag_index.step_lifted ~reused:env.steps_reused ti axis test rows
+    Xmldb.Tag_index.step_lifted ti axis test rows
   | _ ->
     Xmldb.Staircase.step_lifted ~batch:env.code_eval ~decoded:env.bulk_decodes
-      ~reused:env.steps_reused env.store axis test rows
+      env.store axis test rows
 
 let eval_doc store t =
   let itemc = Table.col t "item" in

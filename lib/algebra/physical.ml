@@ -1506,7 +1506,7 @@ let k_aggr ctx ~par b res agg arg part order =
           prev := it);
       if !long = 0 && !run > 1 then long := !run;
       if not !sorted then boxed ()
-      else if !long > 1 then Kernels.not_singleton !long
+      else if !long > 1 then Value.not_singleton !long
       else
         { b with
           schema = [| p; res |];
@@ -1521,10 +1521,8 @@ let k_aggr ctx ~par b res agg arg part order =
    [item] as a node column, one loop-lifted call ([Kernels.step_lifted]),
    an Ints/Nodes batch out — no boxed row per result and no boxed table.
    The call writes its rows straight into the int arrays that become
-   the batch's columns, and steps each distinct context of its one-row
-   iterations once ([Xmldb.Staircase.drive]; the profile's
-   [steps_reused] counts the rest). Rows come out in the boxed kernel's
-   order (iterations in input order; within one, document order without
+   the batch's columns. Rows come out in the boxed kernel's order
+   (iterations in input order; within one, document order without
    duplicates), so results, errors and budget charges are unchanged.
    The loop-lifted call needs each iteration to be one run of rows;
    when the iters are not non-decreasing, or [item] is not a node
@@ -1686,6 +1684,5 @@ let run ?profile ?guard ?step_impl ?mode ?jobs ?morsel ?code_eval store
   in
   let out = eval ctx root in
   bump ctx (fun p ->
-      Profile.add_bulk_decodes p (Atomic.get ctx.env.Kernels.bulk_decodes);
-      Profile.add_steps_reused p (Atomic.get ctx.env.Kernels.steps_reused));
+      Profile.add_bulk_decodes p (Atomic.get ctx.env.Kernels.bulk_decodes));
   to_table ctx out

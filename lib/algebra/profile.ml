@@ -39,8 +39,6 @@ type phys = {
                                  and evaluated as integer compares *)
   mutable bulk_decodes : int; (* column rows the run's batched staircase
                                  scans decoded *)
-  mutable steps_reused : int; (* step context rows answered from an
-                                 earlier iteration's result *)
   mutable late_materializations : int; (* code-carrying columns expanded
                                           to strings at pipeline breakers
                                           or for a consumer that needs
@@ -71,7 +69,7 @@ let create () =
         mat_avoided = 0; mat_forced = 0; retypes = 0;
         joins_aligned = 0; joins_merged = 0; joins_hashed = 0;
         sorts_elided = 0; sorts_to_merges = 0; root_sort_elided = 0;
-        code_preds = 0; bulk_decodes = 0; steps_reused = 0;
+        code_preds = 0; bulk_decodes = 0;
         late_materializations = 0 } }
 
 let locked t f =
@@ -122,9 +120,6 @@ let count_code_pred t =
 
 let add_bulk_decodes t k =
   locked t (fun () -> t.phys.bulk_decodes <- t.phys.bulk_decodes + k)
-
-let add_steps_reused t k =
-  locked t (fun () -> t.phys.steps_reused <- t.phys.steps_reused + k)
 
 let count_late_mat t =
   locked t (fun () ->
@@ -193,9 +188,7 @@ let pp fmt t =
     if p.joins_aligned + p.joins_merged + p.joins_hashed > 0 then
       Format.fprintf fmt
         "physical: equi-joins %d aligned, %d merged, %d hashed@."
-        p.joins_aligned p.joins_merged p.joins_hashed;
-    if p.steps_reused > 0 then
-      Format.fprintf fmt "physical: %d step contexts reused@." p.steps_reused
+        p.joins_aligned p.joins_merged p.joins_hashed
   end;
   if p.sorts_elided > 0 || p.sorts_to_merges > 0 || p.root_sort_elided > 0
   then

@@ -53,11 +53,6 @@ type phys = {
   mutable bulk_decodes : int;
       (** column rows this run's batched staircase scans decoded through
           {!Xmldb.Doc_store}'s bulk range accessors *)
-  mutable steps_reused : int;
-      (** step context rows answered from an earlier iteration's result:
-          one-row runs of a loop-lifted step whose context an earlier
-          one-row run of the same call already stepped
-          ({!Xmldb.Staircase.drive}) *)
   mutable late_materializations : int;
       (** code-carrying columns expanded to strings at pipeline breakers
           or for consumers that need the text *)
@@ -93,10 +88,6 @@ val count_code_pred : t -> unit
 (** [add_bulk_decodes t k] folds a run's [k] bulk-decoded rows into the
     profile. *)
 val add_bulk_decodes : t -> int -> unit
-
-(** [add_steps_reused t k] folds a run's [k] reused step contexts into
-    the profile. *)
-val add_steps_reused : t -> int -> unit
 
 val count_late_mat : t -> unit
 

@@ -10,9 +10,7 @@
      - one_row: at most one row (zero rows included);
      - arbitrary: columns born from # (Rowid), whose numbers carry no
        semantic order — the paper's Section 7 turns a % whose criteria
-       are all arbitrary into a free #;
-     - ctypes: statically known value types, which only decorate the
-       physical plan dump (execution re-detects types dynamically).
+       are all arbitrary into a free #.
 
    In what ORDER do its rows come out? A fact is a lexicographic
    sortedness claim: the rows, in physical row order, are non-strictly
@@ -39,9 +37,9 @@
    Keys, consts and facts license rewrites (keyed δ elision, % criteria
    dropping, sort elision), so every rule must be exact: a missing fact
    costs a sort that was already paid for, a wrong one changes
-   answers. Facts and column types are computed only when
-   asked for: column dependency analysis and the rewriter read the rest
-   of the value half on every round and need neither. *)
+   answers. Facts are computed only when asked for: column dependency
+   analysis and the rewriter read the value half on every round and do
+   not need them. *)
 
 module SMap = Map.Make (String)
 module SSet = Set.Make (String)
@@ -54,11 +52,8 @@ type t = {
   keys : SSet.t;
   one_row : bool;
   arbitrary : SSet.t;
-  ctypes : Column.ty SMap.t Lazy.t;
   facts : req list Lazy.t;
 }
-
-let ctypes p = Lazy.force p.ctypes
 
 (* ----------------------------------------------------- order reasoning *)
 
@@ -124,81 +119,6 @@ let remap_fact cols fact =
   in
   go [] fact
 
-(* ------------------------------------------------------- column types *)
-
-(* [None] means "statically unknown" (= T_mixed). These mirror the
-   promotion rules of [Value]'s arithmetic: Int op Int stays Int except
-   for [div], which yields Int or Dbl depending on exactness. *)
-
-let atomize_ty = function
-  | Some Column.T_node -> Some Column.T_str
-  | Some (Column.T_int | Column.T_dbl | Column.T_bool | Column.T_str) as t -> t
-  | _ -> None
-
-let prim1_ty (f : Plan.prim1) (arg : Column.ty option) : Column.ty option =
-  let open Column in
-  match f with
-  | Plan.P_not | Plan.P_is_node | Plan.P_cast_bool | Plan.P_check_zero_one
-  | Plan.P_check_exactly_one | Plan.P_check_one_or_more | Plan.P_castable _
-  | Plan.P_instance_item _ | Plan.P_check_treat -> Some T_bool
-  | Plan.P_string | Plan.P_cast_str | Plan.P_normalize_space | Plan.P_upper
-  | Plan.P_lower | Plan.P_serialize | Plan.P_name | Plan.P_local_name ->
-    Some T_str
-  | Plan.P_string_length | Plan.P_cast_int -> Some T_int
-  | Plan.P_number | Plan.P_cast_dbl -> Some T_dbl
-  | Plan.P_neg | Plan.P_round | Plan.P_floor | Plan.P_ceiling | Plan.P_abs ->
-    (match arg with Some (T_int | T_dbl) -> arg | _ -> None)
-  | Plan.P_atomize -> atomize_ty arg
-  | Plan.P_node_check -> Some T_node
-  | Plan.P_cast_as ty ->
-    (match ty with
-     | Plan.Ty_integer -> Some T_int
-     | Plan.Ty_double -> Some T_dbl
-     | Plan.Ty_string | Plan.Ty_untyped -> Some T_str
-     | Plan.Ty_boolean -> Some T_bool
-     | Plan.Ty_any_atomic -> atomize_ty arg)
-  | Plan.P_error -> None
-
-let prim2_ty (f : Plan.prim2) a b : Column.ty option =
-  let open Column in
-  let numeric =
-    match (a, b) with
-    | Some T_int, Some T_int -> Some T_int
-    | Some (T_int | T_dbl), Some (T_int | T_dbl) -> Some T_dbl
-    | _ -> None
-  in
-  match f with
-  | Plan.P_eq | Plan.P_ne | Plan.P_lt | Plan.P_le | Plan.P_gt | Plan.P_ge
-  | Plan.P_and | Plan.P_or | Plan.P_is | Plan.P_before | Plan.P_after
-  | Plan.P_contains | Plan.P_starts_with | Plan.P_ends_with -> Some T_bool
-  | Plan.P_concat | Plan.P_substr_before | Plan.P_substr_after -> Some T_str
-  | Plan.P_add | Plan.P_sub | Plan.P_mul | Plan.P_mod -> numeric
-  | Plan.P_div ->
-    (* Int/Int yields Int when exact, Dbl otherwise: unknown statically *)
-    (match (a, b) with
-     | Some T_dbl, Some (T_int | T_dbl) | Some T_int, Some T_dbl -> Some T_dbl
-     | _ -> None)
-  | Plan.P_idiv -> Some T_int
-
-let agg_ty (agg : Plan.agg) (arg : Column.ty option) : Column.ty option =
-  let open Column in
-  match agg with
-  | Plan.A_count -> Some T_int
-  | Plan.A_ebv -> Some T_bool
-  | Plan.A_str_join _ -> Some T_str
-  | Plan.A_the -> arg
-  (* an empty group sums to Int 0, so T_dbl input does not give T_dbl *)
-  | Plan.A_sum -> (match arg with Some T_int -> Some T_int | _ -> None)
-  | Plan.A_max | Plan.A_min ->
-    (match arg with Some (T_int | T_dbl) -> arg | _ -> None)
-  | Plan.A_avg -> (match arg with Some T_dbl -> Some T_dbl | _ -> None)
-
-(* add a type only when it is informative *)
-let add_ty res ty m =
-  match ty with
-  | Some t when t <> Column.T_mixed -> SMap.add res t m
-  | _ -> SMap.remove res m
-
 (* ---------------------------------------------------------- propagation *)
 
 let only cols m = SMap.filter (fun c _ -> SSet.mem c cols) m
@@ -207,28 +127,12 @@ let iter_only = SSet.singleton "iter"
 
 (* Exact single-column facts of a literal table (loop relations, small
    constant sequences), bounded so the analysis stays linear on big
-   literals; column types are read off every row. *)
+   literals. *)
 let lit_props schema rows =
   let nrows = List.length rows in
-  let schema_set = SSet.of_list (Array.to_list schema) in
-  let ctypes =
-    lazy
-      (match rows with
-       | [] -> SMap.empty
-       | first :: rest ->
-         let tys = Array.map Column.ty_of_value first in
-         List.iter
-           (Array.iteri (fun i v ->
-                tys.(i) <- Column.ty_union tys.(i) (Column.ty_of_value v)))
-           rest;
-         Array.to_seq schema
-         |> Seq.mapi (fun i c -> (c, tys.(i)))
-         |> Seq.filter (fun (_, ty) -> ty <> Column.T_mixed)
-         |> SMap.of_seq)
-  in
   let base =
-    { schema = schema_set; consts = SMap.empty; keys = SSet.empty;
-      one_row = nrows <= 1; arbitrary = SSet.empty; ctypes;
+    { schema = SSet.of_list (Array.to_list schema); consts = SMap.empty;
+      keys = SSet.empty; one_row = nrows <= 1; arbitrary = SSet.empty;
       facts = Lazy.from_val [] }
   in
   if nrows = 0 || nrows > 64 then base
@@ -264,7 +168,6 @@ let node_output src =
     keys = SSet.empty;
     one_row = false;
     arbitrary = SSet.inter src.arbitrary iter_only;
-    ctypes = lazy (SMap.add "item" Column.T_node (only iter_only (ctypes src)));
     facts = Lazy.from_val [] }
 
 (* ...and of one that builds at most one node per [src] row, in [src]
@@ -275,12 +178,9 @@ let node_per_row src =
     one_row = src.one_row;
     facts = lazy (truncate_facts (String.equal "iter") (Lazy.force src.facts)) }
 
-(* Append a computed column [res], typed by [ty] from the input's column
-   types, to the carrier rows, which stay in place. *)
-let append p res ty =
-  { p with
-    schema = SSet.add res p.schema;
-    ctypes = lazy (let ct = ctypes p in add_ty res (ty ct) ct) }
+(* Append a computed column [res] to the carrier rows, which stay in
+   place. *)
+let append p res = { p with schema = SSet.add res p.schema }
 
 let union_first a b = SMap.union (fun _ v _ -> Some v) a b
 
@@ -308,7 +208,6 @@ let derive get (n : Plan.node) : t =
       keys = rename_set p.keys;
       one_row = p.one_row;
       arbitrary = rename_set p.arbitrary;
-      ctypes = lazy (rename_map (ctypes p));
       facts =
         lazy
           (List.filter (fun f -> f <> [])
@@ -353,7 +252,6 @@ let derive get (n : Plan.node) : t =
           (if SSet.mem lcol pl.keys then pr.keys else SSet.empty);
       one_row = pl.one_row && pr.one_row;
       arbitrary = SSet.union pl.arbitrary pr.arbitrary;
-      ctypes = lazy (union_first (ctypes pl) (ctypes pr));
       (* pair order is left-major with right matches in right-row order
          (hash buckets accumulate probe hits in scan order) *)
       facts =
@@ -369,7 +267,6 @@ let derive get (n : Plan.node) : t =
       keys = SSet.empty;
       one_row = false;
       arbitrary = SSet.union pl.arbitrary pr.arbitrary;
-      ctypes = lazy (union_first (ctypes pl) (ctypes pr));
       facts = pl.facts }
   | Plan.Cross { left; right } ->
     let pl = get left and pr = get right in
@@ -382,28 +279,26 @@ let derive get (n : Plan.node) : t =
           (if pl.one_row then pr.keys else SSet.empty);
       one_row = pl.one_row && pr.one_row;
       arbitrary = SSet.union pl.arbitrary pr.arbitrary;
-      ctypes = lazy (union_first (ctypes pl) (ctypes pr));
       facts =
         lazy
           (Lazy.force pl.facts
            @ if pl.one_row then Lazy.force pr.facts else []) }
   | Plan.Union { left; right } ->
     (* an append: rows of both sides interleave, so keys and global facts
-       die; a column is constant or typed iff it is so, identically, on
-       both sides *)
+       die; a column is constant iff it is so, identically, on both
+       sides *)
     let pl = get left and pr = get right in
-    let agree eq =
-      SMap.merge (fun _ a b ->
-          match (a, b) with
-          | Some va, Some vb when eq va vb -> Some va
-          | _ -> None)
-    in
     { schema = pl.schema;
-      consts = agree Value.equal pl.consts pr.consts;
+      consts =
+        SMap.merge
+          (fun _ a b ->
+             match (a, b) with
+             | Some va, Some vb when Value.equal va vb -> Some va
+             | _ -> None)
+          pl.consts pr.consts;
       keys = SSet.empty;
       one_row = false;
       arbitrary = SSet.inter pl.arbitrary pr.arbitrary;
-      ctypes = lazy (agree ( = ) (ctypes pl) (ctypes pr));
       facts = Lazy.from_val [] }
   | Plan.Rownum { input; res; order; part } ->
     let p = get input in
@@ -423,39 +318,29 @@ let derive get (n : Plan.node) : t =
              else None)
           [ Plan.Asc; Plan.Desc ]
     in
-    { (append p res (fun _ -> Some Column.T_int)) with
+    { (append p res) with
       (* unpartitioned ranks are unique *)
       keys = (if part = None then SSet.add res p.keys else p.keys);
       facts = lazy (extra () @ Lazy.force p.facts) }
   | Plan.Rowid { input; res } ->
     let p = get input in
-    { (append p res (fun _ -> Some Column.T_int)) with
+    { (append p res) with
       keys = SSet.add res p.keys;
       arbitrary = SSet.add res p.arbitrary;
       facts = lazy ([ (res, Plan.Asc) ] :: Lazy.force p.facts) }
   | Plan.Attach { input; res; value } ->
     let p = get input in
-    { (append p res (fun _ -> Some (Column.ty_of_value value))) with
-      consts = SMap.add res value p.consts }
-  | Plan.Fun1 { input; res; f; arg } ->
-    append (get input) res (fun ct -> prim1_ty f (SMap.find_opt arg ct))
-  | Plan.Fun2 { input; res; f; arg1; arg2 } ->
-    append (get input) res (fun ct ->
-        prim2_ty f (SMap.find_opt arg1 ct) (SMap.find_opt arg2 ct))
+    { (append p res) with consts = SMap.add res value p.consts }
+  | Plan.Fun1 { input; res; _ } | Plan.Fun2 { input; res; _ }
   | Plan.Fun3 { input; res; _ } ->
-    (* both ternary primitives build strings *)
-    append (get input) res (fun _ -> Some Column.T_str)
-  | Plan.Aggr { input; res; agg; arg; part; _ } -> (
+    append (get input) res
+  | Plan.Aggr { input; res; part; _ } -> (
     let p = get input in
-    let res_ty () =
-      agg_ty agg (Option.bind arg (fun a -> SMap.find_opt a (ctypes p)))
-    in
     match part with
     | None ->
       (* a single output row *)
       { schema = SSet.singleton res; consts = SMap.empty;
         keys = SSet.empty; one_row = true; arbitrary = SSet.empty;
-        ctypes = lazy (add_ty res (res_ty ()) SMap.empty);
         facts = Lazy.from_val [] }
     | Some pc ->
       (* one output row per group, groups in first-seen order — which is
@@ -466,7 +351,6 @@ let derive get (n : Plan.node) : t =
         keys = keep;
         one_row = p.one_row;
         arbitrary = SSet.inter p.arbitrary keep;
-        ctypes = lazy (add_ty res (res_ty ()) (only keep (ctypes p)));
         facts =
           lazy
             (List.filter_map
@@ -500,10 +384,6 @@ let derive get (n : Plan.node) : t =
       keys = SSet.empty;
       one_row = false;
       arbitrary = SSet.inter p.arbitrary iter_only;
-      ctypes =
-        lazy
-          (SMap.add "pos" Column.T_int
-             (SMap.add "item" Column.T_int (only iter_only (ctypes p))));
       facts =
         lazy
           (let iter_sorted = proves p [ ("iter", Plan.Asc) ] in
@@ -514,18 +394,13 @@ let derive get (n : Plan.node) : t =
            else []) }
   | Plan.Textify { input } ->
     (* atomic runs become text nodes, node items pass through; emits rows
-       explicitly sorted by (iter, pos), with pos values a subset of the
-       input's (so its type survives) *)
+       explicitly sorted by (iter, pos) *)
     let p = get input in
     { schema = SSet.of_list [ "iter"; "pos"; "item" ];
       consts = only iter_only p.consts;
       keys = SSet.empty;
       one_row = p.one_row;
       arbitrary = SSet.inter p.arbitrary iter_only;
-      ctypes =
-        lazy
-          (SMap.add "item" Column.T_node
-             (only (SSet.of_list [ "iter"; "pos" ]) (ctypes p)));
       facts = Lazy.from_val [ [ ("iter", Plan.Asc); ("pos", Plan.Asc) ] ] }
 
 (* ------------------------------------------------------------ analyzer *)
@@ -550,9 +425,6 @@ let rec props (a : analyzer) (n : Plan.node) : t =
     p
 
 let schema a n = (props a n).schema
-
-let col_ty a n c =
-  Option.value ~default:Column.T_mixed (SMap.find_opt c (ctypes (props a n)))
 
 let satisfies a n req = proves (props a n) req
 

@@ -3,8 +3,8 @@
 
     The value half says what a node's columns can hold: its static
     schema, constant columns, keys (pairwise-distinct columns), whether
-    it has at most one row, which columns are {e arbitrary} (born from
-    [#]) and static column types. The order half says which
+    it has at most one row and which columns are {e arbitrary} (born
+    from [#]). The order half says which
     (column, direction) sort orders its rows already satisfy, in physical
     row order, under {!Value.compare_total}. Facts come only from
     unconditional kernel invariants (the staircase step emits document
@@ -16,8 +16,7 @@
     Consumers: column dependency analysis ([Exrquy.Icols]: const
     criteria dropping, the Section-7 degradation of an all-arbitrary [%]
     to [#], keyed [δ] elision, static schemas); the rewriter (static
-    schemas, ["sort-elision"]); and the [xrquy plan] annotations,
-    the physical dump's column types included.
+    schemas, ["sort-elision"]); and the [xrquy plan] annotations.
 
     The paper's Section-7 {e dense} columns — strictly increasing in row
     order — are not a separate property: a dense column is a key with an
@@ -39,11 +38,6 @@ type t = {
           every column a key *)
   one_row : bool;  (** at most one row (zero included): every order holds *)
   arbitrary : SSet.t;  (** columns born from [#] *)
-  ctypes : Column.ty SMap.t Lazy.t;
-      (** column → statically known value type; absent = unknown
-          ([T_mixed]). These only decorate the physical plan dump:
-          execution re-detects column types dynamically. Computed on
-          first use. *)
   facts : req list Lazy.t;
       (** each: rows are non-strictly lex-sorted by these keys; computed
           on first use *)
@@ -59,9 +53,6 @@ val props : analyzer -> Plan.node -> t
 
 (** The node's static schema. *)
 val schema : analyzer -> Plan.node -> SSet.t
-
-(** The statically known type of a node's column ([T_mixed] = unknown). *)
-val col_ty : analyzer -> Plan.node -> string -> Column.ty
 
 (** [satisfies a n req]: does [n]'s output provably arrive sorted by
     [req]? Constant columns are discounted; a matched key column pins

@@ -89,6 +89,15 @@ let ebv_atomic = function
   | Dbl f -> not (f = 0.0 || Float.is_nan f)
   | v -> Err.dynamic "no effective boolean value for %s" (type_name v)
 
+let not_singleton n =
+  Err.dynamic "a singleton sequence is required here, got %d items" n
+
+let ebv_of_atomics n =
+  Err.dynamic "effective boolean value of a sequence of %d atomic items" n
+
+let path_not_node v =
+  Err.dynamic "path steps must return nodes, got %s" (type_name v)
+
 (* Serialization of atomic values (XDM canonical-ish forms). *)
 let to_string = function
   | Int i -> string_of_int i

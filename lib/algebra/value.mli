@@ -35,6 +35,20 @@ val bool_value : t -> bool
     string is true (nodes are the caller's business). *)
 val ebv_atomic : t -> bool
 
+(** {2 Dynamic errors both engines raise} — one message each, so the
+    compiled plans and the interpreter report an error alike. *)
+
+(** A sequence of [n] items where exactly one, or at most one, is
+    allowed. *)
+val not_singleton : int -> 'a
+
+(** The effective boolean value of a sequence of [n > 1] atomic
+    items. *)
+val ebv_of_atomics : int -> 'a
+
+(** A path step returned the atomic value [v]. *)
+val path_not_node : t -> 'a
+
 (** XDM canonical-ish serialization of an atomic value; raises on nodes
     (their string value needs the store). *)
 val to_string : t -> string

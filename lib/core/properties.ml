@@ -2,7 +2,5 @@ include Algebra.Props
 
 let infer root =
   let a = make () in
-  List.iter
-    (fun n -> ignore (Lazy.force (props a n).ctypes))
-    (Algebra.Plan.topo_order root);
+  List.iter (fun n -> ignore (props a n)) (Algebra.Plan.topo_order root);
   a

@@ -3,7 +3,5 @@
 
 include module type of struct include Algebra.Props end
 
-(** Derive every node's record with its column types — what the
-    physical plan dump reads for its annotations — but without the order
-    facts. *)
+(** Derive every node's record, without the order facts. *)
 val infer : Algebra.Plan.node -> analyzer

@@ -225,7 +225,7 @@ and eval_expr env (e : core) : Xdm.seq =
         (Array.of_list ctxs)
     in
     Array.to_list (Array.map (fun n -> Value.Node n) result)
-  | C_ddo { input; mode = _ } -> Xdm.distinct_doc_order (eval env input)
+  | C_ddo { input; mode = _ } -> Xdm.path_result (eval env input)
   | C_unordered e' -> eval env e' (* the identity: strict ordered baseline *)
   | C_gencmp (op, a, b) ->
     let sa = Xdm.atomize_seq env.store (eval env a) in
@@ -235,14 +235,12 @@ and eval_expr env (e : core) : Xdm.seq =
   | C_valcmp (op, a, b) ->
     let sa = Xdm.atomize_seq env.store (eval env a) in
     let sb = Xdm.atomize_seq env.store (eval env b) in
-    (match (Xdm.opt_singleton "value comparison" sa,
-            Xdm.opt_singleton "value comparison" sb) with
+    (match (Xdm.opt_singleton sa, Xdm.opt_singleton sb) with
      | Some x, Some y -> [ Value.Bool (val_cmp_fun op x y) ]
      | _ -> [])
   | C_nodecmp (op, a, b) ->
     let sa = eval env a and sb = eval env b in
-    (match (Xdm.opt_singleton "node comparison" sa,
-            Xdm.opt_singleton "node comparison" sb) with
+    (match (Xdm.opt_singleton sa, Xdm.opt_singleton sb) with
      | Some x, Some y ->
        let nx = Xdm.node_of x and ny = Xdm.node_of y in
        [ Value.Bool
@@ -254,11 +252,11 @@ and eval_expr env (e : core) : Xdm.seq =
   | C_arith (op, a, b) ->
     let sa = Xdm.atomize_seq env.store (eval env a) in
     let sb = Xdm.atomize_seq env.store (eval env b) in
-    (match (Xdm.opt_singleton "arithmetic" sa, Xdm.opt_singleton "arithmetic" sb) with
+    (match (Xdm.opt_singleton sa, Xdm.opt_singleton sb) with
      | Some x, Some y -> [ arith_fun op x y ]
      | _ -> [])
   | C_neg a ->
-    (match Xdm.opt_singleton "unary minus" (Xdm.atomize_seq env.store (eval env a)) with
+    (match Xdm.opt_singleton (Xdm.atomize_seq env.store (eval env a)) with
      | Some x -> [ Value.neg x ]
      | None -> [])
   | C_and (a, b) ->
@@ -280,22 +278,22 @@ and eval_expr env (e : core) : Xdm.seq =
          (fun v -> not (List.exists (Xmldb.Node_id.equal (Xdm.node_of v)) sb))
          (eval env a))
   | C_range (a, b) ->
-    (match (Xdm.opt_singleton "to" (Xdm.atomize_seq env.store (eval env a)),
-            Xdm.opt_singleton "to" (Xdm.atomize_seq env.store (eval env b))) with
+    (match (Xdm.opt_singleton (Xdm.atomize_seq env.store (eval env a)),
+            Xdm.opt_singleton (Xdm.atomize_seq env.store (eval env b))) with
      | Some x, Some y ->
        let lo = Value.int_value x and hi = Value.int_value y in
        if lo > hi then [] else List.init (hi - lo + 1) (fun i -> Value.Int (lo + i))
      | _ -> [])
   | C_call (f, args) -> eval_call env f args
   | C_elem { name; content } ->
-    let n = qname_of_item (Xdm.singleton "element name" (eval env name)) in
+    let n = qname_of_item (Xdm.singleton (eval env name)) in
     [ construct_element env.store n (eval env content) ]
   | C_attr { name; value } ->
-    let n = qname_of_item (Xdm.singleton "attribute name" (eval env name)) in
+    let n = qname_of_item (Xdm.singleton (eval env name)) in
     let v =
       match eval env value with
       | [] -> ""
-      | s -> Xdm.string_of_item env.store (Xdm.singleton "attribute value" s)
+      | s -> Xdm.string_of_item env.store (Xdm.singleton s)
     in
     let b = Xmldb.Doc_store.Builder.create env.store in
     Xmldb.Doc_store.Builder.attribute b n v;
@@ -305,7 +303,7 @@ and eval_expr env (e : core) : Xdm.seq =
     let s =
       match eval env v with
       | [] -> ""
-      | s -> Xdm.string_of_item env.store (Xdm.singleton "text content" s)
+      | s -> Xdm.string_of_item env.store (Xdm.singleton s)
     in
     let b = Xmldb.Doc_store.Builder.create env.store in
     Xmldb.Doc_store.Builder.force_text b s;
@@ -315,18 +313,18 @@ and eval_expr env (e : core) : Xdm.seq =
     let s =
       match eval env v with
       | [] -> ""
-      | s -> Xdm.string_of_item env.store (Xdm.singleton "comment content" s)
+      | s -> Xdm.string_of_item env.store (Xdm.singleton s)
     in
     let b = Xmldb.Doc_store.Builder.create env.store in
     Xmldb.Doc_store.Builder.comment b s;
     let _, roots = Xmldb.Doc_store.Builder.finish b in
     [ Value.Node roots.(0) ]
   | C_pi { target; value } ->
-    let t = Xdm.string_of_item env.store (Xdm.singleton "pi target" (eval env target)) in
+    let t = Xdm.string_of_item env.store (Xdm.singleton (eval env target)) in
     let v =
       match eval env value with
       | [] -> ""
-      | s -> Xdm.string_of_item env.store (Xdm.singleton "pi content" s)
+      | s -> Xdm.string_of_item env.store (Xdm.singleton s)
     in
     let b = Xmldb.Doc_store.Builder.create env.store in
     Xmldb.Doc_store.Builder.pi b t v;
@@ -392,8 +390,7 @@ and eval_flwor env (f : flwor) : Xdm.seq =
                List.map
                  (fun (k, dir, empty) ->
                     let kv =
-                      Xdm.opt_singleton "order by key"
-                        (Xdm.atomize_seq env.store (eval tenv k))
+                      Xdm.opt_singleton (Xdm.atomize_seq env.store (eval tenv k))
                     in
                     (kv, dir, empty))
                  f.order_by
@@ -438,7 +435,7 @@ and eval_call env f args : Xdm.seq =
   let one name = eval env (List.nth args name) in
   match (f, args) with
   | "doc", [ a ] ->
-    let uri = Xdm.string_of_item store (Xdm.singleton "doc uri" (eval env a)) in
+    let uri = Xdm.string_of_item store (Xdm.singleton (eval env a)) in
     (match Xmldb.Doc_store.find_document store uri with
      | Some n -> [ Value.Node n ]
      | None -> Err.dynamic "fn:doc: document %S not available" uri)
@@ -493,18 +490,18 @@ and eval_call env f args : Xdm.seq =
   | "string", [ a ] ->
     (match eval env a with
      | [] -> [ Value.Str "" ]
-     | s -> [ Value.Str (Xdm.string_of_item store (Xdm.singleton "fn:string" s)) ])
+     | s -> [ Value.Str (Xdm.string_of_item store (Xdm.singleton s)) ])
   | "string-length", [ a ] ->
     (match eval env a with
      | [] -> [ Value.Int 0 ]
      | s ->
        [ Value.Int
-           (String.length (Xdm.string_of_item store (Xdm.singleton "fn:string-length" s))) ])
+           (String.length (Xdm.string_of_item store (Xdm.singleton s))) ])
   | "normalize-space", [ a ] ->
     (match eval env a with
      | [] -> [ Value.Str "" ]
      | s ->
-       let str = Xdm.string_of_item store (Xdm.singleton "fn:normalize-space" s) in
+       let str = Xdm.string_of_item store (Xdm.singleton s) in
        let words =
          String.split_on_char ' '
            (String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) str)
@@ -515,11 +512,11 @@ and eval_call env f args : Xdm.seq =
     let s1 =
       match eval env a with
       | [] -> ""
-      | s -> Xdm.string_of_item store (Xdm.singleton "fn:concat" s)
+      | s -> Xdm.string_of_item store (Xdm.singleton s)
     and s2 =
       match eval env b with
       | [] -> ""
-      | s -> Xdm.string_of_item store (Xdm.singleton "fn:concat" s)
+      | s -> Xdm.string_of_item store (Xdm.singleton s)
     in
     [ Value.Str (s1 ^ s2) ]
   | "contains", [ a; b ] ->
@@ -529,14 +526,14 @@ and eval_call env f args : Xdm.seq =
     let s = ebv_str store (eval env a) and p = ebv_str store (eval env b) in
     [ Algebra.Eval.apply2 store Algebra.Plan.P_starts_with (Value.Str s) (Value.Str p) ]
   | "string-join", [ a; b ] ->
-    let sep = Xdm.string_of_item store (Xdm.singleton "separator" (eval env b)) in
+    let sep = Xdm.string_of_item store (Xdm.singleton (eval env b)) in
     let parts = List.map (Xdm.string_of_item store) (eval env a) in
     [ Value.Str (String.concat sep parts) ]
   | "fs:joinws", [ a ] ->
     let parts = List.map (Xdm.string_of_item store) (eval env a) in
     [ Value.Str (String.concat " " parts) ]
   | "number", [ a ] ->
-    (match Xdm.opt_singleton "fn:number" (eval env a) with
+    (match Xdm.opt_singleton (eval env a) with
      | None -> [ Value.Dbl Float.nan ]
      | Some v ->
        (match Value.float_value (Xdm.atomize store v) with
@@ -547,7 +544,7 @@ and eval_call env f args : Xdm.seq =
     let s = eval env a in
     let num e' =
       Value.float_value
-        (Xdm.singleton "fn:subsequence" (Xdm.atomize_seq store (eval env e')))
+        (Xdm.singleton (Xdm.atomize_seq store (eval env e')))
     in
     let start, len =
       match rest with
@@ -563,7 +560,7 @@ and eval_call env f args : Xdm.seq =
          p >= lo && p < hi)
       s
   | ("round" | "floor" | "ceiling" | "abs"), [ a ] ->
-    (match Xdm.opt_singleton f (Xdm.atomize_seq store (eval env a)) with
+    (match Xdm.opt_singleton (Xdm.atomize_seq store (eval env a)) with
      | None -> []
      | Some v ->
        let p1 =
@@ -575,7 +572,7 @@ and eval_call env f args : Xdm.seq =
        in
        [ Algebra.Eval.apply1 store p1 v ])
   | ("name" | "local-name"), [ a ] ->
-    (match Xdm.opt_singleton f (eval env a) with
+    (match Xdm.opt_singleton (eval env a) with
      | None -> [ Value.Str "" ]
      | Some v ->
        let p1 = if f = "name" then Algebra.Plan.P_name else Algebra.Plan.P_local_name in
@@ -598,7 +595,7 @@ and eval_call env f args : Xdm.seq =
     let prim = if f = "upper-case" then Algebra.Plan.P_upper else Algebra.Plan.P_lower in
     (match eval env a with
      | [] -> [ Value.Str "" ]
-     | s -> [ Algebra.Eval.apply1 store prim (Xdm.singleton f s) ])
+     | s -> [ Algebra.Eval.apply1 store prim (Xdm.singleton s) ])
   | ("ends-with" | "substring-before" | "substring-after"), [ a; b ] ->
     let prim =
       match f with
@@ -610,7 +607,7 @@ and eval_call env f args : Xdm.seq =
     [ Algebra.Eval.apply2 store prim (Value.Str s) (Value.Str p) ]
   | "substring", (a :: rest) ->
     let s = ebv_str store (eval env a) in
-    let num e' = Xdm.singleton "fn:substring" (Xdm.atomize_seq store (eval env e')) in
+    let num e' = Xdm.singleton (Xdm.atomize_seq store (eval env e')) in
     let start, len =
       match rest with
       | [ st' ] -> (num st', Value.Dbl infinity)
@@ -623,11 +620,11 @@ and eval_call env f args : Xdm.seq =
     [ Algebra.Eval.apply3 store Algebra.Plan.P3_translate (g a) (g b) (g c') ]
   | "remove", [ a; b ] ->
     let s = eval env a in
-    let p = Value.int_value (Xdm.singleton "fn:remove" (Xdm.atomize_seq store (eval env b))) in
+    let p = Value.int_value (Xdm.singleton (Xdm.atomize_seq store (eval env b))) in
     List.filteri (fun i _ -> i + 1 <> p) s
   | "insert-before", [ a; b; c' ] ->
     let s = eval env a in
-    let p = Value.int_value (Xdm.singleton "fn:insert-before" (Xdm.atomize_seq store (eval env b))) in
+    let p = Value.int_value (Xdm.singleton (Xdm.atomize_seq store (eval env b))) in
     let ins = eval env c' in
     let p = max 1 (min p (List.length s + 1)) in
     let rec go i = function
@@ -648,7 +645,7 @@ and eval_call env f args : Xdm.seq =
     [ Value.Str (String.concat "\x1f" parts) ]
   | "id", [ a; b ] ->
     let vals = List.map (Xdm.string_of_item store) (eval env a) in
-    (match Xdm.opt_singleton "fn:id context" (eval env b) with
+    (match Xdm.opt_singleton (eval env b) with
      | None -> []
      | Some ctx ->
        let idx = Xmldb.Id_index.create store in
@@ -663,7 +660,7 @@ and eval_call env f args : Xdm.seq =
       | last :: _ ->
         (match eval env last with
          | [] -> "fn:error()"
-         | s -> Xdm.string_of_item store (Xdm.singleton "fn:error" s))
+         | s -> Xdm.string_of_item store (Xdm.singleton s))
     in
     Err.dynamic "fn:error: %s" msg
   | _ ->
@@ -673,7 +670,7 @@ and eval_call env f args : Xdm.seq =
 and ebv_str store s =
   match s with
   | [] -> ""
-  | s -> Xdm.string_of_item store (Xdm.singleton "string argument" s)
+  | s -> Xdm.string_of_item store (Xdm.singleton s)
 
 (* -- entry points ------------------------------------------------------------ *)
 

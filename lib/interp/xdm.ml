@@ -18,28 +18,34 @@ let node_of = function
   | Algebra.Value.Node n -> n
   | v -> Err.dynamic "expected a node, got %s" (Algebra.Value.type_name v)
 
-let singleton name = function
+let singleton = function
   | [ v ] -> v
-  | s -> Err.dynamic "%s expects a singleton, got %d items" name (List.length s)
+  | s -> Algebra.Value.not_singleton (List.length s)
 
-let opt_singleton name = function
+let opt_singleton = function
   | [] -> None
   | [ v ] -> Some v
-  | s -> Err.dynamic "%s expects at most one item, got %d" name (List.length s)
+  | s -> Algebra.Value.not_singleton (List.length s)
 
 (* Effective boolean value, per spec (ordered definition). *)
 let ebv = function
   | [] -> false
   | Algebra.Value.Node _ :: _ -> true
   | [ v ] -> Algebra.Value.ebv_atomic v
-  | s -> Err.dynamic "effective boolean value of a %d-item atomic sequence"
-           (List.length s)
+  | s -> Algebra.Value.ebv_of_atomics (List.length s)
 
 (* Sort into document order and remove duplicates; raises on atomics. *)
 let distinct_doc_order (s : seq) : seq =
   let nodes = List.map node_of s in
   let sorted = List.sort_uniq Xmldb.Node_id.compare nodes in
   List.map (fun n -> Algebra.Value.Node n) sorted
+
+let path_result (s : seq) : seq =
+  List.iter
+    (fun v ->
+       if not (Algebra.Value.is_node v) then Algebra.Value.path_not_node v)
+    s;
+  distinct_doc_order s
 
 let string_of_item store (v : item) =
   Algebra.Value.to_string (atomize store v)

@@ -13,10 +13,10 @@ val atomize_seq : Xmldb.Doc_store.t -> seq -> seq
 (** The node inside an item; dynamic error on atomics. *)
 val node_of : item -> Xmldb.Node_id.t
 
-(** Enforce cardinality exactly one / at most one (dynamic errors
-    otherwise); [name] labels the error message. *)
-val singleton : string -> seq -> item
-val opt_singleton : string -> seq -> item option
+(** Enforce cardinality exactly one / at most one
+    ({!Algebra.Value.not_singleton} otherwise). *)
+val singleton : seq -> item
+val opt_singleton : seq -> item option
 
 (** Effective boolean value per the spec: empty → false, first item a
     node → true, singleton atomic by value, otherwise a dynamic error. *)
@@ -25,6 +25,11 @@ val ebv : seq -> bool
 (** Sort into document order and remove duplicate nodes; raises on
     atomics. *)
 val distinct_doc_order : seq -> seq
+
+(** The result of a path: {!distinct_doc_order}, raising
+    {!Algebra.Value.path_not_node} on atomics as the compiled plans'
+    node check does. *)
+val path_result : seq -> seq
 
 val string_of_item : Xmldb.Doc_store.t -> item -> string
 

@@ -398,16 +398,8 @@ let sort_dedup (v : Node_id.t Vec.t) =
    run is sorted and deduplicated first. Every fragment's slice goes
    through [group], which emits result pres into the call's output; a
    slice whose results come back unsorted is sort-deduplicated in
-   place.
-
-   A path that depends only on an outer value but sits in a predicate
-   that reads the loop variable steps the same context once per
-   iteration: one-row runs that repeat a handful of contexts. [drive]
-   evaluates each distinct context of a one-row run once per call; a
-   later one-row run on the same context copies the earlier run's rows
-   under its own iter. One scan decides whether to look: when the
-   contexts strictly ascend over all rows, no two rows share one, and
-   no table is built. *)
+   place. A one-row run's context goes to [group] in one shared
+   one-slot array, with no [Array.sub]. *)
 
 type rows = { iter : int array; frag : int array; pre : int array }
 
@@ -420,74 +412,7 @@ let sort_dedup_tail o start =
   o.len <- start;
   Array.iteri (fun k p -> if k = 0 || seg.(k - 1) <> p then emit o p) seg
 
-(* Append the pres [s, s + l) again. *)
-let repeat o s l =
-  o.o_pre <- grown o.o_pre (o.len + l) o.len;
-  Array.blit o.o_pre s o.o_pre o.len l;
-  o.len <- o.len + l
-
-(* The contexts of one call's one-row runs: open addressing from
-   [(frag lsl 32) lor pre] (a pre fits in 32 bits: the packed columns
-   are u32) to the start and length of that context's first result rows
-   in the output. Slot [i] is [slots.(3i)], the key or -1 when empty,
-   then the start and the length. The table doubles when half full, so
-   it is sized by the distinct contexts, not by the rows. *)
-type memo = {
-  mutable slots : int array;
-  mutable used : int;
-  mutable shift : int;  (* the slot is the top bits of [key * mult] *)
-}
-
-let mult = 0x2545F4914F6CDD1D
-
-let memo_create () =
-  let bits = 4 in
-  { slots = Array.make (3 lsl bits) (-1); used = 0;
-    shift = Sys.int_size - bits }
-
-(* The slot holding [key], or the empty slot where it goes. *)
-let memo_slot m key =
-  let mask = (Array.length m.slots / 3) - 1 in
-  let rec probe i =
-    let k = Array.unsafe_get m.slots (3 * i) in
-    if k = key || k < 0 then i else probe ((i + 1) land mask)
-  in
-  probe ((key * mult) lsr m.shift)
-
-let memo_set m i key start len =
-  m.slots.(3 * i) <- key;
-  m.slots.((3 * i) + 1) <- start;
-  m.slots.((3 * i) + 2) <- len
-
-(* Record [key] in the empty slot [i] that [memo_slot] found. *)
-let memo_add m i key start len =
-  memo_set m i key start len;
-  m.used <- m.used + 1;
-  if 2 * m.used > Array.length m.slots / 3 then begin
-    let old = m.slots in
-    m.slots <- Array.make (2 * Array.length old) (-1);
-    m.shift <- m.shift - 1;
-    for j = 0 to (Array.length old / 3) - 1 do
-      let k = old.(3 * j) in
-      if k >= 0 then
-        memo_set m (memo_slot m k) k old.((3 * j) + 1) old.((3 * j) + 2)
-    done
-  end
-
-(* Do the contexts strictly ascend in document order over all rows? *)
-let strictly_ascending (r : rows) =
-  let n = Array.length r.pre in
-  let k = ref 1 in
-  while
-    !k < n
-    && (let f0 = r.frag.(!k - 1) and f1 = r.frag.(!k) in
-        f1 > f0 || (f1 = f0 && r.pre.(!k) > r.pre.(!k - 1)))
-  do
-    incr k
-  done;
-  !k >= n
-
-let drive ?reused (group : group_eval) (r : rows) : rows =
+let drive (group : group_eval) (r : rows) : rows =
   let n = Array.length r.iter in
   let o = out_create (max n 16) in
   let slice it f ctxs =
@@ -496,27 +421,6 @@ let drive ?reused (group : group_eval) (r : rows) : rows =
     tag o start it f
   in
   let one = [| 0 |] in
-  let memo = if strictly_ascending r then None else Some (memo_create ()) in
-  let hits = ref 0 in
-  let one_row it f p =
-    one.(0) <- p;
-    match memo with
-    | None -> slice it f one
-    | Some m ->
-      let key = (f lsl 32) lor p in
-      let i = memo_slot m key in
-      if m.slots.(3 * i) = key then begin
-        let start = o.len in
-        repeat o m.slots.((3 * i) + 1) m.slots.((3 * i) + 2);
-        tag o start it f;
-        incr hits
-      end
-      else begin
-        let start = o.len in
-        slice it f one;
-        memo_add m i key start (o.len - start)
-      end
-  in
   let i = ref 0 in
   while !i < n do
     let it = r.iter.(!i) in
@@ -529,7 +433,10 @@ let drive ?reused (group : group_eval) (r : rows) : rows =
     done;
     if !j < n && r.iter.(!j) < it then
       Err.internal "Staircase.drive: iters are not non-decreasing";
-    if !j = !i + 1 then one_row it r.frag.(!i) r.pre.(!i)
+    if !j = !i + 1 then begin
+      one.(0) <- r.pre.(!i);
+      slice it r.frag.(!i) one
+    end
     else if !ascending then begin
       let k = ref !i in
       while !k < !j do
@@ -550,9 +457,6 @@ let drive ?reused (group : group_eval) (r : rows) : rows =
     end;
     i := !j
   done;
-  (match reused with
-   | Some c when !hits > 0 -> ignore (Atomic.fetch_and_add c !hits)
-   | _ -> ());
   let fit a = if Array.length a = o.len then a else Array.sub a 0 o.len in
   { iter = fit o.o_iter; frag = fit o.o_frag; pre = fit o.o_pre }
 
@@ -565,7 +469,7 @@ let to_nodes r =
   Array.init (Array.length r.pre) (fun k ->
       Node_id.make ~frag:r.frag.(k) ~pre:r.pre.(k))
 
-let step_lifted ?(batch = true) ?decoded ?reused store (axis : Axis.t)
+let step_lifted ?(batch = true) ?decoded store (axis : Axis.t)
     (test : Node_test.t) rows =
   let scr =
     match (batch, axis) with
@@ -574,8 +478,7 @@ let step_lifted ?(batch = true) ?decoded ?reused store (axis : Axis.t)
       Some (lazy (mk_scratch decoded))
     | _ -> None
   in
-  drive ?reused
-    (eval_group scr store axis (resolve_test store axis test)) rows
+  drive (eval_group scr store axis (resolve_test store axis test)) rows
 
 let step ?batch ?decoded store axis test contexts =
   to_nodes (step_lifted ?batch ?decoded store axis test (of_nodes contexts))

@@ -20,9 +20,7 @@ type rows = { iter : int array; frag : int array; pre : int array }
     for [descendant](-or-self) (each result region is scanned once),
     earliest-context-only evaluation of [following], latest-context-only
     evaluation of [preceding]. Axes whose per-context results interleave
-    fall back to collect + sort + dedup of that run's results. Across
-    runs, each distinct context of a one-row run is evaluated once per
-    call (see {!drive}).
+    fall back to collect + sort + dedup of that run's results.
 
     [batch] (default [true]) lets the three contiguous-range axes
     ([descendant](-or-self), [following], [preceding]) decode kind/name
@@ -34,16 +32,13 @@ type rows = { iter : int array; frag : int array; pre : int array }
 
     [decoded], when given, is credited with every column row a batched
     scan actually decodes (kinds, plus name codes for a name test and
-    sizes for [preceding]): a one-row run answered from an earlier
-    run's result decodes nothing. [reused], when given, is credited
-    with every one-row run so answered. Both belong to the caller's run,
-    so concurrent runs never see each other's counts.
+    sizes for [preceding]). The count belongs to the caller's run, so
+    concurrent runs never see each other's counts.
 
     Raises {!Basis.Err.Internal_error} when the iters decrease. *)
 val step_lifted :
   ?batch:bool ->
   ?decoded:int Atomic.t ->
-  ?reused:int Atomic.t ->
   Doc_store.t -> Axis.t -> Node_test.t -> rows -> rows
 
 (** [step store axis test contexts] is {!step_lifted} over a single
@@ -77,13 +72,8 @@ type group_eval = int -> int array -> out -> bool
 
 (** The run-by-run walk behind {!step_lifted}, with [group] evaluating
     each (iteration, fragment) slice; same input contract and output
-    order. [group] is called once per distinct context of the call's
-    one-row runs: a later one-row run on the same (frag, pre) gets a
-    copy of the first one's rows under its own iter, and counts one in
-    [reused]. When the contexts strictly ascend over all rows, no two
-    share a context and no lookup table is built. Multi-row runs are
-    always evaluated. *)
-val drive : ?reused:int Atomic.t -> group_eval -> rows -> rows
+    order. *)
+val drive : group_eval -> rows -> rows
 
 (** One iteration (iter 0) over the given contexts. *)
 val of_nodes : Node_id.t array -> rows

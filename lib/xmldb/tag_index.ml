@@ -124,14 +124,14 @@ let eval_group t (axis : Axis.t) name_id frag_id (ctxs : int array) out =
 (* Indexed evaluation through the staircase's loop-lifted walk; same
    contract as Staircase.step_lifted. The caller guarantees
    [applicable]. *)
-let step_lifted ?reused t (axis : Axis.t) (test : Node_test.t) rows =
+let step_lifted t (axis : Axis.t) (test : Node_test.t) rows =
   let name_id =
     match test with
     | Node_test.Name id -> id
     | _ -> Err.internal "Tag_index.step: name test expected"
   in
   if name_id < 0 then { Staircase.iter = [||]; frag = [||]; pre = [||] }
-  else Staircase.drive ?reused (eval_group t axis name_id) rows
+  else Staircase.drive (eval_group t axis name_id) rows
 
 let step t axis test contexts =
   Staircase.to_nodes (step_lifted t axis test (Staircase.of_nodes contexts))

@@ -21,11 +21,9 @@ val applicable : Axis.t -> Node_test.t -> bool
 
 (** Same contract as {!Staircase.step_lifted}, through the same
     loop-lifted walk ({!Staircase.drive}) — per iteration,
-    duplicate-free results in document order, each distinct context of
-    a one-row run evaluated once, [reused] credited like the staircase
-    step's. Only call when {!applicable} holds. *)
+    duplicate-free results in document order. Only call when
+    {!applicable} holds. *)
 val step_lifted :
-  ?reused:int Atomic.t ->
   t -> Axis.t -> Node_test.t -> Staircase.rows -> Staircase.rows
 
 (** Same contract as {!Staircase.step} — duplicate-free results in

@@ -634,8 +634,10 @@ and parse_unary st =
     E_unary_minus (parse_unary st)
   end
   else if looking_at st "+" then begin
+    (* +E checks its operand as -E does; -(-E) is the identity on every
+       number (two's complement ints; doubles, -0 and NaN included) *)
     advance st 1;
-    parse_unary st
+    E_unary_minus (E_unary_minus (parse_unary st))
   end
   else parse_path st
 

@@ -7,13 +7,11 @@
      - each const column holds its value on every row (compare_total);
      - each key column has pairwise distinct values;
      - a one-row node has at most one row;
-     - each order fact holds from each row to the next;
-     - each static column type matches every value of its column.
+     - each order fact holds from each row to the next.
 
-   The optimizer acts on the value and order claims (const criteria
-   dropping, keyed δ elision, sort elision), so a violation is a wrong
-   plan waiting for the query that exposes it. Column types only
-   annotate the physical plan dump.
+   The optimizer acts on these claims (const criteria dropping, keyed δ
+   elision, sort elision), so a violation is a wrong plan waiting for
+   the query that exposes it.
 
    [violations ctx root] reads each node's table from [ctx]'s cache: call
    it after [Algebra.Eval.eval ctx root] returned, which (in Dag mode)
@@ -84,13 +82,7 @@ let node_violations a ctx (n : Plan.node) =
          (P.SSet.elements p.P.keys)
        @ List.map
          (fun f -> claim (runs t f <= 1) "order %s" (P.req_to_string f))
-         (Lazy.force p.P.facts)
-       @ List.map
-         (fun (c, ty) ->
-            claim
-              (Array.for_all (fun v -> Algebra.Column.ty_of_value v = ty) (col c))
-              "type %s : %s" c (Algebra.Column.ty_name ty))
-         (P.SMap.bindings (Lazy.force p.P.ctypes)))
+         (Lazy.force p.P.facts))
 
 let violations ctx root =
   let a = P.make () in

@@ -316,6 +316,61 @@ let test_errors () =
   expect_dynamic "for $x in (1,2) return error(\"per iteration\")";
   List.iter expect_dynamic type_errors
 
+(* The interpreter, then the compiled plans under every plan option,
+   without fallback, so that the compiled plans answer (or raise)
+   themselves. *)
+let backends st =
+  ("interpreter", fun q -> ser st (Interp.Interpreter.run st q))
+  :: List.map
+       (fun (oname, opts) ->
+          let opts = { opts with Engine.fallback = false } in
+          (oname, fun q -> ser st (Engine.run ~opts st q).Engine.items))
+       opts_matrix
+
+let dynamic_message run q =
+  match run q with
+  | exception Basis.Err.Dynamic_error m -> m
+  | _ -> Alcotest.failf "expected dynamic error: %s" q
+
+(* Unary plus checks its operand as unary minus does; answers written by
+   hand. *)
+let test_unary_plus () =
+  let st = mk_store () in
+  List.iter
+    (fun (name, run) ->
+       List.iter
+         (fun (want, q) ->
+            Alcotest.(check (list string)) (Printf.sprintf "%s [%s]" q name)
+              want (run q))
+         [ ([ "1" ], "+<a>1</a>"); ([], "+()"); ([ "-2.5" ], "+(-2.5)") ];
+       List.iter
+         (fun q -> ignore (dynamic_message run q))
+         [ "+(1,2)"; {|+("a")|} ])
+    (backends st)
+
+(* One error, one message: a sequence of several items where at most one
+   is allowed, the effective boolean value of several atomics, and a
+   path step that returns atomic values each read the same text on both
+   backends. *)
+let test_error_messages () =
+  let st = mk_store () in
+  let many = "a singleton sequence is required here, got 2 items" in
+  List.iter
+    (fun (name, run) ->
+       List.iter
+         (fun (want, q) ->
+            Alcotest.(check string) (Printf.sprintf "%s [%s]" q name) want
+              (dynamic_message run q))
+         [ (many, "for $x in (1,2) return (($x, 3) eq 1)");
+           (many, "(1,2) + 1");
+           (many, "string((1,2))");
+           (many, "+(1,2)");
+           ( "effective boolean value of a sequence of 2 atomic items",
+             "(10,20,30)[(1,2)]" );
+           ( "path steps must return nodes, got xs:string",
+             {|doc("t.xml")/a/e/@k/string()|} ) ])
+    (backends st)
+
 (* Predicates whose value is known only at run time (XQuery 1.0, 3.2.2):
    one numeric item tests the position, anything else its effective
    boolean value. Answers written by hand, checked under every plan
@@ -718,6 +773,8 @@ let () =
       ( "semantics",
         [ Alcotest.test_case "dynamic errors" `Quick test_errors;
           Alcotest.test_case "dynamic predicates" `Quick test_dynamic_predicates;
+          Alcotest.test_case "unary plus" `Quick test_unary_plus;
+          Alcotest.test_case "one message per error" `Quick test_error_messages;
           Alcotest.test_case "unordered permutations" `Quick test_unordered_permutation;
           Alcotest.test_case "processing-instruction(target) steps" `Quick
             test_pi_target_steps ] );

@@ -146,6 +146,16 @@ let test_builtin_corners () =
   (* XQuery rounds .5 toward positive infinity *)
   check st "round negative half" "-2" "round(-2.5)"
 
+(* Unary plus checks its operand as unary minus does: at most one item,
+   numeric after atomization. *)
+let test_unary_plus () =
+  let st = mk_store () in
+  check st "+ of untyped content is a number" "1" "+<a>1</a>";
+  check st "+ of the empty sequence" "" "+()";
+  check st "+ keeps the sign" "-2.5" "+(-2.5)";
+  expect_dynamic st "+(1,2)";
+  expect_dynamic st {|+("a")|}
+
 let test_deep_equal_and_friends () =
   let st = mk_store () in
   check st "deep-equal across copies" "true"
@@ -183,5 +193,6 @@ let () =
           t "quantifiers" test_quantifiers ] );
       ( "builtins",
         [ t "corner cases" test_builtin_corners;
+          t "unary plus" test_unary_plus;
           t "deep-equal / sequences" test_deep_equal_and_friends ] );
     ]

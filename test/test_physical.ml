@@ -655,21 +655,6 @@ let test_join_paths () =
   Alcotest.(check bool) ("profile prints: " ^ line) true
     (Astring.String.is_infix ~affix:line (Profile.to_string profile))
 
-(* The physical dump reads its column types from the plan's property
-   analysis: a string key stamps the join [code], and the types print. *)
-let test_dump_types () =
-  let b = Plan.builder () in
-  let l = key_side b `Code ~key:"a" ~pay:"x" ~base:0 [ 1; 2 ] in
-  let r = key_side b `Str ~key:"b" ~pay:"y" ~base:100 [ 2; 3 ] in
-  let plan = Plan.join b l r "a" "b" in
-  let dump = Lower.to_string plan in
-  List.iter
-    (fun affix ->
-       Alcotest.(check bool) (Printf.sprintf "dump has %S: %s" affix dump)
-         true (Astring.String.is_infix ~affix dump))
-    [ "] join \xE2\x88\xA5 [code] {"; "a:str"; "b:str"; "x:int"; "y:int";
-      "a_node:node" ]
-
 (* ------------------------------------------------------ run-time order *)
 
 (* A surviving [%] observes its input: at most 64 sorted runs merge,
@@ -768,11 +753,9 @@ let test_step_parity () =
     [ [| v_int 2; a 1 |]; [| v_int 1; z 1 |]; [| v_int 2; a 2 |] ]
 
 (* One-row runs that step the same context again, in no document order
-   and across both documents: the loop-lifted call steps each distinct
-   context once and copies its rows for the later runs. Every axis and
-   both step realizations must still give the reference executor's rows,
-   and the profile counts the copied runs: a multi-row run is always
-   stepped, so the mixed batch reuses only its last two one-row runs. *)
+   and across both documents, alone and around a multi-row run: every
+   axis and both step realizations must give the reference executor's
+   rows. *)
 let test_step_repeated_contexts () =
   let a = doc_node "a.xml" and z = doc_node "z.xml" in
   let one_row =
@@ -786,35 +769,7 @@ let test_step_repeated_contexts () =
       [| v_int 6; z 1 |] ]
   in
   check_step_parity "repeated contexts" one_row;
-  check_step_parity "repeated contexts and a multi-row run" mixed;
-  let reused rows (axis, test) step_impl =
-    let b = Plan.builder () in
-    let p = Plan.step b (Plan.lit b [| "iter"; "item" |] rows) axis test in
-    let prof = Profile.create () in
-    ignore (Physical.run ~profile:prof ~step_impl (two_docs ()) p);
-    ((Profile.phys prof).Profile.steps_reused, Profile.to_string prof)
-  in
-  List.iter
-    (fun case ->
-       List.iter
-         (fun step_impl ->
-            let n, text = reused one_row case step_impl in
-            Alcotest.(check int) "one-row runs: contexts reused" 3 n;
-            let line = "physical: 3 step contexts reused" in
-            Alcotest.(check bool) ("profile prints: " ^ line) true
-              (Astring.String.is_infix ~affix:line text);
-            Alcotest.(check int) "with a multi-row run: contexts reused" 2
-              (fst (reused mixed case step_impl)))
-         [ Eval.Scan; Eval.Tag_index ])
-    step_cases;
-  (* ascending contexts are all distinct: nothing reused, no line *)
-  let ascending =
-    [ [| v_int 1; a 1 |]; [| v_int 2; a 2 |]; [| v_int 3; z 1 |] ]
-  in
-  let n, text = reused ascending (List.hd step_cases) Eval.Scan in
-  Alcotest.(check int) "ascending: nothing reused" 0 n;
-  Alcotest.(check bool) "ascending: no reuse line" false
-    (Astring.String.is_infix ~affix:"contexts reused" text)
+  check_step_parity "repeated contexts and a multi-row run" mixed
 
 let test_step_errors () =
   let b = Plan.builder () in
@@ -947,9 +902,7 @@ let () =
            test_aligned_shared_input;
          Alcotest.test_case "distinct key columns" `Quick
            test_distinct_key_columns;
-         Alcotest.test_case "join paths" `Quick test_join_paths;
-         Alcotest.test_case "plan dump: types and code stamps" `Quick
-           test_dump_types ]);
+         Alcotest.test_case "join paths" `Quick test_join_paths ]);
       ("run-time order",
        [ Alcotest.test_case "rownum merges observed runs" `Quick
            test_rownum_runs ]);

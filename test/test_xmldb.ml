@@ -556,11 +556,12 @@ let tag_index_prop =
    two documents in one store, non-decreasing iters (with gaps), and per
    iteration a random bag of contexts from both fragments — duplicates,
    attribute rows, ascending or arbitrary order — or every node of both,
-   so that contexts nest. Its rows must be exactly the per-iteration
-   results tagged with their iter, and a batched run must decode exactly
-   as many column rows as the per-iteration steps of every run but the
-   one-row runs that repeat an earlier one-row run's context (those are
-   answered from the earlier result). *)
+   so that contexts nest. One input in four is instead a series of
+   one-row runs drawn in random order from a small pool over both
+   documents, so that contexts repeat across runs. Its rows must be
+   exactly the per-iteration results tagged with their iter, and a
+   batched run must decode exactly as many column rows as the
+   per-iteration steps of every run. *)
 let two_doc_nodes (src1, src2) =
   let st = store () in
   let nodes =
@@ -588,19 +589,31 @@ let lifted_input (src1, src2, seed) =
   let st, nodes = two_doc_nodes (src1, src2) in
   let rng = Basis.Prng.create seed in
   let iter = ref (Basis.Prng.int rng 3) in
+  let run ctxs =
+    let run = (!iter, ctxs) in
+    iter := !iter + 1 + Basis.Prng.int rng 2;
+    run
+  in
   let runs =
-    List.init (1 + Basis.Prng.int rng 6) (fun _ ->
-        let ctxs =
-          if Basis.Prng.int rng 4 = 0 then Array.copy nodes (* all nested *)
-          else
-            Array.init (Basis.Prng.int rng 6) (fun _ ->
-                Basis.Prng.pick rng nodes)
-        in
-        if Basis.Prng.bool rng then
-          Array.sort Node_id.compare ctxs;
-        let run = (!iter, ctxs) in
-        iter := !iter + 1 + Basis.Prng.int rng 2;
-        run)
+    if Basis.Prng.int rng 4 = 0 then begin
+      let pool =
+        Array.init (1 + Basis.Prng.int rng 4) (fun _ ->
+            Basis.Prng.pick rng nodes)
+      in
+      List.init (1 + Basis.Prng.int rng 30) (fun _ ->
+          run [| Basis.Prng.pick rng pool |])
+    end
+    else
+      List.init (1 + Basis.Prng.int rng 6) (fun _ ->
+          let ctxs =
+            if Basis.Prng.int rng 4 = 0 then Array.copy nodes (* all nested *)
+            else
+              Array.init (Basis.Prng.int rng 6) (fun _ ->
+                  Basis.Prng.pick rng nodes)
+          in
+          if Basis.Prng.bool rng then
+            Array.sort Node_id.compare ctxs;
+          run ctxs)
   in
   (st, runs, rows_of_runs runs)
 
@@ -616,18 +629,11 @@ let per_run_rows step runs =
          (Array.to_list (step ctxs)))
     runs
 
-(* The column rows the per-iteration steps decode, skipping each
-   one-row run whose context an earlier one-row run already had. *)
+(* The column rows the per-iteration steps decode, summed over every
+   run. *)
 let per_run_decodes step runs =
-  let decoded = Atomic.make 0 and seen = Hashtbl.create 8 in
-  List.iter
-    (fun (_, ctxs) ->
-       match ctxs with
-       | [| c |] when Hashtbl.mem seen c -> ()
-       | _ ->
-         if Array.length ctxs = 1 then Hashtbl.replace seen ctxs.(0) ();
-         ignore (step decoded ctxs))
-    runs;
+  let decoded = Atomic.make 0 in
+  List.iter (fun (_, ctxs) -> ignore (step decoded ctxs)) runs;
   Atomic.get decoded
 
 let gen_lifted =
@@ -718,86 +724,6 @@ let lifted_tag_index_prop =
               tests)
          [ Axis.Child; Axis.Descendant; Axis.Descendant_or_self;
            Axis.Attribute ])
-
-(* One-row runs whose contexts repeat, drawn in random order from a
-   small pool over both documents: the walk must hand each distinct
-   context to [group] once and still give every run its per-iteration
-   result. The counting [group] steps its context with [Staircase.step]
-   and emits the result pres. The staircase step over the same rows
-   must give the same rows and decode each distinct context's columns
-   once. *)
-let gen_repeated =
-  QCheck2.Gen.(
-    tup3 (tup2 gen_doc gen_doc) (int_range 1 4) (list_size (int_range 1 30) nat))
-
-let repeated_contexts_prop =
-  QCheck2.Test.make ~count:100
-    ~name:"each distinct context of a one-row run is stepped once"
-    gen_repeated
-    (fun (docs, pool_size, draws) ->
-       let st, nodes = two_doc_nodes docs in
-       let pool =
-         Array.init pool_size (fun k ->
-             nodes.((k * 7919) mod Array.length nodes))
-       in
-       let runs =
-         List.mapi
-           (fun it d -> (2 * it, [| pool.(d mod pool_size) |]))
-           draws
-       in
-       let rows = rows_of_runs runs in
-       let distinct =
-         List.length
-           (List.sort_uniq Node_id.compare
-              (List.map (fun (_, c) -> c.(0)) runs))
-       in
-       List.for_all
-         (fun ax ->
-            List.for_all
-              (fun test ->
-                 let calls = ref 0 in
-                 let group frag ctxs out =
-                   incr calls;
-                   Array.iter
-                     (fun n -> Staircase.emit out (Node_id.pre n))
-                     (Staircase.step st ax test
-                        (Array.map (fun pre -> Node_id.make ~frag ~pre) ctxs));
-                   true
-                 in
-                 let reused = Atomic.make 0 and decoded = Atomic.make 0 in
-                 let got = lifted_rows (Staircase.drive ~reused group rows) in
-                 let want = per_run_rows (Staircase.step st ax test) runs in
-                 let stepped =
-                   lifted_rows
-                     (Staircase.step_lifted ~decoded st ax test rows)
-                 in
-                 let d_runs =
-                   per_run_decodes
-                     (fun decoded -> Staircase.step ~decoded st ax test)
-                     runs
-                 in
-                 if got <> want || stepped <> want then
-                   QCheck2.Test.fail_reportf
-                     "axis %s: got [%s], stepped [%s], want [%s]"
-                     (Axis.to_string ax) (String.concat ";" got)
-                     (String.concat ";" stepped) (String.concat ";" want)
-                 else if Atomic.get decoded <> d_runs then
-                   QCheck2.Test.fail_reportf
-                     "axis %s: decoded %d rows, per distinct context %d"
-                     (Axis.to_string ax) (Atomic.get decoded) d_runs
-                 else if !calls <> distinct then
-                   QCheck2.Test.fail_reportf
-                     "axis %s: %d group calls for %d distinct contexts \
-                      over %d runs"
-                     (Axis.to_string ax) !calls distinct (List.length runs)
-                 else if Atomic.get reused <> List.length runs - distinct then
-                   QCheck2.Test.fail_reportf "axis %s: %d reused, want %d"
-                     (Axis.to_string ax) (Atomic.get reused)
-                     (List.length runs - distinct)
-                 else true)
-              [ Node_test.Any_node; Node_test.Name_wild;
-                Node_test.Name (Doc_store.name_test_id st (Qname.make "b")) ])
-         all_axes)
 
 let roundtrip_prop =
   QCheck2.Test.make ~count:200 ~name:"parse-serialize-parse is stable"
@@ -950,5 +876,5 @@ let () =
             test_ingest_generous_guard_is_invisible ] );
       qsuite "properties"
         [ axis_oracle_prop; tag_index_prop; lifted_prop; lifted_tag_index_prop;
-          repeated_contexts_prop; roundtrip_prop; encoding_invariants_prop ];
+          roundtrip_prop; encoding_invariants_prop ];
     ]
