@@ -67,7 +67,7 @@ let is_empty_lit (n : Plan.node) =
 
 (* Does discarding this subtree lose an operator whose purpose is
    raising a required dynamic error — the singleton-cardinality checks,
-   casts, "treat as", the path-step atomics check, fn:error, division
+   casts, "treat as", the node checks, fn:error, division
    (by zero), the A_the aggregate? Discarding such an operator could
    swallow an error the spec demands (fn:exactly-one on a non-singleton),
    which the 2.3.4 "need not evaluate" latitude does not cover.
@@ -92,7 +92,8 @@ let carries_checks ~shared (root : Plan.node) =
          match f with
          | Plan.P_check_zero_one | Plan.P_check_exactly_one
          | Plan.P_check_one_or_more | Plan.P_check_treat
-         | Plan.P_node_check | Plan.P_error | Plan.P_cast_as _
+         | Plan.P_node_check | Plan.P_check_node | Plan.P_check_singleton
+         | Plan.P_error | Plan.P_cast_as _
          | Plan.P_cast_int | Plan.P_cast_dbl | Plan.P_cast_bool -> true
          | _ -> false)
        | Plan.Fun2 { f = Plan.P_div | Plan.P_idiv | Plan.P_mod; _ } -> true

@@ -1,7 +1,7 @@
 (* The operator kernels: the actual table-in/table-out implementations of
    every algebra operator, factored out of the evaluators. [Eval]
-   (boxed, per-DAG-node memoization) and [Physical] (typed columns,
-   selection vectors) both dispatch into this module — [Physical] for its
+   (boxed, per-DAG-node memoization) and [Physical] (typed columns)
+   both dispatch into this module — [Physical] for its
    boxed-fallback path, for the loop-lifted step behind its typed step
    kernel, and for the scalar primitive semantics
    ([apply1]/[apply2]/[apply3]) its per-row kernels reuse.
@@ -51,7 +51,7 @@ let atomize store v =
 
 let node_of = function
   | Value.Node n -> n
-  | v -> Err.dynamic "expected a node, got %s" (Value.type_name v)
+  | v -> Value.not_node v
 
 let node_kind_is store v kind qopt =
   match v with
@@ -145,7 +145,7 @@ let apply1 store f v =
      | v -> Value.Dbl (Float.ceil (Value.float_value v)))
   | P_abs ->
     (match v with
-     | Value.Int i -> Value.Int (abs i)
+     | Value.Int i -> Value.Int (Value.abs_int i)
      | v -> Value.Dbl (Float.abs (Value.float_value v)))
   | P_is_node -> Value.Bool (Value.is_node v)
   | P_normalize_space ->
@@ -188,6 +188,10 @@ let apply1 store f v =
   | P_error ->
     Err.dynamic "fn:error: %s" (Value.to_string (atomize store v))
   | P_node_check -> if Value.is_node v then v else Value.path_not_node v
+  | P_check_node -> if Value.is_node v then v else Value.not_node v
+  | P_check_singleton ->
+    let n = Value.int_value v in
+    if n <> 1 then Value.not_singleton n else Value.Bool true
 
 let apply2 store f a bv =
   match f with
@@ -656,6 +660,8 @@ let eval_aggr store t res agg arg part order =
     | Some c -> c.(r)
     | None -> Err.internal "aggregate %s needs an argument column" res
   in
+  let items rows =
+    Seq.map (fun r -> atomize store (arg_at r)) (Array.to_seq rows) in
   let groups = group_rows t part in
   let out_rows = Vec.create [||] in
   List.iter
@@ -672,13 +678,7 @@ let eval_aggr store t res agg arg part order =
           | [||] -> ()
           | _ -> Value.not_singleton (Array.length rows))
        | A_count -> emit (Value.Int (Array.length rows))
-       | A_sum ->
-         let s =
-           Array.fold_left
-             (fun acc r -> Value.add acc (atomize store (arg_at r)))
-             (Value.Int 0) rows
-         in
-         emit s
+       | A_sum -> emit (Value.sum (items rows))
        | A_max | A_min ->
          if Array.length rows > 0 then begin
            let items = Array.map (fun r -> atomize store (arg_at r)) rows in
@@ -704,14 +704,10 @@ let eval_aggr store t res agg arg part order =
            emit (if !nan then Value.Dbl Float.nan else !best)
          end
        | A_avg ->
-         if Array.length rows > 0 then begin
-           let s =
-             Array.fold_left
-               (fun acc r -> Value.add acc (atomize store (arg_at r)))
-               (Value.Int 0) rows
-           in
-           emit (Value.div s (Value.Int (Array.length rows)))
-         end
+         if Array.length rows > 0 then
+           emit
+             (Value.div (Value.sum (items rows))
+                (Value.Int (Array.length rows)))
        | A_ebv ->
          let n = Array.length rows in
          if n = 0 then emit (Value.Bool false)

@@ -1,20 +1,15 @@
 (* The physical executor: evaluates the optimized plan DAG over typed
    column batches instead of boxed value tables.
 
-   Two mechanisms carry the speedup:
-
-     - typed columns ([Column]): batches hold unboxed int/float/bool/
-       string-id/node-id arrays, one representation per column — a boxed
-       column is converted the first time a typed kernel reads it and
-       replaced by the result — kept typed across operators, in
-       particular across the [Column.gather]s that build join outputs;
-
-     - selection vectors: Select, Distinct, Semijoin and Antijoin deliver
-       a selection over their input's rows instead of materializing a new
-       table, and Attach/Fun kernels append a column over the same base
-       rows; materialization is forced only at pipeline breakers (joins,
-       Rownum's sort, aggregation, Union, boxed-fallback kernels, and the
-       final serialization).
+   Typed columns ([Column]) carry the speedup: batches hold unboxed
+   int/float/bool/string-id/node-id arrays, one representation per
+   column — a boxed column is converted the first time a typed kernel
+   reads it and replaced by the result — kept typed across operators, in
+   particular across the [Column.gather]s that build join, selection and
+   duplicate-elimination outputs. Batches are dense: every column holds
+   exactly the batch's rows, so every kernel reads whole columns.
+   Materialization into boxed tables is forced only for boxed-fallback
+   kernels and the final serialization.
 
    It runs the plan as it is: every plan node is exactly one kernel,
    chosen by the node's operator, so every node's output is a batch of
@@ -54,13 +49,15 @@
    executed on a fixed domain pool ([Basis.Pool]). Determinism is by
    construction, not by luck:
 
-     - each morsel covers a contiguous range of the visible-row index
-       space and writes either disjoint base rows of a shared output
-       column or a private buffer; per-morsel buffers are concatenated in
-       morsel order, so output row order is bit-identical to serial;
+     - each morsel covers a contiguous range of rows and writes either
+       disjoint rows of a shared output column or a private buffer;
+       per-morsel buffers are concatenated in morsel order, so output row
+       order is bit-identical to serial;
      - partial aggregates merge per-morsel tables in morsel order, which
        reproduces the serial first-seen group order (morsels are
-       contiguous and in order);
+       contiguous and in order); integer sums merge exactly
+       ([Value.int_sum]), so whether one overflows does not depend on
+       the split;
      - a failing morsel does not abort its siblings; after all morsels
        finish, the exception of the lowest-indexed failing morsel is
        re-raised — rows within a morsel are scanned in ascending order,
@@ -114,10 +111,9 @@ let kernel_name : Plan.op -> string = function
    morsels, while Rownum — and everything whose matching logic is
    inherently sequential (Distinct's first-wins dedup, Union's append,
    the loop-lifted step's run-by-run walk) or boxed — stays serial. A
-   [#] stamp's dense path is O(1) and its scattered path writes
-   disjoint, index-determined slots per morsel; this is what makes
-   sort-elision (% becoming #) widen the ∥ fraction of the plan, not
-   just remove a sort. *)
+   [#] stamp is O(1) ([Column.Seq]) and waits on no other row; this is
+   what makes sort-elision (% becoming #) widen the ∥ fraction of the
+   plan, not just remove a sort. *)
 let parallelizable : Plan.op -> bool = function
   | Plan.Select _ | Plan.Attach _ | Plan.Fun1 _ | Plan.Fun2 _ | Plan.Fun3 _
   | Plan.Join _ | Plan.Thetajoin _ | Plan.Semijoin _ | Plan.Antijoin _
@@ -128,9 +124,9 @@ let parallelizable : Plan.op -> bool = function
 
 (* ---------------------------------------------------------------- batches *)
 
-(* A batch is a set of equal-length base columns plus an optional
-   selection vector: the visible rows are [sel] (in that order) when
-   present, all of [0 .. base-1] otherwise.
+(* A batch is a set of columns, each exactly [nrows] long: a kernel that
+   drops rows (Select, Semijoin/Antijoin, Distinct) gathers every column
+   through the surviving row indices ([gather_rows]).
 
    Each column has one representation. A column entering from the boxed
    world is [Mixed] until a typed kernel reads it; [retyped] then writes
@@ -141,9 +137,7 @@ let parallelizable : Plan.op -> bool = function
 type batch = {
   schema : string array;
   cols : Column.t array;  (* entries replaced by [retyped] *)
-  sel : int array option;
-  nrows : int;                   (* visible rows ( = |sel| when present ) *)
-  base : int;                    (* rows in the base columns *)
+  nrows : int;
   mutable table : Table.t option;
 }
 
@@ -283,23 +277,15 @@ let concat_pairs (parts : (int array * int array) array) =
       parts;
     (li, ri)
 
+(* Per-morsel row indices, concatenated in morsel order. *)
+let concat_rows = function
+  | [| one |] -> one
+  | parts -> Array.concat (Array.to_list parts)
+
 let of_table t =
   let n = Table.nrows t in
   let cols = Array.map (fun c -> Column.Mixed c) (Table.columns t) in
-  { schema = Table.schema t;
-    cols;
-    sel = None;
-    nrows = n;
-    base = n;
-    table = Some t }
-
-(* Visible rows [lo, hi) of the selection, in order. *)
-let iter_span b lo hi f =
-  match b.sel with
-  | None -> for r = lo to hi - 1 do f r done
-  | Some s -> for k = lo to hi - 1 do f s.(k) done
-
-let iter_sel b f = iter_span b 0 b.nrows f
+  { schema = Table.schema t; cols; nrows = n; table = Some t }
 
 let col_pos b name =
   let n = Array.length b.schema in
@@ -314,11 +300,9 @@ let col_pos b name =
 
 (* The column, after an attempt to tighten Mixed to a typed
    representation. A typed result replaces the Mixed column in [cols],
-   so every batch that shares the array (the output of a select, a
-   semi/antijoin or a distinct) reads it typed from then on. A column
-   that scans as heterogeneous stays Mixed and is scanned again at its
-   next typed read. Dynamic detection is authoritative; the static column
-   types ([Props]) only ever decorate the plan dump. *)
+   so every later reader of the batch reads it typed. A column that
+   scans as heterogeneous stays Mixed and is scanned again at its
+   next typed read. *)
 let retyped ctx b i =
   match b.cols.(i) with
   | Column.Mixed vs when Array.length vs > 0 -> (
@@ -332,25 +316,20 @@ let retyped ctx b i =
 
 let rcol ctx b name = retyped ctx b (col_pos b name)
 
-(* Append one column over the same base rows and selection. *)
+(* Append one column over the same rows. *)
 let with_col b name c =
   { b with
     schema = Array.append b.schema [| name |];
     cols = Array.append b.cols [| c |];
     table = None }
 
-(* Force the selection into the base: one gather per column, in whatever
-   representation the column has. *)
-let compact b =
-  match b.sel with
-  | None -> b
-  | Some s ->
-    { schema = b.schema;
-      cols = Array.map (fun c -> Column.gather c s) b.cols;
-      sel = None;
-      nrows = b.nrows;
-      base = b.nrows;
-      table = b.table }
+(* The rows [idx] of [b], in that order: one gather per column, in
+   whatever representation the column has (a [Const] stays [Const]). *)
+let gather_rows b idx =
+  { schema = b.schema;
+    cols = Array.map (fun c -> Column.gather c idx) b.cols;
+    nrows = Array.length idx;
+    table = None }
 
 (* The boxed view of a batch — the bridge into boxed-fallback kernels and
    the final serialization. Cached; counted as a forced materialization
@@ -360,36 +339,31 @@ let to_table ctx b =
   | Some t -> t
   | None ->
     bump ctx Profile.count_mat_forced;
-    let cb = compact b in
     Array.iter
       (function
         | Column.Codes _ -> bump ctx Profile.count_late_mat
         | _ -> ())
-      cb.cols;
+      b.cols;
     let t =
-      Table.create b.schema (Array.map Column.to_values cb.cols) b.nrows
+      Table.create b.schema (Array.map Column.to_values b.cols) b.nrows
     in
     b.table <- Some t;
     t
 
-(* A single column's visible rows, boxed (for key columns of matching
-   kernels that have no typed path). A Mixed column is read as it is,
-   with no retype scan; a typed one is boxed per visible row. *)
-let boxed_vis ctx b name =
+(* A single column, boxed (for key columns of matching kernels that have
+   no typed path). A Mixed column is read as it is, with no retype scan;
+   a typed one is boxed per row. *)
+let boxed_col ctx b name =
   let c = b.cols.(col_pos b name) in
-  (* boxing a code-carrying column decodes every visible row: count it as
-     a late materialization (once per column use, coordinator-side) *)
+  (* boxing a code-carrying column decodes every row: count it as a late
+     materialization (once per column use, coordinator-side) *)
   (match c with
    | Column.Codes _ -> bump ctx Profile.count_late_mat
    | _ -> ());
-  match (c, b.sel) with
-  | Column.Mixed vs, None -> vs
-  | Column.Mixed vs, Some s -> Array.map (fun r -> vs.(r)) s
-  | c, None -> Column.to_values c
-  | c, Some s -> Array.map (fun r -> Column.get c r) s
+  Column.to_values c
 
-(* Boxed-equivalent byte estimate over the visible rows (see the module
-   comment for why this is not the typed footprint). *)
+(* Boxed-equivalent byte estimate (see the module comment for why this
+   is not the typed footprint). *)
 let budget_bytes b =
   let total = ref 64 in
   Array.iter
@@ -402,20 +376,23 @@ let budget_bytes b =
        | Column.Nodes _ -> fixed 24
        | Column.Const { v; _ } -> fixed (Value.estimated_bytes v)
        | Column.Strs { pool; ids } ->
-         iter_sel b (fun r ->
-             total :=
-               !total + 32 + String.length (String_pool.get pool ids.(r)))
+         Array.iter
+           (fun id ->
+              total := !total + 32 + String.length (String_pool.get pool id))
+           ids
        | Column.Codes { frag; pool; codes } ->
          (* priced as the strings it decodes to, like [Strs]: a byte
             budget must govern the same logical materialization on
             either representation *)
-         iter_sel b (fun r ->
-             let id = Xmldb.Doc_store.text_id_of_code frag codes.(r) in
-             total :=
-               !total + 32
-               + (if id < 0 then 0 else String.length (String_pool.get pool id)))
+         Array.iter
+           (fun code ->
+              let id = Xmldb.Doc_store.text_id_of_code frag code in
+              total :=
+                !total + 32
+                + (if id < 0 then 0 else String.length (String_pool.get pool id)))
+           codes
        | Column.Mixed vs ->
-         iter_sel b (fun r -> total := !total + Value.estimated_bytes vs.(r)))
+         Array.iter (fun v -> total := !total + Value.estimated_bytes v) vs)
     b.cols;
   !total
 
@@ -449,7 +426,7 @@ let bool_reader c =
   | _ -> None
 
 (* Late materialization: expand a code-carrying column to query-pool ids
-   (one decode + intern per base row, coordinator-side — String_pool is
+   (one decode + intern per row, coordinator-side — String_pool is
    not thread-safe). Code keys that miss [code_keys] go through this so
    string equality keeps the pool-id fast path; other columns pass
    through untouched. *)
@@ -557,39 +534,34 @@ let match_keys ctx lc rc =
 
 (* --------------------------------------------------------- per-row kernels *)
 
-(* Select, Attach and Fun1/2/3 run over their input batch's base rows and
-   selection: compute kernels fill only the visible rows of their output
-   column; dead entries hold dummies and are never read, because
-   downstream selections only ever shrink.
-
-   The row loop of one compute kernel: [run f] applies [f] to every
-   visible row — inline, or sliced into morsels on the pool when the
-   kernel is order-indifferent. Distinct morsels see disjoint visible
-   rows (the selection is strictly increasing), so per-row writes to
-   distinct base slots of a shared output never overlap. The coordinator
-   does all retyping and typed-path dispatch (String_pool is not
-   thread-safe) before the loop fans out. *)
+(* The row loop of one compute kernel (Select, Fun1/2/3): [run f]
+   applies [f] to every row — inline, or sliced into morsels on the pool
+   when the kernel is order-indifferent. Distinct morsels see disjoint
+   rows, so per-row writes to a shared output never overlap. The
+   coordinator does all retyping and typed-path dispatch (String_pool is
+   not thread-safe) before the loop fans out. *)
 let row_runner ctx ~par b =
-  fun f -> run_spans ctx ~par b.nrows (fun lo hi -> iter_span b lo hi f)
+  fun f ->
+    run_spans ctx ~par b.nrows (fun lo hi -> for r = lo to hi - 1 do f r done)
 
-(* Generic per-row fallback: boxed application over the visible rows.
+(* Generic per-row fallback: boxed application to every row.
    [Kernels.apply*] only read the store (node string-values, names):
    pure, so safe on worker domains. *)
 let generic1 env run b f c =
-  let out = Array.make b.base (Value.Int 0) in
+  let out = Array.make b.nrows (Value.Int 0) in
   run (fun r ->
       out.(r) <- Kernels.apply1 env.Kernels.store f (Column.get c r));
   Column.Mixed out
 
 let generic2 env run b f c1 c2 =
-  let out = Array.make b.base (Value.Int 0) in
+  let out = Array.make b.nrows (Value.Int 0) in
   run (fun r ->
       out.(r) <-
         Kernels.apply2 env.Kernels.store f (Column.get c1 r) (Column.get c2 r));
   Column.Mixed out
 
 let generic3 env run b f c1 c2 c3 =
-  let out = Array.make b.base (Value.Int 0) in
+  let out = Array.make b.nrows (Value.Int 0) in
   run (fun r ->
       out.(r) <-
         Kernels.apply3 env.Kernels.store f (Column.get c1 r) (Column.get c2 r)
@@ -597,7 +569,7 @@ let generic3 env run b f c1 c2 c3 =
   Column.Mixed out
 
 (* Compressed execution of atomize/string over a node column: when every
-   visible row lives in one fragment and is a value-carrying kind
+   row lives in one fragment and is a value-carrying kind
    (attribute / text / comment / PI — whose XDM string value IS the row's
    own value), the result column stays as the fragment's dictionary codes
    ([Column.Codes]) and only materializes at consumers that need the
@@ -611,20 +583,20 @@ let codes_of_nodes ctx run b (frag : int array) (pre : int array) =
   if b.nrows = 0 then None
   else
     try
-      let fid = ref (-1) in
-      iter_sel b (fun r ->
-          if !fid = -1 then fid := frag.(r)
-          else if frag.(r) <> !fid then raise Not_codeable);
+      let fid = frag.(0) in
+      if Array.exists (fun fr -> fr <> fid) frag then raise Not_codeable;
       let store = ctx.env.Kernels.store in
-      let f = Xmldb.Doc_store.frag store !fid in
-      iter_sel b (fun r ->
-          match Xmldb.Doc_store.kind_at f pre.(r) with
-          | Xmldb.Node_kind.Attribute | Xmldb.Node_kind.Text
-          | Xmldb.Node_kind.Comment
-          | Xmldb.Node_kind.Processing_instruction -> ()
-          | Xmldb.Node_kind.Element | Xmldb.Node_kind.Document ->
-            raise Not_codeable);
-      let codes = Array.make b.base 0 in
+      let f = Xmldb.Doc_store.frag store fid in
+      Array.iter
+        (fun p ->
+           match Xmldb.Doc_store.kind_at f p with
+           | Xmldb.Node_kind.Attribute | Xmldb.Node_kind.Text
+           | Xmldb.Node_kind.Comment
+           | Xmldb.Node_kind.Processing_instruction -> ()
+           | Xmldb.Node_kind.Element | Xmldb.Node_kind.Document ->
+             raise Not_codeable)
+        pre;
+      let codes = Array.make b.nrows 0 in
       run (fun r -> codes.(r) <- Xmldb.Doc_store.text_code_at f pre.(r));
       Some
         (Column.Codes
@@ -659,19 +631,19 @@ let fun1_col ctx run b f c =
       (* the ebv of a Bool is the Bool itself, so negation is direct *)
       Option.map
         (fun g ->
-           let out = Bytes.make b.base '\000' in
+           let out = Bytes.make b.nrows '\000' in
            run (fun r -> if not (g r) then Bytes.set out r '\001');
            Column.Bools out)
         (bool_reader c)
     | Plan.P_neg | Plan.P_abs -> (
       match c with
       | Column.Ints a ->
-        let out = Array.make b.base 0 in
-        let op = if f = Plan.P_neg then ( ~- ) else abs in
+        let out = Array.make b.nrows 0 in
+        let op = if f = Plan.P_neg then Value.neg_int else Value.abs_int in
         run (fun r -> out.(r) <- op a.(r));
         Some (Column.Ints out)
       | Column.Dbls a ->
-        let out = Array.make b.base 0.0 in
+        let out = Array.make b.nrows 0.0 in
         let op = if f = Plan.P_neg then ( ~-. ) else Float.abs in
         run (fun r -> out.(r) <- op a.(r));
         Some (Column.Dbls out)
@@ -687,17 +659,17 @@ let fun1_col ctx run b f c =
    like the boxed path), NOT the native IEEE operators. *)
 let fun2_col ctx run b f c1 c2 =
   let bools g =
-    let out = Bytes.make b.base '\000' in
+    let out = Bytes.make b.nrows '\000' in
     run (fun r -> if g r then Bytes.set out r '\001');
     Column.Bools out
   in
   let ints g =
-    let out = Array.make b.base 0 in
+    let out = Array.make b.nrows 0 in
     run (fun r -> out.(r) <- g r);
     Column.Ints out
   in
   let dbls g =
-    let out = Array.make b.base 0.0 in
+    let out = Array.make b.nrows 0.0 in
     run (fun r -> out.(r) <- g r);
     Column.Dbls out
   in
@@ -715,15 +687,15 @@ let fun2_col ctx run b f c1 c2 =
         match (int_reader c1, int_reader c2) with
         | Some g1, Some g2 -> (
           match f with
-          | Plan.P_add -> Some (ints (fun r -> g1 r + g2 r))
-          | Plan.P_sub -> Some (ints (fun r -> g1 r - g2 r))
-          | Plan.P_mul -> Some (ints (fun r -> g1 r * g2 r))
+          | Plan.P_add -> Some (ints (fun r -> Value.add_int (g1 r) (g2 r)))
+          | Plan.P_sub -> Some (ints (fun r -> Value.sub_int (g1 r) (g2 r)))
+          | Plan.P_mul -> Some (ints (fun r -> Value.mul_int (g1 r) (g2 r)))
           | Plan.P_idiv ->
             Some
               (ints (fun r ->
                    let y = g2 r in
                    if y = 0 then Err.dynamic "integer division by zero";
-                   g1 r / y))
+                   Value.idiv_int (g1 r) y))
           | Plan.P_mod ->
             Some
               (ints (fun r ->
@@ -776,50 +748,34 @@ let fun2_col ctx run b f c1 c2 =
   in
   match typed with Some c -> c | None -> generic2 ctx.env run b f c1 c2
 
-(* The filter: refine the selection without touching any column. Error
-   behavior matches the boxed select row-for-row over the visible rows
-   (rows dropped by an earlier select were never observable here; a
-   morsel scans its rows in ascending order and the lowest failing
-   morsel's error is the one re-raised, so the surfaced error is the
-   serial one). Parallel morsels collect survivors into private vectors
-   concatenated in morsel order — the serial selection exactly. *)
-let select_sel ctx ~par b c =
-  let test_of =
+(* The filter: the surviving rows, gathered. Error behavior matches the
+   boxed select row for row (a morsel scans its rows in ascending order
+   and the lowest failing morsel's error is the one re-raised, so the
+   surfaced error is the serial one). Parallel morsels collect survivors
+   into private vectors concatenated in morsel order — the serial
+   survivors exactly. A constant-true column keeps every row: the input
+   is the output. *)
+let k_select ctx ~par b c =
+  let test =
     match c with
-    | Column.Bools bb -> Some (fun r -> Bytes.unsafe_get bb r <> '\000')
-    | Column.Const _ -> None
-    | _ ->
-      Some
-        (fun r ->
-           match Column.get c r with
-           | Value.Bool x -> x
-           | v ->
-             Err.dynamic "selection on non-boolean value %s"
-               (Value.type_name v))
+    | Column.Bools bb -> fun r -> Bytes.unsafe_get bb r <> '\000'
+    | _ -> (
+      fun r ->
+        match Column.get c r with
+        | Value.Bool x -> x
+        | v ->
+          Err.dynamic "selection on non-boolean value %s" (Value.type_name v))
   in
-  match test_of with
-  | None -> (
-    match c with
-    | Column.Const { v = Value.Bool true; _ } ->
-      let live = Vec.create 0 in
-      iter_sel b (fun r -> Vec.push live r);
-      Vec.to_array live
-    | Column.Const { v = Value.Bool false; _ } -> [||]
-    | Column.Const { v; _ } ->
-      if b.nrows > 0 then
-        Err.dynamic "selection on non-boolean value %s" (Value.type_name v)
-      else [||]
-    | _ -> assert false)
-  | Some test ->
-    let produce lo hi =
-      let live = Vec.create 0 in
-      iter_span b lo hi (fun r -> if test r then Vec.push live r);
-      Vec.to_array live
-    in
-    let parts = map_spans ctx ~par b.nrows produce in
-    (match parts with
-     | [| s |] -> s
-     | _ -> Array.concat (Array.to_list parts))
+  match c with
+  | Column.Const { v = Value.Bool true; _ } -> b
+  | Column.Const { v = Value.Bool false; _ } -> gather_rows b [||]
+  | _ ->
+    gather_rows b
+      (concat_rows
+         (map_spans ctx ~par b.nrows (fun lo hi ->
+              let live = Vec.create 0 in
+              for r = lo to hi - 1 do if test r then Vec.push live r done;
+              Vec.to_array live)))
 
 (* ------------------------------------------------------- breaker kernels *)
 
@@ -830,23 +786,19 @@ let check_disjoint l r =
          Err.internal "join: column %S on both sides" cl)
     l
 
-(* Build a join output: typed gathers of both (compacted) sides through
-   the match index pairs — no boxing, the payoff of the whole layer. *)
+(* Build a join output: typed gathers of both sides through the match
+   index pairs — no boxing, the payoff of the whole layer. *)
 let join_output (l : batch) (r : batch) li ri =
-  let n = Array.length li in
-  let side (b : batch) idx = Array.map (fun c -> Column.gather c idx) b.cols in
-  { schema = Array.append l.schema r.schema;
-    cols = Array.append (side l li) (side r ri);
-    sel = None;
-    nrows = n;
-    base = n;
-    table = None }
+  let l = gather_rows l li and r = gather_rows r ri in
+  { l with
+    schema = Array.append l.schema r.schema;
+    cols = Array.append l.cols r.cols }
 
 (* ----------------------------------------------------------- key matching *)
 
 (* The matching kernels — the equi-join, the [P_eq] theta join and
-   single-key semi/antijoins — read their keys through [match_keys] over
-   the visible rows. Key equality is then int equality, and how pairs
+   single-key semi/antijoins — read their keys through [match_keys].
+   Key equality is then int equality, and how pairs
    are enumerated is chosen per call from what the keys look like (see
    [equi_match]). Keys that need the boxed [Value.equal] rules (doubles,
    mixed types) stay on the [Kernels] matchers, the row-for-row
@@ -962,28 +914,25 @@ let equi_match ctx ~par lk rk =
     Pairs (probe_pairs ctx ~par lk rk)
   end
 
-(* The output of a match between two compacted batches. [Aligned]: the
-   inputs' columns side by side already are the output rows — shared,
-   not copied (no kernel mutates a column it did not allocate). *)
+(* The output of a match between two batches. [Aligned]: the inputs'
+   columns side by side already are the output rows — shared, not copied
+   (no kernel mutates a column it did not allocate). *)
 let matched_output lb rb = function
   | Aligned ->
     { schema = Array.append lb.schema rb.schema;
       cols = Array.append lb.cols rb.cols;
-      sel = None;
       nrows = lb.nrows;
-      base = lb.nrows;
       table = None }
   | Pairs (li, ri) -> join_output lb rb li ri
 
 let k_join ctx ~par lb rb lcol rcname =
   check_disjoint lb.schema rb.schema;
-  let lb = compact lb and rb = compact rb in
   match match_keys ctx (rcol ctx lb lcol) (rcol ctx rb rcname) with
   | Some (lk, rk) -> matched_output lb rb (equi_match ctx ~par lk rk)
   | None ->
     (* boxed [Value.equal] matching *)
     let li, ri =
-      Kernels.join_indices (boxed_vis ctx lb lcol) (boxed_vis ctx rb rcname)
+      Kernels.join_indices (boxed_col ctx lb lcol) (boxed_col ctx rb rcname)
     in
     join_output lb rb li ri
 
@@ -1060,11 +1009,10 @@ let theta_float_indices ctx ~par cmp lk rk =
 
 let k_thetajoin ctx ~par lb rb lcol cmp rcname =
   check_disjoint lb.schema rb.schema;
-  let lb = compact lb and rb = compact rb in
   let boxed () =
     Pairs
-      (Kernels.theta_indices (boxed_vis ctx lb lcol) cmp
-         (boxed_vis ctx rb rcname))
+      (Kernels.theta_indices (boxed_col ctx lb lcol) cmp
+         (boxed_col ctx rb rcname))
   in
   let m =
     match cmp with
@@ -1076,7 +1024,7 @@ let k_thetajoin ctx ~par lb rb lcol cmp rcname =
       | Some (lk, rk) -> equi_match ctx ~par lk rk
       | None -> boxed ())
     | Plan.P_lt | Plan.P_le | Plan.P_gt | Plan.P_ge -> (
-      let lvs = boxed_vis ctx lb lcol and rvs = boxed_vis ctx rb rcname in
+      let lvs = boxed_col ctx lb lcol and rvs = boxed_col ctx rb rcname in
       match theta_float_keys lvs rvs with
       | Some (lk, rk) -> Pairs (theta_float_indices ctx ~par cmp lk rk)
       | None -> Pairs (Kernels.theta_indices lvs cmp rvs))
@@ -1087,33 +1035,23 @@ let k_thetajoin ctx ~par lb rb lcol cmp rcname =
   in
   matched_output lb rb m
 
-(* Semi/anti join: the output is the left batch with a composed selection
-   — nothing materializes. A single key that reads as ints ([match_keys],
-   over the visible rows) uses the flat index as a set: it indexes the
-   right keys and probes the left rows, fanning the probe out over
-   morsels like the join probe (kept indices concatenated in morsel
-   order are the serial ascending scan). Multi-key and boxed keys run
-   the [Kernels] key set the same way. *)
+(* Semi/anti join: the output is the left batch's kept rows. A single
+   key that reads as ints ([match_keys]) uses the flat index as a set: it
+   indexes the right keys and probes the left rows, fanning the probe out
+   over morsels like the join probe (kept indices concatenated in morsel
+   order are the serial ascending scan). Multi-key and boxed keys run the
+   [Kernels] key set the same way. *)
 let k_semijoin ctx ~par ~anti lb rb on =
   let keys =
     match on with
-    | [ (lc, rc) ] ->
-      let vis b name =
-        let c = rcol ctx b name in
-        match b.sel with None -> c | Some s -> Column.gather c s
-      in
-      match_keys ctx (vis lb lc) (vis rb rc)
+    | [ (lc, rc) ] -> match_keys ctx (rcol ctx lb lc) (rcol ctx rb rc)
     | _ -> None
-  in
-  let concat = function
-    | [| one |] -> one
-    | parts -> Array.concat (Array.to_list parts)
   in
   let keep =
     match keys with
     | Some (lk, rk) ->
       let idx = Int_index.build rk in
-      concat
+      concat_rows
         (map_spans ctx ~par lb.nrows (fun lo hi ->
              let keep = Vec.create 0 in
              for i = lo to hi - 1 do
@@ -1122,47 +1060,32 @@ let k_semijoin ctx ~par ~anti lb rb on =
              Vec.to_array keep))
     | None ->
       let lkeys =
-        Array.of_list (List.map (fun (lc, _) -> boxed_vis ctx lb lc) on)
+        Array.of_list (List.map (fun (lc, _) -> boxed_col ctx lb lc) on)
       in
       let rkeys =
-        Array.of_list (List.map (fun (_, rc) -> boxed_vis ctx rb rc) on)
+        Array.of_list (List.map (fun (_, rc) -> boxed_col ctx rb rc) on)
       in
       let set = Kernels.semi_key_set ~nr:rb.nrows rkeys in
-      concat
+      concat_rows
         (map_spans ctx ~par lb.nrows (fun lo hi ->
              Kernels.semi_probe set ~anti lkeys lo hi))
   in
-  let sel' =
-    match lb.sel with
-    | None -> keep
-    | Some s -> Array.map (fun k -> s.(k)) keep
-  in
-  bump ctx Profile.count_mat_avoided;
-  { lb with sel = Some sel'; nrows = Array.length sel'; table = None }
+  gather_rows lb keep
 
-(* Per-column int keys of a distinct over the visible rows, when every
-   column has them: ints and Seq by value, nodes by (frag, pre), strings
-   by pool id (one column, one pool), codes by code (one column, one
-   fragment, as in [code_keys]); a Const column is equal on every row
-   and adds no key.
+(* Per-column int keys of a distinct, when every column has them: ints
+   and Seq by value, nodes by (frag, pre), strings by pool id (one
+   column, one pool), codes by code (one column, one fragment, as in
+   [code_keys]); a Const column is equal on every row and adds no key.
    Dbls/Bools/Mixed give None: the NaN and -0.0 rules of [Value.equal]
    stay with the boxed path. *)
 let distinct_keys ctx b =
-  let vis f =
-    match b.sel with
-    | None -> Array.init b.nrows f
-    | Some s -> Array.map f s
-  in
-  let ints (a : int array) =
-    match b.sel with None -> a | Some _ -> vis (fun r -> a.(r))
-  in
   let keys i =
     match retyped ctx b i with
     | Column.Ints a | Column.Strs { ids = a; _ } | Column.Codes { codes = a; _ }
       ->
-      Some [ ints a ]
-    | Column.Seq { start; _ } -> Some [ vis (fun r -> start + r) ]
-    | Column.Nodes { frag; pre } -> Some [ ints frag; ints pre ]
+      Some [ a ]
+    | Column.Seq { start; n } -> Some [ Array.init n (fun r -> start + r) ]
+    | Column.Nodes { frag; pre } -> Some [ frag; pre ]
     | Column.Const _ -> Some []
     | Column.Dbls _ | Column.Bools _ | Column.Mixed _ -> None
   in
@@ -1177,8 +1100,7 @@ let k_distinct ctx b =
     match distinct_keys ctx b with
     | Some cols -> Int_index.first_rows cols b.nrows
     | None ->
-      let n = Array.length b.schema in
-      let cols = Array.init n (fun i -> boxed_vis ctx b b.schema.(i)) in
+      let cols = Array.map (fun name -> boxed_col ctx b name) b.schema in
       let seen = Kernels.Row_tbl.create (max 16 b.nrows) in
       let keep = Vec.create 0 in
       for k = 0 to b.nrows - 1 do
@@ -1190,66 +1112,34 @@ let k_distinct ctx b =
       done;
       Vec.to_array keep
   in
-  let sel' =
-    match b.sel with
-    | None -> keep
-    | Some s -> Array.map (fun k -> s.(k)) keep
-  in
-  bump ctx Profile.count_mat_avoided;
-  { b with sel = Some sel'; nrows = Array.length sel'; table = None }
+  gather_rows b keep
 
 let k_project b cols =
   let idx = Array.of_list (List.map (fun (_, src) -> col_pos b src) cols) in
   { schema = Array.of_list (List.map fst cols);
     cols = Array.map (fun i -> b.cols.(i)) idx;
-    sel = b.sel;
     nrows = b.nrows;
-    base = b.base;
     table = None }
 
 let k_union lb rb =
   if Array.length lb.schema <> Array.length rb.schema then
     Err.internal "Table.union: schema arity mismatch";
-  let lb = compact lb and rb = compact rb in
   let cols =
     Array.mapi
       (fun i name -> Column.append lb.cols.(i) rb.cols.(col_pos rb name))
       lb.schema
   in
-  { schema = lb.schema;
-    cols;
-    sel = None;
-    nrows = lb.nrows + rb.nrows;
-    base = lb.nrows + rb.nrows;
-    table = None }
-
-let k_rowid ctx ~par b res =
-  match b.sel with
-  | None ->
-    (* dense numbering is MonetDB's void column: O(1), nothing stored *)
-    bump ctx Profile.count_mat_avoided;
-    with_col b res (Column.seq ~start:1 b.nrows)
-  | Some s ->
-    (* scattered: number the selected rows 1..n in selection order; each
-       write targets [s.(i)] and the selection is injective, so morsels
-       scatter into disjoint slots *)
-    let out = Array.make b.base 0 in
-    run_spans ctx ~par (Array.length s) (fun lo hi ->
-        for i = lo to hi - 1 do
-          out.(s.(i)) <- i + 1
-        done);
-    with_col b res (Column.Ints out)
+  { schema = lb.schema; cols; nrows = lb.nrows + rb.nrows; table = None }
 
 (* The most sorted runs a [%] input may arrive in and still be merged
    rather than sorted. *)
 let max_runs = 64
 
 (* Rownum: the pipeline breaker the paper's cost model revolves around.
-   Compact, sort a permutation — typed comparators where columns are
-   typed; [Value.compare_total] agrees with [Int.compare]/[Float.compare]
-   on homogeneous columns — then number within partitions. *)
+   Sort a permutation — typed comparators where columns are typed;
+   [Value.compare_total] agrees with [Int.compare]/[Float.compare] on
+   homogeneous columns — then number within partitions. *)
 let k_rownum ctx b res order part =
-  let b = compact b in
   let n = b.nrows in
   let cmp_of name =
     let i = col_pos b name in
@@ -1381,33 +1271,30 @@ let k_rownum ctx b res order part =
   with_col b res (Column.Ints out)
 
 (* Int-keyed grouped fold with partial aggregation over morsels: every
-   morsel folds its contiguous range of visible rows into a private
+   morsel folds its contiguous range of rows into a private
    (first-seen key order, accumulator table) pair; the coordinator merges
    the partials *in morsel order*, combining accumulators for keys seen
    by several morsels. Because morsels are contiguous, in-order slices of
    the scan, walking their first-seen key sequences in morsel order while
    skipping already-merged keys reproduces the global first-seen group
    order of the serial scan exactly ([Kernels.group_rows] order). The
-   combiner must be associative over row-range splits — count, sum, min,
-   max are — and the fold of a single morsel is the serial fold, so the
-   serial path is just the one-morsel case. *)
-let int_grouped ctx ~par b ~(g : int -> int) ~(of_row : int -> int)
-    ~(combine : int -> int -> int) =
+   combiner must be associative over row-range splits — count, min, max
+   and the exact [Value.int_sum] are — and the fold of a single morsel is
+   the serial fold, so the serial path is just the one-morsel case. *)
+let int_grouped ctx ~par b ~(g : int -> int) ~(of_row : int -> 'a)
+    ~(combine : 'a -> 'a -> 'a) =
   let module IT = Kernels.Int_tbl in
   let fold lo hi =
     let order_v = Vec.create 0 in
-    let accs : int ref IT.t = IT.create 64 in
-    let step r =
+    let accs : 'a ref IT.t = IT.create 64 in
+    for r = lo to hi - 1 do
       let k = g r in
       match IT.find_opt accs k with
       | Some a -> a := combine !a (of_row r)
       | None ->
         IT.add accs k (ref (of_row r));
         Vec.push order_v k
-    in
-    (match b.sel with
-     | None -> for r = lo to hi - 1 do step r done
-     | Some s -> for i = lo to hi - 1 do step s.(i) done);
+    done;
     (order_v, accs)
   in
   let parts = map_spans ctx ~par b.nrows fold in
@@ -1416,7 +1303,7 @@ let int_grouped ctx ~par b ~(g : int -> int) ~(of_row : int -> int)
     | [| one |] -> one
     | _ ->
       let order_v = Vec.create 0 in
-      let accs : int ref IT.t = IT.create 64 in
+      let accs : 'a ref IT.t = IT.create 64 in
       Array.iter
         (fun (ov, av) ->
            Vec.iter
@@ -1431,37 +1318,27 @@ let int_grouped ctx ~par b ~(g : int -> int) ~(of_row : int -> int)
         parts;
       (order_v, accs)
   in
-  let n = Vec.length order_v in
-  let keys = Array.make n 0 and vals = Array.make n 0 in
-  Vec.iteri
-    (fun i k ->
-       keys.(i) <- k;
-       vals.(i) <- !(IT.find accs k))
-    order_v;
-  (keys, vals)
+  let keys = Vec.to_array order_v in
+  (keys, Array.map (fun k -> !(IT.find accs k)) keys)
 
 (* Aggregation: typed paths for the order-indifferent shapes — count, and
    integer sum/min/max, grouped by an int column (iter grouping, the
    overwhelmingly common case), first-seen group order exactly like
    [Kernels.group_rows] — everything else boxed. On the boxed path
    atomize is the identity on Int, [numeric_view] maps Int to itself, an
-   all-Int sum folds to an Int, and min/max pick an Int by integer
-   comparison with no NaN involved — so these typed results are
-   value-identical to the boxed ones. *)
+   all-Int [Value.sum] is the same exact [Value.int_sum], and min/max
+   pick an Int by integer comparison with no NaN involved — so these
+   typed results and errors are identical to the boxed ones. *)
 let k_aggr ctx ~par b res agg arg part order =
   let boxed () =
     let t = to_table ctx b in
     of_table
       (Kernels.eval_aggr ctx.env.Kernels.store t res agg arg part order)
   in
-  let grouped p ~g ~of_row ~combine =
-    let keys, vals = int_grouped ctx ~par b ~g ~of_row ~combine in
-    let n = Array.length keys in
+  let grouped p (keys, vals) =
     { schema = [| p; res |];
       cols = [| Column.Ints keys; Column.Ints vals |];
-      sel = None;
-      nrows = n;
-      base = n;
+      nrows = Array.length keys;
       table = None }
   in
   match (agg, part) with
@@ -1470,20 +1347,22 @@ let k_aggr ctx ~par b res agg arg part order =
   | Plan.A_count, Some p -> (
     match int_reader (rcol ctx b p) with
     | None -> boxed ()
-    | Some g -> grouped p ~g ~of_row:(fun _ -> 1) ~combine:( + ))
+    | Some g ->
+      grouped p (int_grouped ctx ~par b ~g ~of_row:(fun _ -> 1) ~combine:( + )))
   | (Plan.A_sum | Plan.A_min | Plan.A_max), Some p -> (
     match
       ( int_reader (rcol ctx b p),
         Option.map (fun a -> int_reader (rcol ctx b a)) arg )
     with
-    | Some g, Some (Some ga) ->
-      let combine =
-        match agg with
-        | Plan.A_sum -> ( + )
-        | Plan.A_min -> min
-        | _ -> max
-      in
-      grouped p ~g ~of_row:ga ~combine
+    | Some g, Some (Some ga) -> (
+      let fold of_row combine = int_grouped ctx ~par b ~g ~of_row ~combine in
+      match agg with
+      | Plan.A_sum ->
+        let keys, sums =
+          fold (fun r -> Value.int_sum (ga r)) Value.int_sum_add in
+        grouped p (keys, Array.map Value.int_sum_value sums)
+      | Plan.A_min -> grouped p (fold ga min)
+      | _ -> grouped p (fold ga max))
     | _ -> boxed ())
   | Plan.A_the, Some p -> (
     match (int_reader (rcol ctx b p), arg) with
@@ -1495,15 +1374,16 @@ let k_aggr ctx ~par b res agg arg part order =
          column stays codes) *)
       let sorted = ref true and long = ref 0 in
       let prev = ref 0 and run = ref 0 in
-      iter_sel b (fun r ->
-          let it = g r in
-          if !run > 0 && it = !prev then incr run
-          else begin
-            if !run > 0 && it < !prev then sorted := false;
-            if !long = 0 && !run > 1 then long := !run;
-            run := 1
-          end;
-          prev := it);
+      for r = 0 to b.nrows - 1 do
+        let it = g r in
+        if !run > 0 && it = !prev then incr run
+        else begin
+          if !run > 0 && it < !prev then sorted := false;
+          if !long = 0 && !run > 1 then long := !run;
+          run := 1
+        end;
+        prev := it
+      done;
       if !long = 0 && !run > 1 then long := !run;
       if not !sorted then boxed ()
       else if !long > 1 then Value.not_singleton !long
@@ -1530,13 +1410,10 @@ let k_aggr ctx ~par b res agg arg part order =
    what raises the "expected a node" error. *)
 let k_step ctx b axis test =
   let typed (r : Xmldb.Staircase.rows) =
-    let n = Array.length r.pre in
     { schema = [| "iter"; "item" |];
       cols =
         [| Column.Ints r.iter; Column.Nodes { frag = r.frag; pre = r.pre } |];
-      sel = None;
-      nrows = n;
-      base = n;
+      nrows = Array.length r.pre;
       table = None }
   in
   let boxed () =
@@ -1546,21 +1423,9 @@ let k_step ctx b axis test =
   else
     match (int_reader (rcol ctx b "iter"), rcol ctx b "item") with
     | Some gi, Column.Nodes { frag; pre } ->
-      let n = b.nrows in
-      let iter = Array.make n 0 in
-      let fr = Array.make n 0 and pr = Array.make n 0 in
-      let k = ref 0 and monotone = ref true in
-      iter_sel b (fun r ->
-          let it = gi r in
-          if !k > 0 && it < iter.(!k - 1) then monotone := false;
-          iter.(!k) <- it;
-          fr.(!k) <- frag.(r);
-          pr.(!k) <- pre.(r);
-          incr k);
-      if !monotone then
-        typed
-          (Kernels.step_lifted ctx.env axis test
-             { iter; frag = fr; pre = pr })
+      let iter = Array.init b.nrows gi in
+      if ascending iter then
+        typed (Kernels.step_lifted ctx.env axis test { iter; frag; pre })
       else boxed ()
     | _ -> boxed ()
 
@@ -1581,12 +1446,10 @@ let exec_kernel ctx (n : Plan.node) (inputs : batch list) : batch =
   match n.Plan.op with
   | Plan.Select { col; _ } ->
     let b = one () in
-    let s = select_sel ctx ~par b (rcol ctx b col) in
-    bump ctx Profile.count_mat_avoided;
-    { b with sel = Some s; nrows = Array.length s; table = None }
+    k_select ctx ~par b (rcol ctx b col)
   | Plan.Attach { res; value; _ } ->
     let b = one () in
-    with_col b res (Column.const value b.base)
+    with_col b res (Column.const value b.nrows)
   | Plan.Fun1 { res; f; arg; _ } ->
     let b = one () in
     let c = rcol ctx b arg in
@@ -1607,7 +1470,10 @@ let exec_kernel ctx (n : Plan.node) (inputs : batch list) : batch =
   | Plan.Union _ ->
     let l, r = two () in
     k_union l r
-  | Plan.Rowid { res; _ } -> k_rowid ctx ~par (one ()) res
+  | Plan.Rowid { res; _ } ->
+    (* dense numbering is MonetDB's void column: O(1), nothing stored *)
+    let b = one () in
+    with_col b res (Column.seq ~start:1 b.nrows)
   | Plan.Rownum { res; order; part; _ } -> k_rownum ctx (one ()) res order part
   | Plan.Join { lcol; rcol; _ } ->
     let l, r = two () in

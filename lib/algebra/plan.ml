@@ -74,6 +74,8 @@ type prim1 =
   | P_instance_item of item_ty (* per-item dynamic type test *)
   | P_check_treat       (* raises "treat as" failure unless the bool is true *)
   | P_node_check        (* identity on nodes; dynamic error on atomics (path-step results) *)
+  | P_check_node        (* identity on nodes; "expected a node" on atomics (|, intersect, except operands) *)
+  | P_check_singleton   (* raises unless the (count) argument equals 1 (computed constructor names) *)
   | P_error             (* fn:error: raises with the argument as message *)
 
 type prim2 =

@@ -19,6 +19,7 @@ let prim1_name = function
   | P_cast_as _ -> "cast" | P_castable _ -> "castable"
   | P_instance_item _ -> "instance" | P_check_treat -> "treat"
   | P_error -> "error" | P_node_check -> "node-check"
+  | P_check_node -> "check-node" | P_check_singleton -> "check-singleton"
 
 let prim2_name = function
   | P_add -> "+" | P_sub -> "-" | P_mul -> "*" | P_div -> "div"

@@ -12,18 +12,17 @@ type node_stat = {
   mutable seconds : float;
 }
 
-(* Physical-executor counters: how much work the typed/selection-vector
-   machinery did and, more importantly, how much it avoided. *)
+(* Physical-executor counters: how much work the typed-column machinery
+   did and which paths it took. *)
 type phys = {
   mutable kernels : int;      (* physical kernel invocations *)
   mutable fused_ops : int;    (* logical operators covered by kernels:
                                  one per plan node, so always [kernels] *)
   mutable rows_in : int;      (* input rows across all kernel invocations *)
   mutable rows_out : int;     (* output rows across all kernel invocations *)
-  mutable mat_avoided : int;  (* results delivered as a selection vector /
-                                 const / seq instead of materialized rows *)
-  mutable mat_forced : int;   (* batches boxed back to tables at pipeline
-                                 breakers or for a boxed-fallback kernel *)
+  mutable mat_forced : int;   (* batches boxed into tables for a
+                                 boxed-fallback kernel or the final
+                                 serialization *)
   mutable retypes : int;      (* Mixed -> typed column conversions *)
   mutable joins_aligned : int; (* typed equality joins over identical,
                                   strictly ascending keys: no index *)
@@ -66,7 +65,7 @@ let create () =
     nodes = Hashtbl.create 64;
     phys =
       { kernels = 0; fused_ops = 0; rows_in = 0; rows_out = 0;
-        mat_avoided = 0; mat_forced = 0; retypes = 0;
+        mat_forced = 0; retypes = 0;
         joins_aligned = 0; joins_merged = 0; joins_hashed = 0;
         sorts_elided = 0; sorts_to_merges = 0; root_sort_elided = 0;
         code_preds = 0; bulk_decodes = 0;
@@ -87,9 +86,6 @@ let add_kernel t ~rows_in ~rows_out =
       p.fused_ops <- p.fused_ops + 1;
       p.rows_in <- p.rows_in + rows_in;
       p.rows_out <- p.rows_out + rows_out)
-
-let count_mat_avoided t =
-  locked t (fun () -> t.phys.mat_avoided <- t.phys.mat_avoided + 1)
 
 let count_mat_forced t =
   locked t (fun () -> t.phys.mat_forced <- t.phys.mat_forced + 1)
@@ -183,8 +179,8 @@ let pp fmt t =
     Format.fprintf fmt "physical: %d kernels, %d rows in, %d rows out@."
       p.kernels p.rows_in p.rows_out;
     Format.fprintf fmt
-      "physical: %d materializations avoided, %d forced, %d columns retyped@."
-      p.mat_avoided p.mat_forced p.retypes;
+      "physical: %d materializations forced, %d columns retyped@."
+      p.mat_forced p.retypes;
     if p.joins_aligned + p.joins_merged + p.joins_hashed > 0 then
       Format.fprintf fmt
         "physical: equi-joins %d aligned, %d merged, %d hashed@."

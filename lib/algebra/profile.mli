@@ -12,9 +12,9 @@ type t
     keeps counter values bit-identical between serial and parallel
     runs. *)
 
-(** Physical-executor counters: work the typed/selection-vector machinery
-    did — and, more importantly, avoided. All zero unless the physical
-    backend ran with this profile. *)
+(** Physical-executor counters: work the typed-column machinery did and
+    which paths it took. All zero unless the physical backend ran with
+    this profile. *)
 type phys = {
   mutable kernels : int;      (** physical kernel invocations *)
   mutable fused_ops : int;
@@ -24,10 +24,9 @@ type phys = {
           reports as [exec.fused_ops]. *)
   mutable rows_in : int;      (** input rows summed over kernel invocations *)
   mutable rows_out : int;     (** output rows summed over kernel invocations *)
-  mutable mat_avoided : int;  (** results delivered as selection vector /
-                                  const / seq instead of materialized rows *)
-  mutable mat_forced : int;   (** batches boxed back to tables at pipeline
-                                  breakers or for boxed-fallback kernels *)
+  mutable mat_forced : int;   (** batches boxed into tables for a
+                                  boxed-fallback kernel or the final
+                                  serialization *)
   mutable retypes : int;      (** Mixed → typed column conversions *)
   mutable joins_aligned : int;
       (** typed equality joins whose two key sequences were identical
@@ -66,7 +65,6 @@ val phys : t -> phys
     counts. *)
 val add_kernel : t -> rows_in:int -> rows_out:int -> unit
 
-val count_mat_avoided : t -> unit
 val count_mat_forced : t -> unit
 val count_retype : t -> unit
 

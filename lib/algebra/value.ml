@@ -98,6 +98,54 @@ let ebv_of_atomics n =
 let path_not_node v =
   Err.dynamic "path steps must return nodes, got %s" (type_name v)
 
+let not_node v = Err.dynamic "expected a node, got %s" (type_name v)
+
+let int_overflow () = Err.dynamic "integer overflow"
+
+(* Checked xs:integer arithmetic on the 63-bit native ints: a result out
+   of range raises instead of wrapping. A sum overflows exactly when both
+   operands differ in sign from it; a difference when the operands differ
+   in sign and the result differs from the minuend; a product when
+   dividing it back fails ([min_int / -1] wraps to [min_int], hence the
+   extra case). *)
+let add_int x y =
+  let s = x + y in
+  if (x lxor s) land (y lxor s) < 0 then int_overflow () else s
+
+let sub_int x y =
+  let d = x - y in
+  if (x lxor y) land (x lxor d) < 0 then int_overflow () else d
+
+let mul_int x y =
+  let p = x * y in
+  if x <> 0 && (p / x <> y || (x = -1 && y = min_int)) then int_overflow ()
+  else p
+
+let idiv_int x y = if y = -1 && x = min_int then int_overflow () else x / y
+let neg_int x = if x = min_int then int_overflow () else -x
+let abs_int x = if x = min_int then int_overflow () else abs x
+
+(* An exact xs:integer sum: the total modulo 2^63 and the net number of
+   times adding wrapped it. Adding two is associative and commutative, so
+   partial sums over any split of the input, added in any order, reach
+   the same pair. With the total in [min_int, max_int], the exact sum
+   [total + wraps * 2^63] is in range exactly when [wraps = 0], so
+   whether a sum overflows does not depend on the order of its items. *)
+type int_sum = { total : int; wraps : int }
+
+let int_sum x = { total = x; wraps = 0 }
+
+let int_sum_add a b =
+  let s = a.total + b.total in
+  let w =
+    if (a.total lxor s) land (b.total lxor s) >= 0 then 0
+    else if b.total > 0 then 1
+    else -1
+  in
+  { total = s; wraps = a.wraps + b.wraps + w }
+
+let int_sum_value a = if a.wraps <> 0 then int_overflow () else a.total
+
 (* Serialization of atomic values (XDM canonical-ish forms). *)
 let to_string = function
   | Int i -> string_of_int i
@@ -208,33 +256,48 @@ let arith_operands a b =
 
 let add a b =
   match arith_operands a b with
-  | Int x, Int y -> Int (x + y)
+  | Int x, Int y -> Int (add_int x y)
   | x, y -> Dbl (float_value x +. float_value y)
+
+(* fn:sum over atomized items. An all-xs:integer input sums exactly
+   ([int_sum]), so it raises only when its total is out of range, however
+   the items are ordered or split; from the first other item on, the fold
+   is [add]'s in xs:double, from the exact integer total before it. *)
+let sum items =
+  let rec ints acc items =
+    match items () with
+    | Seq.Nil -> Int (int_sum_value acc)
+    | Seq.Cons (Int x, rest) -> ints (int_sum_add acc (int_sum x)) rest
+    | Seq.Cons (v, rest) ->
+      let so_far =
+        Float.of_int acc.total +. Float.ldexp (Float.of_int acc.wraps) 63
+      in
+      Seq.fold_left add (add (Dbl so_far) v) rest
+  in
+  ints (int_sum 0) items
 
 let sub a b =
   match arith_operands a b with
-  | Int x, Int y -> Int (x - y)
+  | Int x, Int y -> Int (sub_int x y)
   | x, y -> Dbl (float_value x -. float_value y)
 
 let mul a b =
   match arith_operands a b with
-  | Int x, Int y -> Int (x * y)
+  | Int x, Int y -> Int (mul_int x y)
   | x, y -> Dbl (float_value x *. float_value y)
 
 let div a b =
   match arith_operands a b with
   | Int _, Int 0 -> Err.dynamic "division by zero"
   | Int x, Int y ->
-    if x mod y = 0 then Int (x / y)
+    if x mod y = 0 then Int (idiv_int x y)
     else Dbl (float_of_int x /. float_of_int y)
   | x, y -> Dbl (float_value x /. float_value y)
 
 let idiv a b =
   match arith_operands a b with
   | _, Int 0 -> Err.dynamic "integer division by zero"
-  | Int x, Int y ->
-    let q = x / y in
-    Int q
+  | Int x, Int y -> Int (idiv_int x y)
   | x, y ->
     let fy = float_value y in
     if fy = 0.0 then Err.dynamic "integer division by zero"
@@ -247,7 +310,7 @@ let modulo a b =
   | x, y -> Dbl (Float.rem (float_value x) (float_value y))
 
 let neg = function
-  | Int i -> Int (-i)
+  | Int i -> Int (neg_int i)
   | Dbl f -> Dbl (-.f)
   | Str _ as v -> (match arith_operands v (Int 0) with x, _ -> Dbl (-.(float_value x)))
   | v -> Err.dynamic "cannot negate %s" (type_name v)

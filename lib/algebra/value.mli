@@ -49,6 +49,35 @@ val ebv_of_atomics : int -> 'a
 (** A path step returned the atomic value [v]. *)
 val path_not_node : t -> 'a
 
+(** A node was required (an operand of [|], [intersect] or [except], a
+    node accessor) and the atomic value [v] came instead. *)
+val not_node : t -> 'a
+
+(** An xs:integer result outside the 63-bit range (FOAR0002). *)
+val int_overflow : unit -> 'a
+
+(** {2 Checked xs:integer arithmetic} — a result outside the 63-bit
+    range raises {!int_overflow} instead of wrapping. [idiv_int] expects
+    a non-zero divisor. *)
+
+val add_int : int -> int -> int
+val sub_int : int -> int -> int
+val mul_int : int -> int -> int
+val idiv_int : int -> int -> int
+val neg_int : int -> int
+val abs_int : int -> int
+
+(** An exact xs:integer sum. {!int_sum_add} is associative and
+    commutative, so partial sums over any split of the rows, added in
+    any order, give the same result and the same overflow verdict. *)
+type int_sum
+
+val int_sum : int -> int_sum
+val int_sum_add : int_sum -> int_sum -> int_sum
+
+(** The total; raises {!int_overflow} when it is out of range. *)
+val int_sum_value : int_sum -> int
+
 (** XDM canonical-ish serialization of an atomic value; raises on nodes
     (their string value needs the store). *)
 val to_string : t -> string
@@ -88,6 +117,12 @@ val div : t -> t -> t
 val idiv : t -> t -> t
 val modulo : t -> t -> t
 val neg : t -> t
+
+(** fn:sum of atomized items: [Int 0] when empty, an [Int] when every
+    item is one (raising {!int_overflow} only when the exact total is out
+    of range, whatever the order of the items), else [add]'s xs:double
+    fold. *)
+val sum : t Seq.t -> t
 
 (** The numeric reading of a value if it has one (numerics themselves,
     or strings that parse as numbers) — the fn:min/fn:max coercion

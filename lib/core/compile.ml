@@ -256,6 +256,34 @@ let correlated env e =
 let singleton_of cfg env e q =
   if static_single env e then pi2 cfg q else the_singleton cfg q
 
+(* An operand of [|], [intersect] or [except] must be nodes. A step, a
+   ddo path or another node-set operator returns nodes by construction;
+   any other operand is checked row by row, with the checked value as
+   the item so the check is never pruned. *)
+let node_operand cfg e q =
+  match e with
+  | C_step _ | C_ddo _ | C_union _ | C_intersect _ | C_except _ -> pi2 cfg q
+  | _ ->
+    let c = A.fun1 cfg.b (pi2 cfg q) "nc" A.P_check_node "item" in
+    A.project cfg.b c [ ("iter", "iter"); ("item", "nc") ]
+
+(* [target] restricted to the iterations in which [q] has exactly one
+   item; [check], applied to each iteration's count, raises on any other
+   count. *)
+let exactly_one cfg env check q target =
+  let cnt = grouped_count cfg env (pi2 cfg q) in
+  let chk = A.fun1 cfg.b cnt "ok" check "item" in
+  let ok = A.project cfg.b (A.select cfg.b chk "ok") [ ("iter", "iter") ] in
+  A.semijoin cfg.b target ok [ ("iter", "iter") ]
+
+(* A computed constructor name: exactly one item per iteration. A
+   literal QName or string is one; any other name is counted, so an
+   empty name raises as a longer one does. *)
+let constructor_name cfg env name q =
+  match name with
+  | C_qname _ | C_str _ -> singleton_of cfg env name q
+  | _ -> exactly_one cfg env A.P_check_singleton q (pi2 cfg q)
+
 (* Singleton (or absent) value per iteration as iter|<res>, atomized.
    [sq] must already be a per-iteration singleton table (iter|item). *)
 let singleton_col_of cfg sq res =
@@ -386,19 +414,23 @@ and compile_here cfg env (e : core) : A.node =
     let c = A.fun2 cfg.b j "item" prim "v1" "v2" in
     with_pos1 cfg (A.project cfg.b c [ ("iter", "iter"); ("item", "item") ])
   | C_union (a, b, _mode) ->
-    let u = A.union cfg.b (pi2 cfg (compile cfg env a)) (pi2 cfg (compile cfg env b)) in
+    let u =
+      A.union cfg.b
+        (node_operand cfg a (compile cfg env a))
+        (node_operand cfg b (compile cfg env b))
+    in
     let d = A.distinct cfg.b u in
     (* document order determines sequence order (doc->seq): Rule LOC's
        % — the C_unordered wrapper added by Rule UNION overwrites it *)
     number_by_doc_order cfg ~ordered:true d
   | C_intersect (a, b, _) ->
-    let qa = A.distinct cfg.b (pi2 cfg (compile cfg env a)) in
-    let qb = pi2 cfg (compile cfg env b) in
+    let qa = A.distinct cfg.b (node_operand cfg a (compile cfg env a)) in
+    let qb = node_operand cfg b (compile cfg env b) in
     let s = A.semijoin cfg.b qa qb [ ("iter", "iter"); ("item", "item") ] in
     number_by_doc_order cfg ~ordered:true s
   | C_except (a, b, _) ->
-    let qa = A.distinct cfg.b (pi2 cfg (compile cfg env a)) in
-    let qb = pi2 cfg (compile cfg env b) in
+    let qa = A.distinct cfg.b (node_operand cfg a (compile cfg env a)) in
+    let qb = node_operand cfg b (compile cfg env b) in
     let s = A.antijoin cfg.b qa qb [ ("iter", "iter"); ("item", "item") ] in
     number_by_doc_order cfg ~ordered:true s
   | C_range (a, b) ->
@@ -410,11 +442,11 @@ and compile_here cfg env (e : core) : A.node =
     A.range cfg.b hi "lo" "hi"
   | C_call (f, args) -> compile_call cfg env f args
   | C_elem { name; content } ->
-    let qn = singleton_of cfg env name (compile cfg env name) in
+    let qn = constructor_name cfg env name (compile cfg env name) in
     let qc = pi_ipi cfg (compile cfg env content) in
     with_pos1 cfg (A.elem cfg.b qn qc)
   | C_attr { name; value } ->
-    let qn = singleton_of cfg env name (compile cfg env name) in
+    let qn = constructor_name cfg env name (compile cfg env name) in
     let qv = pi2 cfg (compile cfg env value) in
     with_pos1 cfg (A.attr cfg.b qn qv)
   | C_text v ->
@@ -458,10 +490,7 @@ and compile_here cfg env (e : core) : A.node =
     if optional then casted
     else begin
       (* "cast as T" (no ?) requires exactly one item *)
-      let cnt = grouped_count cfg env (pi2 cfg q) in
-      let chk = A.fun1 cfg.b cnt "ok" A.P_check_exactly_one "item" in
-      let ok = A.project cfg.b (A.select cfg.b chk "ok") [ ("iter", "iter") ] in
-      pi_ipi cfg (A.semijoin cfg.b casted ok [ ("iter", "iter") ])
+      pi_ipi cfg (exactly_one cfg env A.P_check_exactly_one q casted)
     end
   | C_castable { input; ty; optional } ->
     let q = pi2 cfg (compile cfg env input) in

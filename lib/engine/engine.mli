@@ -9,8 +9,8 @@
     paper's Section 5).
 
     The compiled backend runs the optimized plan on the physical layer
-    ({!Algebra.Physical}: typed columns, selection vectors, one kernel
-    per plan node). {!Algebra.Eval} is the boxed logical executor the
+    ({!Algebra.Physical}: typed columns in dense batches, one kernel per
+    plan node). {!Algebra.Eval} is the boxed logical executor the
     tests keep as a row-for-row reference over the same plan; the engine
     never runs it. *)
 

@@ -434,17 +434,18 @@ and eval_call env f args : Xdm.seq =
   let store = env.store in
   let one name = eval env (List.nth args name) in
   match (f, args) with
-  | "doc", [ a ] ->
-    let uri = Xdm.string_of_item store (Xdm.singleton (eval env a)) in
-    (match Xmldb.Doc_store.find_document store uri with
-     | Some n -> [ Value.Node n ]
-     | None -> Err.dynamic "fn:doc: document %S not available" uri)
+  | "doc", [ a ] -> (
+    (* fn:doc(()) is () *)
+    match Xdm.opt_singleton (eval env a) with
+    | None -> []
+    | Some v -> (
+      let uri = Xdm.string_of_item store v in
+      match Xmldb.Doc_store.find_document store uri with
+      | Some n -> [ Value.Node n ]
+      | None -> Err.dynamic "fn:doc: document %S not available" uri))
   | "count", [ a ] -> [ Value.Int (List.length (eval env a)) ]
   | "sum", [ a ] ->
-    [ List.fold_left
-        (fun acc v -> Value.add acc v)
-        (Value.Int 0)
-        (Xdm.atomize_seq store (eval env a)) ]
+    [ Value.sum (List.to_seq (Xdm.atomize_seq store (eval env a))) ]
   | ("max" | "min"), [ a ] ->
     let s = Xdm.atomize_seq store (eval env a) in
     (* fn:min/max cast untyped items to numbers when the whole sequence
@@ -473,8 +474,7 @@ and eval_call env f args : Xdm.seq =
     (match s with
      | [] -> []
      | _ ->
-       let sum = List.fold_left Value.add (Value.Int 0) s in
-       [ Value.div sum (Value.Int (List.length s)) ])
+       [ Value.div (Value.sum (List.to_seq s)) (Value.Int (List.length s)) ])
   | "empty", [ a ] -> [ Value.Bool (eval env a = []) ]
   | "exists", [ a ] -> [ Value.Bool (eval env a <> []) ]
   | "not", [ a ] -> [ Value.Bool (not (Xdm.ebv (eval env a))) ]

@@ -2,8 +2,6 @@
    sequence order. Items reuse the algebra's Value.t so results from the
    interpreter and the compiled plans compare directly. *)
 
-open Basis
-
 type item = Algebra.Value.t
 type seq = item list
 
@@ -16,7 +14,7 @@ let atomize_seq store s = List.map (atomize store) s
 
 let node_of = function
   | Algebra.Value.Node n -> n
-  | v -> Err.dynamic "expected a node, got %s" (Algebra.Value.type_name v)
+  | v -> Algebra.Value.not_node v
 
 let singleton = function
   | [ v ] -> v

@@ -146,7 +146,10 @@ let parse_number st =
   let text = String.sub st.src start (st.pos - start) in
   if text = "" || text = "." then error st "malformed number";
   if !is_dec then E_dec (float_of_string text)
-  else E_int (int_of_string text)
+  else
+    match int_of_string_opt text with
+    | Some i -> E_int i
+    | None -> error st "integer literal %s is out of range" text
 
 let decode_entity st buf =
   (* cursor sits right after '&' *)

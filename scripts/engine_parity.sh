@@ -1,0 +1,83 @@
+#!/usr/bin/env bash
+# Backend parity at the CLI: every query below runs through `xrquy run`
+# (the compiled plans) and `xrquy run --interpret` (the reference
+# interpreter). The two runs must print the same stdout, the same
+# `xrquy:` lines on stderr and exit with the same code, and that code
+# must be the one listed beside the query (0 ok, 1 dynamic error,
+# 2 static error) — so a fault both backends share, such as an internal
+# error (4) on both, fails too.
+#
+# Usage: scripts/engine_parity.sh [path/to/xrquy.exe]
+# (default: _build/default/bin/xrquy.exe, i.e. run after `dune build`)
+
+set -uo pipefail
+
+X=${1:-_build/default/bin/xrquy.exe}
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+
+echo '<a><b k="1"/><c/></a>' > "$WORK/t.xml"
+
+# <expected exit code> TAB <query>
+QUERIES=$(cat <<'EOF'
+1	for $x in (1,2) return (($x, 3) eq 1)
+1	(1,2) + 1
+1	string((1,2))
+1	(10,20,30)[(1,2)]
+1	doc("t.xml")/a/b/@k/string()
+2	9223372036854775807
+2	4611686018427387904
+1	4611686018427387903 + 1
+1	sum((4611686018427387903, 1))
+0	sum((4611686018427387903, 1, -1))
+1	abs(-4611686018427387903 - 1)
+1	(-4611686018427387903 - 1) idiv -1
+1	-(-4611686018427387903 - 1)
+0	4611686018427387902 + 1
+1	(1)|(2)
+1	(3,1) intersect (1)
+1	(3,1) except (1)
+0	doc("t.xml")/a/(b|c)
+1	element {()} {()}
+1	attribute {()} {"x"}
+1	let $e := () return element {$e} {()}
+0	doc(())
+EOF
+)
+
+run() {
+  # run <name> [flag]: one backend's stdout, xrquy: lines and exit code
+  local name=$1
+  shift
+  "$X" run "$@" -d "t.xml=$WORK/t.xml" -- "$q" \
+    > "$WORK/$name.out" 2> "$WORK/$name.err"
+  echo $? > "$WORK/$name.rc"
+  grep '^xrquy:' "$WORK/$name.err" > "$WORK/$name.msg"
+}
+
+n=0
+failed=0
+while IFS=$'\t' read -r want q; do
+  n=$((n + 1))
+  run compiled
+  run interpreted --interpret
+  for part in out msg rc; do
+    if ! cmp -s "$WORK/compiled.$part" "$WORK/interpreted.$part"; then
+      echo "differs ($part): $q"
+      diff "$WORK/compiled.$part" "$WORK/interpreted.$part" | sed 's/^/  /'
+      failed=$((failed + 1))
+    fi
+  done
+  got=$(cat "$WORK/compiled.rc")
+  if [ "$got" != "$want" ]; then
+    echo "exit code $got, expected $want: $q"
+    sed 's/^/  /' "$WORK/compiled.msg"
+    failed=$((failed + 1))
+  fi
+done <<< "$QUERIES"
+
+if [ "$failed" -gt 0 ]; then
+  echo "engine parity: $failed failures over $n queries"
+  exit 1
+fi
+echo "engine parity: $n queries, both backends agree"

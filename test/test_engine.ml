@@ -371,6 +371,69 @@ let test_error_messages () =
              {|doc("t.xml")/a/e/@k/string()|} ) ])
     (backends st)
 
+(* Queries the two backends used to answer differently, or both wrapped:
+   integer overflow, atomic operands of the node-set operators, computed
+   constructor names that are not one item, and fn:doc(()). Each answer
+   — the items, or the error class and message — is written by hand and
+   must come out of every backend. *)
+let test_backend_parity () =
+  let st = mk_store () in
+  let outcome run q =
+    match run q with
+    | items -> String.concat " " items
+    | exception e -> (
+      match Engine.classify_error e with
+      | Some { Engine.kind; message } ->
+        Basis.Err.kind_label kind ^ ": " ^ message
+      | None -> raise e)
+  in
+  let literal n =
+    Printf.sprintf
+      "static: syntax error at offset 19: integer literal %s is out of range" n
+  in
+  let overflow = "dynamic: integer overflow" in
+  let not_node = "dynamic: expected a node, got xs:integer" in
+  let no_name =
+    "dynamic: a singleton sequence is required here, got 0 items"
+  in
+  List.iter
+    (fun (name, run) ->
+       List.iter
+         (fun (want, q) ->
+            Alcotest.(check string) (Printf.sprintf "%s [%s]" q name) want
+              (outcome run q))
+         [ (literal "9223372036854775807", "9223372036854775807");
+           (literal "4611686018427387904", "4611686018427387904");
+           (overflow, "4611686018427387903 + 1");
+           (overflow, "sum((4611686018427387903, 1))");
+           (overflow, "abs(-4611686018427387903 - 1)");
+           (overflow, "(-4611686018427387903 - 1) idiv -1");
+           (overflow, "-(-4611686018427387903 - 1)");
+           (overflow, "4611686018427387903 * 2");
+           (overflow, "for $x in (1, 4611686018427387903) return $x * 2");
+           ("4611686018427387903", "4611686018427387902 + 1");
+           ("-4611686018427387904", "-4611686018427387903 - 1");
+           ("4611686018427387903", "sum((4611686018427387903, -1, 1))");
+           ("4611686018427387903", "sum((4611686018427387903, 1, -1))");
+           ("1537228672809129301", "avg((4611686018427387903, 1, -1))");
+           (overflow, "avg((4611686018427387903, 4611686018427387903))");
+           ("4.61168601843e+18", "sum((4611686018427387903, 1, 1.0))");
+           (not_node, "(1)|(2)");
+           (not_node, "(3,1) intersect (1)");
+           (not_node, "(3,1) except (1)");
+           (not_node, {|(doc("t.xml")/a/b, 1) | doc("t.xml")/a/c|});
+           ("2", {|count(doc("t.xml")/a/* except doc("t.xml")/a/b)|});
+           ("1", {|count(doc("t.xml")//c intersect doc("t.xml")/a/c)|});
+           (no_name, "element {()} {()}");
+           (no_name, {|attribute {()} {"x"}|});
+           (no_name, "let $e := () return element {$e} {()}");
+           ( "dynamic: a singleton sequence is required here, got 2 items",
+             {|element {("a", "b")} {()}|} );
+           ("<x>1</x> <y>1</y>", {|for $n in ("x", "y") return element {$n} {1}|});
+           ("", "doc(())");
+           ("0", "count(doc(()))") ])
+    (backends st)
+
 (* Predicates whose value is known only at run time (XQuery 1.0, 3.2.2):
    one numeric item tests the position, anything else its effective
    boolean value. Answers written by hand, checked under every plan
@@ -775,6 +838,8 @@ let () =
           Alcotest.test_case "dynamic predicates" `Quick test_dynamic_predicates;
           Alcotest.test_case "unary plus" `Quick test_unary_plus;
           Alcotest.test_case "one message per error" `Quick test_error_messages;
+          Alcotest.test_case "backend parity: overflow, node sets, names, doc"
+            `Quick test_backend_parity;
           Alcotest.test_case "unordered permutations" `Quick test_unordered_permutation;
           Alcotest.test_case "processing-instruction(target) steps" `Quick
             test_pi_target_steps ] );

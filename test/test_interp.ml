@@ -156,6 +156,14 @@ let test_unary_plus () =
   expect_dynamic st "+(1,2)";
   expect_dynamic st {|+("a")|}
 
+(* fn:doc(()) is the empty sequence; an unknown document is an error. *)
+let test_doc_empty () =
+  let st = mk_store () in
+  check st "doc of ()" "" "doc(())";
+  check st "count of doc of ()" "0" "count(doc(()))";
+  check st "doc of an empty variable" "0" "let $u := () return count(doc($u))";
+  expect_dynamic st {|doc("missing.xml")|}
+
 let test_deep_equal_and_friends () =
   let st = mk_store () in
   check st "deep-equal across copies" "true"
@@ -194,5 +202,6 @@ let () =
       ( "builtins",
         [ t "corner cases" test_builtin_corners;
           t "unary plus" test_unary_plus;
+          t "doc of the empty sequence" test_doc_empty;
           t "deep-equal / sequences" test_deep_equal_and_friends ] );
     ]

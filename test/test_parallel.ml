@@ -216,7 +216,7 @@ let test_pipe_parity () =
     (Plan.fun2 b
        (Plan.fun2 b base "s" Plan.P_add "item" "iter")
        "p" Plan.P_mul "s" "item");
-  (* stacked selections: the composed selection vector must concatenate
+  (* stacked selections: each select's survivors must concatenate
      per-morsel fragments back into the serial order *)
   check_par_parity ~morsel:8 "stacked selects"
     (Plan.select b
@@ -364,6 +364,45 @@ let test_error_choice_across_morsels () =
          serial_div
          (phys_outcome ~jobs ~morsel:8 div_plan))
     jobs_widths
+
+(* Whether an integer sum overflows depends on its exact total alone, not
+   on where the morsels split its rows: a running total that leaves the
+   63-bit range and comes back is no error. With morsels of 8, the ten
+   rows split 0-8 / 8-10, so a checked add of the partial sums would
+   overflow on the first list and miss the overflow a serial fold meets
+   on the second. *)
+let test_sum_overflow_across_morsels () =
+  let m = max_int in
+  let zeros n = List.init n (fun _ -> 0) in
+  let outcome run plan =
+    match run plan with
+    | t -> "ok: " ^ String.concat " ; " (table_strings t)
+    | exception Err.Dynamic_error msg -> "dynamic: " ^ msg
+  in
+  List.iter
+    (fun (name, xs, want) ->
+       let b = Plan.builder () in
+       let rows = List.map (fun x -> [| v_int 1; v_int x |]) xs in
+       let plan =
+         Plan.aggr b (Plan.lit b [| "iter"; "item" |] rows)
+           "s" Plan.A_sum (Some "item") (Some "iter") None
+       in
+       Alcotest.(check string) (name ^ " [reference]") want
+         (outcome (Eval.run (store ())) plan);
+       Alcotest.(check string) (name ^ " [serial]") want (phys_outcome plan);
+       List.iter
+         (fun jobs ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s (jobs=%d)" name jobs)
+              want
+              (phys_outcome ~jobs ~morsel:8 plan))
+         jobs_widths)
+    [ ("partial sums overflow, total fits", (-m) :: zeros 7 @ [ m; m ],
+       "ok: 1|4611686018427387903");
+      ("running total overflows, total fits", zeros 7 @ [ 1; m; -1 ],
+       "ok: 1|4611686018427387903");
+      ("total overflows", m :: zeros 7 @ [ 1; 0 ],
+       "dynamic: integer overflow") ]
 
 (* --------------------------------------------- budget / cancel parity *)
 
@@ -601,6 +640,8 @@ let () =
        [ Alcotest.test_case "pipes" `Quick test_pipe_parity;
          Alcotest.test_case "joins" `Quick test_join_parity;
          Alcotest.test_case "aggregates" `Quick test_aggregate_parity;
+         Alcotest.test_case "sum overflow across morsels" `Quick
+           test_sum_overflow_across_morsels;
          Alcotest.test_case "serial-gated kernels" `Quick
            test_serial_gated_kernels_under_jobs;
          Alcotest.test_case "mixed columns" `Quick

@@ -180,12 +180,30 @@ let test_distinct_over_selection () =
   in
   check_parity "distinct over a selection"
     (Plan.distinct b (Plan.project b selected [ ("item", "item") ]));
-  check_parity "rowid over a selection (scattered numbering)"
-    (Plan.rowid b selected "id");
+  check_parity "rowid over a selection" (Plan.rowid b selected "id");
   check_parity "rownum over a selection"
     (Plan.rownum b selected "pos" [ ("item", Plan.Desc) ] (Some "iter"));
   check_parity "aggr over a selection"
     (Plan.aggr b selected "s" Plan.A_sum (Some "item") (Some "iter") None)
+
+(* A select over an attached (constant) column: true keeps every row,
+   false none, and any other constant raises on the first row — unless
+   there is none. *)
+let test_constant_selections () =
+  let b = Plan.builder () in
+  let base = Plan.lit b [| "iter"; "item" |]
+      (List.init 6 (fun i -> [| v_int (i mod 2); v_int i |]))
+  in
+  let on v input = Plan.select b (Plan.attach b input "c" v) "c" in
+  check_parity "select on constant true" (on (v_bool true) base);
+  check_parity "rowid over a constant-true select"
+    (Plan.rowid b (on (v_bool true) base) "id");
+  check_parity "select on constant false" (on (v_bool false) base);
+  check_parity "rownum over a constant-false select"
+    (Plan.rownum b (on (v_bool false) base) "pos" [ ("item", Plan.Asc) ] None);
+  check_error_parity "select on a constant int" (on (v_int 1) base);
+  check_parity "select on a constant int, no rows"
+    (on (v_int 1) (on (v_bool false) base))
 
 (* ------------------------------------------------- typed-path parity *)
 
@@ -255,6 +273,35 @@ let test_theta_coercion_parity () =
   let empty_nums = Plan.lit b [| "j"; "price" |] [] in
   check_parity "theta with empty right"
     (Plan.thetajoin b bad empty_nums "k" Plan.P_lt "price")
+
+(* Integer results beyond 63 bits raise one overflow error on the typed
+   int arms and on the boxed kernels alike. *)
+let test_int_overflow_parity () =
+  let b = Plan.builder () in
+  let base = Plan.lit b [| "iter"; "x"; "y" |]
+      [ [| v_int 1; v_int 1; v_int 2 |];
+        [| v_int 1; v_int max_int; v_int 1 |];
+        [| v_int 2; v_int min_int; v_int (-1) |];
+        [| v_int 3; v_int min_int; v_int 1 |] ]
+  in
+  let overflows name plan =
+    List.iter
+      (fun (exe, run) ->
+         Alcotest.(check string) (Printf.sprintf "%s [%s]" name exe)
+           "dynamic: integer overflow"
+           (run_outcome (fun () -> run (store ()) plan)))
+      [ ("reference", fun st p -> Eval.run st p);
+        ("physical", fun st p -> Physical.run st p) ]
+  in
+  List.iter
+    (fun (name, f) -> overflows name (Plan.fun2 b base "r" f "x" "y"))
+    [ ("add", Plan.P_add); ("sub", Plan.P_sub); ("mul", Plan.P_mul);
+      ("idiv", Plan.P_idiv); ("div", Plan.P_div) ];
+  List.iter
+    (fun (name, f) -> overflows name (Plan.fun1 b base "r" f "x"))
+    [ ("neg", Plan.P_neg); ("abs", Plan.P_abs) ];
+  overflows "grouped sum"
+    (Plan.aggr b base "s" Plan.A_sum (Some "x") (Some "iter") None)
 
 let test_error_parity () =
   let b = Plan.builder () in
@@ -881,7 +928,9 @@ let () =
          Alcotest.test_case "all-Mixed columns" `Quick test_all_mixed_columns;
          Alcotest.test_case "select of select" `Quick test_select_of_select;
          Alcotest.test_case "distinct over selection" `Quick
-           test_distinct_over_selection ]);
+           test_distinct_over_selection;
+         Alcotest.test_case "constant selections" `Quick
+           test_constant_selections ]);
       ("typed parity",
        [ Alcotest.test_case "float comparisons" `Quick
            test_float_comparison_parity;
@@ -889,6 +938,7 @@ let () =
            test_int_arithmetic_parity;
          Alcotest.test_case "theta-join coercion" `Quick
            test_theta_coercion_parity;
+         Alcotest.test_case "int overflow" `Quick test_int_overflow_parity;
          Alcotest.test_case "errors" `Quick test_error_parity ]);
       ("key shapes",
        [ Alcotest.test_case "joins" `Quick test_join_key_shapes;
