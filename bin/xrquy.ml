@@ -117,8 +117,8 @@ let no_code_eval_arg =
   Arg.(value & flag & info [ "no-code-eval" ]
          ~doc:"Disable compressed execution in the physical backend: no \
                batched staircase scans over bulk-decoded packed columns, \
-               no dictionary-code columns, no integer-coded equality \
-               predicates. Results are bit-identical either way; this is \
+               no text-id string columns, no integer-compared string \
+               equalities. Results are bit-identical either way; this is \
                the materialized reference path benchmarks compare \
                against.")
 

@@ -2,7 +2,7 @@
    unboxed carriers the paper's back-end executes on. The logical layer
    ([Table]) stores every cell as a boxed [Value.t]; a [Column.t] stores a
    whole column in one flat array of its dynamic type — machine ints,
-   floats, byte-wide booleans, string-pool ids, or (frag, pre) node-id
+   floats, byte-wide booleans, store text ids, or (frag, pre) node-id
    pairs — with [Mixed] as the loss-free fallback for genuinely
    heterogeneous columns. Two dense encodings ride along: [Const] (the
    result of Attach: one value, any length — never materialized) and
@@ -16,12 +16,7 @@ type t =
   | Ints of int array
   | Dbls of float array
   | Bools of Bytes.t                               (* one byte per row *)
-  | Strs of { pool : String_pool.t; ids : int array }
-  | Codes of {
-      frag : Xmldb.Doc_store.frag;  (* owner: codes only mean anything here *)
-      pool : String_pool.t;         (* the store's global text pool *)
-      codes : int array;            (* local value codes, see Doc_store *)
-    }
+  | Strs of { pool : String_pool.t; ids : int array }  (* store text ids *)
   | Nodes of { frag : int array; pre : int array }
   | Const of { v : Value.t; n : int }              (* v, repeated n times *)
   | Seq of { start : int; n : int }                (* Int (start + i) *)
@@ -32,7 +27,6 @@ let length = function
   | Dbls a -> Array.length a
   | Bools b -> Bytes.length b
   | Strs { ids; _ } -> Array.length ids
-  | Codes { codes; _ } -> Array.length codes
   | Nodes { pre; _ } -> Array.length pre
   | Const { n; _ } -> n
   | Seq { n; _ } -> n
@@ -44,9 +38,6 @@ let get c i =
   | Dbls a -> Value.Dbl a.(i)
   | Bools b -> Value.Bool (Bytes.unsafe_get b i <> '\000')
   | Strs { pool; ids } -> Value.Str (String_pool.get pool ids.(i))
-  | Codes { frag; pool; codes } ->
-    let id = Xmldb.Doc_store.text_id_of_code frag codes.(i) in
-    Value.Str (if id < 0 then "" else String_pool.get pool id)
   | Nodes { frag; pre } ->
     Value.Node (Xmldb.Node_id.make ~frag:frag.(i) ~pre:pre.(i))
   | Const { v; n } ->
@@ -64,8 +55,9 @@ let seq ~start n = Seq { start; n }
 
 (* Infer the tightest typed representation of a boxed column: one
    detection-and-build pass per candidate type; any heterogeneity falls
-   back to sharing the boxed array as [Mixed] (zero copy). *)
-let of_values ~pool (vs : Value.t array) : t =
+   back to sharing the boxed array as [Mixed] (zero copy). Strings stay
+   [Mixed]: ids come only from the store's text pool ([Strs]). *)
+let of_values (vs : Value.t array) : t =
   let n = Array.length vs in
   if n = 0 then Mixed vs
   else
@@ -100,16 +92,6 @@ let of_values ~pool (vs : Value.t array) : t =
           | _ -> Mixed vs
       in
       go 0
-    | Value.Str _ ->
-      let ids = Array.make n 0 in
-      let rec go i =
-        if i >= n then Strs { pool; ids }
-        else
-          match vs.(i) with
-          | Value.Str s -> ids.(i) <- String_pool.intern pool s; go (i + 1)
-          | _ -> Mixed vs
-      in
-      go 0
     | Value.Node _ ->
       let frag = Array.make n 0 and pre = Array.make n 0 in
       let rec go i =
@@ -123,17 +105,12 @@ let of_values ~pool (vs : Value.t array) : t =
           | _ -> Mixed vs
       in
       go 0
-    | Value.Qname_v _ -> Mixed vs
+    | Value.Str _ | Value.Qname_v _ -> Mixed vs
 
 let to_values c =
   match c with
   | Mixed a -> a  (* shared, like Table.col: callers must not mutate *)
   | _ -> Array.init (length c) (fun i -> get c i)
-
-(* Try to tighten a [Mixed] column; other representations pass through. *)
-let retype ~pool = function
-  | Mixed vs -> of_values ~pool vs
-  | c -> c
 
 (* -- bulk operations ------------------------------------------------------- *)
 
@@ -147,8 +124,6 @@ let gather c (idx : int array) : t =
     for k = 0 to n - 1 do Bytes.set out k (Bytes.get b idx.(k)) done;
     Bools out
   | Strs { pool; ids } -> Strs { pool; ids = Array.map (fun i -> ids.(i)) idx }
-  | Codes { frag; pool; codes } ->
-    Codes { frag; pool; codes = Array.map (fun i -> codes.(i)) idx }
   | Nodes { frag; pre } ->
     Nodes
       { frag = Array.map (fun i -> frag.(i)) idx;
@@ -193,9 +168,6 @@ let append a b =
   | Bools x, Bools y -> Bools (Bytes.cat x y)
   | Strs { pool = p1; ids = x }, Strs { pool = p2; ids = y } when p1 == p2 ->
     Strs { pool = p1; ids = Array.append x y }
-  | Codes c1, Codes c2 when c1.frag == c2.frag ->
-    (* same physical fragment = same dictionary: codes stay comparable *)
-    Codes { c1 with codes = Array.append c1.codes c2.codes }
   | Nodes n1, Nodes n2 ->
     Nodes
       { frag = Array.append n1.frag n2.frag;

@@ -22,7 +22,7 @@ type env = {
   mutable id_index : Xmldb.Id_index.t option;
   code_eval : bool;
       (* compressed execution: batched staircase scans over bulk-decoded
-         packed columns, and dictionary-code predicate evaluation in the
+         packed columns, and store text-id columns and equalities in the
          physical layer. Results are bit-identical on or off. *)
   bulk_decodes : int Atomic.t;
       (* column rows this run's batched staircase scans decoded *)

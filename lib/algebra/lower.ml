@@ -5,7 +5,7 @@
    ([Physical.kernel_name]), so this module only reads the plan. Every
    data-dependent choice is left to the kernels, which observe their
    input: an equality match picks aligned, merged or hashed from its
-   keys, a string equality compares dictionary codes when its column
+   keys, a string equality compares store text ids when a column
    carries them, and a surviving [%] merges input that arrives in few
    sorted runs. *)
 

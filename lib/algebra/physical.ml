@@ -20,8 +20,8 @@
    physical layer never has to be complete to be correct. Exact
    equality — the [=]/[!=] predicate, equi-joins, the eq theta join and
    single-key semi/antijoins — reads its keys through one reader
-   ([match_keys]) as machine ints (ints, interned string ids, dictionary
-   codes); distinct reads its keys as machine ints too. Matching picks
+   ([match_keys]) as machine ints (ints, store text ids); distinct reads
+   its keys as machine ints too. Matching picks
    per call how to enumerate pairs from what the keys look like:
    identical strictly ascending keys join zero-copy, two ascending sides
    merge, anything else goes through one flat hash index ([Int_index]).
@@ -69,11 +69,10 @@
        out early; the coordinator then re-raises the same cancellation/
        deadline error serial execution reports.
 
-   Worker domains never touch [String_pool] (not thread-safe): retyping
-   and typed-path dispatch happen on the coordinator before a row loop
-   fans out; workers only read frozen columns and the document store
-   (whose reads are pure). [%]-bearing kernels (Rownum), Distinct,
-   merge joins, steps and boxed fallbacks stay serial. *)
+   Retyping and typed-path dispatch happen on the coordinator before a
+   row loop fans out; workers only read frozen columns and the document
+   store (whose reads are pure). [%]-bearing kernels (Rownum), Distinct,
+   merge joins, [#] stamps, steps and boxed fallbacks stay serial. *)
 
 open Basis
 
@@ -106,18 +105,16 @@ let kernel_name : Plan.op -> string = function
    paper, mapped onto the executor: Rowid is the [#] shape (order
    immaterial — dense renumbering at the end), Rownum is the [%] shape
    (an order the query can observe). So the per-row select/attach/fun
-   kernels, join and semijoin probes, standalone [#] stamps and the
-   order-indifferent aggregates (count/sum/min/max) may fan out over
-   morsels, while Rownum — and everything whose matching logic is
-   inherently sequential (Distinct's first-wins dedup, Union's append,
-   the loop-lifted step's run-by-run walk) or boxed — stays serial. A
-   [#] stamp is O(1) ([Column.Seq]) and waits on no other row; this is
-   what makes sort-elision (% becoming #) widen the ∥ fraction of the
-   plan, not just remove a sort. *)
+   kernels, join and semijoin probes and the order-indifferent
+   aggregates (count/sum/min/max) may fan out over morsels, while
+   Rownum — and everything whose matching logic is inherently sequential
+   (Distinct's first-wins dedup, Union's append, the loop-lifted step's
+   run-by-run walk) or boxed — stays serial. A [#] stamp has no row loop
+   to split: it is one O(1) [Column.seq], so sort elision (% becoming #)
+   removes a sort rather than adding parallel work. *)
 let parallelizable : Plan.op -> bool = function
   | Plan.Select _ | Plan.Attach _ | Plan.Fun1 _ | Plan.Fun2 _ | Plan.Fun3 _
-  | Plan.Join _ | Plan.Thetajoin _ | Plan.Semijoin _ | Plan.Antijoin _
-  | Plan.Rowid _ -> true
+  | Plan.Join _ | Plan.Thetajoin _ | Plan.Semijoin _ | Plan.Antijoin _ -> true
   | Plan.Aggr { agg = Plan.A_count | Plan.A_sum | Plan.A_min | Plan.A_max; _ }
     -> true
   | _ -> false
@@ -151,7 +148,6 @@ type par = {
 
 type ctx = {
   env : Kernels.env;
-  pool : String_pool.t;
   cache : (int, batch) Hashtbl.t;
   mode : Eval.mode;
   profile : Profile.t option;
@@ -187,7 +183,6 @@ let create ?profile ?guard ?(step_impl = Eval.Scan) ?(mode = Eval.Dag)
       Some { ppool = Pool.get (); pjobs = jobs; pmorsel }
   in
   { env = Kernels.env ?tag_index ~code_eval store;
-    pool = String_pool.create ();
     cache = Hashtbl.create 64;
     mode;
     profile;
@@ -306,7 +301,7 @@ let col_pos b name =
 let retyped ctx b i =
   match b.cols.(i) with
   | Column.Mixed vs when Array.length vs > 0 -> (
-    match Column.of_values ~pool:ctx.pool vs with
+    match Column.of_values vs with
     | Column.Mixed _ as c -> c
     | c ->
       bump ctx Profile.count_retype;
@@ -331,6 +326,13 @@ let gather_rows b idx =
     nrows = Array.length idx;
     table = None }
 
+(* Boxing a text-id column reads every row's string out of the store's
+   pool: counted as a late materialization, once per column use,
+   coordinator-side. *)
+let count_late_mat ctx = function
+  | Column.Strs _ -> bump ctx Profile.count_late_mat
+  | _ -> ()
+
 (* The boxed view of a batch — the bridge into boxed-fallback kernels and
    the final serialization. Cached; counted as a forced materialization
    the first time. *)
@@ -339,11 +341,7 @@ let to_table ctx b =
   | Some t -> t
   | None ->
     bump ctx Profile.count_mat_forced;
-    Array.iter
-      (function
-        | Column.Codes _ -> bump ctx Profile.count_late_mat
-        | _ -> ())
-      b.cols;
+    Array.iter (count_late_mat ctx) b.cols;
     let t =
       Table.create b.schema (Array.map Column.to_values b.cols) b.nrows
     in
@@ -355,11 +353,7 @@ let to_table ctx b =
    a typed one is boxed per row. *)
 let boxed_col ctx b name =
   let c = b.cols.(col_pos b name) in
-  (* boxing a code-carrying column decodes every row: count it as a late
-     materialization (once per column use, coordinator-side) *)
-  (match c with
-   | Column.Codes _ -> bump ctx Profile.count_late_mat
-   | _ -> ());
+  count_late_mat ctx c;
   Column.to_values c
 
 (* Boxed-equivalent byte estimate (see the module comment for why this
@@ -380,17 +374,6 @@ let budget_bytes b =
            (fun id ->
               total := !total + 32 + String.length (String_pool.get pool id))
            ids
-       | Column.Codes { frag; pool; codes } ->
-         (* priced as the strings it decodes to, like [Strs]: a byte
-            budget must govern the same logical materialization on
-            either representation *)
-         Array.iter
-           (fun code ->
-              let id = Xmldb.Doc_store.text_id_of_code frag code in
-              total :=
-                !total + 32
-                + (if id < 0 then 0 else String.length (String_pool.get pool id)))
-           codes
        | Column.Mixed vs ->
          Array.iter (fun v -> total := !total + Value.estimated_bytes v) vs)
     b.cols;
@@ -425,73 +408,12 @@ let bool_reader c =
   | Column.Const { v = Value.Bool x; _ } -> Some (fun _ -> x)
   | _ -> None
 
-(* Late materialization: expand a code-carrying column to query-pool ids
-   (one decode + intern per row, coordinator-side — String_pool is
-   not thread-safe). Code keys that miss [code_keys] go through this so
-   string equality keeps the pool-id fast path; other columns pass
-   through untouched. *)
-let materialize_codes ctx c =
-  match c with
-  | Column.Codes { frag; pool; codes } ->
-    bump ctx Profile.count_late_mat;
-    let ids =
-      Array.map
-        (fun code ->
-           let id = Xmldb.Doc_store.text_id_of_code frag code in
-           String_pool.intern ctx.pool
-             (if id < 0 then "" else String_pool.get pool id))
-        codes
-    in
-    Column.Strs { pool = ctx.pool; ids }
-  | c -> c
-
 (* ------------------------------------------------------------ key reader *)
 
 (* Every exact equality — the [=]/[!=] predicate, equi-joins, the eq
    theta join and single-key semi/antijoins — reads its two key columns
    through [match_keys], as machine-int arrays indexed like the columns:
-   equal ints are equal keys.
-
-   [code_keys]: keys that compare with no string materialized. Within
-   one fragment, equal codes are equal strings: the store interns every
-   attribute, text, comment and PI value ("" included), so a value row
-   never holds code 0, and same-fragment code columns are their own
-   keys. A string compared with codes is translated into the fragment's
-   code once — once for a constant, once per pool id for interned
-   strings — with -1 for a string the fragment never contains (codes
-   are non-negative, so -1 matches nothing). Runs on the coordinator:
-   pool reads and the memo are not domain-safe. *)
-let code_keys ctx lc rc =
-  let store = ctx.env.Kernels.store in
-  let code frag s =
-    match Xmldb.Doc_store.code_of_text store frag s with
-    | Some k -> k
-    | None -> -1
-  in
-  let interned frag pool ids =
-    let memo : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    Array.map
-      (fun id ->
-         match Hashtbl.find_opt memo id with
-         | Some k -> k
-         | None ->
-           let k = code frag (String_pool.get pool id) in
-           Hashtbl.add memo id k;
-           k)
-      ids
-  in
-  match (lc, rc) with
-  | Column.Codes k1, Column.Codes k2 when k1.frag == k2.frag ->
-    Some (k1.codes, k2.codes)
-  | Column.Codes { frag; codes; _ }, Column.Strs { pool; ids } ->
-    Some (codes, interned frag pool ids)
-  | Column.Strs { pool; ids }, Column.Codes { frag; codes; _ } ->
-    Some (interned frag pool ids, codes)
-  | Column.Codes { frag; codes; _ }, Column.Const { v = Value.Str s; n } ->
-    Some (codes, Array.make n (code frag s))
-  | Column.Const { v = Value.Str s; n }, Column.Codes { frag; codes; _ } ->
-    Some (Array.make n (code frag s), codes)
-  | _ -> None
+   equal ints are equal keys. *)
 
 (* Int keys of an int column ([Ints] shares its array). *)
 let int_keys c =
@@ -501,36 +423,48 @@ let int_keys c =
   | Column.Const { v = Value.Int x; n } -> Some (Array.make n x)
   | _ -> None
 
-(* The key reader: codes when the pair allows it (counted as a code
-   predicate, once per kernel), else ints, else query-pool string ids
-   (id equality is string equality within one pool; a string constant is
-   looked up once, -1 when the pool never saw it) — code columns that
-   missed the code path materialize late into the query pool first.
-   [None]: the boxed rules decide. *)
+(* Text-pool keys of one side of a string equality. A [Strs] column over
+   [pool] is its own key array. A string [Const], or a non-empty
+   all-string [Mixed] column, looks each distinct string up in [pool]
+   once, -1 for a string the store never holds: every value row of the
+   store has an id >= 0, so -1 matches nothing. *)
+let text_keys pool c =
+  let lookup s = Option.value ~default:(-1) (String_pool.find_opt pool s) in
+  match c with
+  | Column.Strs { pool = p; ids } when p == pool -> Some ids
+  | Column.Const { v = Value.Str s; n } -> Some (Array.make n (lookup s))
+  | Column.Mixed vs when Array.length vs > 0 -> (
+    let memo = Hashtbl.create 16 in
+    let id s =
+      match Hashtbl.find_opt memo s with
+      | Some k -> k
+      | None ->
+        let k = lookup s in
+        Hashtbl.add memo s k;
+        k
+    in
+    try
+      Some (Array.map (function Value.Str s -> id s | _ -> raise Exit) vs)
+    with Exit -> None)
+  | _ -> None
+
+(* The key reader: a pair with a text-id column keys both sides on the
+   store's text pool (counted as a code predicate, once per kernel), an
+   int pair reads as ints. [None]: the boxed rules decide — so two
+   strings outside the store (literals, computed strings) compare by
+   [Value.equal], as they do under [code_eval] off. *)
 let match_keys ctx lc rc =
-  let pool_id s =
-    Option.value ~default:(-1) (String_pool.find_opt ctx.pool s)
-  in
-  match code_keys ctx lc rc with
-  | Some _ as keys ->
-    bump ctx Profile.count_code_pred;
-    keys
-  | None -> (
-    let lc = materialize_codes ctx lc and rc = materialize_codes ctx rc in
+  match (lc, rc) with
+  | Column.Strs { pool; _ }, _ | _, Column.Strs { pool; _ } -> (
+    match (text_keys pool lc, text_keys pool rc) with
+    | Some lk, Some rk ->
+      bump ctx Profile.count_code_pred;
+      Some (lk, rk)
+    | _ -> None)
+  | _ -> (
     match (int_keys lc, int_keys rc) with
     | Some lk, Some rk -> Some (lk, rk)
-    | _ -> (
-      match (lc, rc) with
-      | Column.Strs { pool = p1; ids = lk }, Column.Strs { pool = p2; ids = rk }
-        when p1 == ctx.pool && p2 == ctx.pool ->
-        Some (lk, rk)
-      | Column.Strs { pool; ids }, Column.Const { v = Value.Str s; n }
-        when pool == ctx.pool ->
-        Some (ids, Array.make n (pool_id s))
-      | Column.Const { v = Value.Str s; n }, Column.Strs { pool; ids }
-        when pool == ctx.pool ->
-        Some (Array.make n (pool_id s), ids)
-      | _ -> None))
+    | _ -> None)
 
 (* --------------------------------------------------------- per-row kernels *)
 
@@ -538,8 +472,8 @@ let match_keys ctx lc rc =
    applies [f] to every row — inline, or sliced into morsels on the pool
    when the kernel is order-indifferent. Distinct morsels see disjoint
    rows, so per-row writes to a shared output never overlap. The
-   coordinator does all retyping and typed-path dispatch (String_pool is
-   not thread-safe) before the loop fans out. *)
+   coordinator does all retyping and typed-path dispatch before the loop
+   fans out. *)
 let row_runner ctx ~par b =
   fun f ->
     run_spans ctx ~par b.nrows (fun lo hi -> for r = lo to hi - 1 do f r done)
@@ -569,39 +503,31 @@ let generic3 env run b f c1 c2 c3 =
   Column.Mixed out
 
 (* Compressed execution of atomize/string over a node column: when every
-   row lives in one fragment and is a value-carrying kind
-   (attribute / text / comment / PI — whose XDM string value IS the row's
-   own value), the result column stays as the fragment's dictionary codes
-   ([Column.Codes]) and only materializes at consumers that need the
-   text. Elements and documents (string value concatenates descendants)
-   and mixed-fragment columns fall back to the generic boxed path. The
-   eligibility scan runs on the coordinator; the fill loop only reads
-   packed columns (pure), so it may fan out over morsels. *)
-exception Not_codeable
-
-let codes_of_nodes ctx run b (frag : int array) (pre : int array) =
-  if b.nrows = 0 then None
-  else
-    try
-      let fid = frag.(0) in
-      if Array.exists (fun fr -> fr <> fid) frag then raise Not_codeable;
-      let store = ctx.env.Kernels.store in
-      let f = Xmldb.Doc_store.frag store fid in
-      Array.iter
-        (fun p ->
-           match Xmldb.Doc_store.kind_at f p with
-           | Xmldb.Node_kind.Attribute | Xmldb.Node_kind.Text
-           | Xmldb.Node_kind.Comment
-           | Xmldb.Node_kind.Processing_instruction -> ()
-           | Xmldb.Node_kind.Element | Xmldb.Node_kind.Document ->
-             raise Not_codeable)
-        pre;
-      let codes = Array.make b.nrows 0 in
-      run (fun r -> codes.(r) <- Xmldb.Doc_store.text_code_at f pre.(r));
-      Some
-        (Column.Codes
-           { frag = f; pool = Xmldb.Doc_store.text_pool store; codes })
-    with Not_codeable -> None
+   row is a value-carrying kind (attribute / text / comment / PI — whose
+   XDM string value IS the row's own value), the result is the rows'
+   store text ids ([Column.Strs]), in any number of fragments, and only
+   materializes at consumers that need the text. Elements and documents
+   (string value concatenates descendants) fall back to the generic
+   boxed path. The eligibility scan runs on the coordinator; the fill
+   loop only reads packed columns (pure), so it may fan out over
+   morsels. *)
+let text_ids ctx run b (frag : int array) (pre : int array) =
+  let store = ctx.env.Kernels.store in
+  let row_frag r = Xmldb.Doc_store.frag store frag.(r) in
+  let rec values r =
+    r >= b.nrows
+    || (match Xmldb.Doc_store.kind_at (row_frag r) pre.(r) with
+        | Xmldb.Node_kind.Attribute | Xmldb.Node_kind.Text
+        | Xmldb.Node_kind.Comment | Xmldb.Node_kind.Processing_instruction ->
+          values (r + 1)
+        | Xmldb.Node_kind.Element | Xmldb.Node_kind.Document -> false)
+  in
+  if b.nrows = 0 || not (values 0) then None
+  else begin
+    let ids = Array.make b.nrows 0 in
+    run (fun r -> ids.(r) <- Xmldb.Doc_store.value_at (row_frag r) pre.(r));
+    Some (Column.Strs { pool = Xmldb.Doc_store.text_pool store; ids })
+  end
 
 (* Unary kernels with a typed path; everything else runs generic. *)
 let fun1_col ctx run b f c =
@@ -609,21 +535,20 @@ let fun1_col ctx run b f c =
     match f with
     | Plan.P_atomize when ctx.env.Kernels.code_eval -> (
       match c with
-      | Column.Nodes { frag; pre } -> codes_of_nodes ctx run b frag pre
+      | Column.Nodes { frag; pre } -> text_ids ctx run b frag pre
       (* atomization only transforms nodes: every typed non-node column
          (a string literal kept Const, in particular) passes through
          unchanged — which is what lets a comparand survive to the
-         predicate as a Const the code translation can probe once *)
+         predicate as a Const the key reader looks up once *)
       | Column.Ints _ | Column.Dbls _ | Column.Bools _ | Column.Strs _
-      | Column.Codes _ | Column.Seq _ -> Some c
+      | Column.Seq _ -> Some c
       | Column.Const { v = Value.Node _; _ } -> None
       | Column.Const _ -> Some c
       | Column.Mixed _ -> None)
     | Plan.P_string when ctx.env.Kernels.code_eval -> (
       match c with
-      | Column.Nodes { frag; pre } -> codes_of_nodes ctx run b frag pre
-      | Column.Strs _ | Column.Codes _
-      | Column.Const { v = Value.Str _; _ } ->
+      | Column.Nodes { frag; pre } -> text_ids ctx run b frag pre
+      | Column.Strs _ | Column.Const { v = Value.Str _; _ } ->
         (* string() of a string: identity *)
         Some c
       | _ -> None)
@@ -1017,9 +942,9 @@ let k_thetajoin ctx ~par lb rb lcol cmp rcname =
   let m =
     match cmp with
     | Plan.P_eq -> (
-      (* same-typed int, string or code keys: general-comparison
-         equality is coercion-free there, so this is the equi-join's
-         match, in the boxed nested loop's i-asc, j-asc pair order *)
+      (* same-typed int or string keys: general-comparison equality is
+         coercion-free there, so this is the equi-join's match, in the
+         boxed nested loop's i-asc, j-asc pair order *)
       match match_keys ctx (rcol ctx lb lcol) (rcol ctx rb rcname) with
       | Some (lk, rk) -> equi_match ctx ~par lk rk
       | None -> boxed ())
@@ -1073,17 +998,14 @@ let k_semijoin ctx ~par ~anti lb rb on =
   gather_rows lb keep
 
 (* Per-column int keys of a distinct, when every column has them: ints
-   and Seq by value, nodes by (frag, pre), strings by pool id (one
-   column, one pool), codes by code (one column, one fragment, as in
-   [code_keys]); a Const column is equal on every row and adds no key.
+   and Seq by value, nodes by (frag, pre), store text by id (one pool);
+   a Const column is equal on every row and adds no key.
    Dbls/Bools/Mixed give None: the NaN and -0.0 rules of [Value.equal]
    stay with the boxed path. *)
 let distinct_keys ctx b =
   let keys i =
     match retyped ctx b i with
-    | Column.Ints a | Column.Strs { ids = a; _ } | Column.Codes { codes = a; _ }
-      ->
-      Some [ a ]
+    | Column.Ints a | Column.Strs { ids = a; _ } -> Some [ a ]
     | Column.Seq { start; n } -> Some [ Array.init n (fun r -> start + r) ]
     | Column.Nodes { frag; pre } -> Some [ frag; pre ]
     | Column.Const _ -> Some []
@@ -1158,12 +1080,6 @@ let k_rownum ctx b res order part =
       fun x y ->
         String.compare (String_pool.get pool ids.(x))
           (String_pool.get pool ids.(y))
-    | Column.Codes { frag; pool; codes } ->
-      let s i =
-        let id = Xmldb.Doc_store.text_id_of_code frag codes.(i) in
-        if id < 0 then "" else String_pool.get pool id
-      in
-      fun x y -> String.compare (s x) (s y)
     | Column.Bools bb ->
       (* false < true, as [Bool.compare] orders them *)
       fun x y -> Char.compare (Bytes.get bb x) (Bytes.get bb y)
@@ -1370,8 +1286,8 @@ let k_aggr ctx ~par b res agg arg part order =
       (* over non-decreasing groups, the groups are the runs of equal
          [p], in first-seen order: the first run of more than one row
          raises the boxed kernel's error, and when every run is one row
-         the result is the input's two columns as they are (a code
-         column stays codes) *)
+         the result is the input's two columns as they are (a text-id
+         column stays ids) *)
       let sorted = ref true and long = ref 0 in
       let prev = ref 0 and run = ref 0 in
       for r = 0 to b.nrows - 1 do

@@ -34,12 +34,12 @@ type phys = {
                                     arrived in at most 64 sorted runs *)
   mutable root_sort_elided : int; (* root sort-on-pos skipped: the pos
                                      column arrived non-decreasing *)
-  mutable code_preds : int;   (* predicates translated to dictionary codes
-                                 and evaluated as integer compares *)
+  mutable code_preds : int;   (* equality kernels evaluated as integer
+                                 compares of store text ids *)
   mutable bulk_decodes : int; (* column rows the run's batched staircase
                                  scans decoded *)
-  mutable late_materializations : int; (* code-carrying columns expanded
-                                          to strings at pipeline breakers
+  mutable late_materializations : int; (* text-id columns boxed into
+                                          strings at pipeline breakers
                                           or for a consumer that needs
                                           the text *)
 }

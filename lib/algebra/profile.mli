@@ -47,14 +47,16 @@ type phys = {
       (** root sort-on-pos skipped: one scan found the result's [pos]
           column non-decreasing *)
   mutable code_preds : int;
-      (** predicates translated to per-fragment dictionary codes and
-          evaluated as integer compares (no string materialization) *)
+      (** equality kernels that keyed a text-id column and its comparand
+          on the store's text pool and compared integer ids (no string
+          materialization), one per kernel *)
   mutable bulk_decodes : int;
       (** column rows this run's batched staircase scans decoded through
           {!Xmldb.Doc_store}'s bulk range accessors *)
   mutable late_materializations : int;
-      (** code-carrying columns expanded to strings at pipeline breakers
-          or for consumers that need the text *)
+      (** text-id columns boxed into strings at pipeline breakers, for
+          consumers that need the text, or for the final result; one per
+          column use *)
 }
 
 val create : unit -> t

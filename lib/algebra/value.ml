@@ -31,19 +31,62 @@ let is_numeric = function Int _ | Dbl _ -> true | _ -> false
 
 (* -- casts ---------------------------------------------------------------- *)
 
+(* The XSD lexical forms, checked before OCaml's readers see a string:
+   those also take OCaml literal syntax (0x10, 1_000, 0b11, 0x1p3, inf,
+   nan). [digits s i] is the index after the run of digits from [i],
+   [sign s i] the index after an optional sign at [i]. *)
+let digits s i =
+  let rec go j =
+    if j < String.length s && s.[j] >= '0' && s.[j] <= '9' then go (j + 1)
+    else j
+  in
+  go i
+
+let sign s i =
+  if i < String.length s && (s.[i] = '+' || s.[i] = '-') then i + 1 else i
+
+(* [+-]?[0-9]+ *)
+let integer_form s =
+  let i = sign s 0 in
+  let j = digits s i in
+  j > i && j = String.length s
+
+(* A decimal ([+-]? digits with an optional '.', a digit on at least one
+   side of it) with an optional exponent [eE][+-]?[0-9]+. *)
+let decimal_form s =
+  let n = String.length s in
+  let i = sign s 0 in
+  let j = digits s i in
+  let k = if j < n && s.[j] = '.' then digits s (j + 1) else j in
+  (j > i || k > j + 1)
+  && (k = n
+      || ((s.[k] = 'e' || s.[k] = 'E')
+          &&
+          let e = sign s (k + 1) in
+          let m = digits s e in
+          m > e && m = n))
+
+(* A number in an XSD lexical form, surrounding whitespace trimmed: an
+   integer when it fits, else a double. *)
 let parse_number s =
   let s = String.trim s in
-  match int_of_string_opt s with
-  | Some i -> Some (Int i)
-  | None ->
-    (match float_of_string_opt s with
-     | Some f -> Some (Dbl f)
-     | None ->
-       (match s with
-        | "INF" -> Some (Dbl infinity)
-        | "-INF" -> Some (Dbl neg_infinity)
-        | "NaN" -> Some (Dbl nan)
-        | _ -> None))
+  match s with
+  | "INF" -> Some (Dbl infinity)
+  | "-INF" -> Some (Dbl neg_infinity)
+  | "NaN" -> Some (Dbl nan)
+  | _ when integer_form s -> (
+    match int_of_string_opt s with
+    | Some i -> Some (Int i)
+    | None -> Some (Dbl (float_of_string s)))
+  | _ when decimal_form s -> Some (Dbl (float_of_string s))
+  | _ -> None
+
+(* A double converts to an xs:integer exactly when -2^62 <= d < 2^62, the
+   native int range; both bounds are exact doubles and NaN fails both
+   tests. *)
+let int_range_limit = Float.ldexp 1.0 62
+
+let fits_int f = f >= -.int_range_limit && f < int_range_limit
 
 let float_value = function
   | Int i -> float_of_int i
@@ -60,12 +103,12 @@ let float_value = function
 let int_value = function
   | Int i -> i
   | Dbl f ->
-    if Float.is_integer f then int_of_float f
+    if Float.is_integer f && fits_int f then int_of_float f
     else Err.dynamic "cannot cast %g to xs:integer" f
-  | Str s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some i -> i
-     | None -> Err.dynamic "cannot cast %S to xs:integer" s)
+  | Str s -> (
+    match parse_number s with
+    | Some (Int i) -> i
+    | _ -> Err.dynamic "cannot cast %S to xs:integer" s)
   | Bool b -> if b then 1 else 0
   | v -> Err.dynamic "cannot cast %s to xs:integer" (type_name v)
 
@@ -301,7 +344,10 @@ let idiv a b =
   | x, y ->
     let fy = float_value y in
     if fy = 0.0 then Err.dynamic "integer division by zero"
-    else Int (int_of_float (Float.trunc (float_value x /. fy)))
+    else
+      (* a NaN, infinite or out-of-range quotient is FOAR0002 *)
+      let q = Float.trunc (float_value x /. fy) in
+      if fits_int q then Int (int_of_float q) else int_overflow ()
 
 let modulo a b =
   match arith_operands a b with

@@ -26,6 +26,9 @@ val is_numeric : t -> bool
 (** {2 Casts} (raising dynamic errors on failure) *)
 
 val float_value : t -> float
+
+(** The xs:integer cast. A string must be [[+-]?[0-9]+] (whitespace
+    trimmed); a double must be integral with -2^62 <= d < 2^62. *)
 val int_value : t -> int
 
 (** The xs:boolean cast: boolean lexical forms only. *)
@@ -53,7 +56,8 @@ val path_not_node : t -> 'a
     node accessor) and the atomic value [v] came instead. *)
 val not_node : t -> 'a
 
-(** An xs:integer result outside the 63-bit range (FOAR0002). *)
+(** An xs:integer result outside the 63-bit range (FOAR0002); also a
+    double [idiv] quotient that is NaN, infinite or out of range. *)
 val int_overflow : unit -> 'a
 
 (** {2 Checked xs:integer arithmetic} — a result outside the 63-bit
@@ -82,7 +86,11 @@ val int_sum_value : int_sum -> int
     (their string value needs the store). *)
 val to_string : t -> string
 
-(** Parse an integer/decimal/INF/NaN lexical form. *)
+(** Parse an XSD numeric lexical form, surrounding whitespace trimmed:
+    [[+-]?[0-9]+] as an [Int] (a [Dbl] when out of range), a decimal with
+    an optional exponent, [INF], [-INF] or [NaN] as a [Dbl]. [None] for
+    anything else (OCaml literal syntax such as [0x10] or [1_000]
+    included). *)
 val parse_number : string -> t option
 
 (** {2 Total order} — a deterministic order across all values, used by

@@ -55,9 +55,10 @@ type opts = {
   code_eval : bool;
       (* compressed execution in the physical backend: batched staircase
          scans over bulk-decoded packed columns, atomize/string results
-         kept as per-fragment dictionary codes, and equality predicates
-         evaluated as integer code compares. Bit-identical results either
-         way; off (--no-code-eval) is the materialized reference path.
+         kept as store text ids, and string equalities evaluated as
+         integer id compares. Bit-identical results either way; off
+         (--no-code-eval) is the materialized reference path, whose
+         string equalities use Value.equal as Eval does.
          Not in the plan-cache key: it only shapes the run *)
 }
 

@@ -79,13 +79,15 @@ type opts = {
   code_eval : bool;
       (** compressed execution in the physical backend: batched staircase
           steps over bulk-decoded packed columns, atomize/string results
-          carried as per-fragment dictionary codes
-          ({!Algebra.Column.t.Codes}), and string-equality predicates
-          translated once per fragment and evaluated as integer code
-          compares, with strings materialized only at pipeline breakers
-          and output. Results are bit-identical on or off; [false]
-          ([--no-code-eval]) is the materialized reference path the
-          parity oracle and benchmarks compare against (default [true]).
+          over attribute, text, comment and PI nodes carried as the
+          store's text-pool ids ({!Algebra.Column.t.Strs}), and string
+          equalities evaluated as integer id compares, each comparand
+          string looked up once, with strings materialized only at
+          pipeline breakers and output. Results are bit-identical on or
+          off; [false] ([--no-code-eval]) is the materialized reference
+          path the parity oracle and benchmarks compare against, whose
+          string equalities use [Value.equal] as {!Algebra.Eval} does
+          (default [true]).
           Outside the plan-cache fingerprint: the plan is the same
           either way. *)
 }

@@ -122,11 +122,10 @@ let name_codes_range f lo hi buf =
 
 (* -- dictionary-code access ------------------------------------------------ *)
 
-(* The per-row local codes (0 = none). Code equality coincides with
-   name/text equality: the pools intern, dictionaries are injective into
-   the pools, hence local codes are injective into strings per fragment. *)
+(* The per-row local name codes (0 = none). Code equality coincides with
+   name equality: the pool interns, dictionaries are injective into the
+   pool, hence local codes are injective into names per fragment. *)
 let[@inline] name_code_at f pre = col_get f.p_names pre
-let[@inline] text_code_at f pre = col_get f.p_values pre
 
 (* -- freezing builder columns into a packed fragment ----------------------- *)
 
@@ -272,15 +271,15 @@ let text_of_id t id = String_pool.get t.text_pool id
 
 let text_pool t = t.text_pool
 
-(* -- predicate-to-code translation ---------------------------------------- *)
+(* -- name-test-to-code translation ----------------------------------------- *)
 
-(* Reverse probes: translate a constant (a qname or a string literal) into
-   the fragment's local code, once per (predicate, fragment), so the per-
-   row evaluation is an integer compare on the stored codes. [None] means
-   the constant cannot occur in this fragment — the predicate is decided
-   without touching a single row. Dictionary scans are linear, but local
-   dictionaries are small by construction (they only exist when they
-   shrink the column) and the probe runs once per fragment, not per row. *)
+(* Reverse probe: translate a name id into the fragment's local code, once
+   per (name test, fragment), so the per-row test is an integer compare
+   on the stored codes. [None] means the name cannot occur in this
+   fragment — the test is decided without touching a single row.
+   Dictionary scans are linear, but local dictionaries are small by
+   construction (they only exist when they shrink the column) and the
+   probe runs once per fragment, not per row. *)
 
 let code_of_id dict id =
   if Array.length dict = 0 then Some (id + 1)
@@ -294,15 +293,6 @@ let code_of_id dict id =
     find 0
 
 let name_code_of_id f id = if id < 0 then None else code_of_id f.p_name_dict id
-
-let code_of_text t f s =
-  match String_pool.find_opt t.text_pool s with
-  | None -> None
-  | Some id -> code_of_id f.p_value_dict id
-
-(* Decode a local text code back to its global pool id (-1 for 0 = none):
-   the late-materialization step of code-carrying columns. *)
-let[@inline] text_id_of_code f code = decode_dict f.p_value_dict code
 
 (* -- node accessors ------------------------------------------------------ *)
 

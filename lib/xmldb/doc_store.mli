@@ -48,7 +48,9 @@ val kind_at : frag -> int -> Node_kind.t
 val name_at : frag -> int -> int
 
 (** Text-pool id at a row (text/attribute/comment/PI content); -1 for
-    rows without a value. *)
+    rows without a value. The store interns every such value, [""]
+    included, so attribute, text, comment and PI rows always have an id
+    [>= 0]. *)
 val value_at : frag -> int -> int
 
 (** Number of table rows in the row's subtree (includes inlined
@@ -78,38 +80,27 @@ val sizes_range : frag -> int -> int -> int array -> unit
 (** Raw local name codes (see {!name_code_at}), bulk form. *)
 val name_codes_range : frag -> int -> int -> int array -> unit
 
-(** {2 Dictionary codes}
+(** {2 Name codes}
 
-    A fragment's name/value columns store small local codes: 0 = no
-    name/value; with a dictionary, code [k > 0] denotes dictionary entry
-    [k - 1]; without one the code is the global pool id + 1. Code
-    equality coincides with string equality — the pools intern and
-    dictionaries are injective, hence within one
-    fragment two rows carry equal names/values iff they carry equal
-    codes. This is what lets an equality predicate be translated to a
-    code {e once} and evaluated as an integer compare per row. *)
+    A fragment's name column stores small local codes: 0 = no name; with
+    a dictionary, code [k > 0] denotes dictionary entry [k - 1]; without
+    one the code is the global pool id + 1. Code equality coincides with
+    name equality — the pool interns and dictionaries are injective,
+    hence within one fragment two rows carry equal names iff they carry
+    equal codes. This is what lets a name test be translated to a code
+    {e once} and evaluated as an integer compare per row. *)
 
 (** Local name code at a row (0 = unnamed). *)
 val name_code_at : frag -> int -> int
 
-(** Local text/value code at a row (0 = no value). *)
-val text_code_at : frag -> int -> int
-
 (** Translate an interned global name id into the fragment's local code.
     [None] = this name cannot occur in the fragment (negative ids — the
     {!name_test_id} "never occurs" marker included): a name test against
-    it matches nothing. One probe per (predicate, fragment). *)
+    it matches nothing. One probe per (name test, fragment). *)
 val name_code_of_id : frag -> int -> int option
 
-(** Translate a string constant into the fragment's local value code.
-    [None] = no row of this fragment can carry the string. *)
-val code_of_text : t -> frag -> string -> int option
-
-(** Global text-pool id behind a local value code (-1 for code 0). *)
-val text_id_of_code : frag -> int -> int
-
-(** The store's global text pool (late materialization of code-carrying
-    columns keys interned ids against it). *)
+(** The store's global text pool: {!value_at} ids index it, so equal ids
+    are equal strings in any fragment. *)
 val text_pool : t -> Basis.String_pool.t
 
 (** {2 Name and text pools} *)

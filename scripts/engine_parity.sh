@@ -17,6 +17,7 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
 echo '<a><b k="1"/><c/></a>' > "$WORK/t.xml"
+echo '<r><q v="y"/><q v="1"/><q v="z"/><q v="1"/></r>' > "$WORK/u.xml"
 
 # <expected exit code> TAB <query>
 QUERIES=$(cat <<'EOF'
@@ -42,6 +43,32 @@ QUERIES=$(cat <<'EOF'
 1	attribute {()} {"x"}
 1	let $e := () return element {$e} {()}
 0	doc(())
+0	count(doc("t.xml")//b[@k = doc("u.xml")//q/@v])
+0	let $e := <e a="1"/> return count(doc("t.xml")//@k[. = $e/@a])
+0	for $b in doc("t.xml")//b, $q in doc("u.xml")//q where $b/@k = $q/@v return concat($b/@k, $q/@v)
+1	1e300 idiv 1
+1	-1e300 idiv 1
+1	(1 div 0e0) idiv 1
+1	(0e0 div 0e0) idiv 1
+1	1e300 cast as xs:integer
+1	round(1e300) cast as xs:integer
+1	4.611686018427387904e18 cast as xs:integer
+0	4.6116860184273874e18 cast as xs:integer
+1	"0x10" cast as xs:integer
+1	"1_000" cast as xs:integer
+1	"0b11" cast as xs:integer
+1	"0x1p3" cast as xs:double
+1	"inf" cast as xs:double
+1	"infinity" cast as xs:double
+1	"nan" cast as xs:double
+0	number("0x10")
+1	<a v="0x10"/>/@v = 16
+0	" 12 " cast as xs:integer
+0	"+5" cast as xs:integer
+0	"1." cast as xs:double
+0	".5" cast as xs:double
+0	"1E3" cast as xs:double
+0	"-INF" cast as xs:double
 EOF
 )
 
@@ -49,7 +76,7 @@ run() {
   # run <name> [flag]: one backend's stdout, xrquy: lines and exit code
   local name=$1
   shift
-  "$X" run "$@" -d "t.xml=$WORK/t.xml" -- "$q" \
+  "$X" run "$@" -d "t.xml=$WORK/t.xml" -d "u.xml=$WORK/u.xml" -- "$q" \
     > "$WORK/$name.out" 2> "$WORK/$name.err"
   echo $? > "$WORK/$name.rc"
   grep '^xrquy:' "$WORK/$name.err" > "$WORK/$name.msg"

@@ -413,8 +413,8 @@ let configs ~budget_spec =
     ("compiled/no-join-isolation", plain nojg);
     ("compiled/warm-cache", warm_cache Engine.default_opts);
     (* compressed execution off, on the serial and morsel-parallel
-       executors: the default runs carry code-carrying columns, batched
-       steps and code-translated predicates; these materialized
+       executors: the default runs carry text-id columns, batched
+       steps and id-keyed predicates; these materialized
        reference runs differentially check every one of them *)
     ("compiled/no-code-eval",
      plain { Engine.default_opts with Engine.code_eval = false });

@@ -371,6 +371,16 @@ let test_error_messages () =
              {|doc("t.xml")/a/e/@k/string()|} ) ])
     (backends st)
 
+(* A query's items, or its error class and message. *)
+let outcome run q =
+  match run q with
+  | items -> String.concat " " items
+  | exception e -> (
+    match Engine.classify_error e with
+    | Some { Engine.kind; message } ->
+      Basis.Err.kind_label kind ^ ": " ^ message
+    | None -> raise e)
+
 (* Queries the two backends used to answer differently, or both wrapped:
    integer overflow, atomic operands of the node-set operators, computed
    constructor names that are not one item, and fn:doc(()). Each answer
@@ -378,15 +388,6 @@ let test_error_messages () =
    must come out of every backend. *)
 let test_backend_parity () =
   let st = mk_store () in
-  let outcome run q =
-    match run q with
-    | items -> String.concat " " items
-    | exception e -> (
-      match Engine.classify_error e with
-      | Some { Engine.kind; message } ->
-        Basis.Err.kind_label kind ^ ": " ^ message
-      | None -> raise e)
-  in
   let literal n =
     Printf.sprintf
       "static: syntax error at offset 19: integer literal %s is out of range" n
@@ -432,6 +433,54 @@ let test_backend_parity () =
            ("<x>1</x> <y>1</y>", {|for $n in ("x", "y") return element {$n} {1}|});
            ("", "doc(())");
            ("0", "count(doc(()))") ])
+    (backends st)
+
+(* Numeric conversions follow XQuery on every backend. A double becomes
+   an xs:integer only when it is integral and -2^62 <= d < 2^62: a NaN,
+   infinite or out-of-range [idiv] quotient is FOAR0002 (integer
+   overflow), an out-of-range cast the cast error NaN and INF give. A
+   string is a number only in an XSD lexical form, never in OCaml
+   literal syntax. Answers written by hand. *)
+let test_numeric_conversions () =
+  let st = mk_store () in
+  let overflow = "dynamic: integer overflow" in
+  let no_int s = Printf.sprintf "dynamic: cannot cast %s to xs:integer" s in
+  let no_dbl s = Printf.sprintf "dynamic: cannot cast %S to xs:double" s in
+  List.iter
+    (fun (name, run) ->
+       List.iter
+         (fun (want, q) ->
+            Alcotest.(check string) (Printf.sprintf "%s [%s]" q name) want
+              (outcome run q))
+         [ (overflow, "1e300 idiv 1");
+           (overflow, "-1e300 idiv 1");
+           (overflow, "(1 div 0e0) idiv 1");
+           (overflow, "(0e0 div 0e0) idiv 1");
+           ("3", "7.9 idiv 2");
+           (no_int "1e+300", "1e300 cast as xs:integer");
+           (no_int "1e+300", "round(1e300) cast as xs:integer");
+           (no_int "4.61169e+18", "4.611686018427387904e18 cast as xs:integer");
+           ( "4611686018427387392",
+             "4.6116860184273874e18 cast as xs:integer" );
+           ( "-4611686018427387904",
+             "-4.611686018427387904e18 cast as xs:integer" );
+           (no_int {|"0x10"|}, {|"0x10" cast as xs:integer|});
+           (no_int {|"1_000"|}, {|"1_000" cast as xs:integer|});
+           (no_int {|"0b11"|}, {|"0b11" cast as xs:integer|});
+           (no_int {|"1e3"|}, {|"1e3" cast as xs:integer|});
+           (no_dbl "0x1p3", {|"0x1p3" cast as xs:double|});
+           (no_dbl "inf", {|"inf" cast as xs:double|});
+           (no_dbl "infinity", {|"infinity" cast as xs:double|});
+           (no_dbl "nan", {|"nan" cast as xs:double|});
+           ("NaN", {|number("0x10")|});
+           (no_dbl "0x10", {|<a v="0x10"/>/@v = 16|});
+           ("12", {|" 12 " cast as xs:integer|});
+           ("5", {|"+5" cast as xs:integer|});
+           ("1", {|"1." cast as xs:double|});
+           ("0.5", {|".5" cast as xs:double|});
+           ("1000", {|"1E3" cast as xs:double|});
+           ("-INF", {|"-INF" cast as xs:double|});
+           ("true", {|<a v=" 16 "/>/@v = 16|}) ])
     (backends st)
 
 (* Predicates whose value is known only at run time (XQuery 1.0, 3.2.2):
@@ -840,6 +889,8 @@ let () =
           Alcotest.test_case "one message per error" `Quick test_error_messages;
           Alcotest.test_case "backend parity: overflow, node sets, names, doc"
             `Quick test_backend_parity;
+          Alcotest.test_case "backend parity: numeric conversions" `Quick
+            test_numeric_conversions;
           Alcotest.test_case "unordered permutations" `Quick test_unordered_permutation;
           Alcotest.test_case "processing-instruction(target) steps" `Quick
             test_pi_target_steps ] );

@@ -515,12 +515,11 @@ let test_bulk_accessor_parity_chunked () =
        done)
     [ List.hd (sample_xml ()); Lazy.force auction_xml ]
 
-(* The code-eval oracle: compressed execution (code-carrying columns,
-   code-translated predicates, batched steps) must be byte-identical to
-   the materialized reference path — over the whole query corpus and
-   over equality shapes chosen to hit every translation case (match,
-   no-match, a string the dictionary has never seen, the empty string,
-   ne). Dictionary-hostile documents make the encoder reject
+(* The code-eval oracle: compressed execution (text-id columns, id-keyed
+   predicates, batched steps) must be byte-identical to the materialized
+   reference path — over the whole query corpus and over equality shapes
+   chosen to hit every keying case (match, no-match, a string the store
+   has never seen, the empty string, ne). Dictionary-hostile documents make the encoder reject
    per-fragment dictionaries; that fallback must stay invisible too. *)
 let run_with opts st q =
   match Engine.run_result ~opts st q with
@@ -576,11 +575,11 @@ let test_code_eval_oracle_eq_shapes () =
   | Some p ->
     let ph = Algebra.Profile.phys p in
     if ph.Algebra.Profile.code_preds <= 0 then
-      Alcotest.fail "equality never ran on dictionary codes"
+      Alcotest.fail "equality never ran on text ids"
 
 (* Dictionary-hostile vocabulary: the encoder rejects per-fragment
-   dictionaries, [code_of_text] returns [None], and the predicate falls
-   back — results must not move. *)
+   dictionaries, so value ids are stored as global pool ids — results
+   must not move. *)
 let test_code_eval_oracle_hostile () =
   let xml, _ = gen_xml ~seed:42 ~names:400 ~max_children:8 ~depth:3 () in
   let queries =
@@ -596,12 +595,13 @@ let test_code_eval_oracle_hostile () =
          (run_with Engine.default_opts st q))
     queries
 
-(* The invariant that lets value codes compare as strings: the store
-   interns every attribute, text, comment and PI value, "" included, so
-   none of those rows holds code 0 (no value) — in parsed, constructed
-   and snapshot-loaded fragments alike. An [eq ""] predicate over their
-   codes then keeps exactly the empty-valued rows: on codes (the profile
-   counts a code predicate), and as the materialized path does. *)
+(* The invariant that lets -1 stand for "absent" among text ids: the
+   store interns every attribute, text, comment and PI value, ""
+   included, so every one of those rows has a text id >= 0 — in parsed,
+   constructed and snapshot-loaded fragments alike. An [eq ""] predicate
+   over their ids then keeps exactly the empty-valued rows: on ids (the
+   profile counts a code predicate), and as the materialized path
+   does. *)
 let empty_values_xml = {|<r a="" b="x"><!----><?p?><?q d?><e c=""/>t</r>|}
 
 (* (query, the empty-valued rows it counts) *)
@@ -619,15 +619,15 @@ let empty_value_queries =
     ({|count(comment {""}[. eq ""])|}, 1);
     ({|count(processing-instruction p {""}[. eq ""])|}, 1) ]
 
-let check_value_codes label st =
+let check_value_ids label st =
   for fi = 0 to DS.n_frags st - 1 do
     let f = DS.frag st fi in
     for pre = 0 to DS.frag_length f - 1 do
       match DS.kind_at f pre with
       | K.Attribute | K.Text | K.Comment | K.Processing_instruction ->
-        if DS.text_code_at f pre < 1 then
-          Alcotest.failf "%s frag %d row %d: value code %d" label fi pre
-            (DS.text_code_at f pre)
+        if DS.value_at f pre < 0 then
+          Alcotest.failf "%s frag %d row %d: value id %d" label fi pre
+            (DS.value_at f pre)
       | K.Element | K.Document -> ()
     done
   done
@@ -650,12 +650,12 @@ let test_empty_value_codes () =
             | Some p
               when (Algebra.Profile.phys p).Algebra.Profile.code_preds > 0 ->
               ()
-            | _ -> Alcotest.failf "%s: %s never ran on codes" label q)
+            | _ -> Alcotest.failf "%s: %s never ran on text ids" label q)
          empty_value_queries;
        (* the queries' constructors appended fragments to [st] *)
-       check_value_codes label st)
+       check_value_ids label st)
     [ ("parsed", parsed); ("loaded", loaded) ];
-  check_value_codes "reloaded"
+  check_value_ids "reloaded"
     (DS.Snapshot.of_string (DS.Snapshot.to_string parsed))
 
 (* --------------------------------------------------- 5. corruption *)
