@@ -801,6 +801,13 @@ let eval_doc store t =
          | Some n -> [| iterc.(r); Value.Node n |]
          | None -> Err.dynamic "fn:doc: document %S not available" uri))
 
+(* The name of a constructed [what] ("element", "attribute") from one
+   row of its name column: a QName, or a string read as one. *)
+let node_name what = function
+  | Value.Qname_v q -> q
+  | Value.Str s -> Xmldb.Qname.of_string s
+  | v -> Err.dynamic "%s name must be a QName, got %s" what (Value.type_name v)
+
 (* Element construction: one new fragment per evaluation; per iteration of
    [qnames], build an element whose content is [content]'s rows for that
    iteration in pos order. Adjacent atomics are joined with a space; nodes
@@ -823,13 +830,7 @@ let eval_elem store qn ct =
   let b = Xmldb.Doc_store.Builder.create store in
   let n = Table.nrows qn in
   for r = 0 to n - 1 do
-    let name =
-      match qitem.(r) with
-      | Value.Qname_v q -> q
-      | Value.Str s -> Xmldb.Qname.of_string s
-      | v -> Err.dynamic "element name must be a QName, got %s" (Value.type_name v)
-    in
-    Xmldb.Doc_store.Builder.start_element b name;
+    Xmldb.Doc_store.Builder.start_element b (node_name "element" qitem.(r));
     (match Val_tbl.find_opt content qiter.(r) with
      | None -> ()
      | Some v ->
@@ -869,12 +870,7 @@ let eval_attr store qn vals =
   let b = Xmldb.Doc_store.Builder.create store in
   let n = Table.nrows qn in
   for r = 0 to n - 1 do
-    let name =
-      match qitem.(r) with
-      | Value.Qname_v q -> q
-      | Value.Str s -> Xmldb.Qname.of_string s
-      | v -> Err.dynamic "attribute name must be a QName, got %s" (Value.type_name v)
-    in
+    let name = node_name "attribute" qitem.(r) in
     let v = Option.value ~default:"" (Val_tbl.find_opt vmap qiter.(r)) in
     Xmldb.Doc_store.Builder.attribute b name v
   done;
@@ -915,7 +911,7 @@ let eval_range t lo hi =
   let loc = Table.col t lo and hic = Table.col t hi in
   let rows = Vec.create [||] in
   for r = 0 to Table.nrows t - 1 do
-    let l = Value.int_value loc.(r) and h = Value.int_value hic.(r) in
+    let l = Value.range_bound loc.(r) and h = Value.range_bound hic.(r) in
     let pos = ref 0 in
     for v = l to h do
       incr pos;

@@ -15,7 +15,11 @@
    chosen by the node's operator, so every node's output is a batch of
    its own.
 
-   Everything without a typed implementation falls back to the boxed
+   Node construction is typed too: the elem, attr, text, comment and
+   textify kernels build one fragment per call through the store's
+   [Doc_store.Builder] and return typed batches (see "construction"
+   below). Everything without a typed implementation — Lit, Cross, Doc,
+   Range, Id_lookup, the PI constructor — falls back to the boxed
    kernels ([Kernels.eval_op]) through cached table conversions, so the
    physical layer never has to be complete to be correct. Exact
    equality — the [=]/[!=] predicate, equi-joins, the eq theta join and
@@ -24,7 +28,8 @@
    its keys as machine ints too. Matching picks
    per call how to enumerate pairs from what the keys look like:
    identical strictly ascending keys join zero-copy, two ascending sides
-   merge, anything else goes through one flat hash index ([Int_index]).
+   merge, anything else goes through one flat hash index
+   ([Basis.Int_index]).
    Every path emits the reference executor's pair order (left rows
    ascending, right rows ascending within each), so both executors agree
    bit-for-bit, including row order (Rownum's stability tie-break makes
@@ -72,16 +77,18 @@
    Retyping and typed-path dispatch happen on the coordinator before a
    row loop fans out; workers only read frozen columns and the document
    store (whose reads are pure). [%]-bearing kernels (Rownum), Distinct,
-   merge joins, [#] stamps, steps and boxed fallbacks stay serial. *)
+   merge joins, [#] stamps, steps, node construction and boxed fallbacks
+   stay serial. *)
 
 open Basis
 
 (* ------------------------------------------------------------- kernels *)
 
 (* The kernel that runs a plan operator, as plan dumps name it: the
-   operators with a typed implementation name their kernel; everything
-   else (Lit, Cross, node construction, Range, Textify, Id_lookup, Doc)
-   runs the boxed kernel over converted inputs. *)
+   operators with a typed implementation name their kernel, node
+   construction included (elem, attr, text, comment, textify); the rest
+   (Lit, Cross, Doc, Range, Id_lookup and the PI constructor) runs the
+   boxed kernel over converted inputs. *)
 let kernel_name : Plan.op -> string = function
   | Plan.Select _ -> "select"
   | Plan.Attach _ -> "attach"
@@ -99,6 +106,8 @@ let kernel_name : Plan.op -> string = function
   | Plan.Antijoin _ -> "antijoin"
   | Plan.Aggr _ -> "aggr"
   | Plan.Step _ -> "step"
+  | (Plan.Elem _ | Plan.Attr _ | Plan.Textnode _ | Plan.Commentnode _
+    | Plan.Textify _) as op -> Plan.op_symbol op
   | op -> "boxed:" ^ Plan.op_symbol op
 
 (* Order-indifference licence per kernel — the plan-shape story of the
@@ -1345,6 +1354,365 @@ let k_step ctx b axis test =
       else boxed ()
     | _ -> boxed ()
 
+(* ----------------------------------------------------------- construction *)
+
+(* Node construction over typed columns, the paper's loop-lifted
+   construction (Section 3): one kernel call is one constructor
+   evaluation for every iteration and builds one fragment, in one pass
+   through a [Doc_store.Builder] presized from the content. [iter] and
+   [pos] read as ints, content as nodes or store text ids, and the
+   result is an Ints/Nodes batch. The boxed kernels ([Kernels.eval_*],
+   which [Eval] runs) are the reference: names, texts and fragments are
+   made in their order, so both executors leave byte-identical stores —
+   a fragment id orders constructed nodes, even an empty fragment's.
+   Inputs whose [iter] or [pos] is not an int column run the boxed
+   kernel. *)
+
+module Builder = Xmldb.Doc_store.Builder
+
+(* The name of the node built for each row of a name column: a [Const]
+   or the Mixed column of the boxed [×] that pairs the loop with a name
+   constant. Each row is resolved and checked ([Kernels.node_name]), but
+   a run of one value only once, and the builder interns one [Qname.t]
+   once. *)
+let name_reader what c =
+  let last = ref None in
+  let of_value v =
+    match !last with
+    | Some (v', q) when v' == v -> q
+    | _ ->
+      let q = Kernels.node_name what v in
+      last := Some (v, q);
+      q
+  in
+  match c with
+  | Column.Const { v; _ } -> fun _ -> of_value v
+  | Column.Mixed vs -> fun r -> of_value vs.(r)
+  | c -> fun r -> Kernels.node_name what (Column.get c r)
+
+(* The atomized text of row [r] of an item column, passed to [id] when
+   the store's text pool holds it under a known id — store text, or a
+   node whose string value is its own value — and to [str] otherwise. *)
+let text_reader store c ~id ~str =
+  match c with
+  | Column.Strs { pool; ids } when pool == Xmldb.Doc_store.text_pool store ->
+    fun r -> id ids.(r)
+  | Column.Nodes { frag; pre } -> (
+    fun r ->
+      let f = Xmldb.Doc_store.frag store frag.(r) in
+      match Xmldb.Doc_store.kind_at f pre.(r) with
+      | Xmldb.Node_kind.Element | Xmldb.Node_kind.Document ->
+        str
+          (Xmldb.Doc_store.string_value store
+             (Xmldb.Node_id.make ~frag:frag.(r) ~pre:pre.(r)))
+      | _ -> id (Xmldb.Doc_store.value_at f pre.(r)))
+  | c -> fun r -> str (Value.to_string (Kernels.atomize store (Column.get c r)))
+
+(* Rows a content column adds to a fragment: a node's subtree, one row
+   for an atom. *)
+let content_rows store c n =
+  let node_rows frag pre =
+    Xmldb.Doc_store.size_at (Xmldb.Doc_store.frag store frag) pre + 1
+  in
+  match c with
+  | Column.Nodes { frag; pre } ->
+    let total = ref 0 in
+    for r = 0 to n - 1 do total := !total + node_rows frag.(r) pre.(r) done;
+    !total
+  | Column.Mixed vs ->
+    Array.fold_left
+      (fun acc -> function
+         | Value.Node nd ->
+           acc + node_rows (Xmldb.Node_id.frag nd) (Xmldb.Node_id.pre nd)
+         | _ -> acc + 1)
+      0 vs
+  | _ -> n
+
+(* A batch of one new node per row of [iter]: the fragment's rows
+   [pre]. *)
+let constructed iter fid pre =
+  { schema = [| "iter"; "item" |];
+    cols =
+      [| iter; Column.Nodes { frag = Array.make (Array.length pre) fid; pre } |];
+    nrows = Array.length pre;
+    table = None }
+
+(* The content rows of each iteration: [find iter] is its group or -1,
+   and group [g] is the rows [row start.(g)] .. [row (start.(g + 1) - 1)],
+   ascending. Iter-ascending content (loop-lifted content arrives so) is
+   grouped by its runs, found by binary search; content that arrives as
+   a union of per-child batches goes through the flat index. *)
+type groups = { find : int -> int; start : int array; row : int -> int }
+
+let group_iters (iters : int array) =
+  let n = Array.length iters in
+  if ascending iters then begin
+    let starts = Vec.create 0 in
+    for r = 0 to n - 1 do
+      if r = 0 || iters.(r - 1) <> iters.(r) then Vec.push starts r
+    done;
+    let k = Vec.length starts in
+    let start = Array.make (k + 1) n in
+    Vec.iteri (fun g r -> start.(g) <- r) starts;
+    let find it =
+      let lo = ref 0 and hi = ref (k - 1) and g = ref (-1) in
+      while !g < 0 && !lo <= !hi do
+        let mid = (!lo + !hi) / 2 in
+        let key = iters.(start.(mid)) in
+        if key = it then g := mid
+        else if key < it then lo := mid + 1
+        else hi := mid - 1
+      done;
+      !g
+    in
+    { find; start; row = Fun.id }
+  end
+  else
+    let idx = Int_index.build iters in
+    { find = Int_index.find idx; start = idx.Int_index.start;
+      row = Array.get idx.Int_index.rows }
+
+(* Elem: per row of the name batch, one element holding its iteration's
+   content in [pos] order. A node is deep-copied as one range of rows; an
+   atom becomes text, joined to a preceding atom by a space. A group
+   whose [pos] is not strictly ascending is sorted with the boxed
+   kernel's comparison, which gives its permutation exactly. *)
+let k_elem ctx qb cb =
+  let store = ctx.env.Kernels.store in
+  let qiter = rcol ctx qb "iter" in
+  match
+    (int_reader qiter, int_keys (rcol ctx cb "iter"),
+     int_reader (rcol ctx cb "pos"))
+  with
+  | Some qit, Some citer, Some cpos ->
+    let name = name_reader "element" qb.cols.(col_pos qb "item") in
+    let item = rcol ctx cb "item" in
+    let b =
+      Builder.create
+        ~capacity:(qb.nrows + content_rows store item cb.nrows) store
+    in
+    let atom = ref false in
+    let put_text s =
+      if !atom then Builder.text b (" " ^ s) else Builder.text b s;
+      atom := true
+    in
+    let put_id id =
+      if !atom then
+        Builder.text b (" " ^ Xmldb.Doc_store.text_of_id store id)
+      else Builder.text_id b id;
+      atom := true
+    in
+    let put_node frag pre =
+      Builder.copy b (Xmldb.Node_id.make ~frag ~pre);
+      atom := false
+    in
+    let put =
+      match item with
+      | Column.Nodes { frag; pre } -> fun r -> put_node frag.(r) pre.(r)
+      | Column.Strs { pool; ids } when pool == Xmldb.Doc_store.text_pool store
+        ->
+        fun r -> put_id ids.(r)
+      | c -> (
+        fun r ->
+          match Column.get c r with
+          | Value.Node nd ->
+            put_node (Xmldb.Node_id.frag nd) (Xmldb.Node_id.pre nd)
+          | v -> put_text (Value.to_string v))
+    in
+    let g = group_iters citer in
+    let sorted lo hi =
+      let rec go p = p >= hi || (cpos (g.row (p - 1)) < cpos (g.row p) && go (p + 1)) in
+      go (lo + 1)
+    in
+    let pre =
+      Array.init qb.nrows (fun r ->
+          let q = name r in
+          let root = Builder.length b in
+          Builder.start_element b q;
+          atom := false;
+          let k = g.find (qit r) in
+          if k >= 0 then begin
+            let lo = g.start.(k) and hi = g.start.(k + 1) in
+            if sorted lo hi then for p = lo to hi - 1 do put (g.row p) done
+            else begin
+              let rows = Array.init (hi - lo) (fun d -> g.row (lo + d)) in
+              Array.sort (fun x y -> Int.compare (cpos x) (cpos y)) rows;
+              Array.iter put rows
+            end
+          end;
+          Builder.end_element b;
+          root)
+    in
+    constructed qiter (Builder.freeze b) pre
+  | _ ->
+    of_table
+      (Kernels.eval_elem store (to_table ctx qb) (to_table ctx cb))
+
+(* Attr: per row of the name batch, a parentless attribute whose value is
+   the last value row of its iteration, atomized ("" without one). *)
+let k_attr ctx qb vb =
+  let store = ctx.env.Kernels.store in
+  let qiter = rcol ctx qb "iter" in
+  match (int_reader qiter, int_keys (rcol ctx vb "iter")) with
+  | Some qit, Some viter ->
+    let name = name_reader "attribute" qb.cols.(col_pos qb "item") in
+    let b = Builder.create ~capacity:qb.nrows store in
+    let q = ref (Xmldb.Qname.make "") in
+    let value =
+      text_reader store (rcol ctx vb "item")
+        ~id:(fun id -> Builder.attribute_id b !q id)
+        ~str:(fun s -> Builder.attribute b !q s)
+    in
+    let idx = Int_index.build viter in
+    for r = 0 to qb.nrows - 1 do
+      q := name r;
+      match Int_index.find idx (qit r) with
+      | -1 -> Builder.attribute b !q ""
+      | k -> value idx.Int_index.rows.(idx.Int_index.start.(k + 1) - 1)
+    done;
+    constructed qiter (Builder.freeze b) (Array.init qb.nrows Fun.id)
+  | _ ->
+    of_table
+      (Kernels.eval_attr store (to_table ctx qb) (to_table ctx vb))
+
+(* Text and comment constructors: a parentless node per row, valued by
+   its atomized item. *)
+let k_textlike ctx tb ~comment =
+  let store = ctx.env.Kernels.store in
+  let b = Builder.create ~capacity:tb.nrows store in
+  let value =
+    if comment then
+      text_reader store (rcol ctx tb "item") ~id:(Builder.comment_id b)
+        ~str:(Builder.comment b)
+    else
+      text_reader store (rcol ctx tb "item") ~id:(Builder.force_text_id b)
+        ~str:(Builder.force_text b)
+  in
+  for r = 0 to tb.nrows - 1 do value r done;
+  constructed (rcol ctx tb "iter") (Builder.freeze b)
+    (Array.init tb.nrows Fun.id)
+
+(* Textify (fs:item-sequence-to-node-sequence): rows in (iter, pos)
+   order, nodes passed through, every run of atoms of one iteration made
+   one text node (space-joined) at the run's first row. Input that is
+   not strictly ascending is sorted with the boxed kernel's comparison.
+   Nodes only: the input is the output, and an empty fragment is still
+   appended. *)
+let k_textify ctx tb =
+  let store = ctx.env.Kernels.store in
+  match (int_keys (rcol ctx tb "iter"), int_keys (rcol ctx tb "pos")) with
+  | Some iter, Some pos ->
+    let n = tb.nrows in
+    let item = rcol ctx tb "item" in
+    let before a c =
+      iter.(a) < iter.(c) || (iter.(a) = iter.(c) && pos.(a) < pos.(c))
+    in
+    let rec sorted k = k >= n || (before (k - 1) k && sorted (k + 1)) in
+    let perm =
+      if sorted 1 then None
+      else begin
+        let perm = Array.init n Fun.id in
+        Array.sort
+          (fun a c ->
+             match Int.compare iter.(a) iter.(c) with
+             | 0 -> Int.compare pos.(a) pos.(c)
+             | x -> x)
+          perm;
+        Some perm
+      end
+    in
+    let batch cols nrows =
+      { schema = [| "iter"; "pos"; "item" |]; cols; nrows; table = None }
+    in
+    (match (item, perm) with
+     | Column.Nodes _, None ->
+       ignore (Builder.freeze (Builder.create ~capacity:1 store));
+       batch [| rcol ctx tb "iter"; rcol ctx tb "pos"; item |] n
+     | _ ->
+       let node_frag = Array.make n (-1) and node_pre = Array.make n 0 in
+       (match item with
+        | Column.Nodes { frag; pre } ->
+          Array.blit frag 0 node_frag 0 n;
+          Array.blit pre 0 node_pre 0 n
+        | Column.Ints _ | Column.Dbls _ | Column.Bools _ | Column.Strs _
+        | Column.Seq _ -> ()
+        | Column.Const _ | Column.Mixed _ ->
+          for r = 0 to n - 1 do
+            match Column.get item r with
+            | Value.Node nd ->
+              node_frag.(r) <- Xmldb.Node_id.frag nd;
+              node_pre.(r) <- Xmldb.Node_id.pre nd
+            | _ -> ()
+          done);
+       let atoms = ref 0 in
+       Array.iter (fun f -> if f < 0 then incr atoms) node_frag;
+       let b = Builder.create ~capacity:!atoms store in
+       let o_iter = Array.make n 0 and o_pos = Array.make n 0 in
+       let o_frag = Array.make n 0 and o_pre = Array.make n 0 in
+       let m = ref 0 and texts = ref 0 in
+       let out r frag pre =
+         o_iter.(!m) <- iter.(r);
+         o_pos.(!m) <- pos.(r);
+         o_frag.(!m) <- frag;
+         o_pre.(!m) <- pre;
+         incr m
+       in
+       (* the open run: its first row ([-1]: none) and length; a run of
+          several atoms joins their strings in [buf] *)
+       let run = ref (-1) and len = ref 0 and buf = Buffer.create 64 in
+       let s = ref "" in
+       let read =
+         text_reader store item
+           ~id:(fun id -> s := Xmldb.Doc_store.text_of_id store id)
+           ~str:(fun x -> s := x)
+       in
+       let add r = read r; Buffer.add_string buf !s in
+       let single =
+         text_reader store item ~id:(Builder.force_text_id b)
+           ~str:(Builder.force_text b)
+       in
+       let flush () =
+         if !run >= 0 then begin
+           if !len = 1 then single !run
+           else Builder.force_text b (Buffer.contents buf);
+           out !run (-1) !texts;
+           incr texts;
+           run := -1
+         end
+       in
+       for k = 0 to n - 1 do
+         let r = match perm with None -> k | Some p -> p.(k) in
+         if node_frag.(r) >= 0 then begin
+           flush ();
+           out r node_frag.(r) node_pre.(r)
+         end
+         else if !run >= 0 && iter.(!run) = iter.(r) then begin
+           if !len = 1 then begin
+             Buffer.clear buf;
+             add !run
+           end;
+           Buffer.add_char buf ' ';
+           add r;
+           incr len
+         end
+         else begin
+           flush ();
+           run := r;
+           len := 1
+         end
+       done;
+       flush ();
+       let fid = Builder.freeze b in
+       let m = !m in
+       let o_frag = Array.sub o_frag 0 m in
+       Array.iteri (fun i f -> if f < 0 then o_frag.(i) <- fid) o_frag;
+       batch
+         [| Column.Ints (Array.sub o_iter 0 m);
+            Column.Ints (Array.sub o_pos 0 m);
+            Column.Nodes { frag = o_frag; pre = Array.sub o_pre 0 m } |]
+         m)
+  | _ -> of_table (Kernels.eval_textify store (to_table ctx tb))
+
 (* ------------------------------------------------------------- dispatcher *)
 
 let exec_kernel ctx (n : Plan.node) (inputs : batch list) : batch =
@@ -1406,6 +1774,15 @@ let exec_kernel ctx (n : Plan.node) (inputs : batch list) : batch =
   | Plan.Aggr { res; agg; arg; part; order; _ } ->
     k_aggr ctx ~par (one ()) res agg arg part order
   | Plan.Step { axis; test; _ } -> k_step ctx (one ()) axis test
+  | Plan.Elem _ ->
+    let q, c = two () in
+    k_elem ctx q c
+  | Plan.Attr _ ->
+    let q, v = two () in
+    k_attr ctx q v
+  | Plan.Textnode _ -> k_textlike ctx (one ()) ~comment:false
+  | Plan.Commentnode _ -> k_textlike ctx (one ()) ~comment:true
+  | Plan.Textify _ -> k_textify ctx (one ())
   | op ->
     let tables = List.map (to_table ctx) inputs in
     of_table (Kernels.eval_op ctx.env op tables)

@@ -145,6 +145,11 @@ let not_node v = Err.dynamic "expected a node, got %s" (type_name v)
 
 let int_overflow () = Err.dynamic "integer overflow"
 
+let range_bound = function
+  | (Dbl _ | Bool _) as v ->
+    Err.dynamic "a range operand must be an xs:integer, got %s" (type_name v)
+  | v -> int_value v
+
 (* Checked xs:integer arithmetic on the 63-bit native ints: a result out
    of range raises instead of wrapping. A sum overflows exactly when both
    operands differ in sign from it; a difference when the operands differ

@@ -56,6 +56,11 @@ val path_not_node : t -> 'a
     node accessor) and the atomic value [v] came instead. *)
 val not_node : t -> 'a
 
+(** An operand of [to] (XPTY0004 unless it is an xs:integer): an [Int]
+    as it is, a string — standing in for xs:untypedAtomic — cast to
+    xs:integer, a double or a boolean a type error. *)
+val range_bound : t -> int
+
 (** An xs:integer result outside the 63-bit range (FOAR0002); also a
     double [idiv] quotient that is NaN, infinite or out of range. *)
 val int_overflow : unit -> 'a

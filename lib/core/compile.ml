@@ -436,10 +436,9 @@ and compile_here cfg env (e : core) : A.node =
   | C_range (a, b) ->
     let sa = singleton_of cfg env a (compile cfg env a) in
     let sb = singleton_of cfg env b (compile cfg env b) in
-    let j = join_singletons_of cfg sa sb in
-    let lo = A.fun1 cfg.b j "lo" A.P_cast_int "v1" in
-    let hi = A.fun1 cfg.b lo "hi" A.P_cast_int "v2" in
-    A.range cfg.b hi "lo" "hi"
+    (* the range kernel reads each bound with [Value.range_bound], as
+       the interpreter does *)
+    A.range cfg.b (join_singletons_of cfg sa sb) "v1" "v2"
   | C_call (f, args) -> compile_call cfg env f args
   | C_elem { name; content } ->
     let qn = constructor_name cfg env name (compile cfg env name) in

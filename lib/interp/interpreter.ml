@@ -281,7 +281,7 @@ and eval_expr env (e : core) : Xdm.seq =
     (match (Xdm.opt_singleton (Xdm.atomize_seq env.store (eval env a)),
             Xdm.opt_singleton (Xdm.atomize_seq env.store (eval env b))) with
      | Some x, Some y ->
-       let lo = Value.int_value x and hi = Value.int_value y in
+       let lo = Value.range_bound x and hi = Value.range_bound y in
        if lo > hi then [] else List.init (hi - lo + 1) (fun i -> Value.Int (lo + i))
      | _ -> [])
   | C_call (f, args) -> eval_call env f args

@@ -75,22 +75,23 @@ let[@inline] parent_at f pre = col_get f.p_parents pre - 1
 
 (* -- bulk range decoding --------------------------------------------------- *)
 
-(* Decode one packed column slice [lo, hi) into [buf.(0 .. hi-lo-1)]: the
-   bit-width dispatch happens once per call instead of once per row, and
-   each width gets its own tight loop. *)
-let col_range c lo hi (buf : int array) =
+(* Decode one packed column slice [lo, hi) into [buf.(off .. off+hi-lo-1)]:
+   the bit-width dispatch happens once per call instead of once per row,
+   and each width gets its own tight loop. *)
+let col_range c lo hi (buf : int array) off =
+  let d = off - lo in
   match c with
   | C8 b ->
     for i = lo to hi - 1 do
-      Array.unsafe_set buf (i - lo) (Char.code (Bytes.unsafe_get b i))
+      Array.unsafe_set buf (i + d) (Char.code (Bytes.unsafe_get b i))
     done
   | C16 b ->
     for i = lo to hi - 1 do
-      Array.unsafe_set buf (i - lo) (Bytes.get_uint16_le b (i * 2))
+      Array.unsafe_set buf (i + d) (Bytes.get_uint16_le b (i * 2))
     done
   | C32 b ->
     for i = lo to hi - 1 do
-      Array.unsafe_set buf (i - lo)
+      Array.unsafe_set buf (i + d)
         (Int32.to_int (Bytes.get_int32_le b (i * 4)) land 0xFFFFFFFF)
     done
 
@@ -112,13 +113,13 @@ let kinds_range f lo hi (buf : Node_kind.t array) =
 
 let sizes_range f lo hi buf =
   check_range "sizes_range" f lo hi (Array.length buf);
-  col_range f.p_sizes lo hi buf
+  col_range f.p_sizes lo hi buf 0
 
 (* Local name-code column slice: the raw per-fragment codes, no dictionary
    expansion. *)
 let name_codes_range f lo hi buf =
   check_range "name_codes_range" f lo hi (Array.length buf);
-  col_range f.p_names lo hi buf
+  col_range f.p_names lo hi buf 0
 
 (* -- dictionary-code access ------------------------------------------------ *)
 
@@ -131,79 +132,64 @@ let[@inline] name_code_at f pre = col_get f.p_names pre
 
 let width_for maxv = if maxv < 0x100 then 1 else if maxv < 0x10000 then 2 else 4
 
-(* Pack a non-negative integer column at the narrowest width that holds
-   its maximum. *)
-let pack_col (a : int array) : col =
-  let n = Array.length a in
-  let maxv = Array.fold_left (fun m v -> if v > m then v else m) 0 a in
+(* Pack [a.(i) + add] for the rows [i < n] of a non-negative integer
+   column at the narrowest width that holds its maximum. *)
+let pack_col ?(add = 0) (a : int array) n : col =
+  let maxv = ref 0 in
+  for i = 0 to n - 1 do
+    let v = a.(i) + add in
+    if v > !maxv then maxv := v
+  done;
+  let maxv = !maxv in
   match width_for maxv with
   | 1 ->
     let b = Bytes.create n in
-    for i = 0 to n - 1 do Bytes.unsafe_set b i (Char.unsafe_chr a.(i)) done;
+    for i = 0 to n - 1 do Bytes.unsafe_set b i (Char.unsafe_chr (a.(i) + add)) done;
     C8 b
   | 2 ->
     let b = Bytes.create (2 * n) in
-    for i = 0 to n - 1 do Bytes.set_uint16_le b (2 * i) a.(i) done;
+    for i = 0 to n - 1 do Bytes.set_uint16_le b (2 * i) (a.(i) + add) done;
     C16 b
   | _ ->
     if maxv > 0xFFFFFFFF then
       Err.internal "Doc_store: column value %d exceeds u32" maxv;
     let b = Bytes.create (4 * n) in
-    for i = 0 to n - 1 do Bytes.set_int32_le b (4 * i) (Int32.of_int a.(i)) done;
+    for i = 0 to n - 1 do
+      Bytes.set_int32_le b (4 * i) (Int32.of_int (a.(i) + add))
+    done;
     C32 b
 
-(* Dictionary-encode a pool-id column (-1 = none). Returns the code column
-   and the dictionary; the dictionary is [||] (identity coding: global
-   id + 1) whenever it would not shrink the bytes — local codes are dense
-   in first-occurrence order, so the encoding is deterministic. *)
-let dict_encode (ids : int array) : int array * int array =
-  let n = Array.length ids in
-  let tbl = Hashtbl.create 64 in
-  let dict = Vec.create 0 in
-  let codes = Array.make n 0 in
-  let maxg = ref (-1) in
-  for i = 0 to n - 1 do
-    let id = ids.(i) in
-    if id >= 0 then begin
-      if id > !maxg then maxg := id;
-      let c =
-        match Hashtbl.find_opt tbl id with
-        | Some c -> c
-        | None ->
-          let c = Vec.length dict + 1 in
-          Vec.push dict id;
-          Hashtbl.add tbl id c;
-          c
-      in
-      codes.(i) <- c
-    end
-  done;
-  let k = Vec.length dict in
+(* Dictionary-encode the first [n] rows of a pool-id column (-1 = none)
+   into a packed code column and its dictionary; the dictionary is [||]
+   (identity coding: global id + 1) whenever it would not shrink the
+   bytes. Local codes are dense in first-occurrence order
+   ([Int_index.number]), so the encoding is deterministic. *)
+let dict_encode (ids : int array) n : col * int array =
+  let codes, dict = Int_index.number ids n in
+  let k = Array.length dict in
+  let maxg = Array.fold_left max (-1) dict in
   let with_dict = (n * width_for k) + (8 * k) in
-  let without = n * width_for (!maxg + 1) in
-  if k > 0 && with_dict < without then (codes, Vec.to_array dict)
-  else (Array.map (fun id -> id + 1) ids, [||])
+  let without = n * width_for (maxg + 1) in
+  if k > 0 && with_dict < without then (pack_col codes n, dict)
+  else (pack_col ~add:1 ids n, [||])
 
-(* Freeze word-per-cell columns (pool ids, -1 = none; parent -1 = root)
-   into a packed fragment. *)
-let pack_frag ~kinds ~names ~values ~sizes ~levels ~parents : frag =
-  let n = Array.length kinds in
-  let kind_bytes = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.unsafe_set kind_bytes i (Char.unsafe_chr (Node_kind.to_int kinds.(i)))
-  done;
-  let name_codes, name_dict = dict_encode names in
-  let value_codes, value_dict = dict_encode values in
+(* Freeze the first [n] rows of word-per-cell columns (pool ids, -1 =
+   none; parent -1 = root) and a kind-code column of exactly [n] bytes
+   into a packed fragment. The columns may be longer than [n]: they are
+   read in place, never trimmed. *)
+let pack_frag ~n ~kinds ~names ~values ~sizes ~levels ~parents : frag =
+  let p_names, p_name_dict = dict_encode names n in
+  let p_values, p_value_dict = dict_encode values n in
   {
     p_len = n;
-    p_kinds = kind_bytes;
-    p_names = pack_col name_codes;
-    p_name_dict = name_dict;
-    p_values = pack_col value_codes;
-    p_value_dict = value_dict;
-    p_sizes = pack_col sizes;
-    p_levels = pack_col levels;
-    p_parents = pack_col (Array.map (fun p -> p + 1) parents);
+    p_kinds = kinds;
+    p_names;
+    p_name_dict;
+    p_values;
+    p_value_dict;
+    p_sizes = pack_col sizes n;
+    p_levels = pack_col levels n;
+    p_parents = pack_col ~add:1 parents n;
   }
 
 let col_bytes = function C8 b | C16 b | C32 b -> Bytes.length b
@@ -233,8 +219,8 @@ type t = {
 }
 
 let empty_frag =
-  pack_frag ~kinds:[||] ~names:[||] ~values:[||] ~sizes:[||] ~levels:[||]
-    ~parents:[||]
+  pack_frag ~n:0 ~kinds:Bytes.empty ~names:[||] ~values:[||] ~sizes:[||]
+    ~levels:[||] ~parents:[||]
 
 let create () = {
   mu = Mutex.create ();
@@ -341,94 +327,162 @@ let documents t = locked t (fun () -> List.rev t.documents)
 (* -- builder ------------------------------------------------------------- *)
 
 module Builder = struct
+  (* The fragment under construction, as word-per-cell columns (kind
+     codes one byte per row) of a common capacity, [len] rows used. A
+     caller that knows its row count presizes them ([create ?capacity]);
+     otherwise they double. [freeze] packs them where they lie. *)
   type nonrec t = {
     store : t;
-    kinds : Node_kind.t Vec.t;
-    names : int Vec.t;
-    values : int Vec.t;
-    sizes : int Vec.t;
-    levels : int Vec.t;
-    parents : int Vec.t;
+    mutable kinds : Bytes.t;
+    mutable names : int array;
+    mutable values : int array;
+    mutable sizes : int array;
+    mutable levels : int array;
+    mutable parents : int array;
+    mutable len : int;
     mutable stack : int list;      (* open nodes, innermost first *)
+    mutable depth : int;           (* [List.length stack] *)
     mutable last_text : int;       (* pre of a trailing mergeable text node, -1 *)
+    mutable last_qname : Qname.t;  (* the name [last_name_id] interns *)
+    mutable last_name_id : int;
     mutable finished : bool;
   }
 
-  let create store = {
-    store;
-    kinds = Vec.create Node_kind.Text;
-    names = Vec.create (-1);
-    values = Vec.create (-1);
-    sizes = Vec.create 0;
-    levels = Vec.create 0;
-    parents = Vec.create (-1);
-    stack = [];
-    last_text = -1;
-    finished = false;
-  }
+  let create ?(capacity = 16) store =
+    let cap = max capacity 1 in
+    {
+      store;
+      kinds = Bytes.create cap;
+      names = Array.make cap 0;
+      values = Array.make cap 0;
+      sizes = Array.make cap 0;
+      levels = Array.make cap 0;
+      parents = Array.make cap 0;
+      len = 0;
+      stack = [];
+      depth = 0;
+      last_text = -1;
+      last_qname = Qname.make "";
+      last_name_id = -1;
+      finished = false;
+    }
 
-  let depth b = List.length b.stack
+  let length b = b.len
+
+  (* Room for [k] more rows. *)
+  let reserve b k =
+    let cap = Bytes.length b.kinds in
+    if b.len + k > cap then begin
+      let cap = max (2 * cap) (b.len + k) in
+      let grow a =
+        let a' = Array.make cap 0 in
+        Array.blit a 0 a' 0 b.len;
+        a'
+      in
+      let kinds = Bytes.create cap in
+      Bytes.blit b.kinds 0 kinds 0 b.len;
+      b.kinds <- kinds;
+      b.names <- grow b.names;
+      b.values <- grow b.values;
+      b.sizes <- grow b.sizes;
+      b.levels <- grow b.levels;
+      b.parents <- grow b.parents
+    end
 
   let cur_parent b = match b.stack with [] -> -1 | p :: _ -> p
 
+  (* A node's name id. A constructor that names many nodes with one
+     [Qname.t] value interns it once. *)
+  let name_id b q =
+    if q != b.last_qname then begin
+      b.last_name_id <- intern_name b.store q;
+      b.last_qname <- q
+    end;
+    b.last_name_id
+
   let emit b kind name value =
-    let pre = Vec.length b.kinds in
-    Vec.push b.kinds kind;
-    Vec.push b.names name;
-    Vec.push b.values value;
-    Vec.push b.sizes 0;
-    Vec.push b.levels (depth b);
-    Vec.push b.parents (cur_parent b);
+    reserve b 1;
+    let pre = b.len in
+    Bytes.unsafe_set b.kinds pre (Char.unsafe_chr (Node_kind.to_int kind));
+    b.names.(pre) <- name;
+    b.values.(pre) <- value;
+    b.sizes.(pre) <- 0;
+    b.levels.(pre) <- b.depth;
+    b.parents.(pre) <- cur_parent b;
+    b.len <- pre + 1;
     pre
+
+  let kind_of b pre = Node_kind.of_int (Char.code (Bytes.get b.kinds pre))
+
+  let open_node b pre =
+    b.stack <- pre :: b.stack;
+    b.depth <- b.depth + 1
 
   let start_document b =
     b.last_text <- -1;
-    let pre = emit b Node_kind.Document (-1) (-1) in
-    b.stack <- pre :: b.stack
+    open_node b (emit b Node_kind.Document (-1) (-1))
 
   let start_element b qname =
     b.last_text <- -1;
-    let pre = emit b Node_kind.Element (intern_name b.store qname) (-1) in
-    b.stack <- pre :: b.stack
+    open_node b (emit b Node_kind.Element (name_id b qname) (-1))
 
   (* Standalone attribute construction (computed attribute constructors
      yield parentless attribute nodes) is allowed on an empty stack. *)
+  let check_attribute b =
+    match b.stack with
+    | [] -> ()
+    | top :: _ ->
+      if kind_of b top <> Node_kind.Element then
+        Err.internal "Builder.attribute: owner is not an element";
+      (* Attributes must precede any content of the open element. *)
+      if b.len <> top + 1 && kind_of b (b.len - 1) <> Node_kind.Attribute then
+        Err.dynamic "attribute node constructed after non-attribute content"
+
   let attribute b qname v =
-    (match b.stack with
-     | [] -> ()
-     | top :: _ ->
-       if Vec.get b.kinds top <> Node_kind.Element then
-         Err.internal "Builder.attribute: owner is not an element";
-       (* Attributes must precede any content of the open element. *)
-       if Vec.length b.kinds <> top + 1
-          && Vec.get b.kinds (Vec.length b.kinds - 1) <> Node_kind.Attribute
-       then Err.dynamic "attribute node constructed after non-attribute content");
+    check_attribute b;
     let vid = String_pool.intern b.store.text_pool v in
-    ignore (emit b Node_kind.Attribute (intern_name b.store qname) vid)
+    ignore (emit b Node_kind.Attribute (name_id b qname) vid)
+
+  let attribute_id b qname vid =
+    check_attribute b;
+    ignore (emit b Node_kind.Attribute (name_id b qname) vid)
+
+  (* Merge [s] into the trailing text node, as XDM requires after
+     construction: the merged value is a new pool string. *)
+  let merge b s =
+    let old = text_of_id b.store b.values.(b.last_text) in
+    b.values.(b.last_text) <- String_pool.intern b.store.text_pool (old ^ s)
 
   let text b s =
     if s <> "" then begin
-      if b.last_text >= 0 then begin
-        (* merge adjacent text nodes, as XDM requires after construction *)
-        let old = text_of_id b.store (Vec.get b.values b.last_text) in
-        Vec.set b.values b.last_text
-          (String_pool.intern b.store.text_pool (old ^ s))
-      end else begin
-        let vid = String_pool.intern b.store.text_pool s in
-        let pre = emit b Node_kind.Text (-1) vid in
-        b.last_text <- pre
-      end
+      if b.last_text >= 0 then merge b s
+      else
+        b.last_text <-
+          emit b Node_kind.Text (-1) (String_pool.intern b.store.text_pool s)
     end
 
-  (* Emit a text node even when [s] is empty and without merging: computed
-     text constructors (text { "" }) create a node regardless. *)
-  let force_text b s =
-    b.last_text <- -1;
-    ignore (emit b Node_kind.Text (-1) (String_pool.intern b.store.text_pool s))
+  (* [text] of the pool string [vid]: a text node that starts a new node
+     keeps the id, with nothing interned. *)
+  let text_id b vid =
+    let s = text_of_id b.store vid in
+    if s <> "" then begin
+      if b.last_text >= 0 then merge b s
+      else b.last_text <- emit b Node_kind.Text (-1) vid
+    end
 
-  let comment b s =
+  (* Emit a text node even when its value is empty and without merging:
+     computed text constructors (text { "" }) create a node regardless. *)
+  let force_text_id b vid =
     b.last_text <- -1;
-    ignore (emit b Node_kind.Comment (-1) (String_pool.intern b.store.text_pool s))
+    ignore (emit b Node_kind.Text (-1) vid)
+
+  let force_text b s = force_text_id b (String_pool.intern b.store.text_pool s)
+
+  let comment_id b vid =
+    b.last_text <- -1;
+    ignore (emit b Node_kind.Comment (-1) vid)
+
+  let comment b s = comment_id b (String_pool.intern b.store.text_pool s)
 
   let pi b target content =
     b.last_text <- -1;
@@ -440,32 +494,57 @@ module Builder = struct
     match b.stack with
     | [] -> Err.internal "Builder: unbalanced end of node"
     | top :: rest ->
-      Vec.set b.sizes top (Vec.length b.kinds - top - 1);
+      b.sizes.(top) <- b.len - top - 1;
       b.stack <- rest;
+      b.depth <- b.depth - 1;
       b.last_text <- -1
 
   let end_element b = close b
   let end_document b = close b
 
-  (* Blit the subtree rooted at [pre0] of fragment [src] into the builder,
-     shifting levels and rebasing parent pointers. *)
+  (* Copy the subtree rooted at [pre0] of fragment [src] into the builder
+     as one range: each packed column is decoded straight into the
+     builder's column ([col_range]), then names and values are mapped
+     through the fragment's dictionaries, levels shifted and parent
+     pointers rebased. *)
   let copy_node b (src : frag) pre0 =
     b.last_text <- -1;
-    let dst0 = Vec.length b.kinds in
-    let delta_level = depth b - level_at src pre0 in
-    for p = pre0 to pre0 + size_at src pre0 do
-      let parent =
-        if p = pre0 then cur_parent b
-        else parent_at src p - pre0 + dst0
-      in
-      Vec.push b.kinds (kind_at src p);
-      Vec.push b.names (name_at src p);
-      Vec.push b.values (value_at src p);
-      Vec.push b.sizes (size_at src p);
-      Vec.push b.levels (level_at src p + delta_level);
-      Vec.push b.parents parent
+    let n = col_get src.p_sizes pre0 + 1 in
+    reserve b n;
+    let dst0 = b.len and hi = pre0 + n in
+    Bytes.blit src.p_kinds pre0 b.kinds dst0 n;
+    let decode col dict (a : int array) =
+      col_range col pre0 hi a dst0;
+      if Array.length dict = 0 then
+        for i = dst0 to dst0 + n - 1 do
+          Array.unsafe_set a i (Array.unsafe_get a i - 1)
+        done
+      else
+        for i = dst0 to dst0 + n - 1 do
+          let code = Array.unsafe_get a i in
+          Array.unsafe_set a i (if code = 0 then -1 else dict.(code - 1))
+        done
+    in
+    decode src.p_names src.p_name_dict b.names;
+    decode src.p_values src.p_value_dict b.values;
+    col_range src.p_sizes pre0 hi b.sizes dst0;
+    let levels = b.levels in
+    col_range src.p_levels pre0 hi levels dst0;
+    let delta = b.depth - levels.(dst0) in
+    if delta <> 0 then
+      for i = dst0 to dst0 + n - 1 do
+        Array.unsafe_set levels i (Array.unsafe_get levels i + delta)
+      done;
+    (* stored parents are pre + 1: row [pre0 + k]'s parent [p] lands at
+       [p - pre0 + dst0] *)
+    let parents = b.parents in
+    col_range src.p_parents pre0 hi parents dst0;
+    parents.(dst0) <- cur_parent b;
+    let shift = dst0 - pre0 - 1 in
+    for i = dst0 + 1 to dst0 + n - 1 do
+      Array.unsafe_set parents i (Array.unsafe_get parents i + shift)
     done;
-    b.last_text <- -1
+    b.len <- dst0 + n
 
   (* Deep-copy the subtree rooted at [n] (from any fragment of the same
      store) as content of the currently open node. Implements the node
@@ -475,49 +554,52 @@ module Builder = struct
     let src = frag b.store (Node_id.frag n) in
     let pre0 = Node_id.pre n in
     match kind_at src pre0 with
-    | Node_kind.Text ->
-      text b (text_of_id b.store (value_at src pre0))
+    | Node_kind.Text -> text_id b (value_at src pre0)
     | Node_kind.Attribute ->
-      attribute b (name_of_id b.store (name_at src pre0))
-        (text_of_id b.store (value_at src pre0))
+      check_attribute b;
+      ignore
+        (emit b Node_kind.Attribute (name_at src pre0) (value_at src pre0))
     | Node_kind.Document ->
       b.last_text <- -1;
       let p = ref (pre0 + 1) in
       let stop = pre0 + size_at src pre0 in
       while !p <= stop do
-        if kind_at src !p = Node_kind.Text then
-          text b (text_of_id b.store (value_at src !p))
+        if kind_at src !p = Node_kind.Text then text_id b (value_at src !p)
         else copy_node b src !p;
         p := !p + size_at src !p + 1
       done
     | Node_kind.Element | Node_kind.Comment | Node_kind.Processing_instruction ->
       copy_node b src pre0
 
-  (* Freeze the builder into a new fragment; returns the fragment id and
-     the preorder ranks of the fragment's roots. The freeze step is where
-     the packed columns are built: the working arrays are scanned once
-     for their maxima and re-emitted at minimal width. *)
-  let finish b =
+  (* Freeze the builder into a new fragment and return its id. The freeze
+     step is where the packed columns are built, straight from the
+     builder's columns. The builder must be balanced and is dead
+     afterwards. *)
+  let freeze b =
     if b.finished then Err.internal "Builder.finish called twice";
     if b.stack <> [] then Err.internal "Builder.finish with open nodes";
     b.finished <- true;
+    let n = b.len in
+    let kinds =
+      if Bytes.length b.kinds = n then b.kinds else Bytes.sub b.kinds 0 n
+    in
     let f =
-      pack_frag ~kinds:(Vec.to_array b.kinds) ~names:(Vec.to_array b.names)
-        ~values:(Vec.to_array b.values) ~sizes:(Vec.to_array b.sizes)
-        ~levels:(Vec.to_array b.levels) ~parents:(Vec.to_array b.parents)
+      pack_frag ~n ~kinds ~names:b.names ~values:b.values ~sizes:b.sizes
+        ~levels:b.levels ~parents:b.parents
     in
-    let fid =
-      locked b.store (fun () ->
-        let fid = Vec.length b.store.frags in
-        Vec.push b.store.frags f;
-        fid)
-    in
+    locked b.store (fun () ->
+      let fid = Vec.length b.store.frags in
+      Vec.push b.store.frags f;
+      fid)
+
+  (* [freeze], plus the node ids of the fragment's roots. *)
+  let finish b =
+    let fid = freeze b in
     let roots = Vec.create (-1) in
     let p = ref 0 in
-    let n = frag_length f in
-    while !p < n do
+    while !p < b.len do
       Vec.push roots !p;
-      p := !p + size_at f !p + 1
+      p := !p + b.sizes.(!p) + 1
     done;
     (fid, Array.map (fun pre -> Node_id.make ~frag:fid ~pre) (Vec.to_array roots))
 end

@@ -145,16 +145,27 @@ val total_nodes : t -> int
 
     A builder accumulates one fragment event-style. Text pushed in
     adjacent calls merges into a single text node (XDM); attributes must
-    precede other content of their element. *)
+    precede other content of their element. It is the one way fragments
+    are made: the XML parser, the interpreter's constructors and both
+    executors' construction kernels all build through it. *)
 module Builder : sig
   type store := t
   type t
 
-  val create : store -> t
+  (** [create ?capacity store] starts an empty fragment with room for
+      [capacity] rows; a builder that outgrows it doubles its columns. *)
+  val create : ?capacity:int -> store -> t
+
+  (** Rows so far: the preorder rank the next node gets. *)
+  val length : t -> int
 
   val start_document : t -> unit
   val end_document : t -> unit
+
+  (** Open an element. A run of elements named by one [Qname.t] value
+      interns the name once. *)
   val start_element : t -> Qname.t -> unit
+
   val end_element : t -> unit
 
   (** Add an attribute to the currently open element (or a parentless
@@ -162,26 +173,43 @@ module Builder : sig
       the open element already has non-attribute content. *)
   val attribute : t -> Qname.t -> string -> unit
 
+  (** [attribute] with a value already in the store's text pool. *)
+  val attribute_id : t -> Qname.t -> int -> unit
+
   (** Append character data; empty strings are ignored, adjacent text
       merges. *)
   val text : t -> string -> unit
 
-  (** Emit a text node even when empty and without merging (computed text
-      constructors). *)
+  (** [text] of the text-pool string with this id. Unless it merges with
+      a preceding text node, the new node keeps the id and nothing is
+      interned. *)
+  val text_id : t -> int -> unit
+
+  (** Emit a text node even when empty and without merging (computed
+      text constructors). *)
   val force_text : t -> string -> unit
 
+  val force_text_id : t -> int -> unit
+
   val comment : t -> string -> unit
+  val comment_id : t -> int -> unit
   val pi : t -> string -> string -> unit
 
   (** Deep-copy the subtree rooted at the given node (from any fragment of
       the same store) as content of the currently open node — XQuery
       constructor copy semantics. Text merges with an adjacent text
-      sibling; a document node copies its children. *)
+      sibling; a document node copies its children. A subtree is copied
+      as one range of rows, decoded column by column. *)
   val copy : t -> Node_id.t -> unit
 
-  (** Freeze into a new fragment; returns its id and the node ids of the
-      fragment's roots. The builder must be balanced and is dead
-      afterwards. Freezing is where packed columns are built. *)
+  (** Freeze into a new fragment and return its id. The builder must be
+      balanced and is dead afterwards. Freezing is where packed columns
+      are built, from the builder's columns as they are. Every builder
+      that is frozen appends exactly one fragment, an empty one
+      included. *)
+  val freeze : t -> int
+
+  (** [freeze], returning also the node ids of the fragment's roots. *)
   val finish : t -> int * Node_id.t array
 end
 

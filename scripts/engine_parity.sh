@@ -16,7 +16,7 @@ X=${1:-_build/default/bin/xrquy.exe}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-echo '<a><b k="1"/><c/></a>' > "$WORK/t.xml"
+echo '<a><b k="1"/><c>t</c></a>' > "$WORK/t.xml"
 echo '<r><q v="y"/><q v="1"/><q v="z"/><q v="1"/></r>' > "$WORK/u.xml"
 
 # <expected exit code> TAB <query>
@@ -69,6 +69,18 @@ QUERIES=$(cat <<'EOF'
 0	".5" cast as xs:double
 0	"1E3" cast as xs:double
 0	"-INF" cast as xs:double
+1	1 to 3.0
+0	1 to <a>3</a>
+0	<r>{1, doc("t.xml")//c/text(), "s", 2, doc("t.xml")//c/text()}</r>
+1	<r>{doc("t.xml")//c, doc("t.xml")//@k}</r>
+0	<r>{doc("t.xml")//@k, doc("t.xml")//c}</r>
+0	<r>{doc("t.xml")}</r>
+0	<r>{text {""}}</r>
+0	count(<r>{text {""}, text {""}}</r>/node())
+0	element {concat("a", "b")} {attribute {"k"} {1}, comment {"c"}}
+0	for $n in ("x", "y") return element {$n} {attribute {$n} {$n}, $n}
+0	for $i in (3, 1, 2) return <r a="{$i}">{$i}</r>
+0	for $v in doc("t.xml")/a/* return <r>{$v/node(), "s"}<s>{$v/@k}</s></r>
 EOF
 )
 

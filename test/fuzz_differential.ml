@@ -79,19 +79,29 @@ let mk_store ?(chunk = 0) () =
 
 (* ------------------------------------------------------------- generator *)
 
+(* The constructor shapes beyond [<r>{X}</r>], as [shape_names] numbers
+   them; [gen_query] marks each one it emits in its [reached] array. *)
+let shape_names =
+  [| "attribute value template"; "computed element"; "computed attribute";
+     "computed text"; "computed comment"; "loop-lifted node content";
+     "attribute after content"; "nested constructors";
+     "atoms next to text nodes" |]
+
 (* Seeded random expression generator. [lax] is flipped when the emitted
    query contains a construct whose result order is implementation
    latitude (unordered {}, distinct-values): those queries compare as
-   multisets. [text_lax] is flipped when such a construct sits inside an
-   element constructor, which may fold its atoms into one text node in
-   either order. All emitted text parses by construction. *)
-let gen_query ~lax ~text_lax prng =
+   multisets. [text_lax] is flipped when such a construct sits inside a
+   node constructor, which may fold its atoms into one text node, one
+   attribute value or one comment in either order. All emitted text
+   parses by construction. *)
+let gen_query ~lax ~text_lax ~reached prng =
   let var_names = [| "v"; "w"; "x" |] in
   let in_ctor = ref 0 in
   let latitude () =
     lax := true;
     if !in_ctor > 0 then text_lax := true
   in
+  let reach k = reached.(k) <- true in
   let rec gen depth vars =
     let atom () =
       match Prng.int prng 7 with
@@ -109,7 +119,14 @@ let gen_query ~lax ~text_lax prng =
     if depth <= 0 then atom ()
     else
       let sub () = gen (depth - 1) vars in
-      match Prng.int prng 18 with
+      (* content of a node constructor *)
+      let content () =
+        incr in_ctor;
+        let body = sub () in
+        decr in_ctor;
+        body
+      in
+      match Prng.int prng 23 with
       | 0 ->
         let op = Prng.pick prng [| "+"; "-"; "*" |] in
         Printf.sprintf "(%s %s %s)" (sub ()) op (sub ())
@@ -203,11 +220,45 @@ let gen_query ~lax ~text_lax prng =
         let witness = Prng.pick prng [| "1"; "\"1\""; "\"x\""; "\"e\""; "2" |] in
         Printf.sprintf "(for $%s in (%s, %s) return %s)" v (sub ()) witness
           (if Prng.bool prng then "count(" ^ path ^ ")" else path)
-      | _ ->
-        incr in_ctor;
-        let body = sub () in
-        decr in_ctor;
-        Printf.sprintf "<r>{%s}</r>" body
+      | 17 ->
+        reach 0;
+        Printf.sprintf "<r a=\"{%s}\"/>" (content ())
+      | 18 -> (
+        let k = Prng.int prng 4 in
+        reach (1 + k);
+        let body = content () in
+        match k with
+        | 0 -> Printf.sprintf "element {\"n\"} {%s}" body
+        | 1 -> Printf.sprintf "attribute {\"k\"} {%s}" body
+        | 2 -> Printf.sprintf "text {%s}" body
+        | _ -> Printf.sprintf "comment {%s}" body)
+      | 19 ->
+        (* loop-lifted node content: each node's children copied into an
+           element of its own, sometimes followed by an atom, or by its
+           attribute — an error in both engines when it has children *)
+        reach 5;
+        let v = Prng.pick prng var_names in
+        let p = Prng.pick prng [| "/a/*"; "//*"; "//e"; "/a"; "//node()" |] in
+        let tail =
+          match Prng.int prng 3 with
+          | 0 ->
+            reach 6;
+            Printf.sprintf ", $%s/@k" v
+          | 1 -> ", " ^ content ()
+          | _ -> ""
+        in
+        Printf.sprintf "(for $%s in doc(\"t.xml\")%s return <r>{$%s/node()%s}</r>)"
+          v p v tail
+      | 20 ->
+        reach 7;
+        let x = content () in
+        Printf.sprintf "<r><s>{%s}</s>{%s}</r>" x (content ())
+      | 21 ->
+        (* atoms around the text nodes of e: they merge into one *)
+        reach 8;
+        let x = content () in
+        Printf.sprintf "<r>{%s, doc(\"t.xml\")//e/text(), %s}</r>" x (content ())
+      | _ -> Printf.sprintf "<r>{%s}</r>" (content ())
   in
   gen (2 + Prng.int prng 2) []
 
@@ -438,32 +489,34 @@ let configs ~budget_spec =
 (* ------------------------------------------------------------ comparison *)
 
 (* A constructor space-joins the atoms of its content into one text
-   node, so order latitude inside it survives as text:
-   <r>{reverse(distinct-values((5, "s1")))}</r> is <r>5 s1</r> or
-   <r>s1 5</r>. Only a [text_lax] query compares the atoms of each text
-   run as a multiset; every other item compares as a whole string. *)
+   node, attribute value or comment, so order latitude inside it
+   survives as text: <r>{reverse(distinct-values((5, "s1")))}</r> is
+   <r>5 s1</r> or <r>s1 5</r>. Only a [text_lax] query compares the
+   space-separated atoms of each stretch between markup delimiters
+   ([<], [>], a quote, [<!--], [-->]) as a multiset; every other item
+   compares as a whole string. *)
 let sort_text_atoms item =
-  let b = Buffer.create (String.length item) in
+  let n = String.length item in
+  let b = Buffer.create n in
   let text = Buffer.create 16 in
   let flush () =
     String.split_on_char ' ' (Buffer.contents text)
     |> List.sort compare |> String.concat " " |> Buffer.add_string b;
     Buffer.clear text
   in
-  let in_tag = ref false in
-  String.iter
-    (fun c ->
-       if !in_tag then begin
-         Buffer.add_char b c;
-         if c = '>' then in_tag := false
-       end
-       else if c = '<' then begin
-         flush ();
-         Buffer.add_char b c;
-         in_tag := true
-       end
-       else Buffer.add_char text c)
-    item;
+  let at i d = i + String.length d <= n && String.sub item i (String.length d) = d in
+  let rec go i =
+    if i < n then
+      match List.find_opt (at i) [ "<!--"; "-->"; "<"; ">"; "\"" ] with
+      | Some d ->
+        flush ();
+        Buffer.add_string b d;
+        go (i + String.length d)
+      | None ->
+        Buffer.add_char text item.[i];
+        go (i + 1)
+  in
+  go 0;
   flush ();
   Buffer.contents b
 
@@ -519,11 +572,14 @@ let () =
   in
   let failures = ref 0 in
   let tolerated = ref 0 in
+  let reach = Array.make (Array.length shape_names) 0 in
   for seed = !start to !start + !seeds - 1 do
     let prng = Prng.create seed in
     let lax = ref false in
     let text_lax = ref false in
-    let q = gen_query ~lax ~text_lax prng in
+    let reached = Array.make (Array.length shape_names) false in
+    let q = gen_query ~lax ~text_lax ~reached prng in
+    Array.iteri (fun k r -> if r then reach.(k) <- reach.(k) + 1) reached;
     if !verbose then Printf.printf "seed %d: %s\n%!" seed q;
     let reference =
       evaluate ~opts:{ Engine.default_opts with Engine.backend = Engine.Interpreted } q
@@ -554,6 +610,11 @@ let () =
              cname q why)
       (configs ~budget_spec)
   done;
+  Printf.printf "fuzz_differential: seeds reaching each constructor shape: %s\n"
+    (String.concat ", "
+       (Array.to_list
+          (Array.mapi (fun k name -> Printf.sprintf "%s %d" name reach.(k))
+             shape_names)));
   Printf.printf
     "fuzz_differential: %d seeds (%d..%d), %d configs each: %d divergences, \
      %d tolerated error-latitude disagreements\n%!"

@@ -449,6 +449,8 @@ let prop_distinct_idempotent =
 
 (* -------------------------------------------------------- flat int index *)
 
+module Int_index = Basis.Int_index
+
 (* [Int_index] against a [Hashtbl] model: the groups are the distinct
    keys in first-seen order, [find] names each key's group (and -1 for
    keys not indexed), and each group lists exactly its key's rows,

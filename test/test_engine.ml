@@ -483,6 +483,32 @@ let test_numeric_conversions () =
            ("true", {|<a v=" 16 "/>/@v = 16|}) ])
     (backends st)
 
+(* A range operand must be an xs:integer (XPTY0004): a double or a
+   boolean bound is a type error on every backend, never a cast, while
+   an untyped value (a constructed element's text) is cast. Answers
+   written by hand. *)
+let test_range_operands () =
+  let st = mk_store () in
+  let not_int t =
+    Printf.sprintf "dynamic: a range operand must be an xs:integer, got %s" t
+  in
+  List.iter
+    (fun (name, run) ->
+       List.iter
+         (fun (want, q) ->
+            Alcotest.(check string) (Printf.sprintf "%s [%s]" q name) want
+              (outcome run q))
+         [ (not_int "xs:double", "1 to 3.0");
+           (not_int "xs:double", "1.5 to 3");
+           (not_int "xs:double", "1 to 3e0");
+           (not_int "xs:boolean", "1 to true()");
+           (not_int "xs:double", "for $i in (1, 2) return $i to 2.0");
+           ("1 2 3", "1 to <a>3</a>");
+           ("1 2 3", "1 to 3");
+           ("", "3 to 1");
+           ("", "() to 3.0") ])
+    (backends st)
+
 (* Predicates whose value is known only at run time (XQuery 1.0, 3.2.2):
    one numeric item tests the position, anything else its effective
    boolean value. Answers written by hand, checked under every plan
@@ -889,6 +915,8 @@ let () =
           Alcotest.test_case "one message per error" `Quick test_error_messages;
           Alcotest.test_case "backend parity: overflow, node sets, names, doc"
             `Quick test_backend_parity;
+          Alcotest.test_case "backend parity: range operands" `Quick
+            test_range_operands;
           Alcotest.test_case "backend parity: numeric conversions" `Quick
             test_numeric_conversions;
           Alcotest.test_case "unordered permutations" `Quick test_unordered_permutation;

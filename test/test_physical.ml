@@ -24,18 +24,29 @@ let table_strings t =
         (Array.to_list
            (Array.map (Format.asprintf "%a" Value.pp) (Table.row t r))))
 
+(* The MD5 of a store's snapshot: its pools in id order and every
+   fragment's packed bytes. *)
+let store_digest st =
+  Digest.to_hex (Digest.string (Xmldb.Doc_store.Snapshot.to_string st))
+
 (* Run a plan through both executors against fresh stores (from [mk])
-   and demand identical schemas and identical rows in identical order. *)
-let check_parity ?(mk = store) ?step_impl msg plan =
-  let boxed = Eval.run ?step_impl (mk ()) plan in
-  let physical = Physical.run ?step_impl (mk ()) plan in
+   and demand identical schemas, identical rows in identical order, and
+   identical stores afterwards: two executors that built different
+   fragments under the same node ids must not pass. [jobs] > 1 runs the
+   physical executor over morsels of 4 rows. *)
+let check_parity ?(mk = store) ?step_impl ?(jobs = 1) msg plan =
+  let st_boxed = mk () and st_physical = mk () in
+  let boxed = Eval.run ?step_impl st_boxed plan in
+  let physical = Physical.run ?step_impl ~jobs ~morsel:4 st_physical plan in
   Alcotest.(check (list string))
     (msg ^ ": schema")
     (Array.to_list (Table.schema boxed))
     (Array.to_list (Table.schema physical));
   Alcotest.(check (list string))
     (msg ^ ": rows")
-    (table_strings boxed) (table_strings physical)
+    (table_strings boxed) (table_strings physical);
+  Alcotest.(check string) (msg ^ ": store") (store_digest st_boxed)
+    (store_digest st_physical)
 
 (* Both executors must fail identically: same exception constructor and
    same message. *)
@@ -45,10 +56,10 @@ let run_outcome run =
   | exception Basis.Err.Dynamic_error m -> "dynamic: " ^ m
   | exception Basis.Err.Internal_error m -> "internal: " ^ m
 
-let check_error_parity ?(mk = store) msg plan =
+let check_error_parity ?(mk = store) ?(jobs = 1) msg plan =
   Alcotest.(check string) msg
     (run_outcome (fun () -> Eval.run (mk ()) plan))
-    (run_outcome (fun () -> Physical.run (mk ()) plan))
+    (run_outcome (fun () -> Physical.run ~jobs ~morsel:4 (mk ()) plan))
 
 (* ------------------------------------------------- one kernel per node *)
 
@@ -917,14 +928,222 @@ let test_step_plan_dump () =
   Alcotest.(check bool) ("dump has the step kernel: " ^ dump) true
     (Astring.String.is_infix ~affix:"] step [child::seller]" dump)
 
+(* ------------------------------------------------------- construction *)
+
+(* Node construction, run by both executors at jobs 1 and at jobs 4:
+   rows, errors and the stores built must agree. The documents give
+   every node kind: in c.xml, 0 document, 1 a, 2 b, 3 "x", 4 c, 5 @k,
+   6 @m, 7 "y", 8 comment, 9 PI, 10 "z"; in d.xml, 0 document, 1 d,
+   2 "w", 3 e, 4 "v". *)
+let cons_store () =
+  let st = store () in
+  ignore
+    (Xmldb.Xml_parser.load_document st ~uri:"c.xml"
+       {|<a><b>x</b><c k="1" m="2">y<!--co--><?p d?></c>z</a>|});
+  ignore (Xmldb.Xml_parser.load_document st ~uri:"d.xml" "<d>w<e/>v</d>");
+  st
+
+let cons_node =
+  let st = cons_store () in
+  fun uri pre ->
+    let root = Option.get (Xmldb.Doc_store.find_document st uri) in
+    Value.Node (Xmldb.Node_id.make ~frag:(Xmldb.Node_id.frag root) ~pre)
+
+let check_construction msg plan =
+  List.iter
+    (fun jobs ->
+       check_parity ~mk:cons_store ~jobs
+         (Printf.sprintf "%s (jobs=%d)" msg jobs) plan)
+    [ 1; 4 ]
+
+let check_construction_error msg plan =
+  List.iter
+    (fun jobs ->
+       check_error_parity ~mk:cons_store ~jobs
+         (Printf.sprintf "%s (jobs=%d)" msg jobs) plan)
+    [ 1; 4 ]
+
+let qname s = Value.Qname_v (Xmldb.Qname.make s)
+
+let loop b iters =
+  Plan.lit b [| "iter" |] (List.map (fun i -> [| v_int i |]) iters)
+
+(* Names as a constant column, and as the boxed [×] of the loop with a
+   name constant makes them (one value repeated in a Mixed column). *)
+let names_const b iters v = Plan.attach b (loop b iters) "item" v
+
+let names_cross b iters v =
+  Plan.cross b (loop b iters) (Plan.lit b [| "item" |] [ [| v |] ])
+
+let content b rows =
+  Plan.lit b [| "iter"; "pos"; "item" |]
+    (List.map (fun (i, p, v) -> [| v_int i; v_int p; v |]) rows)
+
+(* Rows of value-carrying nodes whose item becomes the store text id of
+   the node's value (a [Column.Strs] in the physical executor). *)
+let strs b rows =
+  Plan.project b
+    (Plan.fun1 b (content b rows) "s" Plan.P_string "item")
+    [ ("iter", "iter"); ("pos", "pos"); ("item", "s") ]
+
+let pair b rows = Plan.project b rows [ ("iter", "iter"); ("item", "item") ]
+
+let test_elem_construction () =
+  let b = Plan.builder () in
+  let c = cons_node "c.xml" and d = cons_node "d.xml" in
+  let r = qname "r" in
+  check_construction "content in iter runs"
+    (Plan.elem b (names_cross b [ 1; 2; 3 ] r)
+       (content b [ (1, 1, c 2); (1, 2, c 4); (2, 1, c 10); (3, 1, d 1) ]));
+  (* a union of per-child batches: iters 1 2 3 1 2 3 1, positions out of
+     order within iter 1, and iter 4 without content *)
+  let child1 = content b [ (1, 1, c 2); (2, 1, c 4); (3, 1, d 3) ] in
+  let child2 =
+    content b [ (1, 3, c 10); (2, 2, d 1); (3, 2, c 2); (1, 2, d 3) ]
+  in
+  check_construction "content as a union of per-child batches"
+    (Plan.elem b (names_cross b [ 1; 2; 3; 4 ] r) (Plan.union b child1 child2));
+  check_construction "names and content out of iter order"
+    (Plan.elem b (names_cross b [ 3; 1; 2 ] r)
+       (content b [ (2, 2, c 2); (3, 1, v_int 7); (2, 1, v_str "s") ]));
+  check_construction "equal positions in one iteration"
+    (Plan.elem b (names_const b [ 1 ] r)
+       (content b [ (1, 2, c 2); (1, 1, d 3); (1, 2, c 10); (1, 1, c 4) ]));
+  check_construction "no content at all"
+    (Plan.elem b (names_const b [ 1; 2 ] r) (content b []))
+
+let test_elem_names () =
+  let b = Plan.builder () in
+  let c = cons_node "c.xml" in
+  let body = content b [ (1, 1, c 2); (2, 1, v_str "t"); (3, 1, c 3) ] in
+  check_construction "Const QName" (Plan.elem b (names_const b [ 1; 2; 3 ] (qname "p")) body);
+  check_construction "Const string"
+    (Plan.elem b (names_const b [ 1; 2; 3 ] (v_str "x:s")) body);
+  check_construction "Mixed QName and string names"
+    (Plan.elem b
+       (Plan.lit b [| "iter"; "item" |]
+          [ [| v_int 1; qname "a" |]; [| v_int 2; v_str "b" |];
+            [| v_int 3; qname "a" |] ])
+       body);
+  check_construction_error "a name that is not a QName"
+    (Plan.elem b
+       (Plan.lit b [| "iter"; "item" |]
+          [ [| v_int 1; qname "a" |]; [| v_int 2; v_int 7 |] ])
+       body);
+  check_construction_error "a constant name that is not a QName"
+    (Plan.elem b (names_const b [ 1; 2 ] (v_dbl 1.5)) body);
+  check_construction_error "an attribute name that is not a QName"
+    (Plan.attr b (names_const b [ 1 ] (v_bool true))
+       (Plan.lit b [| "iter"; "item" |] [ [| v_int 1; v_str "v" |] ]))
+
+let test_elem_content_kinds () =
+  let b = Plan.builder () in
+  let c = cons_node "c.xml" and d = cons_node "d.xml" in
+  let names = names_cross b [ 1; 2 ] (qname "r") in
+  check_construction "attributes before other content"
+    (Plan.elem b names
+       (content b [ (1, 1, c 5); (1, 2, c 6); (1, 3, c 2); (2, 1, c 5) ]));
+  check_construction_error "an attribute after other content"
+    (Plan.elem b names (content b [ (1, 1, c 2); (1, 2, c 5) ]));
+  check_construction_error "an attribute after an atom"
+    (Plan.elem b names (content b [ (1, 1, v_str "a"); (1, 2, c 6) ]));
+  check_construction "adjacent text nodes of two fragments merge"
+    (Plan.elem b names
+       (content b
+          [ (1, 1, c 3); (1, 2, d 2); (1, 3, v_str "s"); (1, 4, v_int 5);
+            (1, 5, c 2); (2, 1, v_str ""); (2, 2, v_str "t");
+            (2, 3, v_dbl 2.5); (2, 4, c 10) ]));
+  let empty_text =
+    Plan.attach b
+      (Plan.textnode b (Plan.lit b [| "iter"; "item" |] [ [| v_int 1; v_str "" |] ]))
+      "pos" (v_int 2)
+  in
+  check_construction "an empty text node"
+    (Plan.elem b names
+       (Plan.union b (content b [ (1, 1, v_str "a"); (1, 3, c 3) ]) empty_text));
+  check_construction "document, comment and PI content"
+    (Plan.elem b names
+       (content b [ (1, 1, c 0); (1, 2, c 8); (1, 3, c 9); (2, 1, d 0) ]));
+  check_construction "store-text content, merged and not"
+    (Plan.elem b names
+       (strs b [ (1, 1, c 3); (1, 2, d 2); (2, 1, c 5); (2, 2, c 8) ]));
+  let inner =
+    Plan.attach b
+      (Plan.elem b (names_const b [ 1; 2 ] (qname "s"))
+         (content b [ (1, 1, v_str "x"); (2, 1, c 2) ]))
+      "pos" (v_int 2)
+  in
+  check_construction "nested: a constructed element as content"
+    (Plan.elem b names
+       (Plan.union b (content b [ (1, 1, v_str "y"); (2, 3, c 3) ]) inner))
+
+let test_textify_construction () =
+  let b = Plan.builder () in
+  let c = cons_node "c.xml" and d = cons_node "d.xml" in
+  let with_const_pos rows =
+    Plan.attach b
+      (Plan.lit b [| "iter"; "item" |]
+         (List.map (fun (i, v) -> [| v_int i; v |]) rows))
+      "pos" (v_int 1)
+  in
+  check_construction "nodes, Const pos"
+    (Plan.textify b (with_const_pos [ (1, c 2); (2, d 1); (3, c 10) ]));
+  check_construction "nodes, Const pos, several per iteration"
+    (Plan.textify b (with_const_pos [ (1, c 2); (1, d 1); (2, c 10) ]));
+  check_construction "ints, Const pos"
+    (Plan.textify b (with_const_pos [ (1, v_int 1); (2, v_int 2); (2, v_int 3) ]));
+  check_construction "doubles"
+    (Plan.textify b
+       (content b [ (1, 1, v_dbl 1.5); (1, 2, v_dbl 2.0); (2, 1, v_dbl (-0.5)) ]));
+  check_construction "store text"
+    (Plan.textify b
+       (strs b [ (1, 1, c 3); (1, 2, c 7); (2, 1, c 10); (3, 2, c 5); (3, 1, d 2) ]));
+  check_construction "mixed items out of order"
+    (Plan.textify b
+       (content b
+          [ (1, 1, v_int 1); (1, 3, v_str "s"); (1, 2, c 2); (1, 4, v_dbl 2.5);
+            (2, 2, v_str "a"); (2, 1, v_bool true); (3, 1, d 1) ]));
+  check_construction "nodes out of iter order"
+    (Plan.textify b (content b [ (2, 1, c 2); (1, 1, d 1); (1, 2, c 3) ]))
+
+let test_attr_text_comment () =
+  let b = Plan.builder () in
+  let c = cons_node "c.xml" and d = cons_node "d.xml" in
+  let names = names_const b [ 1; 2; 3 ] (qname "k") in
+  check_construction "attribute values: store text, one missing"
+    (Plan.attr b names (pair b (strs b [ (2, 1, c 3); (1, 1, c 5) ])));
+  check_construction "attribute values: ints, the last of an iteration wins"
+    (Plan.attr b (names_cross b [ 1; 2; 3 ] (qname "k"))
+       (Plan.lit b [| "iter"; "item" |]
+          [ [| v_int 1; v_int 5 |]; [| v_int 2; v_int 6 |];
+            [| v_int 2; v_int 7 |]; [| v_int 3; v_int 8 |] ]));
+  check_construction "attribute values: nodes"
+    (Plan.attr b names
+       (Plan.lit b [| "iter"; "item" |]
+          [ [| v_int 1; c 4 |]; [| v_int 2; d 0 |]; [| v_int 3; c 6 |] ]));
+  check_construction "attribute values: none"
+    (Plan.attr b names (Plan.lit b [| "iter"; "item" |] []));
+  let items =
+    Plan.lit b [| "iter"; "item" |]
+      [ [| v_int 1; v_str "" |]; [| v_int 2; c 1 |]; [| v_int 3; v_int 4 |];
+        [| v_int 4; c 8 |] ]
+  in
+  check_construction "text constructor" (Plan.textnode b items);
+  check_construction "comment constructor" (Plan.commentnode b items);
+  check_construction "text constructor over store text"
+    (Plan.textnode b (pair b (strs b [ (1, 1, c 3); (2, 1, d 4) ])));
+  check_construction "comment constructor over store text"
+    (Plan.commentnode b (pair b (strs b [ (1, 1, c 9); (2, 1, c 7) ])))
+
 (* ------------------------------------------------------ corpus parity *)
 
 (* The optimized plan of every corpus query — queries/*.xq and XMark
    Q1-Q20 at scale 0.002 — run through the reference executor and the
    physical kernels, serially and at jobs 4 over forced-tiny morsels:
-   same schema, same rows, same order (or the same error). Each run arms
-   an unlimited budget, and both executors must also cross the same
-   number of operator boundaries and charge the same rows. *)
+   same schema, same rows, same order (or the same error), and the same
+   store afterwards, byte for byte as a snapshot. Each run arms an
+   unlimited budget, and both executors must also cross the same number
+   of operator boundaries and charge the same rows. *)
 let queries_dir =
   if Sys.file_exists "../queries" then "../queries" else "queries"
 
@@ -958,13 +1177,15 @@ let test_corpus_parity () =
        let plan = (Engine.analyze q).Engine.aoptimized in
        let outcome run =
          let guard = Basis.Budget.start Basis.Budget.unlimited in
+         let st = corpus_store () in
          let rows =
-           match run ~guard (corpus_store ()) with
+           match run ~guard st with
            | t -> Array.to_list (Table.schema t) @ table_strings t
            | exception e -> [ Printexc.to_string e ]
          in
          Printf.sprintf "budget: %d ops, %d rows" (Basis.Budget.ops guard)
            (Basis.Budget.rows guard)
+         :: ("store: " ^ store_digest st)
          :: rows
        in
        let reference = outcome (fun ~guard st -> Eval.run ~guard st plan) in
@@ -1042,6 +1263,15 @@ let () =
            test_step_repeated_contexts;
          Alcotest.test_case "step errors" `Quick test_step_errors;
          Alcotest.test_case "plan dump" `Quick test_step_plan_dump ]);
+      ("construction",
+       [ Alcotest.test_case "elem content grouping" `Quick
+           test_elem_construction;
+         Alcotest.test_case "elem and attr names" `Quick test_elem_names;
+         Alcotest.test_case "elem content kinds" `Quick
+           test_elem_content_kinds;
+         Alcotest.test_case "textify" `Quick test_textify_construction;
+         Alcotest.test_case "attr, text, comment" `Quick
+           test_attr_text_comment ]);
       ("budgets",
        [ Alcotest.test_case "budget trips" `Quick
            test_budget_through_physical ]);

@@ -384,6 +384,30 @@ let corpus () =
 
 let doc_xml = "<a><b><c/><d/></b><c/><e k=\"1\">x<f/>y</e></a>"
 
+(* Pinned snapshot bytes: the MD5 of three stores' snapshots, taken
+   before the builder froze its columns in place and dictionary-encoded
+   through a flat table. The packed bytes, the dictionaries and the pool
+   order must not move: a parsed XMark store, the corpus [t.xml] store,
+   and that store after a query constructs elements, attributes, merged
+   and empty text nodes and comments from it. *)
+let pinned_snapshots () =
+  let md5 st = Digest.to_hex (Digest.string (DS.Snapshot.to_string st)) in
+  let xmark = DS.create () in
+  ignore
+    (Xmldb.Xml_parser.load_document xmark ~uri:"auction.xml"
+       (Xmark.Xmark_gen.generate ~scale:0.01 ()));
+  Alcotest.(check string) "xmark scale 0.01" "acf4875f7a3c49f914591e40e3be0ed8"
+    (md5 xmark);
+  let t = DS.create () in
+  ignore (Xmldb.Xml_parser.load_document t ~uri:"t.xml" doc_xml);
+  Alcotest.(check string) "t.xml" "3f3c6d41754bd336f22f08301378be46" (md5 t);
+  let q =
+    {|for $x in doc("t.xml")//*, $i in (2, 1) return <r a="{$i}">{$x/node(), "s", $i, text {""}, element {"n"} {$x/@k}}<!--c--></r>|}
+  in
+  ignore (Engine.run t q);
+  Alcotest.(check string) "t.xml after construction"
+    "593fd7e3f2428ca48963d65988a02c99" (md5 t)
+
 let mk_corpus_store () =
   let st = DS.create () in
   let _ =
@@ -745,7 +769,8 @@ let () =
        [ Alcotest.test_case "save -> load -> save byte-identical" `Quick
            test_snapshot_roundtrip;
          Alcotest.test_case "file round-trip + deterministic save" `Quick
-           test_snapshot_file_roundtrip ]);
+           test_snapshot_file_roundtrip;
+         Alcotest.test_case "pinned snapshot bytes" `Quick pinned_snapshots ]);
       ("3. chunk invariance",
        [ Alcotest.test_case "reader chunks {1,7,64K,whole}" `Quick
            test_chunk_invariance;
