@@ -94,7 +94,7 @@ let carries_checks ~shared (root : Plan.node) =
          | Plan.P_check_one_or_more | Plan.P_check_treat
          | Plan.P_node_check | Plan.P_check_node | Plan.P_check_singleton
          | Plan.P_error | Plan.P_cast_as _
-         | Plan.P_cast_int | Plan.P_cast_dbl | Plan.P_cast_bool -> true
+         | Plan.P_position | Plan.P_cast_dbl | Plan.P_cast_bool -> true
          | _ -> false)
        | Plan.Fun2 { f = Plan.P_div | Plan.P_idiv | Plan.P_mod; _ } -> true
        | Plan.Aggr { agg = Plan.A_the; _ } -> true

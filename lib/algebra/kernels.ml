@@ -110,7 +110,7 @@ let apply1 store f v =
        (match Value.float_value av with
         | f -> Value.Dbl f
         | exception Err.Dynamic_error _ -> Value.Dbl Float.nan))
-  | P_cast_int -> Value.Int (Value.int_value (atomize store v))
+  | P_position -> Value.Int (Value.position (atomize store v))
   | P_cast_dbl -> Value.Dbl (Value.float_value (atomize store v))
   | P_cast_str -> Value.Str (Value.to_string (atomize store v))
   | P_cast_bool -> Value.Bool (Value.bool_value v)
@@ -448,7 +448,10 @@ let eval_join l r lcol rcol =
   combine_rows l r li ri
 
 (* Theta-join matching over the two key columns, same exposure rationale
-   as [join_indices]. *)
+   as [join_indices]: left rows ascending, each left row's right rows
+   ascending. Equality over coercion-free keys is the hash match; every
+   other comparison is the nested loop over [Value.compare_xq], the
+   reference the physical inequality kernel reproduces. *)
 let theta_indices (lc : Value.t array) (cmp : prim2) (rc : Value.t array) =
   let homogeneous c =
     (* a hash join is only sound for general-comparison equality when no
@@ -466,60 +469,17 @@ let theta_indices (lc : Value.t array) (cmp : prim2) (rc : Value.t array) =
                  || Value.is_numeric lc.(0) = Value.is_numeric rc.(0))) ->
     join_indices lc rc
   | _ ->
-    let all_numeric c = Array.for_all (fun v -> Value.is_numeric v) c in
-    let nl = Array.length lc and nr0 = Array.length rc in
+    (* the nested loop: the reference pairs, in the reference order *)
+    let f = cmp_fun cmp in
     let li = Vec.create 0 and ri = Vec.create 0 in
-    (match cmp with
-     | (P_lt | P_le | P_gt | P_ge) when all_numeric lc && all_numeric rc ->
-       (* sort-based inequality join: sort the right side, emit ranges *)
-       let rs = Array.init nr0 (fun j -> (Value.float_value rc.(j), j)) in
-       Array.sort (fun (a, _) (b, _) -> Float.compare a b) rs;
-       let nr = Array.length rs in
-       (* index of first right value >= x (lower bound) *)
-       let lower_bound x =
-         let lo = ref 0 and hi = ref nr in
-         while !lo < !hi do
-           let mid = (!lo + !hi) / 2 in
-           if fst rs.(mid) < x then lo := mid + 1 else hi := mid
-         done;
-         !lo
-       in
-       (* index of first right value > x (upper bound) *)
-       let upper_bound x =
-         let lo = ref 0 and hi = ref nr in
-         while !lo < !hi do
-           let mid = (!lo + !hi) / 2 in
-           if fst rs.(mid) <= x then lo := mid + 1 else hi := mid
-         done;
-         !lo
-       in
-       for i = 0 to nl - 1 do
-         let x = Value.float_value lc.(i) in
-         if not (Float.is_nan x) then begin
-           let from_, to_ =
-             match cmp with
-             | P_lt -> (upper_bound x, nr)   (* right > left *)
-             | P_le -> (lower_bound x, nr)   (* right >= left *)
-             | P_gt -> (0, lower_bound x)    (* right < left *)
-             | P_ge -> (0, upper_bound x)    (* right <= left *)
-             | _ -> assert false
-           in
-           for k = from_ to to_ - 1 do
-             Vec.push li i;
-             Vec.push ri (snd rs.(k))
-           done
-         end
-       done
-     | _ ->
-       let f = cmp_fun cmp in
-       for i = 0 to nl - 1 do
-         for j = 0 to nr0 - 1 do
-           if f lc.(i) rc.(j) then begin
-             Vec.push li i;
-             Vec.push ri j
-           end
-         done
-       done);
+    for i = 0 to Array.length lc - 1 do
+      for j = 0 to Array.length rc - 1 do
+        if f lc.(i) rc.(j) then begin
+          Vec.push li i;
+          Vec.push ri j
+        end
+      done
+    done;
     (Vec.to_array li, Vec.to_array ri)
 
 let eval_thetajoin l r lcol cmp rcol =
@@ -801,13 +761,6 @@ let eval_doc store t =
          | Some n -> [| iterc.(r); Value.Node n |]
          | None -> Err.dynamic "fn:doc: document %S not available" uri))
 
-(* The name of a constructed [what] ("element", "attribute") from one
-   row of its name column: a QName, or a string read as one. *)
-let node_name what = function
-  | Value.Qname_v q -> q
-  | Value.Str s -> Xmldb.Qname.of_string s
-  | v -> Err.dynamic "%s name must be a QName, got %s" what (Value.type_name v)
-
 (* Element construction: one new fragment per evaluation; per iteration of
    [qnames], build an element whose content is [content]'s rows for that
    iteration in pos order. Adjacent atomics are joined with a space; nodes
@@ -830,7 +783,7 @@ let eval_elem store qn ct =
   let b = Xmldb.Doc_store.Builder.create store in
   let n = Table.nrows qn in
   for r = 0 to n - 1 do
-    Xmldb.Doc_store.Builder.start_element b (node_name "element" qitem.(r));
+    Xmldb.Doc_store.Builder.start_element b (Value.node_name "element" qitem.(r));
     (match Val_tbl.find_opt content qiter.(r) with
      | None -> ()
      | Some v ->
@@ -870,7 +823,7 @@ let eval_attr store qn vals =
   let b = Xmldb.Doc_store.Builder.create store in
   let n = Table.nrows qn in
   for r = 0 to n - 1 do
-    let name = node_name "attribute" qitem.(r) in
+    let name = Value.node_name "attribute" qitem.(r) in
     let v = Option.value ~default:"" (Val_tbl.find_opt vmap qiter.(r)) in
     Xmldb.Doc_store.Builder.attribute b name v
   done;

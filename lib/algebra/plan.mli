@@ -54,7 +54,7 @@ type prim1 =
   | P_atomize        (** nodes → their string value; atomics pass through *)
   | P_string         (** fn:string *)
   | P_number         (** fn:number: → xs:double, NaN on failure *)
-  | P_cast_int
+  | P_position       (** an xs:integer position argument ({!Value.position}) *)
   | P_cast_dbl
   | P_cast_str
   | P_cast_bool

@@ -8,7 +8,7 @@ let dir_str = function Asc -> "" | Desc -> "/desc"
 
 let prim1_name = function
   | P_not -> "not" | P_neg -> "neg" | P_atomize -> "data" | P_string -> "string"
-  | P_number -> "number" | P_cast_int -> "int" | P_cast_dbl -> "dbl"
+  | P_number -> "number" | P_position -> "position" | P_cast_dbl -> "dbl"
   | P_cast_str -> "str" | P_cast_bool -> "bool" | P_string_length -> "strlen"
   | P_name -> "name" | P_local_name -> "local-name" | P_round -> "round"
   | P_floor -> "floor" | P_ceiling -> "ceiling" | P_abs -> "abs"

@@ -260,8 +260,10 @@ let derive get (n : Plan.node) : t =
            @ if pl.one_row then Lazy.force pr.facts else []) }
   | Plan.Thetajoin { left; right; _ } ->
     let pl = get left and pr = get right in
-    (* left-major; inequality matches need not come out in right-row
-       order (the sort-based path reorders), so right facts never pass *)
+    (* left-major, each left row's matches in right-row order (every
+       kernel path emits the nested loop's pairs); right facts are not
+       passed even under a one-row left side, which keeps plans as they
+       are *)
     { schema = SSet.union pl.schema pr.schema;
       consts = union_first pl.consts pr.consts;
       keys = SSet.empty;

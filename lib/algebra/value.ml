@@ -145,10 +145,20 @@ let not_node v = Err.dynamic "expected a node, got %s" (type_name v)
 
 let int_overflow () = Err.dynamic "integer overflow"
 
-let range_bound = function
+(* An xs:integer operand: an [Int] as it is, a string (standing in for
+   xs:untypedAtomic) cast, a double or a boolean a type error. *)
+let integer_operand what = function
   | (Dbl _ | Bool _) as v ->
-    Err.dynamic "a range operand must be an xs:integer, got %s" (type_name v)
+    Err.dynamic "%s must be an xs:integer, got %s" what (type_name v)
   | v -> int_value v
+
+let range_bound = integer_operand "a range operand"
+let position = integer_operand "a position"
+
+let node_name what = function
+  | Qname_v q -> q
+  | Str s -> Xmldb.Qname.of_string s
+  | v -> Err.dynamic "%s name must be a QName, got %s" what (type_name v)
 
 (* Checked xs:integer arithmetic on the 63-bit native ints: a result out
    of range raises instead of wrapping. A sum overflows exactly when both

@@ -61,6 +61,15 @@ val not_node : t -> 'a
     xs:integer, a double or a boolean a type error. *)
 val range_bound : t -> int
 
+(** A position argument of [fn:remove] or [fn:insert-before], read by
+    {!range_bound}'s rule: a double or a boolean raises its own
+    XPTY0004 message. *)
+val position : t -> int
+
+(** The name of a constructed [what] (["element"], ["attribute"]): a
+    QName, or a string read as one; any other value is a type error. *)
+val node_name : string -> t -> Xmldb.Qname.t
+
 (** An xs:integer result outside the 63-bit range (FOAR0002); also a
     double [idiv] quotient that is NaN, infinite or out of range. *)
 val int_overflow : unit -> 'a

@@ -1239,12 +1239,13 @@ and compile_call cfg env f args =
     let s = A.project cfg.b s [ ("iter", "iter"); ("item", "item") ] in
     with_pos1 cfg (fill_default cfg env s (Value.Str ""))
   | "remove" ->
-    (* drop the item at (dense) position p; out-of-range p drops nothing *)
+    (* drop the item at (dense) position p; out-of-range p drops nothing.
+       The position is an xs:integer ([Value.position]) *)
     let q = pi_ipi cfg (c 0) in
     let n = A.rownum cfg.b q "dp" [ ("pos", A.Asc) ] (Some "iter") in
     let pcol =
       let a = A.fun1 cfg.b (the_singleton cfg (c 1)) "a" A.P_atomize "item" in
-      let a = A.fun1 cfg.b a "p" A.P_cast_int "a" in
+      let a = A.fun1 cfg.b a "p" A.P_position "a" in
       A.project cfg.b a [ ("iter2", "iter"); ("p", "p") ]
     in
     let j = A.join cfg.b n pcol "iter" "iter2" in
@@ -1253,7 +1254,8 @@ and compile_call cfg env f args =
     A.project cfg.b sel [ ("iter", "iter"); ("pos", "dp"); ("item", "item") ]
   | "insert-before" ->
     (* inserted items land at key p - 0.5, strictly between the dense
-       positions p-1 and p of the target (clamping falls out for free) *)
+       positions p-1 and p of the target (clamping falls out for free);
+       the position p is an xs:integer ([Value.position]) *)
     let q = pi_ipi cfg (c 0) in
     let n = A.rownum cfg.b q "dp" [ ("pos", A.Asc) ] (Some "iter") in
     let target =
@@ -1262,9 +1264,9 @@ and compile_call cfg env f args =
     in
     let pcol =
       let a = A.fun1 cfg.b (the_singleton cfg (c 1)) "a" A.P_atomize "item" in
-      let a = A.fun1 cfg.b a "pd" A.P_cast_dbl "a" in
+      let a = A.fun1 cfg.b a "p" A.P_position "a" in
       let a = A.attach cfg.b a "half" (Value.Dbl 0.5) in
-      let a = A.fun2 cfg.b a "k1" A.P_sub "pd" "half" in
+      let a = A.fun2 cfg.b a "k1" A.P_sub "p" "half" in
       A.project cfg.b a [ ("iter2", "iter"); ("k1", "k1") ]
     in
     let ins = pi_ipi cfg (c 2) in

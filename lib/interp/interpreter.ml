@@ -67,12 +67,6 @@ let add_content () b items =
          prev_atomic := true)
     items
 
-let qname_of_item (v : Xdm.item) =
-  match v with
-  | Value.Qname_v q -> q
-  | Value.Str s -> Xmldb.Qname.of_string s
-  | v -> Err.dynamic "invalid node name: %s" (Value.type_name v)
-
 let construct_element store name content =
   let b = Xmldb.Doc_store.Builder.create store in
   Xmldb.Doc_store.Builder.start_element b name;
@@ -286,10 +280,10 @@ and eval_expr env (e : core) : Xdm.seq =
      | _ -> [])
   | C_call (f, args) -> eval_call env f args
   | C_elem { name; content } ->
-    let n = qname_of_item (Xdm.singleton (eval env name)) in
+    let n = Value.node_name "element" (Xdm.singleton (eval env name)) in
     [ construct_element env.store n (eval env content) ]
   | C_attr { name; value } ->
-    let n = qname_of_item (Xdm.singleton (eval env name)) in
+    let n = Value.node_name "attribute" (Xdm.singleton (eval env name)) in
     let v =
       match eval env value with
       | [] -> ""
@@ -620,11 +614,11 @@ and eval_call env f args : Xdm.seq =
     [ Algebra.Eval.apply3 store Algebra.Plan.P3_translate (g a) (g b) (g c') ]
   | "remove", [ a; b ] ->
     let s = eval env a in
-    let p = Value.int_value (Xdm.singleton (Xdm.atomize_seq store (eval env b))) in
+    let p = Value.position (Xdm.singleton (Xdm.atomize_seq store (eval env b))) in
     List.filteri (fun i _ -> i + 1 <> p) s
   | "insert-before", [ a; b; c' ] ->
     let s = eval env a in
-    let p = Value.int_value (Xdm.singleton (Xdm.atomize_seq store (eval env b))) in
+    let p = Value.position (Xdm.singleton (Xdm.atomize_seq store (eval env b))) in
     let ins = eval env c' in
     let p = max 1 (min p (List.length s + 1)) in
     let rec go i = function

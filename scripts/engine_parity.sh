@@ -81,6 +81,16 @@ QUERIES=$(cat <<'EOF'
 0	for $n in ("x", "y") return element {$n} {attribute {$n} {$n}, $n}
 0	for $i in (3, 1, 2) return <r a="{$i}">{$i}</r>
 0	for $v in doc("t.xml")/a/* return <r>{$v/node(), "s"}<s>{$v/@k}</s></r>
+0	for $x in (9007199254740993, 1) for $y in (9007199254740992, 0) where $x > $y return ($x, $y)
+0	for $x in (9007199254740992, 1) for $y in (9007199254740993, 0) where $x >= $y return ($x, $y)
+0	for $x in (9007199254740992, 1) for $y in (9007199254740993, 0) where $x < $y return ($x, $y)
+0	for $x in (9007199254740993, 1) for $y in (9007199254740992, 0) where $x <= $y return ($x, $y)
+1	insert-before((1,2,3), 2.5, 9)
+1	remove((1,2,3), 2.0)
+1	remove((1,2,3), true())
+0	remove((1,2,3), <a>2</a>)
+1	element {1} {()}
+1	attribute {1.5} {"x"}
 EOF
 )
 

@@ -131,6 +131,28 @@ let test_thetajoin_untyped () =
   let j = run (Plan.thetajoin b l r "income" Plan.P_gt "bid") in
   check_table "income > bid" [ [| v_str "6000"; v_dbl 5000.0 |] ] j
 
+(* Ints just above 2^53, where doubles lose the last bit, compare
+   exactly, and the pairs come out in the nested loop's order: left rows
+   ascending, each left row's right rows ascending. *)
+let test_thetajoin_exact_ints () =
+  let big = 1 lsl 53 in
+  let b = Plan.builder () in
+  let side key vs = Plan.lit b [| key |] (List.map (fun v -> [| v_int v |]) vs) in
+  List.iter
+    (fun (name, f, l, r, want) ->
+       let t = run (Plan.thetajoin b (side "a" l) (side "b" r) "a" f "b") in
+       Alcotest.(check (list (pair int int))) name want
+         (List.init (Table.nrows t) (fun i ->
+              match Table.row t i with
+              | [| Value.Int x; Value.Int y |] -> (x, y)
+              | _ -> Alcotest.fail "two int columns expected")))
+    [ ("a > b", Plan.P_gt, [ big + 1; 1 ], [ big; 0 ],
+       [ (big + 1, big); (big + 1, 0); (1, 0) ]);
+      ("a >= b", Plan.P_ge, [ big; 1 ], [ big + 1; 0 ], [ (big, 0); (1, 0) ]);
+      ("a < b", Plan.P_lt, [ big; 1 ], [ big + 1; 0 ],
+       [ (big, big + 1); (1, big + 1) ]);
+      ("a <= b", Plan.P_le, [ big + 1; 1 ], [ big; 0 ], [ (1, big) ]) ]
+
 let test_semijoin_antijoin () =
   let b = Plan.builder () in
   let l = Plan.lit b [| "iter" |] [ [| v_int 1 |]; [| v_int 2 |]; [| v_int 3 |] ] in
@@ -560,6 +582,8 @@ let () =
           Alcotest.test_case "join" `Quick test_join;
           Alcotest.test_case "thetajoin inequality" `Quick test_thetajoin_inequality;
           Alcotest.test_case "thetajoin untyped" `Quick test_thetajoin_untyped;
+          Alcotest.test_case "thetajoin exact integers" `Quick
+            test_thetajoin_exact_ints;
           Alcotest.test_case "semi/anti join" `Quick test_semijoin_antijoin;
           Alcotest.test_case "cross+union+distinct" `Quick test_cross_union_distinct;
           Alcotest.test_case "rownum" `Quick test_rownum;

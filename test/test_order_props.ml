@@ -160,8 +160,9 @@ let test_join_outer_order () =
   let c = P.cross b left right in
   check_sat "cross keeps outer order" true c [ ("a", P.Asc) ];
   check_sat "cross drops inner order" false c [ ("z", P.Asc) ];
-  (* Thetajoin's sort-based path may reorder matches: inner order never
-     passes, not even under a one-row outer *)
+  (* Thetajoin passes no inner order, not even under a one-row outer.
+     Every kernel path emits the nested loop's pair order, so it could;
+     Props keeps to the outer side, which leaves every plan as it is *)
   let tj = P.thetajoin b left1 right "l" P.P_lt "r" in
   check_sat "thetajoin keeps outer order" true tj [ ("a", P.Asc) ];
   check_sat "thetajoin never passes inner order" false tj [ ("z", P.Asc) ]

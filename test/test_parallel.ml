@@ -248,11 +248,30 @@ let test_join_parity () =
     Plan.lit b [| "j"; "price" |]
       (List.init 40 (fun j -> [| v_int j; v_dbl (float_of_int (j * 11)) |]))
   in
-  (* the coerced nested loop — XMark Q11/Q12's hot shape *)
+  (* text against doubles — XMark Q11/Q12's shape; the inequality kernel
+     runs serially, so jobs must not change its pairs *)
   check_par_parity ~morsel:4 "theta float coercion"
     (Plan.thetajoin b strs nums "inc" Plan.P_gt "price");
   check_par_parity ~morsel:4 "theta flipped"
     (Plan.thetajoin b nums strs "price" Plan.P_le "inc")
+
+(* The inequality theta-join matrix ([Theta_cases]) at every width over
+   morsels of 4 rows: the rows, or the error, of the serial run. *)
+let test_theta_matrix_parity () =
+  List.iter
+    (fun (name, _, plan) ->
+       let run ?jobs () =
+         Physical.run ?jobs ~morsel:4 (Theta_cases.store ()) plan
+       in
+       let serial = Theta_cases.outcome (fun () -> run ()) in
+       List.iter
+         (fun jobs ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s (jobs=%d)" name jobs)
+              serial
+              (Theta_cases.outcome (fun () -> run ~jobs ())))
+         jobs_widths)
+    (Theta_cases.cases ())
 
 let test_aggregate_parity () =
   let b = Plan.builder () in
@@ -639,6 +658,8 @@ let () =
       ("physical parity",
        [ Alcotest.test_case "pipes" `Quick test_pipe_parity;
          Alcotest.test_case "joins" `Quick test_join_parity;
+         Alcotest.test_case "inequality theta joins" `Quick
+           test_theta_matrix_parity;
          Alcotest.test_case "aggregates" `Quick test_aggregate_parity;
          Alcotest.test_case "sum overflow across morsels" `Quick
            test_sum_overflow_across_morsels;
